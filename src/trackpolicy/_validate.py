@@ -17,23 +17,3 @@ def as_float_array(x, name: str, shape=None, ndim=None) -> np.ndarray:
     if not np.all(np.isfinite(a)):
         raise NonFiniteError(f"{name} contains NaN or Inf")
     return a
-
-
-def check_matrix(x, name: str, n_cols: int) -> np.ndarray:
-    """Validate a 2D (n, n_cols) float matrix."""
-    a = as_float_array(x, name, ndim=2)
-    if a.shape[1] != n_cols:
-        raise ShapeMismatchError(f"{name}: expected {n_cols} columns, got {a.shape[1]}")
-    return a
-
-
-def check_positive_int(x, name: str) -> int:
-    if not isinstance(x, (int, np.integer)) or isinstance(x, bool) or x <= 0:
-        raise ValueError(f"{name} must be a positive integer, got {x!r}")
-    return int(x)
-
-
-def check_rng(rng) -> np.random.Generator:
-    if not isinstance(rng, np.random.Generator):
-        raise TypeError(f"expected numpy.random.Generator, got {type(rng).__name__}")
-    return rng

@@ -194,38 +194,23 @@ def stats_for_camera(intr: CameraIntrinsics) -> NormalizationStats:
     return NormalizationStats.for_image(intr.width, intr.height)
 
 
+def normalize_keypoints(kps: KeypointSet2D, intr: CameraIntrinsics) -> KeypointSet2D:
+    """Pixel keypoints seen by a camera -> its normalized 5-point set.
+
+    Hand sets get the 5-point subset first; coordinates land in [-1, 1] for
+    in-image points. The one place the package normalizes keypoints.
+    """
+    if kps.embodiment == HUMAN:
+        kps = select_hand_subset(kps)
+    return KeypointSet2D(stats_for_camera(intr).normalize(kps.points),
+                         kps.embodiment, kps.view_id)
+
+
 def normalized_keypoint_frames(demo: Demonstration) -> list:
-    """Every (t, view) keypoint frame of a demo as a normalized 5-point set.
-
-    Hand frames get the 5-point subset; coordinates land in [-1, 1] for
-    in-image points. This is the retargeter's training food.
-    """
-    out = []
-    for v in range(demo.n_views):
-        stats = stats_for_camera(demo.cameras[v][0])
-        for views in demo.frames:
-            kps = views[v].keypoints
-            if demo.embodiment == HUMAN:
-                kps = select_hand_subset(kps)
-            out.append(KeypointSet2D(stats.normalize(kps.points), kps.embodiment, kps.view_id))
-    return out
-
-
-def normalize_frames(frames, cameras) -> list:
-    """Pixel-space KeypointSet2Ds -> normalized 5-point sets.
-
-    Hand frames (21 points) get the subset first; view_id picks the camera
-    whose stats apply. Same convention as normalized_keypoint_frames, for
-    frame lists that don't come wrapped in a Demonstration.
-    """
-    stats = [stats_for_camera(intr) for intr, _ in cameras]
-    out = []
-    for kps in frames:
-        if kps.embodiment == HUMAN and kps.points.shape[0] != len(HAND_SUBSET_INDICES):
-            kps = select_hand_subset(kps)
-        st = stats[kps.view_id]
-        out.append(KeypointSet2D(st.normalize(kps.points), kps.embodiment, kps.view_id))
-    return out
+    """Every keypoint frame of a demo, normalized, view-major (all of view 0
+    in time order, then view 1). This is the retargeter's training food."""
+    return [normalize_keypoints(views[v].keypoints, demo.cameras[v][0])
+            for v in range(demo.n_views) for views in demo.frames]
 
 
 def chunk(demo: Demonstration, horizon: int) -> list:
@@ -236,17 +221,10 @@ def chunk(demo: Demonstration, horizon: int) -> list:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
     samples = []
     for v in range(demo.n_views):
-        stats = stats_for_camera(demo.cameras[v][0])
-        track = []
-        grasps = []
-        for t in range(demo.length):
-            kps = demo.frames[t][v].keypoints
-            if demo.embodiment == HUMAN:
-                kps = select_hand_subset(kps)
-            track.append(stats.normalize(kps.points))
-            grasps.append(demo.frames[t][v].grasp)
-        track = np.asarray(track)   # (T, 5, 2)
-        grasps = np.asarray(grasps, dtype=np.float64)
+        intr = demo.cameras[v][0]
+        track = np.asarray([normalize_keypoints(views[v].keypoints, intr).points
+                            for views in demo.frames])   # (T, 5, 2)
+        grasps = np.asarray([views[v].grasp for views in demo.frames], dtype=np.float64)
         last = demo.length - 1
         for t in range(demo.length):
             idx = np.minimum(t + 1 + np.arange(horizon), last)

@@ -56,10 +56,6 @@ class NonFiniteError(TrackPolicyError):
     """A NaN or Inf appeared in a numeric computation."""
 
 
-class TapeMismatchError(TrackPolicyError):
-    """backward() called with a gradient that does not match the tape output."""
-
-
 class BatchTooSmallError(TrackPolicyError):
     """Batch statistics need at least two rows per side."""
 

@@ -19,8 +19,7 @@ import numpy as np
 
 from . import data, policy, sim
 from .diffusion import DiffusionSchedule
-from .errors import (EmptyDatasetError, MissingArtifactError, NotFittedError,
-                     ResidualTooHighError)
+from .errors import EmptyDatasetError, MissingArtifactError, ResidualTooHighError
 from .geometry import (
     RigidTransform,
     axis_angle_to_matrix,
@@ -142,7 +141,7 @@ def predict_chunk(model: policy.PolicyModel, obs0, obs1, cams,
     per_view = []
     for v, (img, kps) in enumerate((obs0, obs1)):
         stats = data.stats_for_camera(cams[v][0])
-        kn = data.KeypointSet2D(stats.normalize(kps.points), kps.embodiment, v)
+        kn = data.normalize_keypoints(kps, cams[v][0])
         track = policy.sample(model, img, kn, schedule, seed=seed)
         absolute = np.concatenate([kn.points[None], track.absolute(kn.points)], axis=0)
         per_view.append((stats.denormalize(absolute), track.grasps))
@@ -283,7 +282,6 @@ def baseline_samples(demo: data.Demonstration, horizon: int) -> list:
     if demo.embodiment != data.ROBOT or not demo.ee_poses:
         raise EmptyDatasetError(
             "6DoF baseline needs robot demonstrations with end-effector poses")
-    stats = data.stats_for_camera(demo.cameras[0][0])
     poses = demo.ee_poses
     last = demo.length - 1
     out = []
@@ -296,8 +294,8 @@ def baseline_samples(demo: data.Demonstration, horizon: int) -> list:
             rows[h, :3] = local.translation
             rows[h, 3:6] = matrix_to_axis_angle(local.rotation)
             rows[h, 6] = 2.0 * demo.frames[b][0].grasp - 1.0
-        kps = stats.normalize(demo.frames[t][0].keypoints.points)
-        out.append(DeltaSample(demo.frames[t][0].image, kps, rows, data.ROBOT))
+        kn = data.normalize_keypoints(demo.frames[t][0].keypoints, demo.cameras[0][0])
+        out.append(DeltaSample(demo.frames[t][0].image, kn.points, rows, data.ROBOT))
     return out
 
 
@@ -316,18 +314,8 @@ def train_baseline_6dof(dataset_robot, cfg: policy.TrainConfig,
     image_dim = int(np.asarray(samples[0].image).size)
     model = policy.build_model(cfg, image_dim, target_dim=7 * cfg.horizon,
                                schedule=schedule)
-    rng = np.random.default_rng([cfg.seed, policy._TRAIN_STREAM])
-    opt = policy.Adam(cfg.learning_rate)
-    log = []
-    for epoch in range(cfg.epochs):
-        frac = epoch / max(1, cfg.epochs - 1)
-        opt.state.learning_rate = cfg.learning_rate * (
-            0.05 + 0.95 * 0.5 * (1.0 + np.cos(np.pi * frac)))
-        reports = [policy.train_step(model, b, model.schedule, cfg, rng, opt)
-                   for b in policy._mixed_batches([], samples, cfg.batch_size, rng)]
-        log.append({"epoch": epoch,
-                    "mse": float(np.mean([r.mse for r in reports])),
-                    "total": float(np.mean([r.total for r in reports]))})
+    log = [{key: entry[key] for key in ("epoch", "mse", "total")}
+           for entry in policy.train_epochs(model, [], samples, cfg)]
     return model, log
 
 
@@ -343,8 +331,7 @@ class BaselineRunner:
 
     def chunk(self, task, state, cams, seed) -> ActionChunk:
         img, kps, _ = sim.observe(state, cams[0], sim.robot_embodiment(), view_id=0)
-        stats = data.stats_for_camera(cams[0][0])
-        kn = data.KeypointSet2D(stats.normalize(kps.points), kps.embodiment, 0)
+        kn = data.normalize_keypoints(kps, cams[0][0])
         rows = policy.sample_flat(self.model, img, kn, self.model.schedule,
                                   seed=seed).reshape(self.horizon, 7)
         ee = state.ee_pose
@@ -361,65 +348,6 @@ class BaselineRunner:
             ee = ee.compose(local)
         grasps = rows[:, 6] > 0
         return ActionChunk(tuple(deltas), grasps, np.zeros((self.horizon, 1)))
-
-
-def rollout_baseline(model: policy.PolicyModel, task: sim.TaskSpec, seed: int,
-                     exec_horizon: int = DEFAULT_EXEC_HORIZON,
-                     cameras=None) -> EpisodeResult:
-    return rollout(BaselineRunner(model), task, seed, exec_horizon, cameras)
-
-
-class DeltaPosePolicy:
-    """Estimator facade for the 6DoF-delta diffusion baseline.
-
-    fit() consumes robot demonstrations only (they carry the end-effector
-    poses the delta targets come from); predict() returns the (horizon, 7)
-    action rows [translation xyz, axis-angle, grasp logit] in the
-    end-effector frame.
-    """
-
-    def __init__(self, horizon: int = 16, n_keypoints: int = 5,
-                 batch_size: int = 32, learning_rate: float = 1e-3,
-                 epochs: int = 30, seed: int = 0, embed_dim: int = 64,
-                 encoder_hidden=(128,), denoiser_hidden=(256, 256)):
-        self.horizon = horizon
-        self.n_keypoints = n_keypoints
-        self.batch_size = batch_size
-        self.learning_rate = learning_rate
-        self.epochs = epochs
-        self.seed = seed
-        self.embed_dim = embed_dim
-        self.encoder_hidden = tuple(encoder_hidden)
-        self.denoiser_hidden = tuple(denoiser_hidden)
-
-    def get_params(self) -> dict:
-        return {name: getattr(self, name) for name in (
-            "horizon", "n_keypoints", "batch_size", "learning_rate",
-            "epochs", "seed", "embed_dim", "encoder_hidden",
-            "denoiser_hidden")}
-
-    def set_params(self, **kwargs) -> "DeltaPosePolicy":
-        valid = self.get_params()
-        for key, value in kwargs.items():
-            if key not in valid:
-                raise ValueError(f"unknown parameter {key!r}")
-            setattr(self, key, tuple(value) if key.endswith("hidden") else value)
-        return self
-
-    def fit(self, demos_robot, schedule=None) -> "DeltaPosePolicy":
-        cfg = policy.TrainConfig(lambda_kl=0.0, lambda_da=0.0,
-                                 **self.get_params())
-        self.model_, self.log_ = train_baseline_6dof(demos_robot, cfg,
-                                                     schedule=schedule)
-        return self
-
-    def predict(self, feature_image, keypoints: data.KeypointSet2D,
-                seed: int = 0) -> np.ndarray:
-        if not hasattr(self, "model_"):
-            raise NotFittedError("fit() the baseline before predict()")
-        flat = policy.sample_flat(self.model_, feature_image, keypoints,
-                                  seed=seed)
-        return flat.reshape(self.horizon, 7)
 
 
 # ---------------------------------------------------------------------------
@@ -457,11 +385,6 @@ def _write_metrics(path, records) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for rec in records:
             fh.write(json.dumps(rec, sort_keys=True) + "\n")
-
-
-def read_metrics(path) -> list:
-    with open(path, encoding="utf-8") as fh:
-        return [json.loads(line) for line in fh if line.strip()]
 
 
 def _grid_cfg(cfg: policy.TrainConfig, n_human: int) -> policy.TrainConfig:

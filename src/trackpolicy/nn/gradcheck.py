@@ -1,8 +1,7 @@
 """Central finite-difference verification of autodiff gradients.
 
-Used both by unit tests and by the `gradcheck` CLI command: every model in
-the repo must pass this on randomly probed parameters before we trust a
-training run.
+Every model in the repo must pass this on randomly probed parameters before
+we trust a training run; the unit tests run it.
 """
 
 from __future__ import annotations

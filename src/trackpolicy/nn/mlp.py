@@ -1,9 +1,10 @@
 """Dense multi-layer perceptrons over the tensor engine.
 
-A network is a pure (spec, params) pair. `forward` returns the output plus a
-tape object; `backward` replays the tape for exact reverse-mode gradients.
-Composite models (several MLPs sharing one loss) skip the tape surface and
-call `apply` on live Tensors instead, then run tensor.backward on the loss.
+A network is a pure (spec, params) pair with two ways to run it. `apply`
+builds a differentiable Tensor graph; training calls it inside a composite
+loss and runs tensor.backward on that loss. `forward` is the inference pass:
+the same op sequence on plain arrays, with no graph, raising NonFiniteError
+on a non-finite input or as soon as a layer produces NaN/Inf.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import ShapeMismatchError, TapeMismatchError
+from ..errors import NonFiniteError, ShapeMismatchError
 from . import tensor as T
 
 ACTIVATIONS = ("relu", "tanh", "identity")
@@ -93,16 +94,17 @@ def apply(spec: MlpSpec, params: dict, x: T.Tensor) -> T.Tensor:
     return h
 
 
-@dataclass
-class Tape:
-    spec: MlpSpec
-    x: T.Tensor
-    params: dict  # name -> Tensor
-    out: T.Tensor
+_NP_ACT = {"relu": lambda h: np.where(h > 0, h, 0.0), "tanh": np.tanh,
+           "identity": lambda h: h}
 
 
-def forward(spec: MlpSpec, params: dict, x) -> tuple:
-    """(output array, tape). Input is (n, d_in) or a single (d_in,) row."""
+def forward(spec: MlpSpec, params: dict, x) -> np.ndarray:
+    """Output array for an (n, d_in) batch or a single (d_in,) row.
+
+    Bit-identical to `apply(...).data`: each layer is h @ w + b followed by
+    the activation. A NaN/Inf first shows up in an affine output (relu and
+    tanh map finite values to finite values), so that is where it is caught.
+    """
     x = np.asarray(x, dtype=np.float64)
     squeeze = x.ndim == 1
     if squeeze:
@@ -111,22 +113,12 @@ def forward(spec: MlpSpec, params: dict, x) -> tuple:
         raise ShapeMismatchError(
             f"input shape {x.shape} does not match spec width {spec.widths[0]}")
     check_params(spec, params)
-    xt = T.Tensor(x, op="input")
-    pt = {name: T.Tensor(np.asarray(v, dtype=np.float64), op=name) for name, v in params.items()}
-    out = apply(spec, pt, xt)
-    tape = Tape(spec, xt, pt, out)
-    y = out.data[0] if squeeze else out.data.copy()
-    return y, tape
-
-
-def backward(tape: Tape, output_grad) -> tuple:
-    """(parameter gradients by name, input gradient) for a recorded forward."""
-    g = np.asarray(output_grad, dtype=np.float64)
-    if g.ndim == 1 and tape.out.data.shape[0] == 1:
-        g = g[None, :]
-    if g.shape != tape.out.data.shape:
-        raise TapeMismatchError(
-            f"output_grad shape {g.shape} does not match tape output {tape.out.data.shape}")
-    T.backward(tape.out, g)
-    grads = {name: p.grad.copy() for name, p in tape.params.items()}
-    return grads, tape.x.grad.copy()
+    if not np.all(np.isfinite(x)):
+        raise NonFiniteError(f"{spec.name}: non-finite input")
+    h = x
+    for i, act in enumerate(spec.activations):
+        h = h @ params[f"{spec.name}/w{i}"] + params[f"{spec.name}/b{i}"]
+        if not np.all(np.isfinite(h)):
+            raise NonFiniteError(f"{spec.name}: non-finite values produced by layer {i}")
+        h = _NP_ACT[act](h)
+    return h[0] if squeeze else h

@@ -35,8 +35,7 @@ from .diffusion import (
     ancestral_sample,
     timestep_embedding,
 )
-from .errors import (EmptyDatasetError, MixedShapesError, NotFittedError,
-                     SchemaMismatchError)
+from .errors import EmptyDatasetError, MixedShapesError, SchemaMismatchError
 from .nn import (
     Adam,
     MlpSpec,
@@ -369,6 +368,31 @@ def _mixed_batches(samples_h, samples_r, batch_size: int, rng):
             for s in range(0, len(pool), batch_size)]
 
 
+def train_epochs(model: PolicyModel, samples_h, samples_r, cfg: TrainConfig):
+    """The epoch loop: yields one log entry per epoch as model.params update.
+
+    One Adam for the whole run, its learning rate on a cosine decay to 5%;
+    batches from _mixed_batches. An entry holds the epoch index and the mean
+    of each LossReport field over the epoch's steps (None where every step
+    skipped that term).
+    """
+    rng = np.random.default_rng([cfg.seed, _TRAIN_STREAM])
+    opt = Adam(cfg.learning_rate)
+    for epoch in range(cfg.epochs):
+        # cosine decay to 5%: late epochs at full lr kick the loss out of
+        # the basin every few hundred steps
+        frac = epoch / max(1, cfg.epochs - 1)
+        opt.state.learning_rate = cfg.learning_rate * (
+            0.05 + 0.95 * 0.5 * (1.0 + np.cos(np.pi * frac)))
+        reports = [train_step(model, b, model.schedule, cfg, rng, opt)
+                   for b in _mixed_batches(samples_h, samples_r, cfg.batch_size, rng)]
+        entry = {"epoch": epoch}
+        for key in ("mse", "kl", "da", "disc_accuracy", "total"):
+            vals = [getattr(r, key) for r in reports if getattr(r, key) is not None]
+            entry[key] = float(np.mean(vals)) if vals else None
+        yield entry
+
+
 def train(dataset_human, dataset_robot, cfg: TrainConfig,
           retargeter: KeypointRetargeter | None = None,
           schedule: DiffusionSchedule | None = None,
@@ -400,23 +424,9 @@ def train(dataset_human, dataset_robot, cfg: TrainConfig,
 
     image_dim = int(np.asarray((samples_h or samples_r)[0].image).size)
     model = build_model(cfg, image_dim, schedule=schedule, retargeter=retargeter)
-    rng = np.random.default_rng([cfg.seed, _TRAIN_STREAM])
-    opt = Adam(cfg.learning_rate)
-
     log = []
     best_total, best_params = np.inf, dict(model.params)
-    for epoch in range(cfg.epochs):
-        # cosine decay to 5%: late epochs at full lr kick the loss out of
-        # the basin every few hundred steps
-        frac = epoch / max(1, cfg.epochs - 1)
-        opt.state.learning_rate = cfg.learning_rate * (
-            0.05 + 0.95 * 0.5 * (1.0 + np.cos(np.pi * frac)))
-        reports = [train_step(model, b, model.schedule, cfg, rng, opt)
-                   for b in _mixed_batches(samples_h, samples_r, cfg.batch_size, rng)]
-        entry = {"epoch": epoch}
-        for key in ("mse", "kl", "da", "disc_accuracy", "total"):
-            vals = [getattr(r, key) for r in reports if getattr(r, key) is not None]
-            entry[key] = float(np.mean(vals)) if vals else None
+    for entry in train_epochs(model, samples_h, samples_r, cfg):
         log.append(entry)
         if log_fn is not None:
             log_fn(entry)
@@ -446,7 +456,7 @@ def sample_flat(model: PolicyModel, feature_image, keypoints: data.KeypointSet2D
     if keypoints.k != model.cfg.n_keypoints:
         raise ValueError(f"expected k={model.cfg.n_keypoints}, got k={keypoints.k}")
     img = np.asarray(feature_image, dtype=np.float64).reshape(1, -1)
-    emb, _ = forward(model.encoder, model.params, img)
+    emb = forward(model.encoder, model.params, img)
     kps_cond = _retarget_flat(model.retargeter, keypoints.points[None])
 
     def eps_fn(x, t):
@@ -454,7 +464,7 @@ def sample_flat(model: PolicyModel, feature_image, keypoints: data.KeypointSet2D
         den_in = np.concatenate([
             x, np.repeat(emb, n, axis=0), np.repeat(kps_cond, n, axis=0),
             np.repeat(timestep_embedding(t), n, axis=0)], axis=1)
-        clean_hat, _ = forward(model.denoiser, model.params, den_in)
+        clean_hat = forward(model.denoiser, model.params, den_in)
         ab = schedule.alpha_bars[np.asarray(t).reshape(-1)][:, None]
         return (x - np.sqrt(ab) * clean_hat) / np.sqrt(1.0 - ab)
 
@@ -471,13 +481,6 @@ def sample(model: PolicyModel, feature_image, keypoints: data.KeypointSet2D,
     flat = sample_flat(model, feature_image, keypoints, schedule, rng, seed)
     horizon = model.target_dim // (2 * model.cfg.n_keypoints + 1)
     return track_from_flat(flat, horizon, model.cfg.n_keypoints, keypoints.view_id)
-
-
-def embed_images(model: PolicyModel, images) -> np.ndarray:
-    """Frozen-encoder embeddings for (n, ...) feature rasters."""
-    arr = np.asarray(images, dtype=np.float64)
-    out, _ = forward(model.encoder, model.params, arr.reshape(arr.shape[0], -1))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -500,10 +503,9 @@ def save_policy(path, model: PolicyModel) -> None:
             "has_retargeter": model.retargeter is not None}
     arrays = dict(model.params)
     if model.retargeter is not None:
-        for name, arr in model.retargeter._params.items():
+        meta["retargeter_params"], ret_arrays = model.retargeter.to_arrays()
+        for name, arr in ret_arrays.items():
             arrays[f"retargeter:{name}"] = arr
-        meta["retargeter_params"] = model.retargeter.get_params()
-        meta["retargeter_params"]["hidden"] = list(meta["retargeter_params"]["hidden"])
     save_checkpoint(path, CHECKPOINT_KIND, meta, arrays)
 
 
@@ -529,82 +531,10 @@ def load_policy(path) -> PolicyModel:
         else:
             params[name] = arr
     if meta.get("has_retargeter"):
-        rp = dict(meta["retargeter_params"])
-        rp["hidden"] = tuple(rp["hidden"])
-        retargeter = KeypointRetargeter(**rp)
-        k = data.N_TRACK_KEYPOINTS
-        spec = MlpSpec((2 * k, *retargeter.hidden, 2 * k),
-                       ("relu",) * len(retargeter.hidden) + ("identity",),
-                       name="retargeter")
-        for arr in ret_arrays.values():
-            arr.flags.writeable = False
-        retargeter._spec = spec
-        retargeter._params = ret_arrays
-        retargeter.train_loss_ = float("nan")
+        retargeter = KeypointRetargeter.from_arrays(meta["retargeter_params"], ret_arrays)
     model = build_model(cfg, meta["image_dim"], target_dim=meta["target_dim"],
                         schedule=schedule, retargeter=retargeter)
     for spec in (model.encoder, model.denoiser, model.discriminator):
         check_params(spec, params)
     model.params = params
     return model
-
-
-# ---------------------------------------------------------------------------
-# estimator facade
-
-
-class TrackPolicy:
-    """fit/predict wrapper over the functional training core.
-
-    Constructor arguments mirror TrainConfig; fit() co-trains on the two
-    demonstration pools and stores the result as model_/log_.
-    """
-
-    def __init__(self, horizon: int = 16, n_keypoints: int = 5,
-                 lambda_kl: float = 1.0, lambda_da: float = 0.3,
-                 batch_size: int = 32, learning_rate: float = 1e-3,
-                 epochs: int = 30, seed: int = 0, embed_dim: int = 64,
-                 encoder_hidden=(128,), denoiser_hidden=(256, 256),
-                 disc_hidden=(32,)):
-        self.horizon = horizon
-        self.n_keypoints = n_keypoints
-        self.lambda_kl = lambda_kl
-        self.lambda_da = lambda_da
-        self.batch_size = batch_size
-        self.learning_rate = learning_rate
-        self.epochs = epochs
-        self.seed = seed
-        self.embed_dim = embed_dim
-        self.encoder_hidden = tuple(encoder_hidden)
-        self.denoiser_hidden = tuple(denoiser_hidden)
-        self.disc_hidden = tuple(disc_hidden)
-
-    def get_params(self) -> dict:
-        return {name: getattr(self, name) for name in (
-            "horizon", "n_keypoints", "lambda_kl", "lambda_da", "batch_size",
-            "learning_rate", "epochs", "seed", "embed_dim", "encoder_hidden",
-            "denoiser_hidden", "disc_hidden")}
-
-    def set_params(self, **kwargs) -> "TrackPolicy":
-        valid = self.get_params()
-        for key, value in kwargs.items():
-            if key not in valid:
-                raise ValueError(f"unknown parameter {key!r}")
-            setattr(self, key, tuple(value) if key.endswith("hidden") else value)
-        return self
-
-    def _config(self) -> TrainConfig:
-        return TrainConfig(**self.get_params())
-
-    def fit(self, demos_human, demos_robot, retargeter=None, schedule=None,
-            checkpoint_dir=None, log_fn=None) -> "TrackPolicy":
-        self.model_, self.log_ = train(
-            demos_human, demos_robot, self._config(), retargeter=retargeter,
-            schedule=schedule, checkpoint_dir=checkpoint_dir, log_fn=log_fn)
-        return self
-
-    def predict(self, feature_image, keypoints: data.KeypointSet2D,
-                seed: int = 0) -> MotionTrack:
-        if not hasattr(self, "model_"):
-            raise NotFittedError("fit() the policy before predict()")
-        return sample(self.model_, feature_image, keypoints, seed=seed)

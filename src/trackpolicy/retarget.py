@@ -31,6 +31,7 @@ from .nn import (
     MlpSpec,
     Tensor,
     apply,
+    check_params,
     forward,
     init_params,
     load_checkpoint,
@@ -90,8 +91,7 @@ class KeypointRetargeter:
         """Train on hand keypoint frames; freezes the result.
 
         frames: sequence of KeypointSet2D, hand embodiment, k=5, points in
-        normalized units (apply select_hand_subset + NormalizationStats
-        upstream).
+        normalized units, as data.normalize_keypoints returns them.
         """
         if not (self.noise_bound > 0):
             raise ValueError("noise_bound must be positive")
@@ -112,9 +112,7 @@ class KeypointRetargeter:
         pts = np.stack([f.points for f in frames])  # (n, k, 2)
         n = pts.shape[0]
 
-        spec = MlpSpec((2 * k, *self.hidden, 2 * k),
-                       ("relu",) * len(self.hidden) + ("identity",),
-                       name="retargeter")
+        spec = _net_spec(self.hidden)
         params = init_params(spec, self.seed)
         rng = np.random.default_rng([self.seed, _NOISE_STREAM])
 
@@ -140,10 +138,8 @@ class KeypointRetargeter:
             params = opt.step(params, {name: t.grad for name, t in live.items()})
             loss_value = float(loss.data)
 
-        for arr in params.values():
-            arr.flags.writeable = False
-        self._spec = spec
-        self._params = params
+        fitted = self.from_arrays(self.get_params(), params)
+        self._spec, self._params = fitted._spec, fitted._params
         self.train_loss_ = loss_value
         return self
 
@@ -159,7 +155,7 @@ class KeypointRetargeter:
         a = self.anchor_index
         anchor = kps.points[a]
         rel = (kps.points - anchor).reshape(-1)
-        out, _ = forward(self._spec, self._params, rel)
+        out = forward(self._spec, self._params, rel)
         result = out.reshape(-1, 2) + anchor
         result[a] = anchor
         return data.KeypointSet2D(result, kps.embodiment, kps.view_id)
@@ -179,19 +175,40 @@ class KeypointRetargeter:
         a = self.anchor_index
         anchors = pts[:, a:a + 1]
         rel = (pts - anchors).reshape(pts.shape[0], -1)
-        out, _ = forward(self._spec, self._params, rel)
+        out = forward(self._spec, self._params, rel)
         result = out.reshape(pts.shape) + anchors
         result[:, a] = pts[:, a]
         return result
 
     # -- persistence -------------------------------------------------------
 
-    def save(self, path) -> None:
+    @classmethod
+    def from_arrays(cls, meta: dict, arrays: dict) -> "KeypointRetargeter":
+        """A fitted retargeter from constructor params and weight arrays.
+
+        The inverse of to_arrays. The net's spec follows meta["hidden"]; the
+        arrays are frozen in place (made read-only), not copied.
+        """
+        est = cls(**{**meta, "hidden": tuple(meta["hidden"])})
+        spec = _net_spec(est.hidden)
+        check_params(spec, arrays)
+        for arr in arrays.values():
+            arr.flags.writeable = False
+        est._spec = spec
+        est._params = arrays
+        est.train_loss_ = float("nan")
+        return est
+
+    def to_arrays(self) -> tuple:
+        """(meta, arrays): JSON-ready constructor params and the frozen weights."""
         if not self.fitted:
             raise NotFittedError("nothing to save before fit()")
         meta = dict(self.get_params())
         meta["hidden"] = list(meta["hidden"])
-        save_checkpoint(path, CHECKPOINT_KIND, meta, self._params)
+        return meta, self._params
+
+    def save(self, path) -> None:
+        save_checkpoint(path, CHECKPOINT_KIND, *self.to_arrays())
 
     @classmethod
     def load(cls, path) -> "KeypointRetargeter":
@@ -199,14 +216,11 @@ class KeypointRetargeter:
         if kind != CHECKPOINT_KIND:
             raise SchemaMismatchError(
                 f"expected a {CHECKPOINT_KIND!r} checkpoint, got {kind!r}")
-        est = cls(**{**meta, "hidden": tuple(meta["hidden"])})
-        k = data.N_TRACK_KEYPOINTS
-        spec = MlpSpec((2 * k, *est.hidden, 2 * k),
-                       ("relu",) * len(est.hidden) + ("identity",),
-                       name="retargeter")
-        for arr in arrays.values():
-            arr.flags.writeable = False
-        est._spec = spec
-        est._params = arrays
-        est.train_loss_ = float("nan")
-        return est
+        return cls.from_arrays(meta, arrays)
+
+
+def _net_spec(hidden) -> MlpSpec:
+    """Anchor-relative 2k inputs -> 2k outputs through relu hidden layers."""
+    k = data.N_TRACK_KEYPOINTS
+    return MlpSpec((2 * k, *hidden, 2 * k),
+                   ("relu",) * len(hidden) + ("identity",), name="retargeter")

@@ -1,4 +1,4 @@
-"""Autodiff engine, MLP tape surface, losses, Adam, checkpoint round trips.
+"""Autodiff engine, MLP forward and graph paths, losses, Adam, checkpoint round trips.
 
 Oracles: per-sample naive matmul loop for the forward pass, central finite
 differences for gradients, direct closed-form evaluation for the diagonal
@@ -14,7 +14,6 @@ from trackpolicy.errors import (
     NonFiniteError,
     SchemaMismatchError,
     ShapeMismatchError,
-    TapeMismatchError,
 )
 from trackpolicy.nn import tensor as T
 
@@ -64,7 +63,7 @@ def test_forward_identity_layer():
     spec = nn.MlpSpec((4, 4), ("identity",))
     params = {"mlp/w0": np.eye(4), "mlp/b0": np.zeros(4)}
     x = np.arange(8.0).reshape(2, 4)
-    y, _ = nn.forward(spec, params, x)
+    y = nn.forward(spec, params, x)
     assert np.array_equal(y, x)
 
 
@@ -72,7 +71,7 @@ def test_forward_zero_weights_gives_activated_bias():
     spec = nn.MlpSpec((3, 2), ("tanh",))
     b = np.array([0.5, -1.2])
     params = {"mlp/w0": np.zeros((3, 2)), "mlp/b0": b}
-    y, _ = nn.forward(spec, params, np.random.default_rng(0).normal(size=(6, 3)))
+    y = nn.forward(spec, params, np.random.default_rng(0).normal(size=(6, 3)))
     assert np.allclose(y, np.tanh(b)[None, :])
 
 
@@ -81,14 +80,46 @@ def test_forward_matches_naive_oracle():
     spec = nn.MlpSpec((7, 11, 5, 3), ("relu", "tanh", "identity"))
     params = nn.init_params(spec, seed=42)
     x = rng.normal(size=(13, 7))
-    y, _ = nn.forward(spec, params, x)
+    y = nn.forward(spec, params, x)
     assert np.max(np.abs(y - oracle_mlp_forward(spec, params, x))) < 1e-12
+    # the graph-free pass runs the same ops as the training graph, bit for bit
+    for act in ("relu", "tanh", "identity"):
+        spec = nn.MlpSpec((7, 11, 5, 3), (act, act, act))
+        params = nn.init_params(spec, seed=43)
+        for batch in (x, x[:1]):
+            graph = nn.apply(spec, {n: T.Tensor(v) for n, v in params.items()},
+                             T.Tensor(batch))
+            assert np.array_equal(nn.forward(spec, params, batch), graph.data), act
+        # a single (d_in,) row comes back as a (d_out,) row of the same values
+        assert np.array_equal(nn.forward(spec, params, x[0]), graph.data[0]), act
 
 
 def test_forward_shape_mismatch():
     spec = nn.MlpSpec((4, 2), ("relu",))
     with pytest.raises(ShapeMismatchError):
         nn.forward(spec, nn.init_params(spec, 0), np.zeros((3, 5)))
+
+
+def test_forward_rejects_nan_input():
+    spec = nn.MlpSpec((3, 4, 2), ("relu", "identity"))
+    x = np.zeros((2, 3))
+    x[1, 2] = np.nan
+    with pytest.raises(NonFiniteError):
+        nn.forward(spec, nn.init_params(spec, 0), x)
+
+
+def test_forward_raises_when_a_layer_overflows():
+    # finite weights whose first-layer product overflows to inf; relu would
+    # pass +inf on and the second layer would turn it into nan or inf
+    spec = nn.MlpSpec((2, 3, 1), ("relu", "identity"))
+    params = nn.init_params(spec, 0)
+    params["mlp/w0"] = np.full((2, 3), 1e200)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NonFiniteError, match="layer 0"):
+            nn.forward(spec, params, np.full((1, 2), 1e200))
+        # a -inf pre-activation would come out of relu as 0: still caught
+        with pytest.raises(NonFiniteError, match="layer 0"):
+            nn.forward(spec, params, np.full((1, 2), -1e200))
 
 
 def test_init_deterministic():
@@ -119,19 +150,14 @@ def test_backward_linear_layer_input_grad_closed_form():
     spec = nn.MlpSpec((5, 4), ("identity",))
     params = nn.init_params(spec, seed=3)
     x = rng.normal(size=(6, 5))
-    _, tape = nn.forward(spec, params, x)
+    xt = T.Tensor(x)
+    pt = {n: T.Tensor(v) for n, v in params.items()}
+    out = nn.apply(spec, pt, xt)
     g = rng.normal(size=(6, 4))
-    grads, x_grad = nn.backward(tape, g)
-    assert np.array_equal(x_grad, g @ params["mlp/w0"].T)
-    assert np.array_equal(grads["mlp/b0"], g.sum(axis=0))
-    assert np.allclose(grads["mlp/w0"], x.T @ g)
-
-
-def test_backward_tape_mismatch():
-    spec = nn.MlpSpec((3, 2), ("relu",))
-    _, tape = nn.forward(spec, nn.init_params(spec, 0), np.zeros((4, 3)))
-    with pytest.raises(TapeMismatchError):
-        nn.backward(tape, np.zeros((5, 2)))
+    T.backward(out, g)
+    assert np.array_equal(xt.grad, g @ params["mlp/w0"].T)
+    assert np.array_equal(pt["mlp/b0"].grad, g.sum(axis=0))
+    assert np.allclose(pt["mlp/w0"].grad, x.T @ g)
 
 
 def test_backward_matches_finite_differences_two_layer():

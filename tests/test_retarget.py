@@ -16,8 +16,9 @@ from trackpolicy.retarget import KeypointRetargeter
 
 def layout_corpus(kind, n_poses, seed):
     """Clean normalized 5-point layouts at random workspace poses."""
-    frames = sim.random_keypoint_frames(kind, n_poses, seed)
-    return data.normalize_frames(frames, sim.default_cameras())
+    cams = sim.default_cameras()
+    return [data.normalize_keypoints(f, cams[f.view_id][0])
+            for f in sim.random_keypoint_frames(kind, n_poses, seed)]
 
 
 def template_distance(queries, templates):
