@@ -8,6 +8,7 @@ and unconditional toy targets in tests.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -64,6 +65,19 @@ def timestep_embedding(t, dim: int = TIME_EMBED_DIM, max_period: float = 10000.0
     return np.concatenate([np.sin(ang), np.cos(ang)], axis=1)
 
 
+@functools.lru_cache(maxsize=8)
+def timestep_table(num_steps: int) -> np.ndarray:
+    """Read-only (num_steps, TIME_EMBED_DIM) stack of timestep_embedding(t).
+
+    Built one step at a time, so row t is bit-identical to
+    timestep_embedding(t) whichever SIMD path numpy's sin/cos take on a
+    longer array. Cached: every sampler call reads it.
+    """
+    table = np.concatenate([timestep_embedding(t) for t in range(num_steps)])
+    table.flags.writeable = False
+    return table
+
+
 def add_noise(schedule: DiffusionSchedule, x0, t, eps) -> np.ndarray:
     """Forward process q(x_t | x_0) = sqrt(ab_t) x0 + sqrt(1 - ab_t) eps.
 
@@ -84,16 +98,18 @@ def ancestral_sample(eps_fn, n: int, dim: int, schedule: DiffusionSchedule, rng)
     sigma_t = sqrt(beta_t), none on the final step. Deterministic given the
     rng state.
     """
+    # per-step constants, elementwise the same values the loop would compute
+    eps_coef = schedule.betas / np.sqrt(1.0 - schedule.alpha_bars)
+    sqrt_alphas = np.sqrt(schedule.alphas)
+    sigmas = np.sqrt(schedule.betas)
     x = rng.standard_normal((n, dim))
     for t in range(schedule.num_steps - 1, -1, -1):
         eps_hat = np.asarray(eps_fn(x, t), dtype=np.float64)
         if eps_hat.shape != x.shape:
             raise ValueError(f"eps_fn returned {eps_hat.shape}, expected {x.shape}")
-        beta = schedule.betas[t]
-        x = (x - beta / np.sqrt(1.0 - schedule.alpha_bars[t]) * eps_hat) \
-            / np.sqrt(schedule.alphas[t])
+        x = (x - eps_coef[t] * eps_hat) / sqrt_alphas[t]
         if t > 0:
-            x = x + np.sqrt(beta) * rng.standard_normal((n, dim))
-        if not np.all(np.isfinite(x)):
+            x = x + sigmas[t] * rng.standard_normal((n, dim))
+        if not np.isfinite(x).all():
             raise NonFiniteError(f"sampler produced non-finite values at step {t}")
     return x

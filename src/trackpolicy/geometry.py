@@ -7,6 +7,9 @@ Conventions used throughout the package:
 * ``CameraPose`` stores the world->camera map, so ``X_cam = R @ X_world + t``.
 * Pixels are continuous ``(u, v)`` with u along image width, v along height.
 * Everything runs in float64; triangulation at ~10 cm baselines needs it.
+* Projection, triangulation, residuals and Kabsch take stacks of points or
+  frames. Every 3x3 product and 3-vector dot is a stacked ``np.matmul``, so
+  each row of a stack is bit-identical to computing that row alone.
 
 All functions are pure and safe to call concurrently.
 """
@@ -171,73 +174,114 @@ def look_at(eye, target, up=(0.0, 0.0, 1.0)) -> CameraPose:
     return CameraPose(r, -r @ eye)
 
 
-def project(point, intrinsics: CameraIntrinsics, pose: CameraPose) -> np.ndarray:
-    """Project a world point through a pinhole camera. Returns pixel (u, v)."""
-    p_cam = pose.rotation @ _vec3(point, "point") + pose.translation
-    z = p_cam[2]
-    if z <= _MIN_CAMERA_Z:
-        raise BehindCameraError(f"point at camera-frame z={z:.3e} m is not in front of the camera")
-    u = intrinsics.fx * p_cam[0] / z + intrinsics.cx
-    v = intrinsics.fy * p_cam[1] / z + intrinsics.cy
-    return np.array([u, v])
+def _matvec(m: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """m @ v[i] for every row of an (n, 3) stack, as one stacked matmul.
+
+    Each row goes through the same BLAS matrix-vector call as a lone
+    ``m @ v[i]``, so the result is bit-identical to the per-row product; a
+    flat ``v @ m.T`` (one matrix-matrix call) is not.
+    """
+    return np.matmul(m, v[..., None])[..., 0]
+
+
+def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a[i] @ b[i] for every row of two (..., d) stacks, bit-identical to the
+    per-row dot for the same reason as _matvec."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def _rownorm(a: np.ndarray) -> np.ndarray:
+    """np.linalg.norm of each row: sqrt of the row's own dot product."""
+    return np.sqrt(_rowdot(a, a))
 
 
 def project_points(points, intrinsics: CameraIntrinsics, pose: CameraPose) -> np.ndarray:
-    """``project`` over an (n, 3) stack. Returns (n, 2).
+    """Project an (n, 3) stack of world points through a pinhole camera.
 
-    Deliberately row-wise, not a batch matmul: consumers compare these pixels
-    bit-for-bit against per-point project() calls, and BLAS batch products
-    are not ulp-identical to row dots.
+    Returns (n, 2) pixels. Rotations are stacked matrix-vector products, so
+    each row's pixels are bit-identical to projecting that point alone.
+    Raises BehindCameraError, naming the row, when any point has camera-frame
+    z <= 1e-6 m.
     """
     p = np.asarray(points, dtype=np.float64).reshape(-1, 3)
+    p_cam = _matvec(pose.rotation, p) + pose.translation
+    z = p_cam[:, 2]
+    behind = z <= _MIN_CAMERA_Z
+    if behind.any():
+        i = int(np.argmax(behind))
+        raise BehindCameraError(
+            f"point {i} at camera-frame z={z[i]:.3e} m is not in front of the camera")
     uv = np.empty((p.shape[0], 2))
-    for i in range(p.shape[0]):
-        uv[i] = project(p[i], intrinsics, pose)
+    uv[:, 0] = intrinsics.fx * p_cam[:, 0] / z + intrinsics.cx
+    uv[:, 1] = intrinsics.fy * p_cam[:, 1] / z + intrinsics.cy
     return uv
 
 
+def project(point, intrinsics: CameraIntrinsics, pose: CameraPose) -> np.ndarray:
+    """Project one world point through a pinhole camera. Returns pixel (u, v)."""
+    return project_points(_vec3(point, "point"), intrinsics, pose)[0]
+
+
 def pixel_ray(pixel, intrinsics: CameraIntrinsics, pose: CameraPose):
-    """Back-project a pixel to a world-frame ray (origin, unit direction)."""
+    """Back-project pixels to world-frame rays: (origin, unit directions).
+
+    pixel is one (2,) pixel or an (n, 2) stack; the directions take the same
+    leading shape with 3 columns. All rays share the camera center as origin.
+    """
     px = np.asarray(pixel, dtype=np.float64)
-    d_cam = np.array([(px[0] - intrinsics.cx) / intrinsics.fx,
-                      (px[1] - intrinsics.cy) / intrinsics.fy,
-                      1.0])
-    d_world = pose.rotation.T @ d_cam
-    return pose.camera_center(), d_world / np.linalg.norm(d_world)
+    d_cam = np.stack([(px[..., 0] - intrinsics.cx) / intrinsics.fx,
+                      (px[..., 1] - intrinsics.cy) / intrinsics.fy,
+                      np.ones(px.shape[:-1])], axis=-1)
+    d_world = _matvec(pose.rotation.T, d_cam)
+    return pose.camera_center(), d_world / _rownorm(d_world)[..., None]
 
 
 def triangulate(px1, px2, cam1: Camera, cam2: Camera) -> np.ndarray:
     """Two-view triangulation: midpoint of closest approach between rays.
 
-    Raises DegenerateRaysError when the cameras coincide (baseline < 1e-6 m)
-    or the rays are parallel within 1e-9 rad.
+    px1/px2: one (2,) pixel per view, giving a (3,) point, or matching
+    (n, 2) stacks, giving (n, 3) points. Raises DegenerateRaysError when the
+    cameras coincide (baseline < 1e-6 m) or a pair of rays is parallel within
+    1e-9 rad (the message names the row).
     """
     o1, d1 = pixel_ray(px1, *cam1)
     o2, d2 = pixel_ray(px2, *cam2)
+    if d1.shape != d2.shape:
+        raise ValueError(f"pixel stacks disagree: {d1.shape[:-1]} vs {d2.shape[:-1]}")
     if np.linalg.norm(o2 - o1) < _MIN_BASELINE:
         raise DegenerateRaysError("camera centers coincide; baseline below 1e-6 m")
-    if np.linalg.norm(np.cross(d1, d2)) < _PARALLEL_TOL:
-        raise DegenerateRaysError("back-projected rays are parallel within 1e-9 rad")
+    parallel = _rownorm(np.cross(d1, d2)) < _PARALLEL_TOL
+    if parallel.any():
+        i = int(np.argmax(parallel.reshape(-1)))
+        raise DegenerateRaysError(
+            f"back-projected rays of row {i} are parallel within 1e-9 rad")
     # Closest points: solve for the ray parameters s, t minimizing
     # |(o1 + s d1) - (o2 + t d2)|^2.
     r = o2 - o1
-    a = d1 @ d1
-    b = d1 @ d2
-    c = d2 @ d2
+    a = _rowdot(d1, d1)
+    b = _rowdot(d1, d2)
+    c = _rowdot(d2, d2)
+    d1r = _rowdot(d1, np.broadcast_to(r, d1.shape))
+    d2r = _rowdot(d2, np.broadcast_to(r, d2.shape))
     det = a * c - b * b
-    s = (c * (d1 @ r) - b * (d2 @ r)) / det
-    t = (b * (d1 @ r) - a * (d2 @ r)) / det
+    s = ((c * d1r - b * d2r) / det)[..., None]
+    t = ((b * d1r - a * d2r) / det)[..., None]
     return 0.5 * ((o1 + s * d1) + (o2 + t * d2))
 
 
-def reprojection_residual_px(point3, px1, px2, cam1: Camera, cam2: Camera) -> float:
-    """Mean pixel distance between a 3D point's projections and the inputs.
+def reprojection_residual_px(point3, px1, px2, cam1: Camera, cam2: Camera):
+    """Mean pixel distance between 3D points' projections and the inputs.
 
-    Zero iff the two pixels are exactly consistent with ``point3``.
+    One (3,) point with (2,) pixels gives a float; (n, 3) points with (n, 2)
+    pixel stacks give an (n,) array. Zero iff the two pixels are exactly
+    consistent with the point.
     """
-    e1 = np.linalg.norm(project(point3, *cam1) - np.asarray(px1, dtype=np.float64))
-    e2 = np.linalg.norm(project(point3, *cam2) - np.asarray(px2, dtype=np.float64))
-    return float(0.5 * (e1 + e2))
+    p = np.asarray(point3, dtype=np.float64)
+    lead = p.shape[:-1]
+    e1 = _rownorm(project_points(p, *cam1) - np.asarray(px1, dtype=np.float64).reshape(-1, 2))
+    e2 = _rownorm(project_points(p, *cam2) - np.asarray(px2, dtype=np.float64).reshape(-1, 2))
+    res = (0.5 * (e1 + e2)).reshape(lead)
+    return float(res) if res.ndim == 0 else res
 
 
 def project_rotation(r) -> np.ndarray:
@@ -252,6 +296,39 @@ def project_rotation(r) -> np.ndarray:
     return u @ np.diag([1.0, 1.0, d]) @ vt
 
 
+def _kabsch(a: np.ndarray, b: np.ndarray):
+    """Kabsch over (m, k, 3) source/target stacks, one fit per leading index.
+
+    Returns (rotations (m, 3, 3), translations (m, 3), rank_ok (m,), source
+    singular values (m, 3)). Every product is a stacked matmul and the SVDs
+    and determinants are batched LAPACK calls, so each fit is bit-identical
+    to fitting that frame alone. Fits with rank_ok False are meaningless;
+    the caller raises or falls back to translation_fit.
+    """
+    ca = a.mean(axis=1)
+    cb = b.mean(axis=1)
+    a0 = a - ca[:, None]
+    b0 = b - cb[:, None]
+    sv = np.linalg.svd(a0, compute_uv=False)
+    rank_ok = ~((sv[:, 1] <= 1e-9) | (sv[:, 2] <= 1e-9))
+    h = np.matmul(a0.swapaxes(1, 2), b0)
+    u, _, vt = np.linalg.svd(h)
+    v, ut = vt.swapaxes(1, 2), u.swapaxes(1, 2)
+    flip = np.zeros_like(h)
+    flip[:, 0, 0] = flip[:, 1, 1] = 1.0
+    flip[:, 2, 2] = np.sign(np.linalg.det(np.matmul(v, ut)))
+    r = np.matmul(np.matmul(v, flip), ut)
+    return r, cb - _matvec(r, ca), rank_ok, sv
+
+
+def _point_stacks(src, dst):
+    a = np.asarray(src, dtype=np.float64).reshape(-1, 3)
+    b = np.asarray(dst, dtype=np.float64).reshape(-1, 3)
+    if a.shape != b.shape:
+        raise ValueError(f"src/dst shapes disagree: {a.shape} vs {b.shape}")
+    return a, b
+
+
 def fit_rigid_transform(src, dst) -> RigidTransform:
     """Least-squares rigid alignment (Kabsch): minimizes sum |R src + t - dst|^2.
 
@@ -261,52 +338,44 @@ def fit_rigid_transform(src, dst) -> RigidTransform:
     (two smallest singular values of the centered source <= 1e-9); callers
     needing liveness fall back to ``translation_fit``.
     """
-    a = np.asarray(src, dtype=np.float64).reshape(-1, 3)
-    b = np.asarray(dst, dtype=np.float64).reshape(-1, 3)
-    if a.shape != b.shape:
-        raise ValueError(f"src/dst shapes disagree: {a.shape} vs {b.shape}")
-    k = a.shape[0]
-    if k < 3:
-        raise DegenerateConfigurationError(f"need at least 3 points, got {k}")
-    ca = a.mean(axis=0)
-    cb = b.mean(axis=0)
-    a0 = a - ca
-    b0 = b - cb
-    sv = np.linalg.svd(a0, compute_uv=False)
-    if sv[1] <= 1e-9 or sv[2] <= 1e-9:
+    a, b = _point_stacks(src, dst)
+    if a.shape[0] < 3:
+        raise DegenerateConfigurationError(f"need at least 3 points, got {a.shape[0]}")
+    r, t, rank_ok, sv = _kabsch(a[None], b[None])
+    if not rank_ok[0]:
         raise DegenerateConfigurationError(
-            f"source points are rank-deficient (singular values {sv})")
-    h = a0.T @ b0
-    u, _, vt = np.linalg.svd(h)
-    d = np.sign(np.linalg.det(vt.T @ u.T))
-    r = vt.T @ np.diag([1.0, 1.0, d]) @ u.T
-    return RigidTransform(r, cb - r @ ca)
+            f"source points are rank-deficient (singular values {sv[0]})")
+    return RigidTransform(r[0], t[0])
 
 
 def translation_fit(src, dst) -> RigidTransform:
     """Translation-only fallback: identity rotation, centroid shift."""
-    a = np.asarray(src, dtype=np.float64).reshape(-1, 3)
-    b = np.asarray(dst, dtype=np.float64).reshape(-1, 3)
+    a, b = _point_stacks(src, dst)
     return RigidTransform(np.eye(3), b.mean(axis=0) - a.mean(axis=0))
 
 
 def tracks_to_actions(frames, allow_fallback: bool = True) -> list[RigidTransform]:
     """Per-step rigid deltas for an (H+1, k, 3) stack of keypoint frames.
 
-    Element h maps frame h onto frame h+1 in the world frame. With
-    ``allow_fallback`` a degenerate fit degrades to translation-only instead
-    of raising; otherwise the error is re-raised annotated with the frame
-    index.
+    Element h maps frame h onto frame h+1 in the world frame; all H fits run
+    as one batched Kabsch, each bit-identical to ``fit_rigid_transform`` on
+    that pair. With ``allow_fallback`` a degenerate fit degrades to
+    ``translation_fit`` instead of raising; otherwise the first degenerate
+    fit raises DegenerateConfigurationError naming its frame index.
     """
     f = np.asarray(frames, dtype=np.float64)
     if f.ndim != 3 or f.shape[2] != 3 or f.shape[0] < 2:
         raise ValueError(f"expected (H+1, k, 3) frames with H >= 1, got {f.shape}")
-    deltas = []
-    for h in range(f.shape[0] - 1):
-        try:
-            deltas.append(fit_rigid_transform(f[h], f[h + 1]))
-        except DegenerateConfigurationError as exc:
-            if not allow_fallback:
-                raise DegenerateConfigurationError(f"frame {h}: {exc}") from exc
-            deltas.append(translation_fit(f[h], f[h + 1]))
-    return deltas
+    n = f.shape[0] - 1
+    if f.shape[1] < 3:
+        if not allow_fallback:
+            raise DegenerateConfigurationError(
+                f"frame 0: need at least 3 points, got {f.shape[1]}")
+        return [translation_fit(f[h], f[h + 1]) for h in range(n)]
+    r, t, rank_ok, sv = _kabsch(f[:-1], f[1:])
+    if not allow_fallback and not rank_ok.all():
+        h = int(np.argmin(rank_ok))
+        raise DegenerateConfigurationError(
+            f"frame {h}: source points are rank-deficient (singular values {sv[h]})")
+    return [RigidTransform(r[h], t[h]) if rank_ok[h]
+            else translation_fit(f[h], f[h + 1]) for h in range(n)]

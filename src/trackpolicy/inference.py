@@ -1,11 +1,14 @@
 """Test-time action recovery and closed-loop evaluation.
 
 The 2D-to-action path: sample a motion track per camera view (shared seed),
-denormalize to pixels, triangulate each keypoint at each step across the two
-views, fit per-step rigid transforms to the 3D keypoint sequence, and execute
-the first m deltas before re-predicting. Also houses the 6DoF-delta baseline
-(same encoder+diffusion machinery, direct action targets, no triangulation)
-and the two built-in evaluation suites.
+denormalize to pixels, triangulate every keypoint of every step across the
+two views, fit per-step rigid transforms to the 3D keypoint sequence, and
+execute the first m deltas before re-predicting. `chunk_from_tracks` makes
+one stacked call each to `triangulate`, `reprojection_residual_px` and
+`tracks_to_actions` per chunk; each row of those stacks is bit-identical to
+the per-point or per-frame call. Also houses the 6DoF-delta baseline (same
+encoder+diffusion machinery, direct action targets, no triangulation) and
+the two built-in evaluation suites.
 """
 
 from __future__ import annotations
@@ -108,21 +111,16 @@ def chunk_from_tracks(track0, track1, cams, residual_gate: float | None = None) 
     px1 = np.asarray(px1, dtype=np.float64)
     if px0.shape != px1.shape or px0.ndim != 3:
         raise ValueError(f"track shapes disagree: {px0.shape} vs {px1.shape}")
-    h = px0.shape[0] - 1
-    k = px0.shape[1]
-    pts3 = np.empty((h + 1, k, 3))
-    residuals = np.empty((h + 1, k))
-    for step in range(h + 1):
-        for j in range(k):
-            pts3[step, j] = triangulate(px0[step, j], px1[step, j], cams[0], cams[1])
-            residuals[step, j] = reprojection_residual_px(
-                pts3[step, j], px0[step, j], px1[step, j], cams[0], cams[1])
+    flat0, flat1 = px0.reshape(-1, 2), px1.reshape(-1, 2)
+    pts3 = triangulate(flat0, flat1, cams[0], cams[1])
+    residuals = reprojection_residual_px(pts3, flat0, flat1, cams[0], cams[1]) \
+        .reshape(px0.shape[:2])
     if residual_gate is not None and residuals.max() > residual_gate:
         step, j = np.unravel_index(int(np.argmax(residuals)), residuals.shape)
         raise ResidualTooHighError(
             f"cross-view disagreement {residuals.max():.3f} px at frame {step} "
             f"keypoint {j} exceeds gate {residual_gate} px")
-    deltas = tracks_to_actions(pts3)
+    deltas = tracks_to_actions(pts3.reshape(*px0.shape[:2], 3))
     grasps = np.asarray(g0, dtype=bool) & np.asarray(g1, dtype=bool)
     return ActionChunk(tuple(deltas), grasps, residuals[1:])
 

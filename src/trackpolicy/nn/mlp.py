@@ -9,7 +9,8 @@ on a non-finite input or as soon as a layer produces NaN/Inf.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
@@ -29,6 +30,7 @@ class MlpSpec:
     widths: tuple
     activations: tuple
     name: str = "mlp"
+    _shapes: MappingProxyType = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "widths", tuple(int(w) for w in self.widths))
@@ -43,14 +45,16 @@ class MlpSpec:
         for a in self.activations:
             if a not in ACTIVATIONS:
                 raise ValueError(f"unknown activation {a!r}")
-
-    def param_shapes(self) -> dict:
-        """Parameter name -> shape, in declaration (checkpoint) order."""
         shapes = {}
         for i, (din, dout) in enumerate(zip(self.widths[:-1], self.widths[1:])):
             shapes[f"{self.name}/w{i}"] = (din, dout)
             shapes[f"{self.name}/b{i}"] = (dout,)
-        return shapes
+        object.__setattr__(self, "_shapes", MappingProxyType(shapes))
+
+    def param_shapes(self) -> MappingProxyType:
+        """Read-only parameter name -> shape, in declaration (checkpoint)
+        order. Built once with the spec: every forward pass checks it."""
+        return self._shapes
 
 
 INIT_SCHEME = "uniform-fan-in"
@@ -113,12 +117,12 @@ def forward(spec: MlpSpec, params: dict, x) -> np.ndarray:
         raise ShapeMismatchError(
             f"input shape {x.shape} does not match spec width {spec.widths[0]}")
     check_params(spec, params)
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise NonFiniteError(f"{spec.name}: non-finite input")
     h = x
     for i, act in enumerate(spec.activations):
         h = h @ params[f"{spec.name}/w{i}"] + params[f"{spec.name}/b{i}"]
-        if not np.all(np.isfinite(h)):
+        if not np.isfinite(h).all():
             raise NonFiniteError(f"{spec.name}: non-finite values produced by layer {i}")
         h = _NP_ACT[act](h)
     return h[0] if squeeze else h

@@ -34,6 +34,7 @@ from .diffusion import (
     add_noise,
     ancestral_sample,
     timestep_embedding,
+    timestep_table,
 )
 from .errors import EmptyDatasetError, MixedShapesError, SchemaMismatchError
 from .nn import (
@@ -456,19 +457,24 @@ def sample_flat(model: PolicyModel, feature_image, keypoints: data.KeypointSet2D
     if keypoints.k != model.cfg.n_keypoints:
         raise ValueError(f"expected k={model.cfg.n_keypoints}, got k={keypoints.k}")
     img = np.asarray(feature_image, dtype=np.float64).reshape(1, -1)
-    emb = forward(model.encoder, model.params, img)
-    kps_cond = _retarget_flat(model.retargeter, keypoints.points[None])
+    d = model.target_dim
+    # the denoiser's input row is [x_t | embedding | keypoints | timestep
+    # features]; only the first and last blocks change between steps
+    den_in = np.concatenate([
+        np.zeros((1, d)), forward(model.encoder, model.params, img),
+        _retarget_flat(model.retargeter, keypoints.points[None]),
+        np.zeros((1, TIME_EMBED_DIM))], axis=1)
+    temb = timestep_table(schedule.num_steps)
+    sqrt_ab = np.sqrt(schedule.alpha_bars)
+    sqrt_1mab = np.sqrt(1.0 - schedule.alpha_bars)
 
     def eps_fn(x, t):
-        n = x.shape[0]
-        den_in = np.concatenate([
-            x, np.repeat(emb, n, axis=0), np.repeat(kps_cond, n, axis=0),
-            np.repeat(timestep_embedding(t), n, axis=0)], axis=1)
+        den_in[:, :d] = x
+        den_in[:, -TIME_EMBED_DIM:] = temb[t]
         clean_hat = forward(model.denoiser, model.params, den_in)
-        ab = schedule.alpha_bars[np.asarray(t).reshape(-1)][:, None]
-        return (x - np.sqrt(ab) * clean_hat) / np.sqrt(1.0 - ab)
+        return (x - sqrt_ab[t] * clean_hat) / sqrt_1mab[t]
 
-    return ancestral_sample(eps_fn, 1, model.target_dim, schedule, rng)[0]
+    return ancestral_sample(eps_fn, 1, d, schedule, rng)[0]
 
 
 def sample(model: PolicyModel, feature_image, keypoints: data.KeypointSet2D,

@@ -75,6 +75,12 @@ class KeypointRetargeter:
                 "seed": self.seed}
 
     def set_params(self, **kwargs) -> "KeypointRetargeter":
+        """Change constructor params; refused once fitted, because the frozen
+        weights were trained under (and are saved with) the current ones."""
+        if kwargs and self.fitted:
+            raise ValueError(
+                f"cannot set {', '.join(sorted(kwargs))} on a fitted retargeter; "
+                "construct and fit a new one instead")
         for key, value in kwargs.items():
             if key not in self.get_params():
                 raise ValueError(f"unknown parameter {key!r}")

@@ -403,12 +403,17 @@ def observe(state: SimState, cam, emb: EmbodimentModel, view_id: int = 0):
     intr, pose = cam
     cell = intr.width / RASTER_SIZE
     img = np.zeros((3, RASTER_SIZE, RASTER_SIZE))
-    for obj in state.objects:
-        _splat(img[CH_OBJECT], project_points(obj.pose.translation, intr, pose), 1.0, cell)
-    pts3 = keypoints3d(state, emb)
-    uv = project_points(pts3, intr, pose)
+    # one projection for object centers, keypoints and goal: rows of a stack
+    # project exactly as they would alone
+    n_obj = len(state.objects)
+    uv_all = project_points(np.vstack([*(obj.pose.translation for obj in state.objects),
+                                       keypoints3d(state, emb), state.goal_center]),
+                            intr, pose)
+    for i in range(n_obj):
+        _splat(img[CH_OBJECT], uv_all[i], 1.0, cell)
+    uv = uv_all[n_obj:n_obj + emb.k]
     _splat(img[CH_EE], uv, 1.0 / emb.k, cell)
-    _splat(img[CH_GOAL], project_points(state.goal_center, intr, pose), 1.0, cell)
+    _splat(img[CH_GOAL], uv_all[-1], 1.0, cell)
     kps = KeypointSet2D(uv, emb.kind, view_id)
     return img, kps, grasp_label(state, emb)
 

@@ -1,5 +1,11 @@
 """Camera/triangulation/rigid-fit tests.
 
+The kernels take stacks of points or frames; every stacked result must be
+bit-identical to computing each row alone (`array_equal`, not `allclose`),
+both through the public n=1 call and through a row-wise reference written
+with plain 1-D/2-D products, because closed-loop rollouts are compared bit
+for bit.
+
 Independent oracles used here:
   * 4x4 homogeneous matrix product for pinhole projection,
   * Gauss-Newton minimization of squared pixel residuals for triangulation
@@ -26,6 +32,7 @@ from trackpolicy.geometry import (
     matrix_to_axis_angle,
     project,
     project_points,
+    reprojection_residual_px,
     translation_fit,
     triangulate,
     tracks_to_actions,
@@ -130,6 +137,30 @@ def oracle_best_rotation_rmsd_grid(src, dst, step_deg=2.0):
     return float(np.sqrt(max(base - 2.0 * best / k, 0.0)))
 
 
+def rowwise_triangulate(px1, px2, cam1, cam2):
+    """Midpoint triangulation of one pixel pair, written with 1-D products."""
+    def ray(px, intr, pose):
+        d = pose.rotation.T @ np.array([(px[0] - intr.cx) / intr.fx,
+                                        (px[1] - intr.cy) / intr.fy, 1.0])
+        return -pose.rotation.T @ pose.translation, d / np.linalg.norm(d)
+
+    (o1, d1), (o2, d2) = ray(px1, *cam1), ray(px2, *cam2)
+    r = o2 - o1
+    a, b, c = d1 @ d1, d1 @ d2, d2 @ d2
+    det = a * c - b * b
+    s = (c * (d1 @ r) - b * (d2 @ r)) / det
+    t = (b * (d1 @ r) - a * (d2 @ r)) / det
+    return 0.5 * ((o1 + s * d1) + (o2 + t * d2))
+
+
+def rowwise_kabsch(src, dst):
+    """(R, t) of one frame pair, written with 2-D products."""
+    ca, cb = src.mean(axis=0), dst.mean(axis=0)
+    u, _, vt = np.linalg.svd((src - ca).T @ (dst - cb))
+    r = vt.T @ np.diag([1.0, 1.0, np.sign(np.linalg.det(vt.T @ u.T))]) @ u.T
+    return r, cb - r @ ca
+
+
 def rmsd(transform, src, dst):
     return float(np.sqrt(np.mean(np.sum((transform.apply(src) - dst) ** 2, axis=1))))
 
@@ -153,6 +184,9 @@ def test_project_behind_camera_raises():
         project((0, 0, -0.5), INTR, IDENTITY_POSE)
     with pytest.raises(BehindCameraError):
         project((0, 0, 0), INTR, IDENTITY_POSE)
+    pts = np.array([[0.0, 0.0, 1.0], [0.1, 0.0, 2.0], [0.0, 0.1, -0.5], [0.0, 0.0, 3.0]])
+    with pytest.raises(BehindCameraError, match="point 2"):
+        project_points(pts, INTR, IDENTITY_POSE)
 
 
 def test_project_matches_homogeneous_oracle():
@@ -170,7 +204,11 @@ def test_project_points_matches_scalar():
     pts = rng.uniform(-0.2, 0.2, size=(17, 3))
     batch = project_points(pts, INTR, pose)
     for i, p in enumerate(pts):
-        assert np.allclose(batch[i], project(p, INTR, pose), atol=1e-12)
+        assert np.array_equal(batch[i], project(p, INTR, pose))
+        # and bit-equal to the textbook per-row product R @ p + t
+        pc = pose.rotation @ p + pose.translation
+        row = (INTR.fx * pc[0] / pc[2] + INTR.cx, INTR.fy * pc[1] / pc[2] + INTR.cy)
+        assert np.array_equal(batch[i], row)
 
 
 # ---------------------------------------------------------------------------
@@ -196,6 +234,62 @@ def test_triangulate_parallel_rays_raises():
     # Same pixel in two translated-but-parallel cameras -> parallel rays.
     with pytest.raises(DegenerateRaysError):
         triangulate((64, 64), (64, 64), cam1, cam2)
+
+
+def pixel_stacks(rng, n):
+    cam1, cam2 = random_camera_pair(rng)
+    pts = rng.uniform(-0.2, 0.2, size=(n, 3))
+    px1 = project_points(pts, *cam1) + rng.normal(scale=0.5, size=(n, 2))
+    px2 = project_points(pts, *cam2) + rng.normal(scale=0.5, size=(n, 2))
+    return cam1, cam2, px1, px2
+
+
+def test_triangulate_stack_matches_per_point_bitwise():
+    rng = np.random.default_rng(20)
+    for _ in range(20):
+        cam1, cam2, px1, px2 = pixel_stacks(rng, 85)
+        batch = triangulate(px1, px2, cam1, cam2)
+        assert batch.shape == (85, 3)
+        for i in range(85):
+            assert np.array_equal(batch[i], triangulate(px1[i], px2[i], cam1, cam2))
+            assert np.array_equal(batch[i], rowwise_triangulate(px1[i], px2[i], cam1, cam2))
+
+
+def test_residual_stack_matches_per_point_bitwise():
+    rng = np.random.default_rng(21)
+    for _ in range(20):
+        cam1, cam2, px1, px2 = pixel_stacks(rng, 85)
+        pts = triangulate(px1, px2, cam1, cam2)
+        batch = reprojection_residual_px(pts, px1, px2, cam1, cam2)
+        assert batch.shape == (85,)
+        for i in range(85):
+            single = reprojection_residual_px(pts[i], px1[i], px2[i], cam1, cam2)
+            assert isinstance(single, float)
+            assert batch[i] == single
+            e1 = np.linalg.norm(project(pts[i], *cam1) - px1[i])
+            e2 = np.linalg.norm(project(pts[i], *cam2) - px2[i])
+            assert batch[i] == 0.5 * (e1 + e2)
+
+
+def test_triangulate_stack_with_one_parallel_row_raises():
+    cam1 = (INTR, IDENTITY_POSE)
+    cam2 = (INTR, CameraPose(np.eye(3), [-0.1, 0, 0]))
+    px1 = np.array([[64.0, 64.0], [70.0, 60.0], [64.0, 64.0]])
+    px2 = np.array([[54.0, 64.0], [60.0, 60.0], [64.0, 64.0]])
+    triangulate(px1[:2], px2[:2], cam1, cam2)
+    with pytest.raises(DegenerateRaysError, match="row 2"):
+        triangulate(px1, px2, cam1, cam2)
+    with pytest.raises(DegenerateRaysError):
+        triangulate(px1, px2, cam1, cam1)
+
+
+def test_residual_stack_with_one_point_behind_camera_raises():
+    cam1 = (INTR, IDENTITY_POSE)
+    cam2 = (INTR, CameraPose(np.eye(3), [-0.1, 0, 0]))
+    pts = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0], [0.05, 0.0, 1.5]])
+    px = np.full((3, 2), 64.0)
+    with pytest.raises(BehindCameraError, match="point 1"):
+        reprojection_residual_px(pts, px, px, cam1, cam2)
 
 
 def test_triangulate_round_trip_exact():
@@ -374,6 +468,44 @@ def test_tracks_degenerate_frame_index_in_error():
     # With the fallback the degenerate step degrades to translation-only.
     deltas = tracks_to_actions(frames, allow_fallback=True)
     assert np.allclose(deltas[2].rotation, np.eye(3))
+
+
+def test_tracks_stack_matches_per_frame_fits_bitwise():
+    rng = np.random.default_rng(17)
+    frames = [rng.normal(scale=0.05, size=(5, 3))]
+    for _ in range(16):
+        step = RigidTransform(axis_angle_to_matrix(rng.normal(scale=0.1, size=3)),
+                              rng.normal(scale=0.02, size=3))
+        frames.append(step.apply(frames[-1]) + rng.normal(scale=1e-4, size=(5, 3)))
+    # frame 6 collapses onto a line: its fit (6 -> 7) is rank-deficient
+    frames[6] = np.outer(np.linspace(-1, 1, 5), [0.03, 0.01, 0.02])
+    frames = np.asarray(frames)
+    deltas = tracks_to_actions(frames)
+    assert len(deltas) == 16
+    for h, d in enumerate(deltas):
+        if h == 6:
+            with pytest.raises(DegenerateConfigurationError):
+                fit_rigid_transform(frames[h], frames[h + 1])
+            want = translation_fit(frames[h], frames[h + 1])
+            assert np.array_equal(d.rotation, np.eye(3))
+        else:
+            want = fit_rigid_transform(frames[h], frames[h + 1])
+            r, t = rowwise_kabsch(frames[h], frames[h + 1])
+            assert np.array_equal(d.rotation, r) and np.array_equal(d.translation, t)
+        assert np.array_equal(d.rotation, want.rotation)
+        assert np.array_equal(d.translation, want.translation)
+    with pytest.raises(DegenerateConfigurationError, match="frame 6"):
+        tracks_to_actions(frames, allow_fallback=False)
+
+
+def test_tracks_too_few_points_fall_back_or_raise():
+    frames = np.random.default_rng(18).normal(size=(4, 2, 3))
+    for h, d in enumerate(tracks_to_actions(frames)):
+        want = translation_fit(frames[h], frames[h + 1])
+        assert np.array_equal(d.rotation, want.rotation)
+        assert np.array_equal(d.translation, want.translation)
+    with pytest.raises(DegenerateConfigurationError, match="frame 0"):
+        tracks_to_actions(frames, allow_fallback=False)
 
 
 def test_translation_fit_matches_centroids():

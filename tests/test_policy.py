@@ -2,15 +2,16 @@
 
 Every case runs a tiny configuration (small nets, 10-step schedule, two
 epochs) so the whole module trains in a few seconds. Determinism is checked
-bit for bit: a fixed seed must reproduce training logs, samples, chunks and
-checkpoints exactly.
+bit for bit: a fixed seed must reproduce training logs, samples, chunks,
+rollouts and checkpoints exactly, and the sampler must equal a step-by-step
+reference that rebuilds every per-step constant.
 """
 
 import numpy as np
 import pytest
 
-from trackpolicy import data, inference, policy, sim
-from trackpolicy.diffusion import DiffusionSchedule
+from trackpolicy import data, inference, nn, policy, sim
+from trackpolicy.diffusion import DiffusionSchedule, timestep_embedding
 from trackpolicy.geometry import RigidTransform, axis_angle_to_matrix
 
 CFG = policy.TrainConfig(epochs=2, batch_size=16, embed_dim=8, encoder_hidden=(16,),
@@ -108,6 +109,50 @@ def test_checkpoint_round_trip_with_retargeter(trained, tmp_path):
     for arr in arrays.values():
         with pytest.raises(ValueError):
             arr[...] = 0.0
+
+
+def reference_sample_flat(model, img, kn, seed):
+    """The ancestral sampler spelled out step by step, every per-step
+    constant (timestep features, sqrt(abar) factors, conditioning row)
+    rebuilt inside the loop."""
+    schedule = model.schedule
+    rng = np.random.default_rng([seed, policy._SAMPLE_STREAM])
+    emb = nn.forward(model.encoder, model.params, np.asarray(img).reshape(1, -1))
+    kps = model.retargeter.transform_batch(kn.points[None]).reshape(1, -1)
+    x = rng.standard_normal((1, model.target_dim))
+    for t in range(schedule.num_steps - 1, -1, -1):
+        den_in = np.concatenate([x, emb, kps, timestep_embedding(t)], axis=1)
+        clean = nn.forward(model.denoiser, model.params, den_in)
+        ab = schedule.alpha_bars[[t]][:, None]
+        eps = (x - np.sqrt(ab) * clean) / np.sqrt(1.0 - ab)
+        beta = schedule.betas[t]
+        x = (x - beta / np.sqrt(1.0 - schedule.alpha_bars[t]) * eps) \
+            / np.sqrt(schedule.alphas[t])
+        if t > 0:
+            x = x + np.sqrt(beta) * rng.standard_normal(x.shape)
+    return x[0]
+
+
+def test_sample_flat_matches_the_step_by_step_sampler(trained):
+    model, _ = trained
+    for view, seed in ((0, 1), (1, 2), (0, 3)):
+        _, img, kn = observation(view=view, seed=seed)
+        assert np.array_equal(policy.sample_flat(model, img, kn, seed=seed),
+                              reference_sample_flat(model, img, kn, seed))
+
+
+def test_learned_rollout_is_bit_identical_for_a_seed(trained):
+    model, _ = trained
+    task = sim.make_task("push_right")
+    a = inference.rollout(model, task, seed=21)
+    b = inference.rollout(model, task, seed=21)
+    c = inference.rollout(model, task, seed=22)
+    assert a.steps_used == b.steps_used > 0
+    assert a.success == b.success
+    assert np.array(a.residual_log).tobytes() == np.array(b.residual_log).tobytes()
+    assert np.array_equal(a.final_ee, b.final_ee)
+    assert np.array_equal(a.final_object, b.final_object)
+    assert a.residual_log != c.residual_log
 
 
 # ---------------------------------------------------------------------------

@@ -178,6 +178,24 @@ def test_get_set_params_round_trip():
         clone.set_params(bogus=1)
 
 
+def test_set_params_refused_after_fit(trained, tmp_path):
+    # changing hidden after fit used to keep the fitted weights, so save()
+    # wrote a checkpoint whose arrays disagreed with its hidden widths
+    est, _ = trained
+    before = est.get_params()
+    assert before["hidden"] == (64, 64)
+    with pytest.raises(ValueError, match="fitted retargeter"):
+        est.set_params(hidden=(32,))
+    assert est.get_params() == before
+    path = tmp_path / "unchanged.ckpt"
+    est.save(path)
+    loaded = KeypointRetargeter.load(path)
+    assert loaded.get_params() == before
+    assert loaded._params.keys() == est._params.keys()
+    for name, arr in est._params.items():
+        assert np.array_equal(loaded._params[name], arr)
+
+
 # ---------------------------------------------------------------------------
 # persistence
 
