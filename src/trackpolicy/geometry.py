@@ -80,7 +80,7 @@ class CameraPose:
         return -self.rotation.T @ self.translation
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RigidTransform:
     """Element of SE(3): y = rotation @ x + translation."""
 

@@ -27,6 +27,7 @@ from .geometry import (
     RigidTransform,
     axis_angle_to_matrix,
     matrix_to_axis_angle,
+    project_points,
     project_rotation,
     reprojection_residual_px,
     tracks_to_actions,
@@ -40,7 +41,7 @@ DEFAULT_EXEC_HORIZON = 8
 _REPLAN_STRIDE = 9973
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ActionChunk:
     """H executable steps recovered from two-view track predictions.
 
@@ -149,9 +150,14 @@ def predict_chunk(model: policy.PolicyModel, obs0, obs1, cams,
 def oracle_chunk(task: sim.TaskSpec, state: sim.SimState, emb, cams,
                  horizon: int, residual_gate: float | None = None) -> ActionChunk:
     """Ground-truth stand-in for predict_chunk: run the scripted expert
-    forward and feed its projected keypoints through the same triangulation
-    and rigid-fit path the learned policy uses -- isolates geometry from
+    forward and feed its keypoints through the same triangulation and
+    rigid-fit path the learned policy uses -- isolates geometry from
     learning.
+
+    Renders nothing: the H+1 states' 3D keypoints are projected with one
+    `project_points` call per view, bit-identical to the keypoints
+    `sim.observe` returns. Only a keypoint behind a camera raises
+    BehindCameraError.
     """
     phase = sim.resume_phase(task, state)
     states = [state]
@@ -160,13 +166,11 @@ def oracle_chunk(task: sim.TaskSpec, state: sim.SimState, emb, cams,
         action, phase = sim.scripted_policy(task, cur, phase)
         cur = sim.step(cur, action)
         states.append(cur)
-    tracks = []
-    for v in range(2):
-        px = np.stack([sim.observe(st, cams[v], emb, view_id=v)[1].points
-                       for st in states])
-        grasps = np.array([st.gripper_closed for st in states[1:]], dtype=bool)
-        tracks.append((px, grasps))
-    return chunk_from_tracks(tracks[0], tracks[1], cams, residual_gate)
+    pts3 = np.concatenate([sim.keypoints3d(st, emb) for st in states])
+    grasps = np.array([st.gripper_closed for st in states[1:]], dtype=bool)
+    px0, px1 = (project_points(pts3, *cam).reshape(len(states), emb.k, 2)
+                for cam in cams[:2])
+    return chunk_from_tracks((px0, grasps), (px1, grasps), cams, residual_gate)
 
 
 # ---------------------------------------------------------------------------

@@ -65,7 +65,7 @@ class Action6DoF:
         object.__setattr__(self, "grasp", int(self.grasp))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ObjectState:
     id: str
     pose: RigidTransform
@@ -79,7 +79,7 @@ class ObjectState:
         object.__setattr__(self, "half_extents", he)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SimState:
     ee_pose: RigidTransform
     gripper_closed: bool

@@ -11,7 +11,9 @@ from trackpolicy.data import HUMAN, ROBOT
 from trackpolicy.errors import BehindCameraError
 from trackpolicy.geometry import (
     RigidTransform,
+    axis_angle_to_matrix,
     project,
+    project_points,
     rotation_angle,
     tracks_to_actions,
 )
@@ -92,7 +94,6 @@ def test_step_translation_clamped_to_5cm():
 
 
 def test_step_rotation_clamped():
-    from trackpolicy.geometry import axis_angle_to_matrix
     state = sim.reset(sim.make_task("reach"), 0)
     big = RigidTransform(axis_angle_to_matrix([0.0, 0.0, 0.5]), np.zeros(3))
     nxt = sim.step(state, sim.Action6DoF(big, 0))
@@ -254,13 +255,27 @@ def test_observe_object_at_cell_center_single_cell():
 
 
 def test_observe_keypoints_match_per_point_projection():
-    state = sim.reset(sim.make_task("push_right"), 11)
-    emb = sim.human_embodiment()
-    for cam in sim.default_cameras():
-        _, kps, _ = sim.observe(state, cam, emb)
-        pts3 = sim.keypoints3d(state, emb)
-        for j in range(emb.k):
-            assert np.array_equal(kps.points[j], project(pts3[j], *cam))
+    # observe's keypoints are the projected keypoints3d bit for bit, per point
+    # and as one stack over several states (how the oracle gets its tracks);
+    # the second state has a closed gripper, so offsets_for(True) applies
+    open_state = sim.reset(sim.make_task("push_right"), 11)
+    turn = RigidTransform(axis_angle_to_matrix([0.1, 0.0, 0.05]),
+                          np.array([0.01, 0.02, -0.03]))
+    closed = sim.step(open_state, sim.Action6DoF(turn, 1))
+    states = (open_state, closed, sim.reset(sim.make_task("pick_place"), 3))
+    assert closed.gripper_closed
+    for emb in (sim.human_embodiment(), sim.robot_embodiment()):
+        assert not np.array_equal(sim.keypoints3d(closed, emb),
+                                  closed.ee_pose.apply(emb.keypoint_offsets))
+        pts3 = [sim.keypoints3d(st, emb) for st in states]
+        for v, cam in enumerate(sim.default_cameras()):
+            observed = np.stack([sim.observe(st, cam, emb, view_id=v)[1].points
+                                 for st in states])
+            for st_pts, st_kps in zip(pts3, observed):
+                for j in range(emb.k):
+                    assert np.array_equal(st_kps[j], project(st_pts[j], *cam))
+            stacked = project_points(np.concatenate(pts3), *cam)
+            assert np.array_equal(stacked.reshape(observed.shape), observed)
 
 
 def test_observe_behind_camera_propagates():
