@@ -70,8 +70,9 @@ class KeypointSet2D:
         return self.points.shape[0]
 
 
-def select_hand_subset(kps: KeypointSet2D, indices=HAND_SUBSET_INDICES) -> KeypointSet2D:
-    """Project a 21-point hand to the 5 gripper-equivalent points.
+def select_hand_subset(kps: KeypointSet2D) -> KeypointSet2D:
+    """Project a 21-point hand to the 5 gripper-equivalent points
+    (HAND_SUBSET_INDICES).
 
     Idempotent: a 5-point human set passes through unchanged, so chunking
     pipelines can apply it unconditionally.
@@ -80,9 +81,7 @@ def select_hand_subset(kps: KeypointSet2D, indices=HAND_SUBSET_INDICES) -> Keypo
         raise WrongEmbodimentError(f"hand subset needs human keypoints, got {kps.embodiment}")
     if kps.k == 5:
         return kps
-    if len(indices) != 5 or len(set(indices)) != 5 or max(indices) >= 21:
-        raise ValueError(f"subset indices must be 5 distinct values < 21: {indices}")
-    return KeypointSet2D(kps.points[list(indices)], HUMAN, kps.view_id)
+    return KeypointSet2D(kps.points[list(HAND_SUBSET_INDICES)], HUMAN, kps.view_id)
 
 
 @dataclass(frozen=True)

@@ -26,6 +26,7 @@ _ORTHO_TOL = 1e-9
 _MIN_CAMERA_Z = 1e-6
 _MIN_BASELINE = 1e-6
 _PARALLEL_TOL = 1e-9
+_UP = np.array([0.0, 0.0, 1.0])   # world up, fixes look_at's roll
 
 
 def _vec3(x, name: str) -> np.ndarray:
@@ -154,17 +155,17 @@ def matrix_to_axis_angle(r: np.ndarray) -> np.ndarray:
     return theta * w / (2.0 * np.sin(theta))
 
 
-def look_at(eye, target, up=(0.0, 0.0, 1.0)) -> CameraPose:
-    """World->camera pose for a camera at ``eye`` looking toward ``target``."""
+def look_at(eye, target) -> CameraPose:
+    """World->camera pose for a camera at ``eye`` looking toward ``target``,
+    image x axis level with the world's xy plane (world +z is up)."""
     eye = _vec3(eye, "eye")
     target = _vec3(target, "target")
-    up = _vec3(up, "up")
     forward = target - eye
     n = np.linalg.norm(forward)
     if n < 1e-12:
         raise ValueError("eye and target coincide")
     z = forward / n
-    x = np.cross(z, up)
+    x = np.cross(z, _UP)
     nx = np.linalg.norm(x)
     if nx < 1e-12:
         raise ValueError("view direction parallel to up vector")

@@ -81,10 +81,6 @@ class EpisodeResult:
     final_ee: np.ndarray
     final_object: np.ndarray | None
 
-    @property
-    def max_residual(self) -> float:
-        return max(self.residual_log) if self.residual_log else 0.0
-
 
 def world_to_ee_delta(ee_pose: RigidTransform, world_delta: RigidTransform) -> RigidTransform:
     """EE-frame increment realizing a world-frame motion: ee' = W o ee.
@@ -127,28 +123,26 @@ def chunk_from_tracks(track0, track1, cams, residual_gate: float | None = None) 
 
 
 def predict_chunk(model: policy.PolicyModel, obs0, obs1, cams,
-                  schedule: DiffusionSchedule | None = None, seed: int = 0,
-                  residual_gate: float | None = None) -> ActionChunk:
+                  seed: int = 0) -> ActionChunk:
     """Sample a track in each view and recover 6DoF deltas plus grasps.
 
     obs0/obs1: (feature image, KeypointSet2D in pixels) per view. The same
-    seed drives both views' samplers -- a mild consistency aid; the residual
-    gate (off by default) turns leftover cross-view disagreement into an
-    error instead of an action.
+    seed drives both views' samplers -- a mild consistency aid. Leftover
+    cross-view disagreement is not gated: it stays in the chunk's
+    residuals_px.
     """
-    schedule = schedule or model.schedule
     per_view = []
     for v, (img, kps) in enumerate((obs0, obs1)):
         stats = data.stats_for_camera(cams[v][0])
         kn = data.normalize_keypoints(kps, cams[v][0])
-        track = policy.sample(model, img, kn, schedule, seed=seed)
+        track = policy.sample(model, img, kn, seed=seed)
         absolute = np.concatenate([kn.points[None], track.absolute(kn.points)], axis=0)
         per_view.append((stats.denormalize(absolute), track.grasps))
-    return chunk_from_tracks(per_view[0], per_view[1], cams, residual_gate)
+    return chunk_from_tracks(per_view[0], per_view[1], cams)
 
 
 def oracle_chunk(task: sim.TaskSpec, state: sim.SimState, emb, cams,
-                 horizon: int, residual_gate: float | None = None) -> ActionChunk:
+                 horizon: int) -> ActionChunk:
     """Ground-truth stand-in for predict_chunk: run the scripted expert
     forward and feed its keypoints through the same triangulation and
     rigid-fit path the learned policy uses -- isolates geometry from
@@ -170,7 +164,7 @@ def oracle_chunk(task: sim.TaskSpec, state: sim.SimState, emb, cams,
     grasps = np.array([st.gripper_closed for st in states[1:]], dtype=bool)
     px0, px1 = (project_points(pts3, *cam).reshape(len(states), emb.k, 2)
                 for cam in cams[:2])
-    return chunk_from_tracks((px0, grasps), (px1, grasps), cams, residual_gate)
+    return chunk_from_tracks((px0, grasps), (px1, grasps), cams)
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +176,6 @@ class TrackPolicyRunner:
     """Replan closure for a trained track policy."""
 
     model: policy.PolicyModel
-    residual_gate: float | None = None
 
     @property
     def horizon(self) -> int:
@@ -191,9 +184,7 @@ class TrackPolicyRunner:
     def chunk(self, task, state, cams, seed) -> ActionChunk:
         emb = sim.robot_embodiment()
         obs = [sim.observe(state, cams[v], emb, view_id=v)[:2] for v in range(2)]
-        return predict_chunk(self.model, obs[0], obs[1], cams,
-                             self.model.schedule, seed=seed,
-                             residual_gate=self.residual_gate)
+        return predict_chunk(self.model, obs[0], obs[1], cams, seed=seed)
 
 
 @dataclass(frozen=True)
@@ -215,20 +206,19 @@ def _as_runner(model):
 
 
 def rollout(model, task: sim.TaskSpec, seed: int,
-            exec_horizon: int = DEFAULT_EXEC_HORIZON,
-            cameras=None) -> EpisodeResult:
+            exec_horizon: int = DEFAULT_EXEC_HORIZON) -> EpisodeResult:
     """observe -> predict chunk -> execute first m steps -> repeat.
 
     Accepts a PolicyModel (track or baseline head, told apart by target
-    width) or any runner with .chunk/.horizon. Stops at task success or the
-    task's step budget; logs each executed step's mean triangulation
-    residual.
+    width) or any runner with .chunk/.horizon. Observes through
+    sim.default_cameras(). Stops at task success or the task's step budget;
+    logs each executed step's mean triangulation residual.
     """
     runner = _as_runner(model)
     if not 1 <= exec_horizon <= runner.horizon:
         raise ValueError(
             f"exec horizon must be in [1, {runner.horizon}], got {exec_horizon}")
-    cams = sim.default_cameras() if cameras is None else tuple(cameras)
+    cams = sim.default_cameras()
     state = sim.reset(task, seed)
     residual_log = []
     steps = 0
@@ -252,8 +242,8 @@ def rollout(model, task: sim.TaskSpec, seed: int,
 
 
 def success_rate(model, task: sim.TaskSpec, seeds,
-                 exec_horizon: int = DEFAULT_EXEC_HORIZON, cameras=None) -> float:
-    results = [rollout(model, task, s, exec_horizon, cameras) for s in seeds]
+                 exec_horizon: int = DEFAULT_EXEC_HORIZON) -> float:
+    results = [rollout(model, task, s, exec_horizon) for s in seeds]
     return float(np.mean([r.success for r in results]))
 
 
@@ -317,7 +307,7 @@ def train_baseline_6dof(dataset_robot, cfg: policy.TrainConfig,
     model = policy.build_model(cfg, image_dim, target_dim=7 * cfg.horizon,
                                schedule=schedule)
     log = [{key: entry[key] for key in ("epoch", "mse", "total")}
-           for entry in policy.train_epochs(model, [], samples, cfg)]
+           for entry in policy.train_epochs(model, [], samples)]
     return model, log
 
 
@@ -334,8 +324,7 @@ class BaselineRunner:
     def chunk(self, task, state, cams, seed) -> ActionChunk:
         img, kps, _ = sim.observe(state, cams[0], sim.robot_embodiment(), view_id=0)
         kn = data.normalize_keypoints(kps, cams[0][0])
-        rows = policy.sample_flat(self.model, img, kn, self.model.schedule,
-                                  seed=seed).reshape(self.horizon, 7)
+        rows = policy.sample_flat(self.model, img, kn, seed=seed).reshape(self.horizon, 7)
         ee = state.ee_pose
         deltas = []
         for h in range(self.horizon):

@@ -53,9 +53,8 @@ def adam_step(state: OptimizerState, params: dict, grads: dict) -> tuple:
 class Adam:
     """Owns an OptimizerState; step(params, grads) -> new params."""
 
-    def __init__(self, learning_rate: float = 1e-3, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
-        self.state = OptimizerState(learning_rate, beta1, beta2, eps)
+    def __init__(self, learning_rate: float = 1e-3):
+        self.state = OptimizerState(learning_rate)
 
     def step(self, params: dict, grads: dict) -> dict:
         new_params, self.state = adam_step(self.state, params, grads)

@@ -23,7 +23,7 @@ retargeting, for robot-only ablations).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -119,10 +119,6 @@ class LossReport:
     da: float | None
     disc_accuracy: float | None
     total: float
-
-    def as_record(self) -> dict:
-        return {"mse": self.mse, "kl": self.kl, "da": self.da,
-                "disc_accuracy": self.disc_accuracy, "total": self.total}
 
 
 @dataclass(frozen=True)
@@ -270,13 +266,14 @@ def _timestep_weights(schedule: DiffusionSchedule) -> np.ndarray:
     return w / w.sum()
 
 
-def train_step(model: PolicyModel, batch, schedule: DiffusionSchedule,
-               cfg: TrainConfig, rng, opt: Adam | None = None) -> LossReport:
+def train_step(model: PolicyModel, batch, rng, opt: Adam | None = None) -> LossReport:
     """One optimizer step on a mixed batch; updates model.params in place.
 
-    Pass the same Adam across calls to keep its moments; a fresh one is
-    created per call otherwise (single-step usage, tests).
+    Loss weights come from model.cfg, noise levels from model.schedule. Pass
+    the same Adam across calls to keep its moments; a fresh one is created
+    per call otherwise (single-step usage, tests).
     """
+    cfg, schedule = model.cfg, model.schedule
     x0, images, kps, n_human = _stack_batch(batch, cfg, model.target_dim)
     n = x0.shape[0]
     aux_on = cfg.lambda_kl > 0 or cfg.lambda_da > 0
@@ -369,14 +366,15 @@ def _mixed_batches(samples_h, samples_r, batch_size: int, rng):
             for s in range(0, len(pool), batch_size)]
 
 
-def train_epochs(model: PolicyModel, samples_h, samples_r, cfg: TrainConfig):
+def train_epochs(model: PolicyModel, samples_h, samples_r):
     """The epoch loop: yields one log entry per epoch as model.params update.
 
-    One Adam for the whole run, its learning rate on a cosine decay to 5%;
-    batches from _mixed_batches. An entry holds the epoch index and the mean
-    of each LossReport field over the epoch's steps (None where every step
-    skipped that term).
+    Runs model.cfg's epochs with one Adam for the whole run, its learning
+    rate on a cosine decay to 5%; batches from _mixed_batches. An entry holds
+    the epoch index and the mean of each LossReport field over the epoch's
+    steps (None where every step skipped that term).
     """
+    cfg = model.cfg
     rng = np.random.default_rng([cfg.seed, _TRAIN_STREAM])
     opt = Adam(cfg.learning_rate)
     for epoch in range(cfg.epochs):
@@ -385,7 +383,7 @@ def train_epochs(model: PolicyModel, samples_h, samples_r, cfg: TrainConfig):
         frac = epoch / max(1, cfg.epochs - 1)
         opt.state.learning_rate = cfg.learning_rate * (
             0.05 + 0.95 * 0.5 * (1.0 + np.cos(np.pi * frac)))
-        reports = [train_step(model, b, model.schedule, cfg, rng, opt)
+        reports = [train_step(model, b, rng, opt)
                    for b in _mixed_batches(samples_h, samples_r, cfg.batch_size, rng)]
         entry = {"epoch": epoch}
         for key in ("mse", "kl", "da", "disc_accuracy", "total"):
@@ -395,16 +393,14 @@ def train_epochs(model: PolicyModel, samples_h, samples_r, cfg: TrainConfig):
 
 
 def train(dataset_human, dataset_robot, cfg: TrainConfig,
-          retargeter: KeypointRetargeter | None = None,
-          schedule: DiffusionSchedule | None = None,
-          checkpoint_dir=None, log_fn=None):
-    """Co-train on mixed demonstrations. Returns (model, per-epoch log).
+          schedule: DiffusionSchedule | None = None, log_fn=None):
+    """Co-train on mixed demonstrations. Returns (model after the last epoch,
+    per-epoch log).
 
-    The retargeter is fit on the human demos' keypoint frames unless one is
-    passed in; with no human data conditioning stays raw. Aux weights > 0
-    require both datasets (EmptyDatasetError otherwise). checkpoint_dir, if
-    given, receives policy_best.ckpt (lowest epoch total) and
-    policy_last.ckpt.
+    The retargeter is fit on the human demos' keypoint frames; with no human
+    data conditioning stays raw. Aux weights > 0 require both datasets
+    (EmptyDatasetError otherwise). log_fn, if given, receives each log entry
+    as its epoch ends.
     """
     human = list(dataset_human)
     robot = list(dataset_robot)
@@ -419,41 +415,29 @@ def train(dataset_human, dataset_robot, cfg: TrainConfig,
     samples_h = [s for d in human for s in data.chunk(d, cfg.horizon)]
     samples_r = [s for d in robot for s in data.chunk(d, cfg.horizon)]
 
-    if retargeter is None and human:
-        frames = [f for d in human for f in data.normalized_keypoint_frames(d)]
-        retargeter = KeypointRetargeter(seed=cfg.seed).fit(frames)
+    frames = [f for d in human for f in data.normalized_keypoint_frames(d)]
+    retargeter = KeypointRetargeter(seed=cfg.seed).fit(frames) if human else None
 
     image_dim = int(np.asarray((samples_h or samples_r)[0].image).size)
     model = build_model(cfg, image_dim, schedule=schedule, retargeter=retargeter)
     log = []
-    best_total, best_params = np.inf, dict(model.params)
-    for entry in train_epochs(model, samples_h, samples_r, cfg):
+    for entry in train_epochs(model, samples_h, samples_r):
         log.append(entry)
         if log_fn is not None:
             log_fn(entry)
-        if entry["total"] < best_total:
-            best_total, best_params = entry["total"], dict(model.params)
-    if checkpoint_dir is not None:
-        save_policy(f"{checkpoint_dir}/policy_last.ckpt", model)
-        save_policy(f"{checkpoint_dir}/policy_best.ckpt", replace_params(model, best_params))
     return model, log
 
 
-def replace_params(model: PolicyModel, params: dict) -> PolicyModel:
-    return PolicyModel(model.encoder, model.denoiser, model.discriminator,
-                       dict(params), model.cfg, model.schedule, model.retargeter)
-
-
 def sample_flat(model: PolicyModel, feature_image, keypoints: data.KeypointSet2D,
-                schedule: DiffusionSchedule | None = None, rng=None,
                 seed: int = 0) -> np.ndarray:
     """Raw conditional diffusion draw: the flat target vector, un-reshaped.
 
-    The track policy wraps this into a MotionTrack; the 6DoF-delta baseline
+    Runs model.schedule's steps; the draw is a function of seed alone. The
+    track policy wraps this into a MotionTrack; the 6DoF-delta baseline
     reads its action rows straight out of the flat vector.
     """
-    schedule = schedule or model.schedule
-    rng = np.random.default_rng([int(seed), _SAMPLE_STREAM]) if rng is None else rng
+    schedule = model.schedule
+    rng = np.random.default_rng([int(seed), _SAMPLE_STREAM])
     if keypoints.k != model.cfg.n_keypoints:
         raise ValueError(f"expected k={model.cfg.n_keypoints}, got k={keypoints.k}")
     img = np.asarray(feature_image, dtype=np.float64).reshape(1, -1)
@@ -478,13 +462,13 @@ def sample_flat(model: PolicyModel, feature_image, keypoints: data.KeypointSet2D
 
 
 def sample(model: PolicyModel, feature_image, keypoints: data.KeypointSet2D,
-           schedule: DiffusionSchedule | None = None, rng=None, seed: int = 0) -> MotionTrack:
+           seed: int = 0) -> MotionTrack:
     """Draw one motion track conditioned on an observation.
 
-    keypoints: normalized units, k matching the model. Deterministic given
-    rng (or seed when rng is None).
+    keypoints: normalized units, k matching the model. Bit-identical for a
+    given seed.
     """
-    flat = sample_flat(model, feature_image, keypoints, schedule, rng, seed)
+    flat = sample_flat(model, feature_image, keypoints, seed)
     horizon = model.target_dim // (2 * model.cfg.n_keypoints + 1)
     return track_from_flat(flat, horizon, model.cfg.n_keypoints, keypoints.view_id)
 
@@ -494,19 +478,12 @@ def sample(model: PolicyModel, feature_image, keypoints: data.KeypointSet2D,
 
 
 def save_policy(path, model: PolicyModel) -> None:
-    cfg = model.cfg
-    meta = {"horizon": cfg.horizon, "n_keypoints": cfg.n_keypoints,
-            "lambda_kl": cfg.lambda_kl, "lambda_da": cfg.lambda_da,
-            "batch_size": cfg.batch_size, "learning_rate": cfg.learning_rate,
-            "epochs": cfg.epochs, "seed": cfg.seed, "embed_dim": cfg.embed_dim,
-            "encoder_hidden": list(cfg.encoder_hidden),
-            "denoiser_hidden": list(cfg.denoiser_hidden),
-            "disc_hidden": list(cfg.disc_hidden),
-            "image_dim": model.image_dim, "target_dim": model.target_dim,
-            "num_steps": model.schedule.num_steps,
-            "beta_start": model.schedule.beta_start,
-            "beta_end": model.schedule.beta_end,
-            "has_retargeter": model.retargeter is not None}
+    meta = {f.name: getattr(model.cfg, f.name) for f in fields(TrainConfig)}
+    meta.update(image_dim=model.image_dim, target_dim=model.target_dim,
+                num_steps=model.schedule.num_steps,
+                beta_start=model.schedule.beta_start,
+                beta_end=model.schedule.beta_end,
+                has_retargeter=model.retargeter is not None)
     arrays = dict(model.params)
     if model.retargeter is not None:
         meta["retargeter_params"], ret_arrays = model.retargeter.to_arrays()
@@ -519,14 +496,7 @@ def load_policy(path) -> PolicyModel:
     kind, meta, arrays = load_checkpoint(path)
     if kind != CHECKPOINT_KIND:
         raise SchemaMismatchError(f"expected a {CHECKPOINT_KIND!r} checkpoint, got {kind!r}")
-    cfg = TrainConfig(
-        horizon=meta["horizon"], n_keypoints=meta["n_keypoints"],
-        lambda_kl=meta["lambda_kl"], lambda_da=meta["lambda_da"],
-        batch_size=meta["batch_size"], learning_rate=meta["learning_rate"],
-        epochs=meta["epochs"], seed=meta["seed"], embed_dim=meta["embed_dim"],
-        encoder_hidden=tuple(meta["encoder_hidden"]),
-        denoiser_hidden=tuple(meta["denoiser_hidden"]),
-        disc_hidden=tuple(meta["disc_hidden"]))
+    cfg = TrainConfig(**{f.name: meta[f.name] for f in fields(TrainConfig)})
     schedule = DiffusionSchedule(meta["num_steps"], meta["beta_start"], meta["beta_end"])
     retargeter = None
     params = {}

@@ -18,11 +18,12 @@ from __future__ import annotations
 import numpy as np
 
 from . import data
-from ._validate import as_float_array
 from .errors import (
     InsufficientDataError,
+    NonFiniteError,
     NotFittedError,
     SchemaMismatchError,
+    ShapeMismatchError,
     WrongDimensionError,
     WrongEmbodimentError,
 )
@@ -73,19 +74,6 @@ class KeypointRetargeter:
                 "epochs": self.epochs,
                 "learning_rate": self.learning_rate,
                 "seed": self.seed}
-
-    def set_params(self, **kwargs) -> "KeypointRetargeter":
-        """Change constructor params; refused once fitted, because the frozen
-        weights were trained under (and are saved with) the current ones."""
-        if kwargs and self.fitted:
-            raise ValueError(
-                f"cannot set {', '.join(sorted(kwargs))} on a fitted retargeter; "
-                "construct and fit a new one instead")
-        for key, value in kwargs.items():
-            if key not in self.get_params():
-                raise ValueError(f"unknown parameter {key!r}")
-            setattr(self, key, tuple(value) if key == "hidden" else value)
-        return self
 
     @property
     def fitted(self) -> bool:
@@ -152,29 +140,24 @@ class KeypointRetargeter:
     # -- inference ---------------------------------------------------------
 
     def transform(self, kps: data.KeypointSet2D) -> data.KeypointSet2D:
-        """Retarget one keypoint frame; anchor point is copied verbatim."""
-        if not self.fitted:
-            raise NotFittedError("call fit() or load() before transform()")
-        if kps.k != data.N_TRACK_KEYPOINTS:
-            raise WrongDimensionError(
-                f"expected k={data.N_TRACK_KEYPOINTS}, got k={kps.k}")
-        a = self.anchor_index
-        anchor = kps.points[a]
-        rel = (kps.points - anchor).reshape(-1)
-        out = forward(self._spec, self._params, rel)
-        result = out.reshape(-1, 2) + anchor
-        result[a] = anchor
-        return data.KeypointSet2D(result, kps.embodiment, kps.view_id)
+        """Retarget one keypoint frame: transform_batch on a batch of one."""
+        return data.KeypointSet2D(self.transform_batch(kps.points[None])[0],
+                                  kps.embodiment, kps.view_id)
 
     def transform_batch(self, points) -> np.ndarray:
-        """Vectorized transform on raw arrays (n, k, 2) -> (n, k, 2).
+        """Retarget a stack of keypoint frames, (n, k, 2) -> (n, k, 2); the
+        anchor point of each frame is copied verbatim.
 
-        Same map as transform(); used on the policy hot path where keypoint
-        frames arrive as arrays, not KeypointSet2D objects.
+        Takes raw arrays, as they arrive on the policy hot path.
         """
         if not self.fitted:
             raise NotFittedError("call fit() or load() before transform_batch()")
-        pts = as_float_array(points, "points", ndim=3)
+        pts = np.asarray(points, dtype=np.float64)
+        if pts.ndim != 3:
+            raise ShapeMismatchError(
+                f"points: expected 3 dims, got {pts.ndim} (shape {pts.shape})")
+        if not np.all(np.isfinite(pts)):
+            raise NonFiniteError("points contains NaN or Inf")
         if pts.shape[1:] != (data.N_TRACK_KEYPOINTS, 2):
             raise WrongDimensionError(
                 f"expected (n, {data.N_TRACK_KEYPOINTS}, 2), got {pts.shape}")

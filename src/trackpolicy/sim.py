@@ -508,73 +508,45 @@ def resume_phase(task: TaskSpec, state: SimState) -> int:
     Replanning controllers re-enter the scripted expert mid-episode;
     restarting at phase 0 would re-open a closed gripper (the phase-0
     waypoint commands grasp 0). The phase is recovered from state predicates
-    instead: chosen so that continuing from the recovered phase emits the
-    same actions the uninterrupted expert would.
+    on the expert's own waypoints instead: chosen so that continuing from
+    the recovered phase emits the same actions the uninterrupted expert
+    would at every state of its trajectory.
     """
     if task.name == "reach":
         return 0
-    obj = state.objects[0]
+    targets = [target for target, _ in _demo_waypoints(task, state)]
     pos = state.ee_pose.translation
-    goal = state.goal_center
-    top = obj.pose.translation[2] + OBJECT_HALF_EXTENTS[2]
-    grasp_target = np.array([obj.pose.translation[0], obj.pose.translation[1],
-                             top + _GRASP_HEIGHT])
+
+    def near(phase: int, dims: int = 3) -> bool:
+        return bool(np.linalg.norm(pos[:dims] - targets[phase][:dims]) <= _WAYPOINT_TOL)
+
+    if not state.gripper_closed:
+        # phase 1 starts only once the approach waypoint is reached in 3D: a
+        # state over the object but still above it keeps approaching
+        return 2 if near(1) else 1 if near(0) else 0
     if task.name in ("push_left", "push_right"):
-        if state.gripper_closed:
-            return 4 if np.linalg.norm(pos[:2] - goal[:2]) <= _WAYPOINT_TOL else 3
-        if np.linalg.norm(pos - grasp_target) <= _WAYPOINT_TOL:
-            return 2
-        if np.linalg.norm(pos[:2] - obj.pose.translation[:2]) <= _WAYPOINT_TOL:
-            return 1
-        return 0
-    if task.name == "pick_place":
-        lift_z = 2 * OBJECT_HALF_EXTENTS[2] + _APPROACH_HEIGHT
-        place_palm_z = goal[2] + OBJECT_HALF_EXTENTS[2] + _GRASP_HEIGHT
-        if state.gripper_closed:
-            at_goal_xy = np.linalg.norm(pos[:2] - goal[:2]) <= _WAYPOINT_TOL
-            if at_goal_xy and abs(pos[2] - place_palm_z) <= _WAYPOINT_TOL:
-                return 6
-            if at_goal_xy:
-                return 5
-            if pos[2] >= lift_z - _WAYPOINT_TOL:
-                return 4
-            return 3
-        if np.linalg.norm(pos - grasp_target) <= _WAYPOINT_TOL:
-            return 2
-        if np.linalg.norm(pos[:2] - obj.pose.translation[:2]) <= _WAYPOINT_TOL:
-            return 1
-        return 0
-    raise ValueError(f"unknown task {task.name!r}")
-
-
-def resolve_profile(task: TaskSpec, motion_profile: str) -> TaskSpec:
-    """Map a direction profile onto the concrete task variant."""
-    if motion_profile in ("default", ""):
-        return task
-    if motion_profile in ("left", "push_left"):
-        name = "push_left"
-    elif motion_profile in ("right", "push_right"):
-        name = "push_right"
-    else:
-        raise ValueError(f"unknown motion profile {motion_profile!r}")
-    if not task.name.startswith("push"):
-        raise ValueError(f"direction profiles only apply to push tasks, not {task.name}")
-    return make_task(name, object_box_low=task.object_box_low,
-                     object_box_high=task.object_box_high,
-                     success_radius=task.success_radius, horizon=task.horizon)
+        return 4 if near(3, dims=2) else 3
+    # pick_place: _demo_waypoints has rejected every other task name
+    at_goal_xy = near(4, dims=2)
+    if at_goal_xy and abs(pos[2] - targets[5][2]) <= _WAYPOINT_TOL:
+        return 6
+    if at_goal_xy:
+        return 5
+    if pos[2] >= targets[3][2] - _WAYPOINT_TOL:
+        return 4
+    return 3
 
 
 def scripted_demo(task: TaskSpec, emb: EmbodimentModel, seed: int,
-                  motion_profile: str = "default",
-                  cameras=None, jitter_px: float = 1.0) -> Demonstration:
-    """Roll the scripted expert and record per-view observation frames.
+                  jitter_px: float = 1.0) -> Demonstration:
+    """Roll the scripted expert on `task` and record one observation frame
+    per default camera at every state.
 
     Human demonstrations add truncated-Gaussian pixel jitter (sigma =
     jitter_px, cut at 3 sigma) to the recorded keypoints, emulating hand
     tracker noise; the underlying trajectory is identical to the robot's.
     """
-    task = resolve_profile(task, motion_profile)
-    cameras = default_cameras() if cameras is None else tuple(cameras)
+    cameras = default_cameras()
     state = reset(task, seed)
     jitter_rng = np.random.default_rng([int(seed), 9173]) if emb.kind == HUMAN else None
 
@@ -611,21 +583,31 @@ def scripted_demo(task: TaskSpec, emb: EmbodimentModel, seed: int,
         f"within {task.horizon} steps")
 
 
+# direction profile of the push family -> the concrete tasks it cycles through
+_PUSH_PROFILES = {"right": ("push_right",), "left": ("push_left",),
+                  "both": ("push_right", "push_left")}
+
+
 def generate_demos(task_name: str, kind: str, count: int, profile: str = "default",
-                   seed_start: int = 0, cameras=None, jitter_px: float = 1.0) -> list:
+                   seed_start: int = 0) -> list:
     """Batch of scripted demos, seeds seed_start..seed_start+count-1.
 
     task_name "push" is shorthand for the push family and needs a direction
-    profile; profile "both" alternates right/left so every prefix of the
-    batch stays direction-balanced.
+    profile ("right", "left" or "both"); "both" alternates right/left so
+    every prefix of the batch stays direction-balanced. Any other task name
+    is a concrete task and takes profile "default".
     """
+    if task_name == "push":
+        if profile not in _PUSH_PROFILES:
+            raise ValueError(f"push needs a profile from {tuple(_PUSH_PROFILES)}, "
+                             f"got {profile!r}")
+        tasks = [make_task(name) for name in _PUSH_PROFILES[profile]]
+    elif profile == "default":
+        tasks = [make_task(task_name)]
+    else:
+        raise ValueError(f"direction profiles only apply to push, not {task_name}")
     emb = embodiment(kind)
-    base = make_task("push_right" if task_name == "push" else task_name)
-    demos = []
-    for i in range(count):
-        p = ("right", "left")[i % 2] if profile == "both" else profile
-        demos.append(scripted_demo(base, emb, seed_start + i, p, cameras, jitter_px))
-    return demos
+    return [scripted_demo(tasks[i % len(tasks)], emb, seed_start + i) for i in range(count)]
 
 
 # band the end-effector actually visits across tasks: spawn box plus push
@@ -634,16 +616,16 @@ WORKSPACE_LOW = np.array([-0.13, -0.09, 0.06])
 WORKSPACE_HIGH = np.array([0.13, 0.09, 0.13])
 
 
-def random_keypoint_frames(kind: str, n_poses: int, seed: int, cameras=None) -> list:
+def random_keypoint_frames(kind: str, n_poses: int, seed: int) -> list:
     """Projected keypoint frames at uniform-random workspace poses.
 
-    One KeypointSet2D (pixel coordinates) per (pose, view), open/closed
-    drawn 50/50, no tracker jitter — the clean layout distribution used to
-    train and evaluate layout-level learners without tying them to any
-    task script.
+    One KeypointSet2D (pixel coordinates) per (pose, default camera view),
+    open/closed drawn 50/50, no tracker jitter — the clean layout
+    distribution used to train and evaluate layout-level learners without
+    tying them to any task script.
     """
     emb = embodiment(kind)
-    cams = default_cameras() if cameras is None else tuple(cameras)
+    cams = default_cameras()
     rng = np.random.default_rng([int(seed), 7331])
     out = []
     for _ in range(n_poses):

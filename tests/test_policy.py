@@ -4,8 +4,12 @@ Every case runs a tiny configuration (small nets, 10-step schedule, two
 epochs) so the whole module trains in a few seconds. Determinism is checked
 bit for bit: a fixed seed must reproduce training logs, samples, chunks,
 rollouts and checkpoints exactly, and the sampler must equal a step-by-step
-reference that rebuilds every per-step constant.
+reference that rebuilds every per-step constant. The co-training step's
+gradients are checked against finite differences of the objective each net
+descends.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -73,6 +77,52 @@ def test_train_log_repeats_for_a_seed(demos, trained):
         assert np.array_equal(model.params[name], model2.params[name]), name
 
 
+class RecordingOptimizer:
+    """Adam stand-in: keeps the gradients train_step hands it and returns
+    the parameters unchanged."""
+
+    def step(self, params, grads):
+        self.grads = grads
+        return params
+
+
+def test_train_step_gradients_match_finite_differences(demos):
+    # Config seed 5 and this batch leave every relu pre-activation of the
+    # three nets at least 3.9e-4 (~40 h) from zero, so no probe straddles a kink.
+    cfg = replace(CFG, seed=5)
+    human, robot = demos
+    batch = data.chunk(human[0], cfg.horizon)[:4] + data.chunk(robot[0], cfg.horizon)[:4]
+    model = policy.build_model(cfg, batch[0].image.size, schedule=SCHEDULE)
+    base = dict(model.params)
+    opt = RecordingOptimizer()
+
+    def gradcheck(names, objective):
+        def loss_fn(params):
+            model.params = {**base, **params}
+            # a fresh rng per call freezes the timestep and noise draw
+            report = policy.train_step(model, batch, np.random.default_rng(0), opt)
+            return objective(report), {name: opt.grads[name] for name in params}
+        return nn.finite_difference_check(loss_fn, {name: base[name] for name in names},
+                                          np.random.default_rng(2), n_probes=20)
+
+    def net(prefix):
+        return [name for name in base if name.startswith(prefix)]
+
+    # Gradient reversal: the encoder descends the task and KL terms but
+    # ascends the adversarial one. The feature raster is sparse, so most
+    # first-layer weights get no gradient at all; probe the encoder
+    # parameters every sample reaches.
+    encoder = [name for name in net("encoder/") if name != "encoder/w0"]
+    assert gradcheck(encoder, lambda r: r.mse + cfg.lambda_kl * r.kl - cfg.lambda_da * r.da) < 1e-4
+    # the probes see the reversal: without it the encoder check is far off
+    assert gradcheck(encoder, lambda r: r.total) > 1e-3
+    assert gradcheck(net("denoiser/"), lambda r: r.total) < 1e-4
+    # The discriminator descends lambda_da * da, the one term of total that
+    # depends on its parameters; differences of total itself (~130 at init,
+    # mostly KL) would bury its ~1e-5 gradients in rounding error.
+    assert gradcheck(net("disc/"), lambda r: cfg.lambda_da * r.da) < 1e-4
+
+
 def test_sample_is_bit_identical_for_a_seed(trained):
     model, _ = trained
     _, img, kn = observation()
@@ -96,6 +146,9 @@ def test_checkpoint_round_trip_with_retargeter(trained, tmp_path):
     b = policy.sample(loaded, img, kn, seed=4)
     assert np.array_equal(a.offsets, b.offsets)
     assert np.array_equal(a.grasp_logits, b.grasp_logits)
+    assert loaded.cfg == model.cfg
+    assert (loaded.schedule.num_steps, loaded.schedule.beta_start, loaded.schedule.beta_end) \
+        == (model.schedule.num_steps, model.schedule.beta_start, model.schedule.beta_end)
     assert loaded.retargeter.get_params() == model.retargeter.get_params()
     pts = np.stack([kn.points, kn.points + 0.01])
     assert np.array_equal(loaded.retargeter.transform_batch(pts),
