@@ -81,7 +81,11 @@ class MissingArtifactError(TrackPolicyError):
 
 
 class ResidualTooHighError(TrackPolicyError):
-    """Cross-view track predictions disagree beyond the configured gate."""
+    """Cross-view track predictions disagree beyond a gate.
+
+    Nothing in the package raises it any more; the benchmark's episode loop
+    still names it among the errors it records.
+    """
 
 
 class NotFittedError(TrackPolicyError):

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import data, policy, sim
 from .diffusion import DiffusionSchedule
-from .errors import EmptyDatasetError, MissingArtifactError, ResidualTooHighError
+from .errors import EmptyDatasetError, MissingArtifactError
 from .geometry import (
     RigidTransform,
     axis_angle_to_matrix,
@@ -95,7 +95,7 @@ def world_to_ee_delta(ee_pose: RigidTransform, world_delta: RigidTransform) -> R
     return RigidTransform(project_rotation(r), t)
 
 
-def chunk_from_tracks(track0, track1, cams, residual_gate: float | None = None) -> ActionChunk:
+def chunk_from_tracks(track0, track1, cams) -> ActionChunk:
     """Two per-view absolute-pixel tracks -> executable chunk.
 
     track0/track1: (pixels, grasps) pairs with pixels (H+1, k, 2) including
@@ -112,11 +112,6 @@ def chunk_from_tracks(track0, track1, cams, residual_gate: float | None = None) 
     pts3 = triangulate(flat0, flat1, cams[0], cams[1])
     residuals = reprojection_residual_px(pts3, flat0, flat1, cams[0], cams[1]) \
         .reshape(px0.shape[:2])
-    if residual_gate is not None and residuals.max() > residual_gate:
-        step, j = np.unravel_index(int(np.argmax(residuals)), residuals.shape)
-        raise ResidualTooHighError(
-            f"cross-view disagreement {residuals.max():.3f} px at frame {step} "
-            f"keypoint {j} exceeds gate {residual_gate} px")
     deltas = tracks_to_actions(pts3.reshape(*px0.shape[:2], 3))
     grasps = np.asarray(g0, dtype=bool) & np.asarray(g1, dtype=bool)
     return ActionChunk(tuple(deltas), grasps, residuals[1:])

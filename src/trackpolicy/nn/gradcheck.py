@@ -1,4 +1,4 @@
-"""Central finite-difference verification of autodiff gradients.
+"""Central finite-difference verification of analytic gradients.
 
 Every model in the repo must pass this on randomly probed parameters before
 we trust a training run; the unit tests run it.
@@ -11,7 +11,7 @@ import numpy as np
 
 def finite_difference_check(loss_fn, params: dict, rng: np.random.Generator,
                             n_probes: int = 20, h: float = 1e-5) -> float:
-    """Max relative error between autodiff and central differences.
+    """Max relative error between analytic gradients and central differences.
 
     `loss_fn(params) -> (loss value, grads dict)` must be deterministic —
     freeze any sampling outside and close over it. Probes n_probes random

@@ -1,10 +1,9 @@
-"""Dense multi-layer perceptrons over the tensor engine.
+"""Dense multi-layer perceptrons as pure (spec, params) pairs.
 
-A network is a pure (spec, params) pair with two ways to run it. `apply`
-builds a differentiable Tensor graph; training calls it inside a composite
-loss and runs tensor.backward on that loss. `forward` is the inference pass:
-the same op sequence on plain arrays, with no graph, raising NonFiniteError
-on a non-finite input or as soon as a layer produces NaN/Inf.
+`apply` is the one layer loop: it returns the output together with the
+activations that `tensor.backward` needs for the reverse pass, and raises
+NonFiniteError as soon as a layer produces NaN/Inf. `forward` is the
+inference entry point: input validation, then `apply`'s output.
 """
 
 from __future__ import annotations
@@ -15,7 +14,6 @@ from types import MappingProxyType
 import numpy as np
 
 from ..errors import NonFiniteError, ShapeMismatchError
-from . import tensor as T
 
 ACTIVATIONS = ("relu", "tanh", "identity")
 
@@ -86,29 +84,31 @@ def check_params(spec: MlpSpec, params: dict) -> None:
                 f"{name}: expected shape {shape}, got {tuple(params[name].shape)}")
 
 
-_ACT_FN = {"relu": T.relu, "tanh": T.tanh, "identity": lambda x: x}
+_ACT = {"relu": lambda h: np.where(h > 0, h, 0.0), "tanh": np.tanh,
+        "identity": lambda h: h}
 
 
-def apply(spec: MlpSpec, params: dict, x: T.Tensor) -> T.Tensor:
-    """Run the network on a live Tensor batch (n, d_in) -> (n, d_out)."""
+def apply(spec: MlpSpec, params: dict, x: np.ndarray) -> tuple:
+    """Run the network on an (n, d_in) batch; returns (output, cache).
+
+    Each layer is h @ w + b followed by the activation. cache lists the
+    input and every layer's activated output, the input of `tensor.backward`.
+    A NaN/Inf first shows up in an affine output (relu and tanh map finite
+    values to finite values), so that is where it is caught.
+    """
     h = x
+    cache = [h]
     for i, act in enumerate(spec.activations):
-        h = T.matmul(h, params[f"{spec.name}/w{i}"]) + params[f"{spec.name}/b{i}"]
-        h = _ACT_FN[act](h)
-    return h
-
-
-_NP_ACT = {"relu": lambda h: np.where(h > 0, h, 0.0), "tanh": np.tanh,
-           "identity": lambda h: h}
+        h = h @ params[f"{spec.name}/w{i}"] + params[f"{spec.name}/b{i}"]
+        if not np.isfinite(h).all():
+            raise NonFiniteError(f"{spec.name}: non-finite values produced by layer {i}")
+        h = _ACT[act](h)
+        cache.append(h)
+    return h, cache
 
 
 def forward(spec: MlpSpec, params: dict, x) -> np.ndarray:
-    """Output array for an (n, d_in) batch or a single (d_in,) row.
-
-    Bit-identical to `apply(...).data`: each layer is h @ w + b followed by
-    the activation. A NaN/Inf first shows up in an affine output (relu and
-    tanh map finite values to finite values), so that is where it is caught.
-    """
+    """Output array for an (n, d_in) batch or a single (d_in,) row."""
     x = np.asarray(x, dtype=np.float64)
     squeeze = x.ndim == 1
     if squeeze:
@@ -119,10 +119,5 @@ def forward(spec: MlpSpec, params: dict, x) -> np.ndarray:
     check_params(spec, params)
     if not np.isfinite(x).all():
         raise NonFiniteError(f"{spec.name}: non-finite input")
-    h = x
-    for i, act in enumerate(spec.activations):
-        h = h @ params[f"{spec.name}/w{i}"] + params[f"{spec.name}/b{i}"]
-        if not np.isfinite(h).all():
-            raise NonFiniteError(f"{spec.name}: non-finite values produced by layer {i}")
-        h = _NP_ACT[act](h)
+    h = apply(spec, params, x)[0]
     return h[0] if squeeze else h

@@ -1,244 +1,40 @@
-"""Array-valued reverse-mode autodiff over float64 numpy.
+"""Reverse pass of `mlp.apply`: closed-form MLP gradients over float64 numpy.
 
-Deliberately tiny: only the ops the models in this repo use. Every op
-validates that its result is finite (NaN/Inf raise NonFiniteError at the op
-that produced them, not three layers later). Gradients follow numpy
-broadcasting rules; `_unbroadcast` folds an upstream gradient back down to a
-parent's shape.
+Every network in the repo is a plain MLP and every loss returns its own
+gradient, so training needs no general autodiff: a trainer runs `apply`,
+hands the loss gradient at the net's output to `backward`, and chains the
+input gradient into whatever fed the net. The module keeps the name it had
+when it held a reverse-mode tensor engine, because the benchmark's tracer
+(bench/tracer.py) times the training backward pass by patching
+`trackpolicy.nn.tensor.backward`. Callers therefore reach it as
+`tensor.backward` at call time, never through a name bound at import.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..errors import NonFiniteError
 
+def backward(spec, params: dict, cache: list, g: np.ndarray,
+             input_grad: bool = False) -> tuple:
+    """Gradients of a scalar loss through one MLP.
 
-def _check_finite(a: np.ndarray, where: str) -> np.ndarray:
-    if not np.all(np.isfinite(a)):
-        raise NonFiniteError(f"non-finite values produced by {where}")
-    return a
-
-
-def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
-    """Sum `g` down to `shape`, undoing numpy broadcasting."""
-    while g.ndim > len(shape):
-        g = g.sum(axis=0)
-    for i, s in enumerate(shape):
-        if s == 1 and g.shape[i] != 1:
-            g = g.sum(axis=i, keepdims=True)
-    return g
-
-
-class Tensor:
-    """Node in the computation graph. Do not mutate `.data` after creation."""
-
-    __slots__ = ("data", "grad", "_parents", "_vjp", "op")
-
-    def __init__(self, data, parents=(), vjp=None, op="leaf"):
-        self.data = _check_finite(np.asarray(data, dtype=np.float64), op)
-        self.grad = None
-        self._parents = tuple(parents)
-        self._vjp = vjp  # callable(upstream_grad) -> tuple of parent grads
-        self.op = op
-
-    @property
-    def shape(self):
-        return self.data.shape
-
-    def __repr__(self):
-        return f"Tensor(op={self.op}, shape={self.data.shape})"
-
-    # -- arithmetic ---------------------------------------------------------
-
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-
-def as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
-
-
-def add(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    out = Tensor(a.data + b.data, (a, b),
-                 lambda g: (_unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)),
-                 op="add")
-    return out
-
-
-def sub(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    return Tensor(a.data - b.data, (a, b),
-                  lambda g: (_unbroadcast(g, a.data.shape), _unbroadcast(-g, b.data.shape)),
-                  op="sub")
-
-
-def mul(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    return Tensor(a.data * b.data, (a, b),
-                  lambda g: (_unbroadcast(g * b.data, a.data.shape),
-                             _unbroadcast(g * a.data, b.data.shape)),
-                  op="mul")
-
-
-def div(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    return Tensor(a.data / b.data, (a, b),
-                  lambda g: (_unbroadcast(g / b.data, a.data.shape),
-                             _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape)),
-                  op="div")
-
-
-def matmul(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    if a.data.ndim != 2 or b.data.ndim != 2:
-        raise ValueError(f"matmul expects 2D operands, got {a.data.shape} @ {b.data.shape}")
-    return Tensor(a.data @ b.data, (a, b),
-                  lambda g: (g @ b.data.T, a.data.T @ g),
-                  op="matmul")
-
-
-def relu(a) -> Tensor:
-    a = as_tensor(a)
-    mask = a.data > 0
-    return Tensor(np.where(mask, a.data, 0.0), (a,),
-                  lambda g: (g * mask,), op="relu")
-
-
-def tanh(a) -> Tensor:
-    a = as_tensor(a)
-    y = np.tanh(a.data)
-    return Tensor(y, (a,), lambda g: (g * (1.0 - y * y),), op="tanh")
-
-
-def exp(a) -> Tensor:
-    a = as_tensor(a)
-    y = np.exp(a.data)
-    return Tensor(y, (a,), lambda g: (g * y,), op="exp")
-
-
-def log(a) -> Tensor:
-    a = as_tensor(a)
-    return Tensor(np.log(a.data), (a,), lambda g: (g / a.data,), op="log")
-
-
-def maximum(a, b) -> Tensor:
-    """Elementwise max; gradient routes to `a` on ties (numpy convention)."""
-    a, b = as_tensor(a), as_tensor(b)
-    take_a = a.data >= b.data
-    return Tensor(np.where(take_a, a.data, b.data), (a, b),
-                  lambda g: (_unbroadcast(g * take_a, a.data.shape),
-                             _unbroadcast(g * ~take_a, b.data.shape)),
-                  op="maximum")
-
-
-def concat(parts, axis: int = 1) -> Tensor:
-    parts = [as_tensor(p) for p in parts]
-    sizes = [p.data.shape[axis] for p in parts]
-    splits = np.cumsum(sizes)[:-1]
-
-    def vjp(g):
-        return tuple(np.split(g, splits, axis=axis))
-
-    return Tensor(np.concatenate([p.data for p in parts], axis=axis), tuple(parts),
-                  vjp, op="concat")
-
-
-def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
-    a = as_tensor(a)
-    shape = a.data.shape
-
-    def vjp(g):
-        g = np.asarray(g)
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g, shape).copy(),)
-
-    return Tensor(a.data.sum(axis=axis, keepdims=keepdims), (a,), vjp, op="sum")
-
-
-def tmean(a, axis=None, keepdims: bool = False) -> Tensor:
-    a = as_tensor(a)
-    shape = a.data.shape
-    n = a.data.size if axis is None else shape[axis]
-
-    def vjp(g):
-        g = np.asarray(g)
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g, shape).copy() / n,)
-
-    return Tensor(a.data.mean(axis=axis, keepdims=keepdims), (a,), vjp, op="mean")
-
-
-def grad_reverse(a, lambda_da: float) -> Tensor:
-    """Identity in the forward pass; backward multiplies the gradient by
-    -lambda_da. The standard adversarial-alignment trick: the discriminator
-    sees features unchanged while the upstream encoder receives the negated
-    (scaled) gradient.
+    cache: the activations `apply` returned with the output; g: the loss
+    gradient at the output, (n, d_out). Returns (grads by parameter name,
+    gradient at the input or None). The input gradient costs one more
+    matmul, so only callers that feed another net's output in ask for it.
     """
-    a = as_tensor(a)
-    lam = float(lambda_da)
-    return Tensor(a.data.copy(), (a,), lambda g: (-lam * g,), op="grad_reverse")
-
-
-def backward(root: Tensor, grad=None) -> None:
-    """Reverse-mode sweep from `root`; accumulates into `.grad` of every node.
-
-    `grad` defaults to ones (use a scalar root for losses). Clears any grads
-    left over from a previous sweep over the same graph.
-    """
-    topo: list[Tensor] = []
-    seen = set()
-    stack = [(root, False)]
-    while stack:
-        node, expanded = stack.pop()
-        if expanded:
-            topo.append(node)
-            continue
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        stack.append((node, True))
-        for p in node._parents:
-            if id(p) not in seen:
-                stack.append((p, False))
-
-    for node in topo:
-        node.grad = None
-    root.grad = (np.ones_like(root.data) if grad is None
-                 else np.asarray(grad, dtype=np.float64).reshape(root.data.shape).copy())
-
-    for node in reversed(topo):
-        if node._vjp is None or node.grad is None:
-            continue
-        for parent, g in zip(node._parents, node._vjp(node.grad)):
-            _check_finite(g, f"backward of {node.op}")
-            if parent.grad is None:
-                parent.grad = np.zeros_like(parent.data)
-            parent.grad = parent.grad + g
+    grads = {}
+    for i in reversed(range(len(spec.activations))):
+        act, y = spec.activations[i], cache[i + 1]
+        if act == "relu":
+            g = g * (y > 0)
+        elif act == "tanh":
+            g = g * (1.0 - y * y)
+        w = params[f"{spec.name}/w{i}"]
+        grads[f"{spec.name}/b{i}"] = g.sum(axis=0)
+        grads[f"{spec.name}/w{i}"] = cache[i].T @ g
+        if i == 0 and not input_grad:
+            return grads, None
+        g = g @ w.T
+    return grads, g

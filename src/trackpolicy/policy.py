@@ -36,11 +36,10 @@ from .diffusion import (
     timestep_embedding,
     timestep_table,
 )
-from .errors import EmptyDatasetError, MixedShapesError, SchemaMismatchError
+from .errors import EmptyDatasetError, MixedShapesError, NonFiniteError, SchemaMismatchError
 from .nn import (
     Adam,
     MlpSpec,
-    Tensor,
     apply,
     bce_with_logits,
     check_params,
@@ -70,7 +69,6 @@ class TrainConfig:
     """
 
     horizon: int = 16
-    n_keypoints: int = 5
     lambda_kl: float = 1.0
     lambda_da: float = 0.3
     batch_size: int = 32
@@ -88,8 +86,6 @@ class TrainConfig:
         object.__setattr__(self, "disc_hidden", tuple(self.disc_hidden))
         if self.horizon < 1:
             raise ValueError(f"horizon must be >= 1, got {self.horizon}")
-        if self.n_keypoints < 1:
-            raise ValueError(f"n_keypoints must be >= 1, got {self.n_keypoints}")
         if not 0.0 <= self.lambda_da <= 1.0:
             raise ValueError(f"lambda_da must be in [0, 1], got {self.lambda_da}")
         if self.lambda_kl < 0.0:
@@ -102,7 +98,7 @@ class TrainConfig:
     @property
     def target_dim(self) -> int:
         # per step: 2 coords per keypoint plus the grasp channel
-        return (2 * self.n_keypoints + 1) * self.horizon
+        return (2 * data.N_TRACK_KEYPOINTS + 1) * self.horizon
 
 
 @dataclass(frozen=True)
@@ -166,13 +162,6 @@ class MotionTrack:
             [self.offsets.reshape(h, -1), self.grasp_logits[:, None]], axis=1).reshape(-1)
 
 
-def track_from_flat(flat: np.ndarray, horizon: int, n_keypoints: int,
-                    view_id: int = 0) -> MotionTrack:
-    per_step = np.asarray(flat, dtype=np.float64).reshape(horizon, 2 * n_keypoints + 1)
-    return MotionTrack(per_step[:, :-1].reshape(horizon, n_keypoints, 2),
-                       per_step[:, -1], view_id)
-
-
 @dataclass
 class PolicyModel:
     """Parameter bundle: three net specs, one flat name->array dict."""
@@ -200,7 +189,7 @@ def build_model(cfg: TrainConfig, image_dim: int, target_dim: int | None = None,
     """Fresh model with seed-derived initialization for each net."""
     if target_dim is None:
         target_dim = cfg.target_dim
-    cond_dim = target_dim + cfg.embed_dim + 2 * cfg.n_keypoints + TIME_EMBED_DIM
+    cond_dim = target_dim + cfg.embed_dim + 2 * data.N_TRACK_KEYPOINTS + TIME_EMBED_DIM
     # bounded embedding head: with an unbounded output the task loss can
     # inflate embedding scale along embodiment-separating directions, where
     # the moment-alignment gradient (~1/variance) fades and the adversarial
@@ -226,7 +215,7 @@ def _retarget_flat(retargeter, kps_batch: np.ndarray) -> np.ndarray:
     return kps_batch.reshape(kps_batch.shape[0], -1)
 
 
-def _stack_batch(batch, cfg: TrainConfig, target_dim: int):
+def _stack_batch(batch, target_dim: int):
     """Partition a sample batch human-first and stack its arrays.
 
     Returns (x0, images, keypoints, n_human). Shape disagreements across the
@@ -241,7 +230,8 @@ def _stack_batch(batch, cfg: TrainConfig, target_dim: int):
     x0 = np.empty((len(batch), target_dim))
     img0 = np.asarray(batch[0].image)
     images = np.empty((len(batch), img0.size))
-    kps = np.empty((len(batch), cfg.n_keypoints, 2))
+    k = data.N_TRACK_KEYPOINTS
+    kps = np.empty((len(batch), k, 2))
     for row, i in enumerate(order):
         s = batch[i]
         t = s.flat_target()
@@ -251,10 +241,9 @@ def _stack_batch(batch, cfg: TrainConfig, target_dim: int):
         if np.asarray(s.image).shape != img0.shape:
             raise MixedShapesError(
                 f"sample {i}: image {np.asarray(s.image).shape}, expected {img0.shape}")
-        if s.keypoints_norm.shape != (cfg.n_keypoints, 2):
+        if s.keypoints_norm.shape != (k, 2):
             raise MixedShapesError(
-                f"sample {i}: keypoints {s.keypoints_norm.shape}, "
-                f"expected ({cfg.n_keypoints}, 2)")
+                f"sample {i}: keypoints {s.keypoints_norm.shape}, expected ({k}, 2)")
         x0[row] = t
         images[row] = np.asarray(s.image, dtype=np.float64).reshape(-1)
         kps[row] = s.keypoints_norm
@@ -271,12 +260,14 @@ def train_step(model: PolicyModel, batch, rng, opt: Adam | None = None) -> LossR
 
     Loss weights come from model.cfg, noise levels from model.schedule. Pass
     the same Adam across calls to keep its moments; a fresh one is created
-    per call otherwise (single-step usage, tests).
+    per call otherwise (single-step usage, tests). Each loss returns its own
+    gradient and tensor.backward carries it back through each net; a net
+    whose term is off gets zero gradients.
     """
     cfg, schedule = model.cfg, model.schedule
-    x0, images, kps, n_human = _stack_batch(batch, cfg, model.target_dim)
+    params = model.params
+    x0, images, kps, n_human = _stack_batch(batch, model.target_dim)
     n = x0.shape[0]
-    aux_on = cfg.lambda_kl > 0 or cfg.lambda_da > 0
 
     kps_cond = _retarget_flat(model.retargeter, kps)
     # The noise-mse seen through the clean-target head weighs clean-target
@@ -289,51 +280,50 @@ def train_step(model: PolicyModel, batch, rng, opt: Adam | None = None) -> LossR
     x_t = add_noise(schedule, x0, t, eps)
     temb = timestep_embedding(t)
 
-    live = {name: Tensor(v, op=name) for name, v in model.params.items()}
-    if aux_on:
-        # encode the human block and robot block separately so the alignment
-        # losses can address them without a slicing op
-        e_h = apply(model.encoder, live, Tensor(images[:n_human], op="images_h")) \
-            if n_human else None
-        e_r = apply(model.encoder, live, Tensor(images[n_human:], op="images_r")) \
-            if n_human < n else None
-        emb = T.concat([p for p in (e_h, e_r) if p is not None], axis=0)
-    else:
-        emb = apply(model.encoder, live, Tensor(images, op="images"))
-
-    den_in = T.concat([Tensor(x_t, op="x_t"), emb,
-                       Tensor(kps_cond, op="keypoints"),
-                       Tensor(temb, op="t_embed")], axis=1)
-    clean_hat = apply(model.denoiser, live, den_in)
+    # rows are human-first, so the alignment losses address each embodiment
+    # as a row block of the one embedding batch
+    emb, enc_cache = apply(model.encoder, params, images)
+    den_in = np.concatenate([x_t, emb, kps_cond, temb], axis=1)
+    clean_hat, den_cache = apply(model.denoiser, params, den_in)
     ab = schedule.alpha_bars[t][:, None]
-    eps_hat = T.div(
-        T.sub(Tensor(x_t, op="x_t"), T.mul(clean_hat, Tensor(np.sqrt(ab), op="c_ab"))),
-        Tensor(np.sqrt(1.0 - ab), op="c_1mab"))
-    mse = mse_loss(eps_hat, eps)
+    sqrt_ab, sqrt_1mab = np.sqrt(ab), np.sqrt(1.0 - ab)
+    eps_hat = (x_t - clean_hat * sqrt_ab) / sqrt_1mab
+    mse, g_eps_hat = mse_loss(eps_hat, eps)
+    den_grads, g_den_in = T.backward(model.denoiser, params, den_cache,
+                                     -(g_eps_hat / sqrt_1mab) * sqrt_ab, input_grad=True)
+    d = model.target_dim
+    g_emb = g_den_in[:, d:d + cfg.embed_dim]
 
     total = mse
     kl_value = da_value = accuracy = None
     if cfg.lambda_kl > 0:
-        if e_h is None or e_r is None:
+        if n_human in (0, n):
             raise EmptyDatasetError(
                 "lambda_kl > 0 needs both embodiments in every batch")
-        kl = gaussian_kl_alignment(e_h, e_r)
-        total = total + cfg.lambda_kl * kl
-        kl_value = float(kl.data)
+        kl_value, g_h, g_r = gaussian_kl_alignment(emb[:n_human], emb[n_human:])
+        total = total + cfg.lambda_kl * kl_value
+        g_emb = g_emb + cfg.lambda_kl * np.concatenate([g_h, g_r])
     if cfg.lambda_da > 0:
         labels = (np.arange(n) < n_human).astype(np.float64)[:, None]
-        logits = apply(model.discriminator, live, T.grad_reverse(emb, 1.0))
-        da = bce_with_logits(logits, labels)
-        total = total + cfg.lambda_da * da
-        da_value = float(da.data)
-        accuracy = float(np.mean((logits.data > 0) == (labels > 0.5)))
+        logits, disc_cache = apply(model.discriminator, params, emb)
+        da_value, g_logits = bce_with_logits(logits, labels)
+        total = total + cfg.lambda_da * da_value
+        accuracy = float(np.mean((logits > 0) == (labels > 0.5)))
+        disc_grads, g_disc_in = T.backward(model.discriminator, params, disc_cache,
+                                           cfg.lambda_da * g_logits, input_grad=True)
+        # gradient reversal: the discriminator descends the adversarial term
+        # and the encoder ascends it
+        g_emb = g_emb - g_disc_in
+    else:
+        disc_grads = {name: np.zeros(shape)
+                      for name, shape in model.discriminator.param_shapes().items()}
+    if not np.isfinite(total):
+        raise NonFiniteError(f"non-finite training loss {total}")
 
-    T.backward(total)
-    grads = {name: (lv.grad if lv.grad is not None else np.zeros_like(lv.data))
-             for name, lv in live.items()}
+    enc_grads, _ = T.backward(model.encoder, params, enc_cache, g_emb)
     opt = opt if opt is not None else Adam(cfg.learning_rate)
-    model.params = opt.step(model.params, grads)
-    return LossReport(float(mse.data), kl_value, da_value, accuracy, float(total.data))
+    model.params = opt.step(params, {**enc_grads, **den_grads, **disc_grads})
+    return LossReport(mse, kl_value, da_value, accuracy, total)
 
 
 def _mixed_batches(samples_h, samples_r, batch_size: int, rng):
@@ -381,7 +371,7 @@ def train_epochs(model: PolicyModel, samples_h, samples_r):
         # cosine decay to 5%: late epochs at full lr kick the loss out of
         # the basin every few hundred steps
         frac = epoch / max(1, cfg.epochs - 1)
-        opt.state.learning_rate = cfg.learning_rate * (
+        opt.learning_rate = cfg.learning_rate * (
             0.05 + 0.95 * 0.5 * (1.0 + np.cos(np.pi * frac)))
         reports = [train_step(model, b, rng, opt)
                    for b in _mixed_batches(samples_h, samples_r, cfg.batch_size, rng)]
@@ -438,8 +428,8 @@ def sample_flat(model: PolicyModel, feature_image, keypoints: data.KeypointSet2D
     """
     schedule = model.schedule
     rng = np.random.default_rng([int(seed), _SAMPLE_STREAM])
-    if keypoints.k != model.cfg.n_keypoints:
-        raise ValueError(f"expected k={model.cfg.n_keypoints}, got k={keypoints.k}")
+    if keypoints.k != data.N_TRACK_KEYPOINTS:
+        raise ValueError(f"expected k={data.N_TRACK_KEYPOINTS}, got k={keypoints.k}")
     img = np.asarray(feature_image, dtype=np.float64).reshape(1, -1)
     d = model.target_dim
     # the denoiser's input row is [x_t | embedding | keypoints | timestep
@@ -468,9 +458,9 @@ def sample(model: PolicyModel, feature_image, keypoints: data.KeypointSet2D,
     keypoints: normalized units, k matching the model. Bit-identical for a
     given seed.
     """
-    flat = sample_flat(model, feature_image, keypoints, seed)
-    horizon = model.target_dim // (2 * model.cfg.n_keypoints + 1)
-    return track_from_flat(flat, horizon, model.cfg.n_keypoints, keypoints.view_id)
+    k = data.N_TRACK_KEYPOINTS
+    per_step = sample_flat(model, feature_image, keypoints, seed).reshape(-1, 2 * k + 1)
+    return MotionTrack(per_step[:, :-1].reshape(-1, k, 2), per_step[:, -1], keypoints.view_id)
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,6 @@ from .errors import (
 from .nn import (
     Adam,
     MlpSpec,
-    Tensor,
     apply,
     check_params,
     forward,
@@ -125,12 +124,10 @@ class KeypointRetargeter:
             noise[:, a] = 0.0
             noisy = pts + noise
             rel_in = (noisy - noisy[:, a:a + 1]).reshape(n, 2 * k)
-            x = Tensor(rel_in, op="input")
-            live = {name: Tensor(v, op=name) for name, v in params.items()}
-            loss = mse_loss(apply(spec, live, x) * mask, target)
-            T.backward(loss)
-            params = opt.step(params, {name: t.grad for name, t in live.items()})
-            loss_value = float(loss.data)
+            out, cache = apply(spec, params, rel_in)
+            loss_value, g = mse_loss(out * mask, target)
+            grads, _ = T.backward(spec, params, cache, g * mask)
+            params = opt.step(params, grads)
 
         fitted = self.from_arrays(self.get_params(), params)
         self._spec, self._params = fitted._spec, fitted._params

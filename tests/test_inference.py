@@ -5,7 +5,7 @@ recovers its motion with the same triangulation and rigid fit the learned
 policy uses, so it isolates geometry from learning: replanning with it must
 retrace the uninterrupted expert and succeed on every task. It renders no
 image, yet its chunks equal those built from `sim.observe`'s keypoints bit
-for bit. The residual gate in `chunk_from_tracks` is checked on a crafted
+for bit. `chunk_from_tracks`'s per-frame residuals are checked on a crafted
 cross-view disagreement.
 """
 
@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from trackpolicy import inference, sim
-from trackpolicy.errors import ResidualTooHighError
 from trackpolicy.geometry import project_points
 
 SEEDS = (0, 1, 2, 3, 4)
@@ -77,15 +76,12 @@ def test_residual_gate_names_the_disagreeing_frame_and_keypoint():
     # both views sit at x = 0, so a horizontal shift leaves the epipolar line
     px1[3, 2] += (6.0, 0.0)
     grasps = np.zeros(8, dtype=bool)
-    tracks = ((px0, grasps), (px1, grasps))
-    with pytest.raises(ResidualTooHighError, match="at frame 3 keypoint 2 exceeds gate 1.0"):
-        inference.chunk_from_tracks(*tracks, cams, residual_gate=1.0)
-    chunk = inference.chunk_from_tracks(*tracks, cams, residual_gate=None)
+    chunk = inference.chunk_from_tracks((px0, grasps), (px1, grasps), cams)
+    assert chunk.horizon == 8
     # residuals_px drops the current frame: frame 3 is row 2
     assert chunk.residuals_px[2, 2] > 1.0
     others = np.delete(chunk.residuals_px.reshape(-1), 2 * 5 + 2)
     assert others.max() < 1e-9
-    assert inference.chunk_from_tracks(*tracks, cams, residual_gate=5.0).horizon == 8
 
 
 def observed_oracle_chunk(task, state, emb, cams, horizon):

@@ -1,4 +1,5 @@
-"""Autodiff engine, MLP forward and graph paths, losses, Adam, checkpoint round trips.
+"""MLP layer loop and reverse pass, losses and their gradients, Adam,
+checkpoint round trips.
 
 Oracles: per-sample naive matmul loop for the forward pass, central finite
 differences for gradients, direct closed-form evaluation for the diagonal
@@ -16,14 +17,6 @@ from trackpolicy.errors import (
     ShapeMismatchError,
 )
 from trackpolicy.nn import tensor as T
-
-
-def loss_and_grads(build_loss, params):
-    """Evaluate a Tensor-valued loss and return (value, param grads)."""
-    pt = {n: T.Tensor(v) for n, v in params.items()}
-    loss = build_loss(pt)
-    T.backward(loss)
-    return float(loss.data), {n: p.grad for n, p in pt.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -82,16 +75,16 @@ def test_forward_matches_naive_oracle():
     x = rng.normal(size=(13, 7))
     y = nn.forward(spec, params, x)
     assert np.max(np.abs(y - oracle_mlp_forward(spec, params, x))) < 1e-12
-    # the graph-free pass runs the same ops as the training graph, bit for bit
+    # forward returns the training layer loop's output, bit for bit
     for act in ("relu", "tanh", "identity"):
         spec = nn.MlpSpec((7, 11, 5, 3), (act, act, act))
         params = nn.init_params(spec, seed=43)
         for batch in (x, x[:1]):
-            graph = nn.apply(spec, {n: T.Tensor(v) for n, v in params.items()},
-                             T.Tensor(batch))
-            assert np.array_equal(nn.forward(spec, params, batch), graph.data), act
+            out, cache = nn.apply(spec, params, batch)
+            assert np.array_equal(nn.forward(spec, params, batch), out), act
+            assert len(cache) == 4 and cache[0] is batch and cache[-1] is out
         # a single (d_in,) row comes back as a (d_out,) row of the same values
-        assert np.array_equal(nn.forward(spec, params, x[0]), graph.data[0]), act
+        assert np.array_equal(nn.forward(spec, params, x[0]), out[0]), act
 
 
 def test_forward_shape_mismatch():
@@ -138,26 +131,18 @@ def test_init_deterministic():
 # backward
 
 
-def test_backward_square_scalar():
-    x = T.Tensor(3.0)
-    y = x * x
-    T.backward(y)
-    assert np.allclose(x.grad, 6.0)
-
-
 def test_backward_linear_layer_input_grad_closed_form():
     rng = np.random.default_rng(2)
     spec = nn.MlpSpec((5, 4), ("identity",))
     params = nn.init_params(spec, seed=3)
     x = rng.normal(size=(6, 5))
-    xt = T.Tensor(x)
-    pt = {n: T.Tensor(v) for n, v in params.items()}
-    out = nn.apply(spec, pt, xt)
+    _, cache = nn.apply(spec, params, x)
     g = rng.normal(size=(6, 4))
-    T.backward(out, g)
-    assert np.array_equal(xt.grad, g @ params["mlp/w0"].T)
-    assert np.array_equal(pt["mlp/b0"].grad, g.sum(axis=0))
-    assert np.allclose(pt["mlp/w0"].grad, x.T @ g)
+    grads, gx = T.backward(spec, params, cache, g, input_grad=True)
+    assert np.array_equal(gx, g @ params["mlp/w0"].T)
+    assert np.array_equal(grads["mlp/b0"], g.sum(axis=0))
+    assert np.allclose(grads["mlp/w0"], x.T @ g)
+    assert T.backward(spec, params, cache, g)[1] is None
 
 
 def test_backward_matches_finite_differences_two_layer():
@@ -168,72 +153,12 @@ def test_backward_matches_finite_differences_two_layer():
         x = rng.normal(size=(8, 6))
 
         def fn(p):
-            return loss_and_grads(
-                lambda pt: T.tsum(nn.apply(spec, pt, T.Tensor(x))), p)
+            # loss = sum of outputs, so the output gradient is all ones
+            out, cache = nn.apply(spec, p, x)
+            return out.sum(), T.backward(spec, p, cache, np.ones_like(out))[0]
 
         worst = nn.finite_difference_check(fn, params, rng, n_probes=25)
         assert worst < 1e-5
-
-
-def test_backward_broadcast_ops_match_finite_differences():
-    # mean/max/div/log/exp/concat composite touching the broadcasting paths
-    rng = np.random.default_rng(5)
-    params = {"a": rng.normal(size=(4, 3)), "b": rng.uniform(0.5, 2.0, size=(3,))}
-
-    def fn(p):
-        def loss(pt):
-            h = T.concat([pt["a"] / pt["b"], T.exp(-T.maximum(pt["a"], 0.1))], axis=1)
-            return T.tmean(h * h) + T.tsum(T.log(pt["b"]))
-        return loss_and_grads(loss, p)
-
-    assert nn.finite_difference_check(fn, params, rng, n_probes=15) < 1e-5
-
-
-def test_nonfinite_trips_checked_error():
-    with np.errstate(divide="ignore", invalid="ignore"):
-        with pytest.raises(NonFiniteError):
-            T.log(T.Tensor(0.0))
-        with pytest.raises(NonFiniteError):
-            T.Tensor(1.0) / T.Tensor(0.0)
-    with pytest.raises(NonFiniteError):
-        T.Tensor(np.array([1.0, np.nan]))
-
-
-# ---------------------------------------------------------------------------
-# gradient reversal
-
-
-def test_grad_reverse_forward_identity():
-    rng = np.random.default_rng(6)
-    x = rng.normal(size=(5, 3))
-    assert np.array_equal(T.grad_reverse(T.Tensor(x), 0.7).data, x)
-
-
-def test_grad_reverse_zero_lambda_blocks_gradient():
-    x = T.Tensor(3.0)
-    y = T.grad_reverse(x, 0.0)
-    z = y * y
-    T.backward(z)
-    assert np.allclose(x.grad, 0.0)
-
-
-def test_grad_reverse_negates_gradient():
-    x = T.Tensor(3.0)
-    y = T.grad_reverse(x, 1.0)
-    z = y * y
-    T.backward(z)
-    assert np.allclose(x.grad, -6.0)
-
-
-def test_grad_reverse_scales_inside_composite_graph():
-    rng = np.random.default_rng(7)
-    x = T.Tensor(rng.normal(size=(4, 2)))
-    plain = T.tsum(T.tanh(x) * T.tanh(x))
-    T.backward(plain)
-    g_plain = x.grad.copy()
-    rev = T.tsum(T.tanh(T.grad_reverse(x, 0.3)) * T.tanh(T.grad_reverse(x, 0.3)))
-    T.backward(rev)
-    assert np.allclose(x.grad, -0.3 * g_plain)
 
 
 # ---------------------------------------------------------------------------
@@ -242,16 +167,16 @@ def test_grad_reverse_scales_inside_composite_graph():
 
 def test_kl_same_batch_is_zero():
     f = np.random.default_rng(8).normal(size=(16, 4))
-    loss = nn.gaussian_kl_alignment(T.Tensor(f), T.Tensor(f))
-    assert abs(float(loss.data)) < 1e-12
+    loss, _, _ = nn.gaussian_kl_alignment(f, f)
+    assert abs(loss) < 1e-12
 
 
 def test_kl_mean_shift_closed_form():
     # batches with exactly unit sample variance and means 0 / mu
     base = np.array([[-1.0], [1.0]]) * np.ones((1, 3))
     mu = np.array([0.5, -0.3, 0.2])
-    loss = nn.gaussian_kl_alignment(T.Tensor(base), T.Tensor(base + mu))
-    assert abs(float(loss.data) - np.sum(mu ** 2)) < 1e-12
+    loss, _, _ = nn.gaussian_kl_alignment(base, base + mu)
+    assert abs(loss - np.sum(mu ** 2)) < 1e-12
 
 
 def test_kl_matches_closed_form_oracle():
@@ -259,13 +184,13 @@ def test_kl_matches_closed_form_oracle():
     for _ in range(20):
         fa = rng.normal(loc=rng.normal(), scale=rng.uniform(0.5, 2), size=(12, 5))
         fb = rng.normal(loc=rng.normal(), scale=rng.uniform(0.5, 2), size=(9, 5))
-        loss = nn.gaussian_kl_alignment(T.Tensor(fa), T.Tensor(fb))
-        assert abs(float(loss.data) - oracle_gaussian_kl(fa, fb)) < 1e-10
+        loss, _, _ = nn.gaussian_kl_alignment(fa, fb)
+        assert abs(loss - oracle_gaussian_kl(fa, fb)) < 1e-10
 
 
 def test_kl_batch_too_small():
     with pytest.raises(BatchTooSmallError):
-        nn.gaussian_kl_alignment(T.Tensor(np.zeros((1, 3))), T.Tensor(np.zeros((4, 3))))
+        nn.gaussian_kl_alignment(np.zeros((1, 3)), np.zeros((4, 3)))
 
 
 def test_kl_gradients_match_finite_differences():
@@ -273,8 +198,8 @@ def test_kl_gradients_match_finite_differences():
     params = {"fa": rng.normal(size=(6, 4)), "fb": rng.normal(size=(5, 4))}
 
     def fn(p):
-        return loss_and_grads(
-            lambda pt: nn.gaussian_kl_alignment(pt["fa"], pt["fb"]), p)
+        loss, ga, gb = nn.gaussian_kl_alignment(p["fa"], p["fb"])
+        return loss, {"fa": ga, "fb": gb}
 
     assert nn.finite_difference_check(fn, params, rng, n_probes=20) < 1e-5
 
@@ -283,13 +208,14 @@ def test_bce_matches_naive_and_stays_finite():
     rng = np.random.default_rng(11)
     z = rng.normal(size=(8,))
     y = (rng.random(8) > 0.5).astype(float)
-    loss = nn.bce_with_logits(T.Tensor(z), y)
+    loss, _ = nn.bce_with_logits(z, y)
     p = 1 / (1 + np.exp(-z))
     naive = -np.mean(y * np.log(p) + (1 - y) * np.log(1 - p))
-    assert abs(float(loss.data) - naive) < 1e-12
-    # huge logits must not overflow
-    big = nn.bce_with_logits(T.Tensor(np.array([1000.0, -1000.0])), np.array([1.0, 0.0]))
-    assert float(big.data) < 1e-6
+    assert abs(loss - naive) < 1e-12
+    # huge logits must not overflow, in the value or the gradient
+    big, g = nn.bce_with_logits(np.array([1000.0, -1000.0]), np.array([1.0, 0.0]))
+    assert big < 1e-6
+    assert np.array_equal(g, np.zeros(2))
 
 
 def test_bce_gradients_match_finite_differences():
@@ -298,15 +224,27 @@ def test_bce_gradients_match_finite_differences():
     params = {"z": rng.normal(size=(10,))}
 
     def fn(p):
-        return loss_and_grads(lambda pt: nn.bce_with_logits(pt["z"], y), p)
+        loss, g = nn.bce_with_logits(p["z"], y)
+        return loss, {"z": g}
 
     assert nn.finite_difference_check(fn, params, rng, n_probes=10) < 1e-5
 
 
 def test_mse_loss_value():
-    pred = T.Tensor(np.array([[1.0, 2.0], [3.0, 4.0]]))
+    pred = np.array([[1.0, 2.0], [3.0, 4.0]])
     target = np.array([[1.0, 1.0], [3.0, 2.0]])
-    assert np.allclose(float(nn.mse_loss(pred, target).data), (0 + 1 + 0 + 4) / 4)
+    loss, g = nn.mse_loss(pred, target)
+    assert np.allclose(loss, (0 + 1 + 0 + 4) / 4)
+    assert np.allclose(g, 2 * (pred - target) / 4)
+    rng = np.random.default_rng(14)
+    params = {"pred": rng.normal(size=(3, 4))}
+    target = rng.normal(size=(3, 4))
+
+    def fn(p):
+        loss, g = nn.mse_loss(p["pred"], target)
+        return loss, {"pred": g}
+
+    assert nn.finite_difference_check(fn, params, rng, n_probes=10) < 1e-5
 
 
 # ---------------------------------------------------------------------------
@@ -315,24 +253,21 @@ def test_mse_loss_value():
 
 def test_adam_zero_gradient_keeps_params():
     params = {"w": np.array([1.0, -2.0, 3.0])}
-    state = nn.OptimizerState(learning_rate=0.1)
-    new, _ = nn.adam_step(state, params, {"w": np.zeros(3)})
+    new = nn.Adam(learning_rate=0.1).step(params, {"w": np.zeros(3)})
     assert np.array_equal(new["w"], params["w"])
 
 
 def test_adam_first_step_magnitude_is_learning_rate():
     lr = 1e-3
     params = {"w": np.zeros(4)}
-    state = nn.OptimizerState(learning_rate=lr)
-    new, _ = nn.adam_step(state, params, {"w": np.ones(4)})
+    new = nn.Adam(learning_rate=lr).step(params, {"w": np.ones(4)})
     assert np.max(np.abs(np.abs(new["w"]) - lr)) < 1e-9
     assert np.all(new["w"] < 0)  # moves against the gradient
 
 
 def test_adam_shape_mismatch():
-    state = nn.OptimizerState()
     with pytest.raises(ShapeMismatchError):
-        nn.adam_step(state, {"w": np.zeros(3)}, {"w": np.zeros(4)})
+        nn.Adam().step({"w": np.zeros(3)}, {"w": np.zeros(4)})
 
 
 def test_adam_quadratic_bowl_convergence():

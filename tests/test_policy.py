@@ -16,6 +16,7 @@ import pytest
 
 from trackpolicy import data, inference, nn, policy, sim
 from trackpolicy.diffusion import DiffusionSchedule, timestep_embedding
+from trackpolicy.errors import NonFiniteError
 from trackpolicy.geometry import RigidTransform, axis_angle_to_matrix
 
 CFG = policy.TrainConfig(epochs=2, batch_size=16, embed_dim=8, encoder_hidden=(16,),
@@ -123,13 +124,40 @@ def test_train_step_gradients_match_finite_differences(demos):
     assert gradcheck(net("disc/"), lambda r: cfg.lambda_da * r.da) < 1e-4
 
 
+def test_train_step_raises_when_a_layer_overflows(demos):
+    # finite parameters whose products overflow: the check on each layer's
+    # output, or the one on the loss, trips before any optimizer step, so no
+    # parameter moves
+    human, robot = demos
+    batch = data.chunk(human[0], CFG.horizon)[:4] + data.chunk(robot[0], CFG.horizon)[:4]
+    for overrides, message in (
+            ({"encoder/w0": 1e308}, "encoder: non-finite values produced by layer 0"),
+            ({"denoiser/w0": 1e308}, "denoiser: non-finite values produced by layer 0"),
+            # a saturated embedding (every tanh output 1) makes the sum overflow
+            ({"encoder/b1": 100.0, "disc/w0": 1e308},
+             "disc: non-finite values produced by layer 0"),
+            # a finite ~1e200 prediction whose square overflows
+            ({"denoiser/b1": 1e200}, "non-finite training loss")):
+        model = policy.build_model(CFG, batch[0].image.size, schedule=SCHEDULE)
+        for name, value in overrides.items():
+            model.params[name] = np.full_like(model.params[name], value)
+        before = dict(model.params)
+        opt = RecordingOptimizer()
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NonFiniteError, match=message):
+                policy.train_step(model, batch, np.random.default_rng(0), opt)
+        assert not hasattr(opt, "grads"), message
+        assert model.params.keys() == before.keys()
+        assert all(model.params[name] is arr for name, arr in before.items()), message
+
+
 def test_sample_is_bit_identical_for_a_seed(trained):
     model, _ = trained
     _, img, kn = observation()
     a = policy.sample(model, img, kn, seed=11)
     b = policy.sample(model, img, kn, seed=11)
     c = policy.sample(model, img, kn, seed=12)
-    assert a.offsets.shape == (CFG.horizon, CFG.n_keypoints, 2)
+    assert a.offsets.shape == (CFG.horizon, data.N_TRACK_KEYPOINTS, 2)
     assert np.array_equal(a.offsets, b.offsets)
     assert np.array_equal(a.grasp_logits, b.grasp_logits)
     assert not np.array_equal(a.offsets, c.offsets)
