@@ -37,13 +37,25 @@ def _vec3(x, name: str) -> np.ndarray:
 
 
 def _check_rotation(r: np.ndarray, name: str) -> np.ndarray:
+    """Accept 3x3 r iff max|R^T R - I| and |det R - 1| are <= _ORTHO_TOL; NaN fails both."""
     r = np.asarray(r, dtype=np.float64)
     if r.shape != (3, 3):
         raise ValueError(f"{name} must be 3x3, got shape {r.shape}")
-    if np.max(np.abs(r.T @ r - np.eye(3))) > _ORTHO_TOL:
-        raise ValueError(f"{name} is not orthonormal within {_ORTHO_TOL}")
-    if abs(np.linalg.det(r) - 1.0) > _ORTHO_TOL:
-        raise ValueError(f"{name} must have det +1 (got {np.linalg.det(r)})")
+    # Plain floats: a 3x3 through numpy costs more in call overhead than in
+    # arithmetic, and this runs on every transform the sim and the fits build.
+    (a, b, c), (d, e, f), (g, h, i) = r.tolist()
+    tol = _ORTHO_TOL
+    # R^T R entry (j, k) is the dot product of columns j and k.
+    if not (abs(a * a + d * d + g * g - 1.0) <= tol
+            and abs(b * b + e * e + h * h - 1.0) <= tol
+            and abs(c * c + f * f + i * i - 1.0) <= tol
+            and abs(a * b + d * e + g * h) <= tol
+            and abs(a * c + d * f + g * i) <= tol
+            and abs(b * c + e * f + h * i) <= tol):
+        raise ValueError(f"{name} is not orthonormal within {tol}")
+    det = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+    if not abs(det - 1.0) <= tol:
+        raise ValueError(f"{name} must have det +1 (got {det})")
     return r
 
 

@@ -37,14 +37,23 @@ class Adam:
             g = grads[name]
             m = self.m.get(name)
             if m is None:
-                m = np.zeros_like(p)
+                m = self.m[name] = np.zeros_like(p)
                 self.v[name] = np.zeros_like(p)
             v = self.v[name]
-            m = BETA1 * m + (1 - BETA1) * g
-            v = BETA2 * v + (1 - BETA2) * g * g
-            self.m[name] = m
-            self.v[name] = v
-            m_hat = m / (1 - BETA1 ** t)
-            v_hat = v / (1 - BETA2 ** t)
-            out[name] = p - self.learning_rate * m_hat / (np.sqrt(v_hat) + EPS)
+            # In place, in the operation order of
+            #   m = BETA1 * m + (1 - BETA1) * g
+            #   v = BETA2 * v + (1 - BETA2) * g * g
+            #   p - lr * (m / c1) / (sqrt(v / c2) + EPS)
+            # so every update is bit-identical to those expressions.
+            np.multiply(m, BETA1, out=m)
+            m += (1 - BETA1) * g
+            np.multiply(v, BETA2, out=v)
+            v += ((1 - BETA2) * g) * g
+            upd = m / (1 - BETA1 ** t)
+            upd *= self.learning_rate
+            den = v / (1 - BETA2 ** t)
+            np.sqrt(den, out=den)
+            den += EPS
+            upd /= den
+            out[name] = p - upd
         return out

@@ -292,12 +292,16 @@ def reset(task: TaskSpec, seed: int) -> SimState:
 
 
 def _clamp_delta(delta: RigidTransform) -> RigidTransform:
+    """delta with its translation and rotation angle capped; delta itself
+    (frozen, owning its arrays) when neither cap applies."""
     t = delta.translation
     norm = np.linalg.norm(t)
-    if norm > MAX_TRANSLATION:
-        t = t * (MAX_TRANSLATION / norm)
     r = delta.rotation
     angle = rotation_angle(r)
+    if norm <= MAX_TRANSLATION and angle <= MAX_ROTATION:
+        return delta
+    if norm > MAX_TRANSLATION:
+        t = t * (MAX_TRANSLATION / norm)
     if angle > MAX_ROTATION:
         axis = matrix_to_axis_angle(r) / angle
         r = axis_angle_to_matrix(axis * MAX_ROTATION)

@@ -23,6 +23,7 @@ from trackpolicy.errors import (
     DegenerateRaysError,
 )
 from trackpolicy.geometry import (
+    _ORTHO_TOL,
     CameraIntrinsics,
     CameraPose,
     RigidTransform,
@@ -408,6 +409,86 @@ def test_rigid_transform_compose_inverse():
         ident = a.compose(a.inverse())
         assert np.max(np.abs(ident.rotation - np.eye(3))) < 1e-12
         assert np.max(np.abs(ident.translation)) < 1e-12
+
+
+@pytest.mark.parametrize("make", [RigidTransform, CameraPose])
+def test_rotation_with_nan_rejected(make):
+    with pytest.raises(ValueError):
+        make(np.full((3, 3), np.nan), np.zeros(3))
+    for idx in [(0, 0), (1, 2), (2, 1)]:
+        r = np.eye(3)
+        r[idx] = np.nan
+        with pytest.raises(ValueError):
+            make(r, np.zeros(3))
+
+
+def test_reflection_rejected_for_det():
+    with pytest.raises(ValueError, match=r"det \+1"):
+        RigidTransform(np.diag([1.0, 1.0, -1.0]), np.zeros(3))
+
+
+def test_scaled_identity_rejected_as_not_orthonormal():
+    with pytest.raises(ValueError, match="orthonormal"):
+        RigidTransform(1.001 * np.eye(3), np.zeros(3))
+
+
+def test_non_3x3_rotation_rejected():
+    with pytest.raises(ValueError, match="3x3"):
+        RigidTransform(np.zeros((2, 3)), np.zeros(3))
+
+
+def test_random_and_composed_rotations_accepted():
+    rng = np.random.default_rng(14)
+    total = RigidTransform.identity()
+    for _ in range(50):
+        step = RigidTransform(random_rotation(rng), rng.normal(size=3))
+        total = total.compose(step)
+    assert np.max(np.abs(total.rotation.T @ total.rotation - np.eye(3))) < 1e-13
+
+
+def _reference_rotation_verdict(r):
+    """The numpy formulation of both checks, as the package once computed
+    them: (verdict, orthonormality error, det error)."""
+    ortho = np.max(np.abs(r.T @ r - np.eye(3)))
+    det = abs(np.linalg.det(r) - 1.0)
+    if ortho > _ORTHO_TOL:
+        return "orthonormal", ortho, det
+    if det > _ORTHO_TOL:
+        return "det", ortho, det
+    return None, ortho, det
+
+
+def _verdict(r):
+    try:
+        RigidTransform(r, np.zeros(3))
+    except ValueError as e:
+        return "orthonormal" if "orthonormal" in str(e) else "det"
+    return None
+
+
+def test_rotation_check_decides_like_numpy_reference():
+    """The plain-float check accepts and rejects what the numpy formula
+    does; the two round differently in the last bits, so inputs whose error
+    lies within 1e-15 of the tolerance are skipped."""
+    rng = np.random.default_rng(15)
+    inputs = []
+    for _ in range(400):
+        r = random_rotation(rng)
+        inputs.append(r)
+        inputs.append(r + rng.normal(size=(3, 3)) * 10.0 ** rng.uniform(-11, -7))
+        scale = 1.0 + rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-10, -8)
+        inputs.append(r * scale)
+        inputs.append(-r)
+        inputs.append(r @ np.diag([1.0, 1.0, -1.0]))
+    seen = {}
+    for r in inputs:
+        expected, ortho, det = _reference_rotation_verdict(r)
+        if min(abs(ortho - _ORTHO_TOL), abs(det - _ORTHO_TOL)) < 1e-15:
+            continue
+        assert _verdict(r) == expected, (ortho, det)
+        seen[expected] = seen.get(expected, 0) + 1
+    # every verdict is exercised, not just the easy accepts
+    assert min(seen.get(v, 0) for v in (None, "orthonormal", "det")) >= 50, seen
 
 
 def test_axis_angle_round_trip():

@@ -17,6 +17,7 @@ from trackpolicy.errors import (
     ShapeMismatchError,
 )
 from trackpolicy.nn import tensor as T
+from trackpolicy.nn.optim import BETA1, BETA2, EPS
 
 
 # ---------------------------------------------------------------------------
@@ -285,6 +286,47 @@ def test_adam_quadratic_bowl_convergence():
     assert losses[-1] < 1e-6
     tail = np.array(losses[10:])
     assert np.all(np.diff(tail) <= 1e-8)
+
+
+def test_adam_in_place_moments_match_reference_formula_bitwise():
+    # Reference: the out-of-place update, with fresh arrays every step.
+    def reference_step(params, grads, m, v, t, lr):
+        out = {}
+        for name, p in params.items():
+            g = grads[name]
+            m[name] = BETA1 * m[name] + (1 - BETA1) * g
+            v[name] = BETA2 * v[name] + (1 - BETA2) * g * g
+            m_hat = m[name] / (1 - BETA1 ** t)
+            v_hat = v[name] / (1 - BETA2 ** t)
+            out[name] = p - lr * m_hat / (np.sqrt(v_hat) + EPS)
+        return out
+
+    rng = np.random.default_rng(21)
+    params = {"a/w0": rng.normal(size=(5, 3)), "a/b0": rng.normal(size=3),
+              "b/w0": rng.normal(size=(3, 2, 4))}
+    ref = {k: p.copy() for k, p in params.items()}
+    ref_m = {k: np.zeros_like(p) for k, p in params.items()}
+    ref_v = {k: np.zeros_like(p) for k, p in params.items()}
+    opt = nn.Adam(learning_rate=1e-2)
+    moments = None
+    for t in range(1, 51):
+        opt.learning_rate = 1e-2 / t ** 0.5   # a schedule, as training loops use
+        grads = {k: rng.normal(size=p.shape) * 10.0 ** rng.integers(-6, 2)
+                 for k, p in params.items()}
+        before = {k: p.copy() for k, p in params.items()}
+        new = opt.step(params, grads)
+        ref = reference_step(ref, grads, ref_m, ref_v, t, opt.learning_rate)
+        for k in params:
+            assert np.array_equal(params[k], before[k])  # inputs untouched
+            assert new[k] is not params[k]
+            assert np.array_equal(new[k], ref[k])
+            assert np.array_equal(opt.m[k], ref_m[k])
+            assert np.array_equal(opt.v[k], ref_v[k])
+        if moments is None:
+            moments = {k: (opt.m[k], opt.v[k]) for k in params}
+        for k, (m, v) in moments.items():
+            assert opt.m[k] is m and opt.v[k] is v
+        params = new
 
 
 # ---------------------------------------------------------------------------

@@ -101,6 +101,18 @@ def test_step_rotation_clamped():
     assert abs(rotation_angle(rel.rotation) - sim.MAX_ROTATION) < 1e-12
 
 
+def test_clamp_delta_within_limits_returns_the_same_transform():
+    delta = RigidTransform(axis_angle_to_matrix([0.0, 0.1, 0.0]), [0.03, -0.02, 0.01])
+    assert sim._clamp_delta(delta) is delta
+
+
+def test_clamp_delta_caps_translation_and_keeps_rotation():
+    delta = RigidTransform(axis_angle_to_matrix([0.05, 0.0, 0.1]), [0.2, 0.0, 0.0])
+    clamped = sim._clamp_delta(delta)
+    assert abs(np.linalg.norm(clamped.translation) - sim.MAX_TRANSLATION) < 1e-15
+    assert np.array_equal(clamped.rotation, delta.rotation)
+
+
 def test_step_attach_detach_cycle():
     obj = sim.ObjectState("o", RigidTransform(np.eye(3), [0.0, 0.0, 0.03]),
                           sim.OBJECT_HALF_EXTENTS)
