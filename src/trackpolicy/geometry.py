@@ -367,14 +367,17 @@ def translation_fit(src, dst) -> RigidTransform:
     return RigidTransform(np.eye(3), b.mean(axis=0) - a.mean(axis=0))
 
 
-def tracks_to_actions(frames, allow_fallback: bool = True) -> list[RigidTransform]:
+def tracks_to_actions(frames, allow_fallback: bool = True):
     """Per-step rigid deltas for an (H+1, k, 3) stack of keypoint frames.
 
-    Element h maps frame h onto frame h+1 in the world frame; all H fits run
-    as one batched Kabsch, each bit-identical to ``fit_rigid_transform`` on
-    that pair. With ``allow_fallback`` a degenerate fit degrades to
-    ``translation_fit`` instead of raising; otherwise the first degenerate
-    fit raises DegenerateConfigurationError naming its frame index.
+    Returns (rotations (H, 3, 3), translations (H, 3)); row h maps frame h
+    onto frame h+1 in the world frame. All H fits run as one batched Kabsch,
+    each row bit-identical to ``fit_rigid_transform`` on that pair. With
+    ``allow_fallback`` a degenerate fit degrades to ``translation_fit``
+    instead of raising; otherwise the first degenerate fit raises
+    DegenerateConfigurationError naming its frame index. The rows are not
+    checked here: whoever builds transforms from them checks each rotation
+    (``RigidTransform``, ``inference.ActionChunk``).
     """
     f = np.asarray(frames, dtype=np.float64)
     if f.ndim != 3 or f.shape[2] != 3 or f.shape[0] < 2:
@@ -384,11 +387,14 @@ def tracks_to_actions(frames, allow_fallback: bool = True) -> list[RigidTransfor
         if not allow_fallback:
             raise DegenerateConfigurationError(
                 f"frame 0: need at least 3 points, got {f.shape[1]}")
-        return [translation_fit(f[h], f[h + 1]) for h in range(n)]
-    r, t, rank_ok, sv = _kabsch(f[:-1], f[1:])
-    if not allow_fallback and not rank_ok.all():
-        h = int(np.argmin(rank_ok))
-        raise DegenerateConfigurationError(
-            f"frame {h}: source points are rank-deficient (singular values {sv[h]})")
-    return [RigidTransform(r[h], t[h]) if rank_ok[h]
-            else translation_fit(f[h], f[h + 1]) for h in range(n)]
+        r, t, rank_ok = np.empty((n, 3, 3)), np.empty((n, 3)), np.zeros(n, dtype=bool)
+    else:
+        r, t, rank_ok, sv = _kabsch(f[:-1], f[1:])
+        if not allow_fallback and not rank_ok.all():
+            h = int(np.argmin(rank_ok))
+            raise DegenerateConfigurationError(
+                f"frame {h}: source points are rank-deficient (singular values {sv[h]})")
+    for h in np.flatnonzero(~rank_ok):
+        fallback = translation_fit(f[h], f[h + 1])
+        r[h], t[h] = fallback.rotation, fallback.translation
+    return r, t

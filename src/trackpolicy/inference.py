@@ -6,7 +6,10 @@ two views, fit per-step rigid transforms to the 3D keypoint sequence, and
 execute the first m deltas before re-predicting. `chunk_from_tracks` makes
 one stacked call each to `triangulate`, `reprojection_residual_px` and
 `tracks_to_actions` per chunk; each row of those stacks is bit-identical to
-the per-point or per-frame call. Also houses the 6DoF-delta baseline (same
+the per-point or per-frame call. An `ActionChunk` keeps the fit's stacked
+rotations (H, 3, 3) and translations (H, 3) as read-only arrays, checks
+every rotation row once, and hands out one `RigidTransform` per executed
+step through `delta(h)`. Also houses the 6DoF-delta baseline (same
 encoder+diffusion machinery, direct action targets, no triangulation) and
 the two built-in evaluation suites.
 """
@@ -25,6 +28,7 @@ from .diffusion import DiffusionSchedule
 from .errors import EmptyDatasetError, MissingArtifactError
 from .geometry import (
     RigidTransform,
+    _check_rotation,
     axis_angle_to_matrix,
     matrix_to_axis_angle,
     project_points,
@@ -45,32 +49,54 @@ _REPLAN_STRIDE = 9973
 class ActionChunk:
     """H executable steps recovered from two-view track predictions.
 
-    deltas are world-frame rigid motions of the tracked keypoints (frame h ->
-    h+1); the rollout conjugates each one by the live end-effector pose to
-    get the robot's own-frame increment. residuals_px[h, j] is the
-    triangulation reprojection gap for keypoint j at predicted frame h+1 --
-    zero iff the two views' predictions are consistent with one 3D point.
+    rotations[h], translations[h] form the world-frame rigid motion of the
+    tracked keypoints from frame h to h+1; the rollout conjugates each one
+    by the live end-effector pose to get the robot's own-frame increment.
+    residuals_px[h, j] is the triangulation reprojection gap for keypoint j
+    at predicted frame h+1 -- zero iff the two views' predictions are
+    consistent with one 3D point. All four arrays are private read-only
+    copies, and every rotation row passes the `RigidTransform` check once
+    here.
     """
 
-    deltas: tuple             # H RigidTransform
+    rotations: np.ndarray     # (H, 3, 3)
+    translations: np.ndarray  # (H, 3)
     grasps: np.ndarray        # (H,) bool
     residuals_px: np.ndarray  # (H, k)
 
     def __post_init__(self):
-        object.__setattr__(self, "deltas", tuple(self.deltas))
-        object.__setattr__(self, "grasps", np.asarray(self.grasps, dtype=bool))
-        res = np.asarray(self.residuals_px, dtype=np.float64)
-        if not np.all(np.isfinite(res)):
-            raise ValueError("triangulation residuals must be finite")
-        object.__setattr__(self, "residuals_px", res)
-        if not (len(self.deltas) == len(self.grasps) == res.shape[0]):
+        rot = np.array(self.rotations, dtype=np.float64)
+        trans = np.array(self.translations, dtype=np.float64)
+        grasps = np.array(self.grasps, dtype=bool)
+        res = np.array(self.residuals_px, dtype=np.float64)
+        if rot.ndim != 3 or rot.shape[1:] != (3, 3) or trans.shape != (rot.shape[0], 3):
+            raise ValueError(f"rotations/translations must be (H, 3, 3)/(H, 3), "
+                             f"got {rot.shape}/{trans.shape}")
+        if not (rot.shape[0] == len(grasps) == res.shape[0]):
             raise ValueError(
                 f"deltas/grasps/residuals lengths disagree: "
-                f"{len(self.deltas)}/{len(self.grasps)}/{res.shape[0]}")
+                f"{rot.shape[0]}/{len(grasps)}/{res.shape[0]}")
+        if not np.all(np.isfinite(res)):
+            raise ValueError("triangulation residuals must be finite")
+        for h, r in enumerate(rot):
+            _check_rotation(r, f"chunk rotation {h}")
+        for name, arr in (("rotations", rot), ("translations", trans),
+                          ("grasps", grasps), ("residuals_px", res)):
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
 
     @property
     def horizon(self) -> int:
-        return len(self.deltas)
+        return self.rotations.shape[0]
+
+    def delta(self, h: int) -> RigidTransform:
+        """World-frame rigid motion of step h."""
+        return RigidTransform(self.rotations[h], self.translations[h])
+
+    @property
+    def deltas(self) -> tuple:
+        """Every step's `delta`, in order."""
+        return tuple(self.delta(h) for h in range(self.horizon))
 
 
 @dataclass(frozen=True)
@@ -112,9 +138,9 @@ def chunk_from_tracks(track0, track1, cams) -> ActionChunk:
     pts3 = triangulate(flat0, flat1, cams[0], cams[1])
     residuals = reprojection_residual_px(pts3, flat0, flat1, cams[0], cams[1]) \
         .reshape(px0.shape[:2])
-    deltas = tracks_to_actions(pts3.reshape(*px0.shape[:2], 3))
+    rotations, translations = tracks_to_actions(pts3.reshape(*px0.shape[:2], 3))
     grasps = np.asarray(g0, dtype=bool) & np.asarray(g1, dtype=bool)
-    return ActionChunk(tuple(deltas), grasps, residuals[1:])
+    return ActionChunk(rotations, translations, grasps, residuals[1:])
 
 
 def predict_chunk(model: policy.PolicyModel, obs0, obs1, cams,
@@ -224,7 +250,7 @@ def rollout(model, task: sim.TaskSpec, seed: int,
         replan += 1
         m = min(exec_horizon, chunk.horizon, task.horizon - steps)
         for h in range(m):
-            local = world_to_ee_delta(state.ee_pose, chunk.deltas[h])
+            local = world_to_ee_delta(state.ee_pose, chunk.delta(h))
             state = sim.step(state, sim.Action6DoF(local, int(chunk.grasps[h])))
             residual_log.append(float(chunk.residuals_px[h].mean()))
             steps += 1
@@ -321,19 +347,20 @@ class BaselineRunner:
         kn = data.normalize_keypoints(kps, cams[0][0])
         rows = policy.sample_flat(self.model, img, kn, seed=seed).reshape(self.horizon, 7)
         ee = state.ee_pose
-        deltas = []
+        rotations = np.empty((self.horizon, 3, 3))
+        translations = np.empty((self.horizon, 3))
         for h in range(self.horizon):
             local = RigidTransform(axis_angle_to_matrix(rows[h, 3:6]), rows[h, :3])
             # predicted deltas are already EE-frame; pre-conjugate (with the
             # same SO(3) projection) so the rollout's world->EE conversion
             # lands back on them
             r = ee.rotation @ local.rotation @ ee.rotation.T
-            t = ee.rotation @ local.translation + ee.translation \
+            rotations[h] = project_rotation(r)
+            translations[h] = ee.rotation @ local.translation + ee.translation \
                 - r @ ee.translation
-            deltas.append(RigidTransform(project_rotation(r), t))
             ee = ee.compose(local)
         grasps = rows[:, 6] > 0
-        return ActionChunk(tuple(deltas), grasps, np.zeros((self.horizon, 1)))
+        return ActionChunk(rotations, translations, grasps, np.zeros((self.horizon, 1)))
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,11 @@ The end-effector frame points its z axis along the fingers, so the home
 orientation (fingers down) maps EE +z to world -z. States are immutable;
 `step` returns a new state. No dynamics: the single physical interaction is
 attachment — a grasped object moves rigidly with the end-effector.
+
+Observations come from one renderer, `render`, which rasterizes a list of
+states through one camera in a single pass; `observe` is its one-state case,
+and `scripted_demo` rolls the expert out first and then renders the whole
+trajectory once per camera.
 """
 
 from __future__ import annotations
@@ -374,52 +379,71 @@ def grasp_label(state: SimState, emb: EmbodimentModel) -> int:
 # observation
 
 
-def _splat(channel: np.ndarray, uv: np.ndarray, weights, cell: float) -> None:
-    """Bilinear accumulation of pixel points onto the RASTER_SIZE grid.
+def render(states, cam, emb: EmbodimentModel):
+    """Render a list of states through one camera in a single pass.
 
-    `cell` is the pixel size of one raster cell; cell (i, j) covers pixels
-    [j*cell, (j+1)*cell) x [i*cell, (i+1)*cell) with its center splat target
-    at (j*cell + cell/2, i*cell + cell/2). Mass outside the grid is clipped.
+    Returns (images (n, 3, R, R), keypoints (n, k, 2)) with R = RASTER_SIZE.
+    Channels: object centers (mass 1 each), end-effector keypoints (total
+    mass 1) and the goal (mass 1) -- a rasterized stand-in for an RGB render.
+    The states must share one object count.
+
+    Every point is splatted bilinearly onto the grid: raster cell (i, j)
+    covers pixels [j*c, (j+1)*c) x [i*c, (i+1)*c), c = width / R, with its
+    splat target at the cell center. Corner mass outside the grid is
+    clipped, and so are rounding-noise corner weights (<= 1e-12) that would
+    light up cells a point exactly on a cell center never touches.
+
+    One `project_points` call covers every state's object centers, keypoints
+    and goal (rows of a stack project exactly as they would alone), and one
+    `np.bincount` accumulates every splat. Each cell sums its terms from 0.0
+    in the order a per-point loop would: object by object, then corner
+    (top-left, top-right, bottom-left, bottom-right), then keypoint. So each
+    row is bit-identical to rendering its state alone.
     """
-    uv = np.atleast_2d(uv)
-    weights = np.broadcast_to(np.asarray(weights, dtype=np.float64), (uv.shape[0],))
-    gx = (uv[:, 0] - cell / 2) / cell
-    gy = (uv[:, 1] - cell / 2) / cell
+    intr, pose = cam
+    n = len(states)
+    n_obj = len(states[0].objects)
+    if any(len(st.objects) != n_obj for st in states):
+        raise ValueError("rendered states must share one object count")
+    pts3 = np.vstack([np.vstack([*(obj.pose.translation for obj in st.objects),
+                                 keypoints3d(st, emb), st.goal_center])
+                      for st in states])
+    uv = project_points(pts3, intr, pose).reshape(n, -1, 2)   # (n, P, 2)
+    p = uv.shape[1]
+    channel = np.full(p, CH_EE)
+    channel[:n_obj] = CH_OBJECT
+    channel[-1] = CH_GOAL
+    mass = np.ones(p)
+    mass[n_obj:n_obj + emb.k] = 1.0 / emb.k
+
+    cell = intr.width / RASTER_SIZE
+    gx = (uv[..., 0] - cell / 2) / cell
+    gy = (uv[..., 1] - cell / 2) / cell
     x0 = np.floor(gx).astype(int)
     y0 = np.floor(gy).astype(int)
     fx = gx - x0
     fy = gy - y0
-    for dx, dy, w in ((0, 0, (1 - fx) * (1 - fy)), (1, 0, fx * (1 - fy)),
-                      (0, 1, (1 - fx) * fy), (1, 1, fx * fy)):
-        xs, ys = x0 + dx, y0 + dy
-        # rounding-noise fractions would light up cells a point exactly on a
-        # cell center should never touch
-        ok = (xs >= 0) & (xs < RASTER_SIZE) & (ys >= 0) & (ys < RASTER_SIZE) & (w > 1e-12)
-        np.add.at(channel, (ys[ok], xs[ok]), (w * weights)[ok])
+    # (corner, state, point) stacks
+    w = np.stack([(1 - fx) * (1 - fy), fx * (1 - fy), (1 - fx) * fy, fx * fy])
+    xs = x0 + np.array([0, 1, 0, 1])[:, None, None]
+    ys = y0 + np.array([0, 0, 1, 1])[:, None, None]
+    ok = (xs >= 0) & (xs < RASTER_SIZE) & (ys >= 0) & (ys < RASTER_SIZE) & (w > 1e-12)
+    cells = ((np.arange(n)[:, None] * 3 + channel) * RASTER_SIZE + ys) * RASTER_SIZE + xs
+    # objects are splatted one after another, each corner by corner; the
+    # keypoints and the goal corner by corner, each corner over all points
+    cells, weights, ok = (np.concatenate([a[..., :n_obj].transpose(2, 0, 1).ravel(),
+                                          a[..., n_obj:].ravel()])
+                          for a in (cells, w * mass, ok))
+    images = np.bincount(cells[ok], weights[ok], minlength=n * 3 * RASTER_SIZE ** 2)
+    return (images.reshape(n, 3, RASTER_SIZE, RASTER_SIZE),
+            uv[:, n_obj:n_obj + emb.k])
 
 
 def observe(state: SimState, cam, emb: EmbodimentModel, view_id: int = 0):
-    """(feature image, 2D keypoints, grasp label) for one camera.
-
-    Channels: object center, end-effector keypoints (total mass 1), goal
-    region — a rasterized stand-in for an RGB render.
-    """
-    intr, pose = cam
-    cell = intr.width / RASTER_SIZE
-    img = np.zeros((3, RASTER_SIZE, RASTER_SIZE))
-    # one projection for object centers, keypoints and goal: rows of a stack
-    # project exactly as they would alone
-    n_obj = len(state.objects)
-    uv_all = project_points(np.vstack([*(obj.pose.translation for obj in state.objects),
-                                       keypoints3d(state, emb), state.goal_center]),
-                            intr, pose)
-    for i in range(n_obj):
-        _splat(img[CH_OBJECT], uv_all[i], 1.0, cell)
-    uv = uv_all[n_obj:n_obj + emb.k]
-    _splat(img[CH_EE], uv, 1.0 / emb.k, cell)
-    _splat(img[CH_GOAL], uv_all[-1], 1.0, cell)
-    kps = KeypointSet2D(uv, emb.kind, view_id)
-    return img, kps, grasp_label(state, emb)
+    """(feature image, 2D keypoints, grasp label) for one camera: `render`
+    of the single state, bit-identical to its row in any longer stack."""
+    images, keypoints = render([state], cam, emb)
+    return images[0], KeypointSet2D(keypoints[0], emb.kind, view_id), grasp_label(state, emb)
 
 
 def success(task: TaskSpec, state: SimState) -> bool:
@@ -546,45 +570,46 @@ def scripted_demo(task: TaskSpec, emb: EmbodimentModel, seed: int,
     """Roll the scripted expert on `task` and record one observation frame
     per default camera at every state.
 
-    Human demonstrations add truncated-Gaussian pixel jitter (sigma =
-    jitter_px, cut at 3 sigma) to the recorded keypoints, emulating hand
-    tracker noise; the underlying trajectory is identical to the robot's.
+    The expert runs to success first; then each camera renders the whole
+    trajectory in one `render` pass. Human demonstrations add
+    truncated-Gaussian pixel jitter (sigma = jitter_px, cut at 3 sigma) to
+    the recorded keypoints, drawn in (t, view) order, emulating hand tracker
+    noise; the underlying trajectory is identical to the robot's.
     """
     cameras = default_cameras()
     state = reset(task, seed)
-    jitter_rng = np.random.default_rng([int(seed), 9173]) if emb.kind == HUMAN else None
-
-    frames = []
-    ee_poses = []
-
-    def record(st: SimState):
-        views = []
-        for v, cam in enumerate(cameras):
-            img, kps, grasp = observe(st, cam, emb, view_id=v)
-            if jitter_rng is not None:
-                noise = np.clip(jitter_rng.normal(0.0, jitter_px, size=kps.points.shape),
-                                -3 * jitter_px, 3 * jitter_px)
-                kps = KeypointSet2D(kps.points + noise, kps.embodiment, v)
-            views.append(FrameView(img, kps, grasp))
-        frames.append(tuple(views))
-        if emb.kind == ROBOT:
-            # proprioception is a robot-only luxury; human recordings are
-            # camera-only, which is what keeps the 6DoF baseline off them
-            ee_poses.append(st.ee_pose)
-
+    states = [state]
     phase = 0
-    record(state)
     for _ in range(task.horizon):
         action, phase = scripted_policy(task, state, phase)
         state = step(state, action)
-        record(state)
+        states.append(state)
         if success(task, state):
-            return Demonstration(
-                embodiment=emb.kind, frames=tuple(frames), task_name=task.name,
-                seed=seed, cameras=cameras, ee_poses=tuple(ee_poses))
-    raise ScriptFailureError(
-        f"scripted {task.name} demo (seed {seed}, {emb.kind}) did not succeed "
-        f"within {task.horizon} steps")
+            break
+    else:
+        raise ScriptFailureError(
+            f"scripted {task.name} demo (seed {seed}, {emb.kind}) did not succeed "
+            f"within {task.horizon} steps")
+
+    renders = [render(states, cam, emb) for cam in cameras]
+    jitter_rng = np.random.default_rng([int(seed), 9173]) if emb.kind == HUMAN else None
+    frames = []
+    for t, st in enumerate(states):
+        grasp = grasp_label(st, emb)
+        views = []
+        for v, (images, keypoints) in enumerate(renders):
+            points = keypoints[t]
+            if jitter_rng is not None:
+                points = points + np.clip(
+                    jitter_rng.normal(0.0, jitter_px, size=points.shape),
+                    -3 * jitter_px, 3 * jitter_px)
+            views.append(FrameView(images[t], KeypointSet2D(points, emb.kind, v), grasp))
+        frames.append(tuple(views))
+    # proprioception is a robot-only luxury; human recordings are camera-only,
+    # which is what keeps the 6DoF baseline off them
+    ee_poses = tuple(st.ee_pose for st in states) if emb.kind == ROBOT else ()
+    return Demonstration(embodiment=emb.kind, frames=tuple(frames), task_name=task.name,
+                         seed=seed, cameras=cameras, ee_poses=ee_poses)
 
 
 # direction profile of the push family -> the concrete tasks it cycles through

@@ -1,5 +1,7 @@
 """Containers, hand subsetting, chunking, normalization, and dataset IO."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -210,6 +212,27 @@ def test_save_load_gzip_round_trip(tmp_path):
     data.save_dataset(demos, path)
     assert path.read_bytes()[:2] == b"\x1f\x8b"
     assert demos_equal(data.load_dataset(path)[0], demos[0])
+
+
+def reference_encode_image(img):
+    """Per-pixel sparse image encoder, the layout the dataset files use."""
+    c, i, j = np.nonzero(img)
+    return {"shape": list(img.shape),
+            "nz": [[int(a), int(b), int(d), float(img[a, b, d])]
+                   for a, b, d in zip(c, i, j)]}
+
+
+def test_image_codec_matches_the_per_pixel_reference():
+    images = [fv.image for d in _mixed_demos() for views in d.frames for fv in views]
+    images.append(np.zeros((3, sim.RASTER_SIZE, sim.RASTER_SIZE)))
+    for img in images:
+        rec = data._encode_image(img)
+        ref = reference_encode_image(img)
+        assert data._dump(rec) == data._dump(ref)
+        assert data._decode_image(json.loads(data._dump(rec))).tobytes() == img.tobytes()
+    assert sum(len(data._encode_image(img)["nz"]) for img in images) > 100
+    with pytest.raises(ValueError):
+        data._decode_image({"shape": [3, 2, 2], "nz": [[0, 1, 1, 0.5], [0, 1, 0.5]]})
 
 
 def test_truncated_file_reports_line(tmp_path):

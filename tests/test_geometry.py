@@ -507,9 +507,9 @@ def test_axis_angle_round_trip():
 
 def test_tracks_identity():
     frames = np.tile(np.random.default_rng(12).normal(size=(4, 3)), (6, 1, 1))
-    for d in tracks_to_actions(frames):
-        assert np.max(np.abs(d.rotation - np.eye(3))) < 1e-9
-        assert np.max(np.abs(d.translation)) < 1e-9
+    for r, t in zip(*tracks_to_actions(frames)):
+        assert np.max(np.abs(r - np.eye(3))) < 1e-9
+        assert np.max(np.abs(t)) < 1e-9
 
 
 def test_tracks_constant_delta():
@@ -520,9 +520,9 @@ def test_tracks_constant_delta():
     frames = [rng.normal(size=(5, 3))]
     for _ in range(8):
         frames.append(step.apply(frames[-1]))
-    for d in tracks_to_actions(np.asarray(frames)):
-        assert np.max(np.abs(d.rotation - r0)) < 1e-8
-        assert np.max(np.abs(d.translation - t0)) < 1e-8
+    for r, t in zip(*tracks_to_actions(np.asarray(frames))):
+        assert np.max(np.abs(r - r0)) < 1e-8
+        assert np.max(np.abs(t - t0)) < 1e-8
 
 
 def test_tracks_composition_maps_first_to_last():
@@ -534,8 +534,8 @@ def test_tracks_composition_maps_first_to_last():
         frames.append(step.apply(frames[-1]))
     frames = np.asarray(frames)
     total = RigidTransform.identity()
-    for d in tracks_to_actions(frames):
-        total = d.compose(total)
+    for r, t in zip(*tracks_to_actions(frames)):
+        total = RigidTransform(r, t).compose(total)
     assert np.max(np.abs(total.apply(frames[0]) - frames[-1])) < 1e-8
 
 
@@ -547,8 +547,8 @@ def test_tracks_degenerate_frame_index_in_error():
     with pytest.raises(DegenerateConfigurationError, match="frame 2"):
         tracks_to_actions(frames, allow_fallback=False)
     # With the fallback the degenerate step degrades to translation-only.
-    deltas = tracks_to_actions(frames, allow_fallback=True)
-    assert np.allclose(deltas[2].rotation, np.eye(3))
+    rotations, _ = tracks_to_actions(frames, allow_fallback=True)
+    assert np.allclose(rotations[2], np.eye(3))
 
 
 def test_tracks_stack_matches_per_frame_fits_bitwise():
@@ -561,30 +561,30 @@ def test_tracks_stack_matches_per_frame_fits_bitwise():
     # frame 6 collapses onto a line: its fit (6 -> 7) is rank-deficient
     frames[6] = np.outer(np.linspace(-1, 1, 5), [0.03, 0.01, 0.02])
     frames = np.asarray(frames)
-    deltas = tracks_to_actions(frames)
-    assert len(deltas) == 16
-    for h, d in enumerate(deltas):
+    rotations, translations = tracks_to_actions(frames)
+    assert rotations.shape == (16, 3, 3) and translations.shape == (16, 3)
+    for h, (rot, trans) in enumerate(zip(rotations, translations)):
         if h == 6:
             with pytest.raises(DegenerateConfigurationError):
                 fit_rigid_transform(frames[h], frames[h + 1])
             want = translation_fit(frames[h], frames[h + 1])
-            assert np.array_equal(d.rotation, np.eye(3))
+            assert np.array_equal(rot, np.eye(3))
         else:
             want = fit_rigid_transform(frames[h], frames[h + 1])
             r, t = rowwise_kabsch(frames[h], frames[h + 1])
-            assert np.array_equal(d.rotation, r) and np.array_equal(d.translation, t)
-        assert np.array_equal(d.rotation, want.rotation)
-        assert np.array_equal(d.translation, want.translation)
+            assert np.array_equal(rot, r) and np.array_equal(trans, t)
+        assert np.array_equal(rot, want.rotation)
+        assert np.array_equal(trans, want.translation)
     with pytest.raises(DegenerateConfigurationError, match="frame 6"):
         tracks_to_actions(frames, allow_fallback=False)
 
 
 def test_tracks_too_few_points_fall_back_or_raise():
     frames = np.random.default_rng(18).normal(size=(4, 2, 3))
-    for h, d in enumerate(tracks_to_actions(frames)):
+    for h, (r, t) in enumerate(zip(*tracks_to_actions(frames))):
         want = translation_fit(frames[h], frames[h + 1])
-        assert np.array_equal(d.rotation, want.rotation)
-        assert np.array_equal(d.translation, want.translation)
+        assert np.array_equal(r, want.rotation)
+        assert np.array_equal(t, want.translation)
     with pytest.raises(DegenerateConfigurationError, match="frame 0"):
         tracks_to_actions(frames, allow_fallback=False)
 

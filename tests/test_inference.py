@@ -6,14 +6,25 @@ policy uses, so it isolates geometry from learning: replanning with it must
 retrace the uninterrupted expert and succeed on every task. It renders no
 image, yet its chunks equal those built from `sim.observe`'s keypoints bit
 for bit. `chunk_from_tracks`'s per-frame residuals are checked on a crafted
-cross-view disagreement.
+cross-view disagreement. `ActionChunk` stores stacked, read-only rotation
+and translation arrays whose rows equal the per-frame rigid fits bit for
+bit.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from trackpolicy import inference, sim
-from trackpolicy.geometry import project_points
+from trackpolicy.geometry import (
+    RigidTransform,
+    axis_angle_to_matrix,
+    fit_rigid_transform,
+    project_points,
+    tracks_to_actions,
+    translation_fit,
+)
 
 SEEDS = (0, 1, 2, 3, 4)
 
@@ -46,7 +57,7 @@ def test_oracle_reach_retraces_the_expert(seed):
     while not sim.success(task, state) and steps < task.horizon:
         chunk = runner.chunk(task, state, cams, 0)
         for h in range(min(inference.DEFAULT_EXEC_HORIZON, chunk.horizon)):
-            local = inference.world_to_ee_delta(state.ee_pose, chunk.deltas[h])
+            local = inference.world_to_ee_delta(state.ee_pose, chunk.delta(h))
             state = sim.step(state, sim.Action6DoF(local, int(chunk.grasps[h])))
             steps += 1
             if steps < len(expert):
@@ -125,3 +136,99 @@ def test_oracle_chunk_renders_nothing_and_matches_observed_keypoints(monkeypatch
             assert np.array_equal(d.translation, r.translation)
         assert np.array_equal(chunk.grasps, ref.grasps)
         assert np.array_equal(chunk.residuals_px, ref.residuals_px)
+
+
+# ---------------------------------------------------------------------------
+# ActionChunk storage
+
+
+def fitted_chunk():
+    """(chunk, frames): a chunk built from tracks_to_actions on 9 keypoint
+    frames whose frame 4 is collinear, so fit 4 falls back to translation."""
+    rng = np.random.default_rng(31)
+    frames = [rng.normal(scale=0.05, size=(5, 3))]
+    for _ in range(8):
+        step = RigidTransform(axis_angle_to_matrix(rng.normal(scale=0.1, size=3)),
+                              rng.normal(scale=0.02, size=3))
+        frames.append(step.apply(frames[-1]) + rng.normal(scale=1e-4, size=(5, 3)))
+    frames[4] = np.outer(np.linspace(-1, 1, 5), [0.03, 0.01, 0.02])
+    frames = np.asarray(frames)
+    rotations, translations = tracks_to_actions(frames)
+    chunk = inference.ActionChunk(rotations, translations, np.arange(8) % 2 == 0,
+                                  rng.uniform(size=(8, 5)))
+    return chunk, frames
+
+
+def test_chunk_deltas_equal_per_frame_fits_bitwise():
+    chunk, frames = fitted_chunk()
+    deltas = chunk.deltas
+    assert chunk.horizon == len(deltas) == 8
+    for h in range(8):
+        if h == 4:
+            want = translation_fit(frames[h], frames[h + 1])
+        else:
+            want = fit_rigid_transform(frames[h], frames[h + 1])
+        for got in (chunk.delta(h), deltas[h]):
+            assert isinstance(got, RigidTransform)
+            assert got.rotation.tobytes() == want.rotation.tobytes()
+            assert got.translation.tobytes() == want.translation.tobytes()
+
+
+def test_chunk_arrays_are_read_only_copies():
+    chunk, _ = fitted_chunk()
+    rotations = np.array(chunk.rotations)
+    source = rotations.copy()
+    mine = inference.ActionChunk(source, chunk.translations, chunk.grasps, chunk.residuals_px)
+    source[0] = 0.0
+    assert np.array_equal(mine.rotations, rotations)
+    for name in ("rotations", "translations", "grasps", "residuals_px"):
+        arr = getattr(mine, name)
+        assert not arr.flags.writeable, name
+        with pytest.raises(ValueError):
+            arr[0] = arr[1]
+    assert mine.rotations.shape == (8, 3, 3) and mine.translations.shape == (8, 3)
+    assert mine.grasps.dtype == bool and mine.residuals_px.shape == (8, 5)
+
+
+def test_chunk_rejects_bad_rows():
+    chunk, _ = fitted_chunk()
+    parts = (chunk.rotations, chunk.translations, chunk.grasps, chunk.residuals_px)
+
+    def build(i, value):
+        args = list(parts)
+        args[i] = value
+        return inference.ActionChunk(*args)
+
+    scaled = np.array(chunk.rotations)
+    scaled[5] *= 1.001
+    with pytest.raises(ValueError, match="chunk rotation 5 is not orthonormal"):
+        build(0, scaled)
+    reflected = np.array(chunk.rotations)
+    reflected[2] = -reflected[2]
+    with pytest.raises(ValueError, match="chunk rotation 2 must have det"):
+        build(0, reflected)
+    with pytest.raises(ValueError, match="lengths disagree"):
+        build(2, chunk.grasps[:7])
+    with pytest.raises(ValueError, match="lengths disagree"):
+        build(3, chunk.residuals_px[:7])
+    with pytest.raises(ValueError, match="must be"):
+        build(1, chunk.translations[:7])
+    bad = np.array(chunk.residuals_px)
+    bad[3, 1] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        build(3, bad)
+
+
+def test_retained_oracle_chunks_stay_small():
+    # a benchmark keeps every replan's chunk; 100 of them at most 4 KB each
+    task, cams, emb = sim.make_task("push_right"), sim.default_cameras(), sim.robot_embodiment()
+    states = [sim.reset(task, s) for s in range(100)]
+    inference.oracle_chunk(task, states[0], emb, cams, 16)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        kept = [inference.oracle_chunk(task, st, emb, cams, 16) for st in states]
+        per_chunk = (tracemalloc.get_traced_memory()[0] - before) / len(kept)
+    finally:
+        tracemalloc.stop()
+    assert per_chunk <= 4096, per_chunk

@@ -17,7 +17,7 @@ import pytest
 from trackpolicy import data, inference, nn, policy, sim
 from trackpolicy.diffusion import DiffusionSchedule, timestep_embedding
 from trackpolicy.errors import NonFiniteError
-from trackpolicy.geometry import RigidTransform, axis_angle_to_matrix
+from trackpolicy.geometry import RigidTransform, axis_angle_to_matrix, project_rotation
 
 CFG = policy.TrainConfig(epochs=2, batch_size=16, embed_dim=8, encoder_hidden=(16,),
                          denoiser_hidden=(32,), disc_hidden=(8,), seed=3)
@@ -263,8 +263,29 @@ def test_baseline_deltas_land_on_ee_frame_predictions(baseline):
     ee = state.ee_pose
     for h in range(CFG.horizon):
         predicted = RigidTransform(axis_angle_to_matrix(rows[h, 3:6]), rows[h, :3])
-        local = inference.world_to_ee_delta(ee, chunk.deltas[h])
+        local = inference.world_to_ee_delta(ee, chunk.delta(h))
         assert np.abs(local.rotation - predicted.rotation).max() < 1e-9
         assert np.abs(local.translation - predicted.translation).max() < 1e-9
         assert chunk.grasps[h] == (rows[h, 6] > 0)
         ee = ee.compose(predicted)
+
+
+def test_baseline_chunk_rows_equal_per_step_transforms_bitwise(baseline):
+    # the pre-conjugated rows go straight into the chunk's arrays with the
+    # numerics of one RigidTransform per step
+    model, _ = baseline
+    state, img, kn = observation(seed=8)
+    task, cams = sim.make_task("push_right"), sim.default_cameras()
+    chunk = inference.BaselineRunner(model).chunk(task, state, cams, seed=4)
+    rows = policy.sample_flat(model, img, kn, seed=4).reshape(CFG.horizon, 7)
+    ee = state.ee_pose
+    for h in range(CFG.horizon):
+        local = RigidTransform(axis_angle_to_matrix(rows[h, 3:6]), rows[h, :3])
+        r = ee.rotation @ local.rotation @ ee.rotation.T
+        t = ee.rotation @ local.translation + ee.translation - r @ ee.translation
+        want = RigidTransform(project_rotation(r), t)
+        assert chunk.delta(h).rotation.tobytes() == want.rotation.tobytes()
+        assert chunk.delta(h).translation.tobytes() == want.translation.tobytes()
+        ee = ee.compose(local)
+    assert np.array_equal(chunk.grasps, rows[:, 6] > 0)
+    assert np.array_equal(chunk.residuals_px, np.zeros((CFG.horizon, 1)))

@@ -7,7 +7,7 @@ import pytest
 from scipy import stats
 
 from trackpolicy import sim
-from trackpolicy.data import HUMAN, ROBOT
+from trackpolicy.data import HUMAN, ROBOT, KeypointSet2D
 from trackpolicy.errors import BehindCameraError
 from trackpolicy.geometry import (
     RigidTransform,
@@ -298,6 +298,147 @@ def test_observe_behind_camera_propagates():
 
 
 # ---------------------------------------------------------------------------
+# batched render against the per-state reference
+
+
+def reference_splat(channel, uv, weights, cell):
+    """The per-call bilinear splat `render` replaced: four `np.add.at`
+    passes, one per corner, each over the call's points in order."""
+    uv = np.atleast_2d(uv)
+    weights = np.broadcast_to(np.asarray(weights, dtype=np.float64), (uv.shape[0],))
+    gx = (uv[:, 0] - cell / 2) / cell
+    gy = (uv[:, 1] - cell / 2) / cell
+    x0 = np.floor(gx).astype(int)
+    y0 = np.floor(gy).astype(int)
+    fx = gx - x0
+    fy = gy - y0
+    for dx, dy, w in ((0, 0, (1 - fx) * (1 - fy)), (1, 0, fx * (1 - fy)),
+                      (0, 1, (1 - fx) * fy), (1, 1, fx * fy)):
+        xs, ys = x0 + dx, y0 + dy
+        ok = (xs >= 0) & (xs < sim.RASTER_SIZE) & (ys >= 0) & (ys < sim.RASTER_SIZE) \
+            & (w > 1e-12)
+        np.add.at(channel, (ys[ok], xs[ok]), (w * weights)[ok])
+
+
+def reference_observe(state, cam, emb, view_id=0):
+    """Per-state observation: each object, then the keypoints, then the goal
+    splatted by its own `reference_splat` call."""
+    intr, pose = cam
+    cell = intr.width / sim.RASTER_SIZE
+    img = np.zeros((3, sim.RASTER_SIZE, sim.RASTER_SIZE))
+    n_obj = len(state.objects)
+    uv_all = project_points(np.vstack([*(o.pose.translation for o in state.objects),
+                                       sim.keypoints3d(state, emb), state.goal_center]),
+                            intr, pose)
+    for i in range(n_obj):
+        reference_splat(img[sim.CH_OBJECT], uv_all[i], 1.0, cell)
+    uv = uv_all[n_obj:n_obj + emb.k]
+    reference_splat(img[sim.CH_EE], uv, 1.0 / emb.k, cell)
+    reference_splat(img[sim.CH_GOAL], uv_all[-1], 1.0, cell)
+    return img, KeypointSet2D(uv, emb.kind, view_id), sim.grasp_label(state, emb)
+
+
+def reference_demo(task, emb, seed, jitter_px=1.0):
+    """(frames, ee_poses) of the per-state recording loop: observe each view
+    at every state as the expert goes, drawing jitter in (t, view) order."""
+    cameras = sim.default_cameras()
+    state = sim.reset(task, seed)
+    rng = np.random.default_rng([int(seed), 9173]) if emb.kind == HUMAN else None
+    frames, ee_poses = [], []
+
+    def record(st):
+        views = []
+        for v, cam in enumerate(cameras):
+            img, kps, grasp = reference_observe(st, cam, emb, view_id=v)
+            points = kps.points
+            if rng is not None:
+                points = points + np.clip(rng.normal(0.0, jitter_px, size=points.shape),
+                                          -3 * jitter_px, 3 * jitter_px)
+            views.append((img, points, grasp))
+        frames.append(views)
+        if emb.kind == ROBOT:
+            ee_poses.append(st.ee_pose)
+
+    phase = 0
+    record(state)
+    while not sim.success(task, state):
+        action, phase = sim.scripted_policy(task, state, phase)
+        state = sim.step(state, action)
+        record(state)
+    return frames, ee_poses
+
+
+def test_scripted_demo_matches_the_per_state_reference_bytewise(monkeypatch):
+    refs = {(name, kind, seed): reference_demo(sim.make_task(name), sim.embodiment(kind), seed)
+            for name in sim.TASK_NAMES for kind in (ROBOT, HUMAN) for seed in (0, 1, 2)}
+
+    def no_observe(*args, **kwargs):
+        raise AssertionError("scripted_demo observed one state at a time")
+
+    monkeypatch.setattr(sim, "observe", no_observe)
+    closed = 0
+    for (name, kind, seed), (frames, ee_poses) in refs.items():
+        demo = sim.scripted_demo(sim.make_task(name), sim.embodiment(kind), seed)
+        assert demo.length == len(frames)
+        for t, (views, ref_views) in enumerate(zip(demo.frames, frames)):
+            for v, (fv, (img, points, grasp)) in enumerate(zip(views, ref_views)):
+                assert fv.image.tobytes() == img.tobytes(), (name, kind, seed, t, v)
+                assert fv.keypoints.points.tobytes() == points.tobytes()
+                assert fv.keypoints.view_id == v and fv.grasp == grasp
+                closed += grasp
+        assert len(demo.ee_poses) == len(ee_poses)
+        for p, q in zip(demo.ee_poses, ee_poses):
+            assert p.rotation.tobytes() == q.rotation.tobytes()
+            assert p.translation.tobytes() == q.translation.tobytes()
+    assert closed > 0
+
+
+def point_at_pixel(cam, px, depth=1.5):
+    from trackpolicy.geometry import pixel_ray
+    origin, direction = pixel_ray(np.asarray(px, dtype=np.float64), *cam)
+    return origin + depth * direction
+
+
+def test_render_rows_match_the_reference_at_the_raster_edges():
+    # crafted states: three objects sharing a cell (its sum keeps the
+    # object-by-object order), mass partly or wholly off the raster on each
+    # side, a closed gripper, and an object-free scene
+    cam = sim.default_cameras()[1]
+    emb = sim.human_embodiment()
+    rng = np.random.default_rng(21)
+    states = []
+    for *objs_px, goal_px in (((60.3, 61.7), (62.9, 58.2), (57.1, 60.6), (-3.0, 70.5)),
+                              ((130.5, 2.2), (-6.0, -2.5), (30.0, 100.0), (125.0, 131.0)),
+                              ((4.4, 127.9), (64.0, 64.0), (90.0, 20.0), (131.9, -3.9))):
+        objs = tuple(sim.ObjectState(f"o{i}", RigidTransform(np.eye(3), point_at_pixel(cam, px)),
+                                     sim.OBJECT_HALF_EXTENTS)
+                     for i, px in enumerate(objs_px))
+        ee = RigidTransform(sim.HOME_POSE.rotation, rng.uniform(-0.1, 0.1, size=3)
+                            + np.array([0.0, 0.0, 0.1]))
+        states.append(make_state(ee_pose=ee, gripper_closed=len(states) == 1,
+                                 objects=objs, goal=point_at_pixel(cam, goal_px)))
+    images, keypoints = sim.render(states, cam, emb)
+    assert images.shape == (3, 3, sim.RASTER_SIZE, sim.RASTER_SIZE)
+    assert keypoints.shape == (3, emb.k, 2)
+    for st, img, kps in zip(states, images, keypoints):
+        ref_img, ref_kps, _ = reference_observe(st, cam, emb)
+        assert img.tobytes() == ref_img.tobytes()
+        assert kps.tobytes() == ref_kps.points.tobytes()
+        single, _, _ = sim.observe(st, cam, emb)
+        assert single.tobytes() == ref_img.tobytes()
+        # clipped mass really was dropped
+        assert 0.0 < img[sim.CH_GOAL].sum() < 1.0
+    # 12 corner terms on 8 cells; cell (7, 7) sums one from each object
+    assert np.count_nonzero(images[0, sim.CH_OBJECT]) == 8
+    assert images[1, sim.CH_OBJECT].sum() < 2.0 and images[2, sim.CH_OBJECT].sum() < 3.0
+    bare = make_state(ee_pose=sim.HOME_POSE, gripper_closed=True)
+    images, _ = sim.render([bare, bare], cam, emb)
+    assert images[1].tobytes() == reference_observe(bare, cam, emb)[0].tobytes()
+    with pytest.raises(ValueError, match="object count"):
+        sim.render([bare, states[0]], cam, emb)
+
+
+# ---------------------------------------------------------------------------
 # scripted demos
 
 
@@ -421,9 +562,10 @@ def test_recovered_deltas_replay_to_same_trajectory():
     emb = sim.robot_embodiment()
     demo = sim.scripted_demo(task, emb, 6)
     frames3d = np.array([pose.apply(emb.keypoint_offsets) for pose in demo.ee_poses])
-    deltas = tracks_to_actions(frames3d, allow_fallback=False)
+    rotations, translations = tracks_to_actions(frames3d, allow_fallback=False)
     state = sim.reset(task, 6)
-    for t, world_delta in enumerate(deltas):
+    for t, (r, trans) in enumerate(zip(rotations, translations)):
+        world_delta = RigidTransform(r, trans)
         ee = state.ee_pose
         local = ee.inverse().compose(world_delta).compose(ee)
         state = sim.step(state, sim.Action6DoF(local, 0))
