@@ -96,20 +96,30 @@ def ancestral_sample(eps_fn, n: int, dim: int, schedule: DiffusionSchedule, rng)
     eps_fn(x, t) receives the whole current batch (n, dim) and the integer
     step t and returns predicted noise of the same shape; per-step noise uses
     sigma_t = sqrt(beta_t), none on the final step. Deterministic given the
-    rng state.
+    rng state. x is one array updated in place from step to step, so eps_fn
+    must read it during its call and not keep it (returning x itself is
+    fine); the array eps_fn returns is only read.
     """
     # per-step constants, elementwise the same values the loop would compute
     eps_coef = schedule.betas / np.sqrt(1.0 - schedule.alpha_bars)
     sqrt_alphas = np.sqrt(schedule.alphas)
     sigmas = np.sqrt(schedule.betas)
     x = rng.standard_normal((n, dim))
+    # scratch for eps_coef * eps_hat, then for the step's noise: standard_normal
+    # fills it with the values, in the order, a fresh (n, dim) draw would have
+    buf = np.empty_like(x)
     for t in range(schedule.num_steps - 1, -1, -1):
         eps_hat = np.asarray(eps_fn(x, t), dtype=np.float64)
         if eps_hat.shape != x.shape:
             raise ValueError(f"eps_fn returned {eps_hat.shape}, expected {x.shape}")
-        x = (x - eps_coef[t] * eps_hat) / sqrt_alphas[t]
+        # x = (x - eps_coef[t] * eps_hat) / sqrt_alphas[t] + sigmas[t] * noise
+        np.multiply(eps_coef[t], eps_hat, out=buf)
+        x -= buf
+        x /= sqrt_alphas[t]
         if t > 0:
-            x = x + sigmas[t] * rng.standard_normal((n, dim))
+            rng.standard_normal(out=buf)
+            buf *= sigmas[t]
+            x += buf
         if not np.isfinite(x).all():
             raise NonFiniteError(f"sampler produced non-finite values at step {t}")
     return x

@@ -1,9 +1,14 @@
 """Dense multi-layer perceptrons as pure (spec, params) pairs.
 
-`apply` is the one layer loop: it returns the output together with the
-activations that `tensor.backward` needs for the reverse pass, and raises
-NonFiniteError as soon as a layer produces NaN/Inf. `forward` is the
-inference entry point: input validation, then `apply`'s output.
+`apply` is the one layer loop, shared by training and sampling: it returns
+the output together with the activations that `tensor.backward` needs for
+the reverse pass, and raises NonFiniteError as soon as a layer produces
+NaN/Inf. Each layer writes its bias and activation into the fresh array its
+matmul returned, so a layer costs one allocation. `apply` checks neither
+the parameters nor the input: `forward` is the validating entry point
+(parameter shapes, input shape and finiteness, then `apply`'s output), and
+a caller that runs one net many times on inputs it builds itself, such as
+the diffusion sampler, validates once and then calls `apply`.
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ class MlpSpec:
     activations: tuple
     name: str = "mlp"
     _shapes: MappingProxyType = field(init=False, repr=False, compare=False)
+    _layers: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "widths", tuple(int(w) for w in self.widths))
@@ -48,6 +54,10 @@ class MlpSpec:
             shapes[f"{self.name}/w{i}"] = (din, dout)
             shapes[f"{self.name}/b{i}"] = (dout,)
         object.__setattr__(self, "_shapes", MappingProxyType(shapes))
+        # (weight name, bias name, activation) per layer, for `apply`'s loop
+        object.__setattr__(self, "_layers", tuple(
+            (f"{self.name}/w{i}", f"{self.name}/b{i}", act)
+            for i, act in enumerate(self.activations)))
 
     def param_shapes(self) -> MappingProxyType:
         """Read-only parameter name -> shape, in declaration (checkpoint)
@@ -84,25 +94,26 @@ def check_params(spec: MlpSpec, params: dict) -> None:
                 f"{name}: expected shape {shape}, got {tuple(params[name].shape)}")
 
 
-_ACT = {"relu": lambda h: np.where(h > 0, h, 0.0), "tanh": np.tanh,
-        "identity": lambda h: h}
-
-
 def apply(spec: MlpSpec, params: dict, x: np.ndarray) -> tuple:
     """Run the network on an (n, d_in) batch; returns (output, cache).
 
-    Each layer is h @ w + b followed by the activation. cache lists the
-    input and every layer's activated output, the input of `tensor.backward`.
-    A NaN/Inf first shows up in an affine output (relu and tanh map finite
-    values to finite values), so that is where it is caught.
+    Each layer is h @ w + b followed by the activation, both applied in
+    place on the matmul's output, so every cache entry is its own array.
+    cache lists the input and every layer's activated output, the input of
+    `tensor.backward`. A NaN/Inf first shows up in an affine output (relu and
+    tanh map finite values to finite values), so that is where it is caught.
     """
     h = x
     cache = [h]
-    for i, act in enumerate(spec.activations):
-        h = h @ params[f"{spec.name}/w{i}"] + params[f"{spec.name}/b{i}"]
+    for i, (w, b, act) in enumerate(spec._layers):
+        h = h @ params[w]
+        h += params[b]
         if not np.isfinite(h).all():
             raise NonFiniteError(f"{spec.name}: non-finite values produced by layer {i}")
-        h = _ACT[act](h)
+        if act == "relu":
+            np.maximum(h, 0.0, out=h)
+        elif act == "tanh":
+            np.tanh(h, out=h)
         cache.append(h)
     return h, cache
 

@@ -36,7 +36,13 @@ from .diffusion import (
     timestep_embedding,
     timestep_table,
 )
-from .errors import EmptyDatasetError, MixedShapesError, NonFiniteError, SchemaMismatchError
+from .errors import (
+    EmptyDatasetError,
+    MixedShapesError,
+    NonFiniteError,
+    SchemaMismatchError,
+    ShapeMismatchError,
+)
 from .nn import (
     Adam,
     MlpSpec,
@@ -425,6 +431,12 @@ def sample_flat(model: PolicyModel, feature_image, keypoints: data.KeypointSet2D
     Runs model.schedule's steps; the draw is a function of seed alone. The
     track policy wraps this into a MotionTrack; the 6DoF-delta baseline
     reads its action rows straight out of the flat vector.
+
+    Validated once per draw: the denoiser's parameter shapes, the width of
+    its input row and the finiteness of the fixed conditioning (embedding
+    and retargeted keypoints). Each step then runs the denoiser through
+    `apply`, whose per-layer check still catches a non-finite output, and
+    the sampler checks every x_t.
     """
     schedule = model.schedule
     rng = np.random.default_rng([int(seed), _SAMPLE_STREAM])
@@ -438,15 +450,27 @@ def sample_flat(model: PolicyModel, feature_image, keypoints: data.KeypointSet2D
         np.zeros((1, d)), forward(model.encoder, model.params, img),
         _retarget_flat(model.retargeter, keypoints.points[None]),
         np.zeros((1, TIME_EMBED_DIM))], axis=1)
+    check_params(model.denoiser, model.params)
+    if den_in.shape[1] != model.denoiser.widths[0]:
+        raise ShapeMismatchError(
+            f"denoiser input width {den_in.shape[1]} does not match spec width "
+            f"{model.denoiser.widths[0]}")
+    if not np.isfinite(den_in[:, d:-TIME_EMBED_DIM]).all():
+        raise NonFiniteError("non-finite conditioning (embedding or keypoints)")
+    x_cols, t_cols = den_in[:, :d], den_in[:, -TIME_EMBED_DIM:]
     temb = timestep_table(schedule.num_steps)
     sqrt_ab = np.sqrt(schedule.alpha_bars)
     sqrt_1mab = np.sqrt(1.0 - schedule.alpha_bars)
 
     def eps_fn(x, t):
-        den_in[:, :d] = x
-        den_in[:, -TIME_EMBED_DIM:] = temb[t]
-        clean_hat = forward(model.denoiser, model.params, den_in)
-        return (x - sqrt_ab[t] * clean_hat) / sqrt_1mab[t]
+        x_cols[...] = x
+        t_cols[...] = temb[t]
+        # (x - sqrt_ab * clean_hat) / sqrt_1mab, in place on apply's output
+        eps = apply(model.denoiser, model.params, den_in)[0]
+        eps *= sqrt_ab[t]
+        np.subtract(x, eps, out=eps)
+        eps /= sqrt_1mab[t]
+        return eps
 
     return ancestral_sample(eps_fn, 1, d, schedule, rng)[0]
 

@@ -153,7 +153,7 @@ class KeypointRetargeter:
         if pts.ndim != 3:
             raise ShapeMismatchError(
                 f"points: expected 3 dims, got {pts.ndim} (shape {pts.shape})")
-        if not np.all(np.isfinite(pts)):
+        if not np.isfinite(pts).all():
             raise NonFiniteError("points contains NaN or Inf")
         if pts.shape[1:] != (data.N_TRACK_KEYPOINTS, 2):
             raise WrongDimensionError(

@@ -165,6 +165,56 @@ def test_sampler_determinism_and_seed_sensitivity():
     assert not np.array_equal(a, c)
 
 
+def reference_ancestral_sample(eps_fn, n, dim, schedule, rng):
+    """The sampler before it updated x in place: a fresh array for every
+    update and a fresh (n, dim) noise draw on every step."""
+    eps_coef = schedule.betas / np.sqrt(1.0 - schedule.alpha_bars)
+    x = rng.standard_normal((n, dim))
+    for t in range(schedule.num_steps - 1, -1, -1):
+        x = (x - eps_coef[t] * eps_fn(x, t)) / np.sqrt(schedule.alphas)[t]
+        if t > 0:
+            x = x + np.sqrt(schedule.betas)[t] * rng.standard_normal((n, dim))
+    return x
+
+
+def test_in_place_sampler_equals_the_allocating_loop_bitwise():
+    s = DiffusionSchedule()
+    c = np.array([0.7, -1.2, 0.05])
+
+    def clean_target(x, t):
+        return (x - np.sqrt(s.alpha_bars[t]) * c) / np.sqrt(1 - s.alpha_bars[t])
+
+    cases = (
+        (_gaussian_eps_fn(SOUND, np.array([0.5, -0.3]), np.eye(2)), 5, 2, SOUND),
+        (clean_target, 1, 3, s),
+        (clean_target, 4, 3, s),
+        # returns the sampler's own x: the update must read it before writing
+        (lambda x, t: x, 3, 4, s),
+        (lambda x, t: 0.5 * x, 2, 6, DiffusionSchedule(7)),
+    )
+    for eps_fn, n, dim, schedule in cases:
+        rng, ref_rng = np.random.default_rng(17), np.random.default_rng(17)
+        got = ancestral_sample(eps_fn, n, dim, schedule, rng)
+        want = reference_ancestral_sample(eps_fn, n, dim, schedule, ref_rng)
+        assert got.shape == want.shape == (n, dim)
+        assert got.tobytes() == want.tobytes(), (n, dim)
+        # the reused noise buffer draws the same values in the same order
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_sampler_only_reads_the_eps_fn_output():
+    held = []
+
+    def eps_fn(x, t):
+        held.append(np.full_like(x, 0.25))
+        held.append(held[-1].copy())
+        return held[-2]
+
+    ancestral_sample(eps_fn, 2, 3, DiffusionSchedule(5), np.random.default_rng(0))
+    for returned, copy in zip(held[::2], held[1::2]):
+        assert returned.tobytes() == copy.tobytes()
+
+
 def test_sampler_rejects_bad_eps_fn():
     with pytest.raises(ValueError):
         ancestral_sample(lambda x, t: x[:, :1], 4, 2, SOUND, np.random.default_rng(0))

@@ -37,6 +37,19 @@ def oracle_mlp_forward(spec, params, x):
     return np.asarray(out)
 
 
+def reference_apply(spec, params, x):
+    """The layer loop before it worked in place: a fresh array for the
+    affine output and another for the activation."""
+    acts = {"relu": lambda h: np.where(h > 0, h, 0.0), "tanh": np.tanh,
+            "identity": lambda h: h}
+    h = x
+    cache = [h]
+    for i, act in enumerate(spec.activations):
+        h = acts[act](h @ params[f"{spec.name}/w{i}"] + params[f"{spec.name}/b{i}"])
+        cache.append(h)
+    return h, cache
+
+
 def oracle_gaussian_kl(fa, fb):
     """Closed-form symmetrized diagonal-Gaussian KL, numpy only."""
     mu_a, mu_b = fa.mean(axis=0), fb.mean(axis=0)
@@ -86,6 +99,34 @@ def test_forward_matches_naive_oracle():
             assert len(cache) == 4 and cache[0] is batch and cache[-1] is out
         # a single (d_in,) row comes back as a (d_out,) row of the same values
         assert np.array_equal(nn.forward(spec, params, x[0]), out[0]), act
+
+
+def test_apply_in_place_layers_equal_the_allocating_loop_bitwise():
+    rng = np.random.default_rng(5)
+    for act in ("relu", "tanh", "identity"):
+        spec = nn.MlpSpec((7, 11, 5, 3), (act, act, act))
+        params = nn.init_params(spec, seed=44)
+        params = {k: v + rng.normal(scale=0.3, size=v.shape) for k, v in params.items()}
+        for batch in (1, 13):
+            x = rng.normal(size=(batch, 7))
+            want_out, want_cache = reference_apply(spec, params, x.copy())
+            out, cache = nn.apply(spec, params, x)
+            assert out.tobytes() == want_out.tobytes(), (act, batch)
+            assert len(cache) == len(want_cache) == 4
+            for got, want in zip(cache, want_cache):
+                assert got.shape == want.shape
+                assert got.tobytes() == want.tobytes(), (act, batch)
+            assert cache[0] is x and cache[-1] is out
+            # each layer writes into its own matmul output: no entry is a view
+            # of another, so backward reads every activation as it was made
+            for i in range(len(cache)):
+                for j in range(i + 1, len(cache)):
+                    assert not np.shares_memory(cache[i], cache[j]), (act, batch, i, j)
+    # signed zeros: an affine output of -0.0 leaves relu as +0.0, as np.where did
+    spec = nn.MlpSpec((3, 4), ("relu",))
+    params = {"mlp/w0": np.zeros((3, 4)), "mlp/b0": np.full(4, -0.0)}
+    x = -np.ones((2, 3))
+    assert nn.apply(spec, params, x)[0].tobytes() == reference_apply(spec, params, x)[0].tobytes()
 
 
 def test_forward_shape_mismatch():

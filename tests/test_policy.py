@@ -4,9 +4,10 @@ Every case runs a tiny configuration (small nets, 10-step schedule, two
 epochs) so the whole module trains in a few seconds. Determinism is checked
 bit for bit: a fixed seed must reproduce training logs, samples, chunks,
 rollouts and checkpoints exactly, and the sampler must equal a step-by-step
-reference that rebuilds every per-step constant. The co-training step's
-gradients are checked against finite differences of the objective each net
-descends.
+reference that rebuilds every per-step constant. A draw validates the
+denoiser's parameters and its fixed conditioning before the first step.
+The co-training step's gradients are checked against finite differences of
+the objective each net descends.
 """
 
 from dataclasses import replace
@@ -16,7 +17,7 @@ import pytest
 
 from trackpolicy import data, inference, nn, policy, sim
 from trackpolicy.diffusion import DiffusionSchedule, timestep_embedding
-from trackpolicy.errors import NonFiniteError
+from trackpolicy.errors import NonFiniteError, ShapeMismatchError
 from trackpolicy.geometry import RigidTransform, axis_angle_to_matrix, project_rotation
 
 CFG = policy.TrainConfig(epochs=2, batch_size=16, embed_dim=8, encoder_hidden=(16,),
@@ -220,6 +221,64 @@ def test_sample_flat_matches_the_step_by_step_sampler(trained):
         _, img, kn = observation(view=view, seed=seed)
         assert np.array_equal(policy.sample_flat(model, img, kn, seed=seed),
                               reference_sample_flat(model, img, kn, seed))
+
+
+@pytest.fixture
+def no_sampler_step(monkeypatch):
+    """Fails the test if sample_flat reaches the sampler loop."""
+    def fail(*args, **kwargs):
+        raise AssertionError("the sampler ran before validation failed")
+    monkeypatch.setattr(policy, "ancestral_sample", fail)
+
+
+def with_param(model, name, value):
+    params = dict(model.params)
+    params[name] = value
+    return replace(model, params=params)
+
+
+def test_sample_flat_rejects_a_misshapen_denoiser_before_stepping(trained, no_sampler_step):
+    model, _ = trained
+    _, img, kn = observation()
+    bad = with_param(model, "denoiser/b0", np.zeros(model.params["denoiser/b0"].size + 1))
+    with pytest.raises(ShapeMismatchError, match="denoiser/b0"):
+        policy.sample_flat(bad, img, kn, seed=1)
+    # an encoder one unit wider than the denoiser's embedding block
+    wide = nn.MlpSpec(model.encoder.widths[:-1] + (CFG.embed_dim + 1,),
+                      model.encoder.activations, name="encoder")
+    bad = replace(model, encoder=wide, params={**model.params, **nn.init_params(wide, 0)})
+    with pytest.raises(ShapeMismatchError, match="denoiser input width"):
+        policy.sample_flat(bad, img, kn, seed=1)
+
+
+def test_sample_flat_names_the_layer_a_nan_weight_reaches(trained):
+    model, _ = trained
+    _, img, kn = observation()
+    w1 = model.params["denoiser/w1"].copy()
+    w1[3, 0] = np.nan
+    with pytest.raises(NonFiniteError, match="denoiser: non-finite values produced by layer 1"):
+        policy.sample_flat(with_param(model, "denoiser/w1", w1), img, kn, seed=1)
+
+
+def test_sample_flat_rejects_non_finite_conditioning_before_stepping(trained, baseline,
+                                                                      no_sampler_step):
+    model, _ = trained
+    _, img, kn = observation()
+    w0 = model.params["encoder/w0"].copy()
+    w0[0, 2] = np.nan
+    with pytest.raises(NonFiniteError, match="encoder: non-finite values produced by layer 0"):
+        policy.sample_flat(with_param(model, "encoder/w0", w0), img, kn, seed=1)
+    # KeypointSet2D rejects NaN when built; its array can still be written later
+    bad_kn = data.KeypointSet2D(kn.points, kn.embodiment, kn.view_id)
+    bad_kn.points[1, 0] = np.nan
+    with pytest.raises(NonFiniteError, match="points contains NaN or Inf"):
+        policy.sample_flat(model, img, bad_kn, seed=1)
+    # the baseline has no retargeter: its keypoints reach the denoiser row
+    # raw, checked only by sample_flat itself
+    base_model, _ = baseline
+    bad_kn.points[1, 0] = np.inf
+    with pytest.raises(NonFiniteError, match="non-finite conditioning"):
+        policy.sample_flat(base_model, img, bad_kn, seed=1)
 
 
 def test_learned_rollout_is_bit_identical_for_a_seed(trained):
