@@ -129,9 +129,25 @@ Camera = tuple[CameraIntrinsics, CameraPose]
 
 
 def rotation_angle(r: np.ndarray) -> float:
-    """Rotation angle in radians of a 3x3 rotation matrix."""
-    c = (np.trace(r) - 1.0) / 2.0
-    return float(np.arccos(np.clip(c, -1.0, 1.0)))
+    """Rotation angle in radians of a 3x3 rotation matrix: arccos of
+    (trace - 1) / 2, clipped to [-1, 1] first because a matrix that passes
+    the orthonormality tolerance can put it just outside.
+
+    The trace and the clip run on plain floats from one `tolist()` (numpy
+    calls on a 3x3 cost more than the arithmetic, and `sim.step` calls this
+    on every action); the trace adds the diagonal left to right as
+    `np.trace` does, and a NaN passes through the clip as in `np.clip`.
+    `np.arccos` stays: `math.acos` rounds differently on some inputs, so
+    the angle is bit-identical to the `np.trace` / `np.clip` / `np.arccos`
+    formula.
+    """
+    (a, _, _), (_, e, _), (_, _, i) = r.tolist()
+    c = (a + e + i - 1.0) / 2.0
+    if c > 1.0:
+        c = 1.0
+    elif c < -1.0:
+        c = -1.0
+    return float(np.arccos(c))
 
 
 def axis_angle_to_matrix(v) -> np.ndarray:

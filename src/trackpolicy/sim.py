@@ -11,11 +11,32 @@ Observations come from one renderer, `render`, which rasterizes a list of
 states through one camera in a single pass; `observe` is its one-state case,
 and `scripted_demo` rolls the expert out first and then renders the whole
 trajectory once per camera.
+
+Hot-path convention. The scripted expert and `step` run once per simulated
+step (16 per oracle replan, every state of every demo), on 3-vectors, where a
+numpy call costs more than its arithmetic. So:
+
+* the norm of a 3- or 2-vector is `math.sqrt(v.dot(v))`, numpy's own
+  `norm` formula for a 1-D float vector, so it is bit-identical to
+  `np.linalg.norm`;
+* waypoints are plain float tuples and only the selected target becomes an
+  array;
+* an attached object's ride computes the products `inverse()` and
+  `compose()` would, and builds only the final, checked `RigidTransform`;
+* `geometry.rotation_angle` traces and clips on plain floats but keeps
+  `np.arccos`, whose rounding `math.acos` does not match.
+
+Every transform stored in a state or returned still goes through the checked
+`RigidTransform` constructor. `robot_embodiment`, `human_embodiment` and
+`default_cameras` are built once and shared by every caller; their arrays
+are read-only, so no caller can change another's keypoints or cameras.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -57,6 +78,8 @@ _HOME_ROTATION = np.array([[1.0, 0.0, 0.0],
                            [0.0, -1.0, 0.0],
                            [0.0, 0.0, -1.0]])
 HOME_POSE = RigidTransform(_HOME_ROTATION, np.array([0.0, 0.0, 0.12]))
+_IDENTITY = np.eye(3)
+_IDENTITY.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -119,7 +142,8 @@ class EmbodimentModel:
     """Keypoint layout rigidly attached to the end-effector frame.
 
     `finger_mask` marks the offsets whose x coordinate narrows toward the
-    center axis when the gripper closes.
+    center axis when the gripper closes. Both are stored as read-only
+    copies, since the built-in models are shared by every caller.
     """
 
     kind: str
@@ -127,8 +151,8 @@ class EmbodimentModel:
     finger_mask: np.ndarray       # (k,) bool
 
     def __post_init__(self):
-        off = np.asarray(self.keypoint_offsets, dtype=np.float64)
-        mask = np.asarray(self.finger_mask, dtype=bool)
+        off = np.array(self.keypoint_offsets, dtype=np.float64)
+        mask = np.array(self.finger_mask, dtype=bool)
         if self.kind not in (HUMAN, ROBOT):
             raise ValueError(f"unknown embodiment kind {self.kind!r}")
         expected = 21 if self.kind == HUMAN else 5
@@ -138,6 +162,8 @@ class EmbodimentModel:
             raise ValueError("finger_mask length must match offsets")
         if len({tuple(row) for row in off.round(9)}) != expected:
             raise ValueError("keypoint offsets must be distinct")
+        off.flags.writeable = False
+        mask.flags.writeable = False
         object.__setattr__(self, "keypoint_offsets", off)
         object.__setattr__(self, "finger_mask", mask)
 
@@ -146,6 +172,8 @@ class EmbodimentModel:
         return self.keypoint_offsets.shape[0]
 
     def offsets_for(self, closed: bool) -> np.ndarray:
+        """(k, 3) offsets; the read-only open layout itself when open, a
+        fresh array when closed."""
         if not closed:
             return self.keypoint_offsets
         off = self.keypoint_offsets.copy()
@@ -153,13 +181,14 @@ class EmbodimentModel:
         return off
 
 
+@lru_cache(maxsize=None)
 def robot_embodiment() -> EmbodimentModel:
     """Parallel gripper: center point plus base/tip on each finger.
 
     Order: center, left base, left tip, right base, right tip — positionally
     aligned with the human wrist/thumb/index subset. The center point sits
     off the finger plane so the five points always span 3D (rigid fits need
-    rank-3 configurations).
+    rank-3 configurations). Built once; every call returns that model.
     """
     offsets = np.array([
         [0.000, 0.010, 0.000],   # center
@@ -171,6 +200,7 @@ def robot_embodiment() -> EmbodimentModel:
     return EmbodimentModel(ROBOT, offsets, np.array([False, True, True, True, True]))
 
 
+@lru_cache(maxsize=None)
 def human_embodiment() -> EmbodimentModel:
     """Procedural 21-point hand: wrist + five fingers x four points each.
 
@@ -178,7 +208,7 @@ def human_embodiment() -> EmbodimentModel:
     knuckle, base, mid, tip, so the gripper-equivalent subset (wrist, thumb
     base/tip, index base/tip) is indices (0, 2, 4, 6, 8). The layout is
     intentionally asymmetric and wider than the gripper — closing that gap
-    is the retargeter's job.
+    is the retargeter's job. Built once; every call returns that model.
     """
     def finger(x0, x1, y, z0, z1):
         ts = np.array([0.1, 0.35, 0.7, 1.0])
@@ -260,6 +290,7 @@ def make_task(name: str, **overrides) -> TaskSpec:
     return TaskSpec(**cfg)
 
 
+@lru_cache(maxsize=None)
 def default_cameras() -> tuple:
     """Two fixed views on a vertical arc in front of the workspace, both
     looking at its center.
@@ -272,14 +303,20 @@ def default_cameras() -> tuple:
     face a bimodal layout distribution, while the 28-degree ray separation
     still conditions triangulation (~10 mm of depth per pixel of disparity
     error, which receding-horizon replanning absorbs).
+
+    Built once; every call returns the same tuple, with read-only pose
+    arrays.
     """
     intr = CameraIntrinsics(fx=320.0, fy=320.0, cx=64.0, cy=64.0, width=128, height=128)
     target = np.array([0.0, 0.0, 0.08])
     radius = 1.5
     eyes = [target + radius * np.array([0.0, -np.cos(p), np.sin(p)])
             for p in np.deg2rad([8.0, 36.0])]
-    return ((intr, look_at(eyes[0], target)),
-            (intr, look_at(eyes[1], target)))
+    poses = [look_at(eye, target) for eye in eyes]
+    for pose in poses:
+        pose.rotation.flags.writeable = False
+        pose.translation.flags.writeable = False
+    return tuple((intr, pose) for pose in poses)
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +337,7 @@ def _clamp_delta(delta: RigidTransform) -> RigidTransform:
     """delta with its translation and rotation angle capped; delta itself
     (frozen, owning its arrays) when neither cap applies."""
     t = delta.translation
-    norm = np.linalg.norm(t)
+    norm = math.sqrt(t.dot(t))
     r = delta.rotation
     angle = rotation_angle(r)
     if norm <= MAX_TRANSLATION and angle <= MAX_ROTATION:
@@ -313,11 +350,20 @@ def _clamp_delta(delta: RigidTransform) -> RigidTransform:
     return RigidTransform(r, t)
 
 
+def _inverse_parts(pose: RigidTransform):
+    """(rotation, translation) of `pose.inverse()`, computed as it does --
+    the C-order copy of R^T, and -R^T @ t on the transposed view -- but
+    without constructing (and checking) the intermediate transform."""
+    rt = pose.rotation.T
+    return rt.copy(), -rt @ pose.translation
+
+
 def surface_distance(point: np.ndarray, obj: ObjectState) -> float:
     """Distance from a world point to the object's box surface; 0 inside."""
-    local = obj.pose.inverse().apply(point)
+    inv_r, inv_t = _inverse_parts(obj.pose)
+    local = np.asarray(point, dtype=np.float64) @ inv_r.T + inv_t   # inverse().apply
     outside = np.maximum(np.abs(local) - obj.half_extents, 0.0)
-    return float(np.linalg.norm(outside))
+    return math.sqrt(outside.dot(outside))
 
 
 def step(state: SimState, action: Action6DoF) -> SimState:
@@ -330,11 +376,16 @@ def step(state: SimState, action: Action6DoF) -> SimState:
     attach_done = any(o.attached for o in state.objects) and grasp
     for obj in state.objects:
         if obj.attached and grasp:
-            # rigid ride: keep the object's pose in the EE frame constant
-            rel = state.ee_pose.inverse().compose(obj.pose)
-            objects.append(replace(obj, pose=new_ee.compose(rel)))
+            # rigid ride: keep the object's pose in the EE frame constant,
+            # new_ee o (ee^-1 o obj) with the products compose() computes
+            inv_r, inv_t = _inverse_parts(state.ee_pose)
+            rel_r = inv_r @ obj.pose.rotation
+            rel_t = inv_r @ obj.pose.translation + inv_t
+            r = new_ee.rotation
+            pose = RigidTransform(r @ rel_r, r @ rel_t + new_ee.translation)
+            objects.append(ObjectState(obj.id, pose, obj.half_extents, True))
         elif obj.attached and not grasp:
-            objects.append(replace(obj, attached=False))
+            objects.append(ObjectState(obj.id, obj.pose, obj.half_extents, False))
         else:
             objects.append(obj)
 
@@ -345,7 +396,8 @@ def step(state: SimState, action: Action6DoF) -> SimState:
         candidates = [(d, i) for d, i in candidates if d <= ATTACH_DISTANCE]
         if candidates:
             _, i = min(candidates)
-            objects[i] = replace(objects[i], attached=True)
+            o = objects[i]
+            objects[i] = ObjectState(o.id, o.pose, o.half_extents, True)
 
     return SimState(ee_pose=new_ee, gripper_closed=grasp, objects=tuple(objects),
                     goal_center=state.goal_center, rng_seed=state.rng_seed,
@@ -448,17 +500,18 @@ def observe(state: SimState, cam, emb: EmbodimentModel, view_id: int = 0):
 
 def success(task: TaskSpec, state: SimState) -> bool:
     if task.name == "reach":
-        return bool(np.linalg.norm(state.ee_pose.translation - state.goal_center)
-                    <= task.success_radius)
+        d = state.ee_pose.translation - state.goal_center
+        return bool(math.sqrt(d.dot(d)) <= task.success_radius)
     obj = state.objects[0]
     if obj.attached:
         return False
     delta_xy = obj.pose.translation[:2] - state.goal_center[:2]
+    dist_xy = math.sqrt(delta_xy.dot(delta_xy))
     if task.name in ("push_left", "push_right"):
-        return bool(np.linalg.norm(delta_xy) <= task.success_radius)
+        return bool(dist_xy <= task.success_radius)
     if task.name == "pick_place":
         resting = abs(obj.pose.translation[2] - OBJECT_HALF_EXTENTS[2]) <= 0.02
-        return bool(np.linalg.norm(delta_xy) <= task.success_radius and resting)
+        return bool(dist_xy <= task.success_radius and resting)
     raise ValueError(f"unknown task {task.name!r}")
 
 
@@ -469,45 +522,48 @@ _STEP_GAIN = 0.04       # max commanded translation per step (under the clamp)
 _WAYPOINT_TOL = 0.004
 _GRASP_HEIGHT = 0.006   # palm clearance above the object's top face
 _APPROACH_HEIGHT = 0.03
+_HALF_HEIGHT = float(OBJECT_HALF_EXTENTS[2])
 
 
-def _move_toward(current: np.ndarray, target: np.ndarray) -> np.ndarray:
-    err = target - current
-    norm = np.linalg.norm(err)
+def _move_toward(current: np.ndarray, target) -> tuple:
+    """(world step toward target, capped at _STEP_GAIN; distance to target)."""
+    err = np.subtract(target, current)
+    norm = math.sqrt(err.dot(err))
     if norm <= _STEP_GAIN:
-        return err
-    return err * (_STEP_GAIN / norm)
+        return err, norm
+    return err * (_STEP_GAIN / norm), norm
 
 
 def _demo_waypoints(task: TaskSpec, state: SimState) -> list:
-    """(target position, grasp flag) controller phases for the scripted expert."""
-    obj = state.objects[0].pose.translation
-    top = obj[2] + OBJECT_HALF_EXTENTS[2]
+    """(target position, grasp flag) controller phases for the scripted
+    expert, each target a tuple of three floats."""
+    ox, oy, oz = state.objects[0].pose.translation.tolist()
+    top = oz + _HALF_HEIGHT
     grasp_z = top + _GRASP_HEIGHT
-    goal = state.goal_center
+    gx, gy, gz = state.goal_center.tolist()
     if task.name == "reach":
-        return [(goal, 0)]
+        return [((gx, gy, gz), 0)]
     if task.name in ("push_left", "push_right"):
         return [
-            (np.array([obj[0], obj[1], top + _APPROACH_HEIGHT]), 0),
-            (np.array([obj[0], obj[1], grasp_z]), 0),
-            (np.array([obj[0], obj[1], grasp_z]), 1),          # close
-            (np.array([goal[0], goal[1], grasp_z]), 1),        # drag
-            (np.array([goal[0], goal[1], grasp_z]), 0),        # release
+            ((ox, oy, top + _APPROACH_HEIGHT), 0),
+            ((ox, oy, grasp_z), 0),
+            ((ox, oy, grasp_z), 1),          # close
+            ((gx, gy, grasp_z), 1),          # drag
+            ((gx, gy, grasp_z), 0),          # release
         ]
     if task.name == "pick_place":
         # fixed lift height (from the resting pose) — the object rides the
         # gripper during the lift, so an object-relative target would recede
-        lift_z = 2 * OBJECT_HALF_EXTENTS[2] + _APPROACH_HEIGHT
-        place_palm_z = goal[2] + OBJECT_HALF_EXTENTS[2] + _GRASP_HEIGHT
+        lift_z = 2 * _HALF_HEIGHT + _APPROACH_HEIGHT
+        place_palm_z = gz + _HALF_HEIGHT + _GRASP_HEIGHT
         return [
-            (np.array([obj[0], obj[1], top + _APPROACH_HEIGHT]), 0),
-            (np.array([obj[0], obj[1], grasp_z]), 0),
-            (np.array([obj[0], obj[1], grasp_z]), 1),
-            (np.array([obj[0], obj[1], lift_z]), 1),
-            (np.array([goal[0], goal[1], lift_z]), 1),
-            (np.array([goal[0], goal[1], place_palm_z]), 1),
-            (np.array([goal[0], goal[1], place_palm_z]), 0),
+            ((ox, oy, top + _APPROACH_HEIGHT), 0),
+            ((ox, oy, grasp_z), 0),
+            ((ox, oy, grasp_z), 1),
+            ((ox, oy, lift_z), 1),
+            ((gx, gy, lift_z), 1),
+            ((gx, gy, place_palm_z), 1),
+            ((gx, gy, place_palm_z), 0),
         ]
     raise ValueError(f"unknown task {task.name!r}")
 
@@ -515,19 +571,18 @@ def _demo_waypoints(task: TaskSpec, state: SimState) -> list:
 def scripted_policy(task: TaskSpec, state: SimState, phase: int):
     """(action, next phase). Proportional position control, no rotation."""
     waypoints = _demo_waypoints(task, state)
-    if phase >= len(waypoints):
-        phase = len(waypoints) - 1
+    last = len(waypoints) - 1
+    phase = min(phase, last)
     target, grasp = waypoints[phase]
     pos = state.ee_pose.translation
-    err = np.linalg.norm(target - pos)
-    want_grasp_change = grasp != int(state.gripper_closed)
-    if err <= _WAYPOINT_TOL and not want_grasp_change and phase < len(waypoints) - 1:
+    # world-frame step, expressed in the EE frame for the action interface
+    world_step, dist = _move_toward(pos, target)
+    if dist <= _WAYPOINT_TOL and grasp == int(state.gripper_closed) and phase < last:
         phase += 1
         target, grasp = waypoints[phase]
-    # world-frame step, expressed in the EE frame for the action interface
-    world_step = _move_toward(pos, target)
+        world_step, _ = _move_toward(pos, target)
     ee_step = state.ee_pose.rotation.T @ world_step
-    return Action6DoF(RigidTransform(np.eye(3), ee_step), grasp), phase
+    return Action6DoF(RigidTransform(_IDENTITY, ee_step), grasp), phase
 
 
 def resume_phase(task: TaskSpec, state: SimState) -> int:
@@ -546,7 +601,8 @@ def resume_phase(task: TaskSpec, state: SimState) -> int:
     pos = state.ee_pose.translation
 
     def near(phase: int, dims: int = 3) -> bool:
-        return bool(np.linalg.norm(pos[:dims] - targets[phase][:dims]) <= _WAYPOINT_TOL)
+        d = np.subtract(pos[:dims], targets[phase][:dims])
+        return math.sqrt(d.dot(d)) <= _WAYPOINT_TOL
 
     if not state.gripper_closed:
         # phase 1 starts only once the approach waypoint is reached in 3D: a

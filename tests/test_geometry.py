@@ -34,10 +34,12 @@ from trackpolicy.geometry import (
     project,
     project_points,
     reprojection_residual_px,
+    rotation_angle,
     translation_fit,
     triangulate,
     tracks_to_actions,
 )
+from trackpolicy.sim import MAX_ROTATION
 
 INTR = CameraIntrinsics(fx=100.0, fy=100.0, cx=64.0, cy=64.0, width=128, height=128)
 IDENTITY_POSE = CameraPose(np.eye(3), np.zeros(3))
@@ -489,6 +491,44 @@ def test_rotation_check_decides_like_numpy_reference():
         seen[expected] = seen.get(expected, 0) + 1
     # every verdict is exercised, not just the easy accepts
     assert min(seen.get(v, 0) for v in (None, "orthonormal", "det")) >= 50, seen
+
+
+def _reference_rotation_angle(r):
+    c = (np.trace(r) - 1.0) / 2.0
+    return float(np.arccos(np.clip(c, -1.0, 1.0)))
+
+
+def test_rotation_angle_equals_the_numpy_reference_bitwise():
+    """rotation_angle traces and clips on plain floats; it must give the
+    np.trace / np.clip / np.arccos bytes on random rotations, the identity,
+    angles one ulp either side of the sim's rotation cap, and accepted
+    matrices whose scaled trace leaves [-1, 1]."""
+    rng = np.random.default_rng(16)
+    inputs = [random_rotation(rng) for _ in range(10_000)]
+    inputs += [axis_angle_to_matrix(rng.normal(size=3) * 10.0 ** rng.uniform(-9, 0))
+               for _ in range(2_000)]
+    inputs.append(np.eye(3))
+    cap = MAX_ROTATION
+    for _ in range(200):
+        axis = rng.normal(size=3)
+        axis /= np.linalg.norm(axis)
+        for angle in (np.nextafter(cap, 0.0), cap, np.nextafter(cap, 1.0)):
+            inputs.append(axis_angle_to_matrix(axis * angle))
+    # half turns and the identity scaled by 1 +- 3e-10 still pass the
+    # RigidTransform check, but put (trace - 1) / 2 past -1 or +1
+    clipped = 0
+    for base in (np.diag([1.0, -1.0, -1.0]), np.diag([-1.0, 1.0, -1.0]), np.eye(3),
+                 axis_angle_to_matrix([0.0, np.pi, 0.0])):
+        for scale in (1.0 + 3e-10, 1.0 - 3e-10, 1.0 + 1e-10):
+            r = base * scale
+            RigidTransform(r, np.zeros(3))
+            clipped += abs((np.trace(r) - 1.0) / 2.0) > 1.0
+            inputs.append(r)
+    assert clipped >= 6
+    got = np.array([rotation_angle(r) for r in inputs])
+    want = np.array([_reference_rotation_angle(r) for r in inputs])
+    assert got.tobytes() == want.tobytes()
+    assert rotation_angle(np.eye(3)) == 0.0
 
 
 def test_axis_angle_round_trip():

@@ -1,6 +1,15 @@
 """Simulator tests: determinism, clamping, attachment, observation raster,
 grasp heuristics, scripted demonstrators, and the full geometry round trip
-(recovered deltas replayed through the simulator)."""
+(recovered deltas replayed through the simulator).
+
+The expert and `step` compute their 3-vector math on plain floats and
+`dot`; a reference kept here with the numpy formulas they replaced
+(`np.linalg.norm`, `np.eye(3)`, array waypoints, the attached ride through
+`inverse().compose()`) must give the same bytes on every expert state.
+The built-in embodiments and cameras are shared, read-only objects.
+"""
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,6 +21,7 @@ from trackpolicy.errors import BehindCameraError
 from trackpolicy.geometry import (
     RigidTransform,
     axis_angle_to_matrix,
+    matrix_to_axis_angle,
     project,
     project_points,
     rotation_angle,
@@ -190,6 +200,38 @@ def test_closure_shrinks_fingertip_gap_by_fraction():
         open_gap = abs(open_pts[tip_l, 0] - open_pts[tip_r, 0])
         closed_gap = abs(closed_pts[tip_l, 0] - closed_pts[tip_r, 0])
         assert abs(closed_gap - (1 - sim.CLOSURE_FRACTION) * open_gap) < 1e-12
+
+
+def test_builtin_embodiments_and_cameras_are_shared_and_read_only():
+    for build in (sim.robot_embodiment, sim.human_embodiment):
+        emb = build()
+        assert build() is emb
+        assert sim.embodiment(emb.kind) is emb
+        for arr in (emb.keypoint_offsets, emb.finger_mask, emb.offsets_for(False)):
+            with pytest.raises(ValueError):
+                arr[0] = arr[1]
+        closed = emb.offsets_for(True)
+        assert closed is not emb.offsets_for(True)
+        assert closed.flags.writeable
+        assert not np.shares_memory(closed, emb.keypoint_offsets)
+        closed[:] = 0.0
+        assert np.array_equal(emb.offsets_for(True), build.__wrapped__().offsets_for(True))
+    cams = sim.default_cameras()
+    assert sim.default_cameras() is cams
+    for _, pose in cams:
+        for arr in (pose.rotation, pose.translation):
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+
+
+def test_embodiment_model_keeps_a_private_read_only_copy():
+    offsets = sim.robot_embodiment().keypoint_offsets.copy()
+    mask = np.array([False, True, True, True, True])
+    emb = sim.EmbodimentModel(ROBOT, offsets, mask)
+    offsets[0] = 1.0
+    mask[0] = True
+    assert np.array_equal(emb.keypoint_offsets, sim.robot_embodiment().keypoint_offsets)
+    assert np.array_equal(emb.finger_mask, sim.robot_embodiment().finger_mask)
 
 
 def _custom_hand(thumb_tip, index_tip):
@@ -550,6 +592,194 @@ def test_resume_phase_reproduces_the_uninterrupted_expert(name):
             assert np.array_equal(resumed.delta.rotation, action.delta.rotation), where
             assert np.array_equal(resumed.delta.translation, action.delta.translation), where
             state, phase = sim.step(state, action), next_phase
+
+
+# ---------------------------------------------------------------------------
+# hot-path parity: the expert and step against the numpy formulas
+
+
+def ref_rotation_angle(r):
+    c = (np.trace(r) - 1.0) / 2.0
+    return float(np.arccos(np.clip(c, -1.0, 1.0)))
+
+
+def ref_clamp_delta(delta):
+    t, r = delta.translation, delta.rotation
+    norm = np.linalg.norm(t)
+    angle = ref_rotation_angle(r)
+    if norm <= sim.MAX_TRANSLATION and angle <= sim.MAX_ROTATION:
+        return delta
+    if norm > sim.MAX_TRANSLATION:
+        t = t * (sim.MAX_TRANSLATION / norm)
+    if angle > sim.MAX_ROTATION:
+        axis = matrix_to_axis_angle(r) / angle
+        r = axis_angle_to_matrix(axis * sim.MAX_ROTATION)
+    return RigidTransform(r, t)
+
+
+def ref_surface_distance(point, obj):
+    local = obj.pose.inverse().apply(point)
+    return float(np.linalg.norm(np.maximum(np.abs(local) - obj.half_extents, 0.0)))
+
+
+def ref_step(state, action):
+    delta = ref_clamp_delta(action.delta)
+    new_ee = state.ee_pose.compose(delta)
+    grasp = bool(action.grasp)
+    objects = []
+    attach_done = any(o.attached for o in state.objects) and grasp
+    for obj in state.objects:
+        if obj.attached and grasp:
+            rel = state.ee_pose.inverse().compose(obj.pose)
+            objects.append(replace(obj, pose=new_ee.compose(rel)))
+        elif obj.attached:
+            objects.append(replace(obj, attached=False))
+        else:
+            objects.append(obj)
+    if grasp and not attach_done:
+        candidates = [(ref_surface_distance(new_ee.translation, o), i)
+                      for i, o in enumerate(objects) if not o.attached]
+        candidates = [(d, i) for d, i in candidates if d <= sim.ATTACH_DISTANCE]
+        if candidates:
+            _, i = min(candidates)
+            objects[i] = replace(objects[i], attached=True)
+    return sim.SimState(ee_pose=new_ee, gripper_closed=grasp, objects=tuple(objects),
+                        goal_center=state.goal_center, rng_seed=state.rng_seed,
+                        step_count=state.step_count + 1)
+
+
+def ref_success(task, state):
+    if task.name == "reach":
+        return bool(np.linalg.norm(state.ee_pose.translation - state.goal_center)
+                    <= task.success_radius)
+    obj = state.objects[0]
+    if obj.attached:
+        return False
+    delta_xy = obj.pose.translation[:2] - state.goal_center[:2]
+    if task.name in ("push_left", "push_right"):
+        return bool(np.linalg.norm(delta_xy) <= task.success_radius)
+    resting = abs(obj.pose.translation[2] - sim.OBJECT_HALF_EXTENTS[2]) <= 0.02
+    return bool(np.linalg.norm(delta_xy) <= task.success_radius and resting)
+
+
+def ref_waypoints(task, state):
+    obj = state.objects[0].pose.translation
+    half = sim.OBJECT_HALF_EXTENTS[2]
+    top = obj[2] + half
+    grasp_z = top + sim._GRASP_HEIGHT
+    goal = state.goal_center
+    if task.name == "reach":
+        return [(goal, 0)]
+    if task.name in ("push_left", "push_right"):
+        return [(np.array([obj[0], obj[1], top + sim._APPROACH_HEIGHT]), 0),
+                (np.array([obj[0], obj[1], grasp_z]), 0),
+                (np.array([obj[0], obj[1], grasp_z]), 1),
+                (np.array([goal[0], goal[1], grasp_z]), 1),
+                (np.array([goal[0], goal[1], grasp_z]), 0)]
+    lift_z = 2 * half + sim._APPROACH_HEIGHT
+    place_palm_z = goal[2] + half + sim._GRASP_HEIGHT
+    return [(np.array([obj[0], obj[1], top + sim._APPROACH_HEIGHT]), 0),
+            (np.array([obj[0], obj[1], grasp_z]), 0),
+            (np.array([obj[0], obj[1], grasp_z]), 1),
+            (np.array([obj[0], obj[1], lift_z]), 1),
+            (np.array([goal[0], goal[1], lift_z]), 1),
+            (np.array([goal[0], goal[1], place_palm_z]), 1),
+            (np.array([goal[0], goal[1], place_palm_z]), 0)]
+
+
+def ref_scripted_policy(task, state, phase):
+    waypoints = ref_waypoints(task, state)
+    if phase >= len(waypoints):
+        phase = len(waypoints) - 1
+    target, grasp = waypoints[phase]
+    pos = state.ee_pose.translation
+    err = np.linalg.norm(target - pos)
+    if (err <= sim._WAYPOINT_TOL and grasp == int(state.gripper_closed)
+            and phase < len(waypoints) - 1):
+        phase += 1
+        target, grasp = waypoints[phase]
+    step = target - pos
+    norm = np.linalg.norm(step)
+    if norm > sim._STEP_GAIN:
+        step = step * (sim._STEP_GAIN / norm)
+    return sim.Action6DoF(RigidTransform(np.eye(3), state.ee_pose.rotation.T @ step),
+                          grasp), phase
+
+
+def ref_resume_phase(task, state):
+    if task.name == "reach":
+        return 0
+    targets = [target for target, _ in ref_waypoints(task, state)]
+    pos = state.ee_pose.translation
+
+    def near(phase, dims=3):
+        return bool(np.linalg.norm(pos[:dims] - targets[phase][:dims]) <= sim._WAYPOINT_TOL)
+
+    if not state.gripper_closed:
+        return 2 if near(1) else 1 if near(0) else 0
+    if task.name in ("push_left", "push_right"):
+        return 4 if near(3, dims=2) else 3
+    at_goal_xy = near(4, dims=2)
+    if at_goal_xy and abs(pos[2] - targets[5][2]) <= sim._WAYPOINT_TOL:
+        return 6
+    if at_goal_xy:
+        return 5
+    return 4 if pos[2] >= targets[3][2] - sim._WAYPOINT_TOL else 3
+
+
+def state_bytes(st):
+    out = [st.ee_pose.rotation.tobytes(), st.ee_pose.translation.tobytes(),
+           st.gripper_closed, st.step_count, st.rng_seed, st.goal_center.tobytes()]
+    for o in st.objects:
+        out += [o.id, o.attached, o.pose.rotation.tobytes(), o.pose.translation.tobytes(),
+                o.half_extents.tobytes()]
+    return out
+
+
+def action_bytes(action):
+    return (action.delta.rotation.tobytes(), action.delta.translation.tobytes(), action.grasp)
+
+
+@pytest.mark.parametrize("name", sim.TASK_NAMES)
+def test_expert_and_step_match_the_numpy_reference_bytewise(name):
+    # Every state of the expert's trajectories, seeds 0-5. At each one:
+    # resume_phase, success, the surface distance of every keypoint of both
+    # embodiments, the expert's action (and with an out-of-range phase),
+    # its step, and the step of a random rotating action big enough to hit
+    # both clamps half the time.
+    task = sim.make_task(name)
+    embs = (sim.robot_embodiment(), sim.human_embodiment())
+    rng = np.random.default_rng(sim.TASK_NAMES.index(name))
+    kinds = set()
+    for seed in range(6):
+        state, phase = sim.reset(task, seed), 0
+        while True:
+            where = f"seed {seed} step {state.step_count}"
+            assert sim.resume_phase(task, state) == ref_resume_phase(task, state), where
+            assert sim.success(task, state) is ref_success(task, state), where
+            obj = state.objects[0]
+            points = [p for emb in embs for p in sim.keypoints3d(state, emb)]
+            got = [sim.surface_distance(p, obj) for p in points + [obj.pose.translation]]
+            want = [ref_surface_distance(p, obj) for p in points + [obj.pose.translation]]
+            assert np.array(got).tobytes() == np.array(want).tobytes(), where
+            if ref_success(task, state) or state.step_count >= task.horizon:
+                break
+            action, next_phase = sim.scripted_policy(task, state, phase)
+            ref_action, ref_phase = ref_scripted_policy(task, state, phase)
+            assert (next_phase, *action_bytes(action)) == (ref_phase, *action_bytes(ref_action))
+            late, _ = sim.scripted_policy(task, state, 99)
+            assert action_bytes(late) == action_bytes(ref_scripted_policy(task, state, 99)[0])
+            nxt = sim.step(state, action)
+            assert state_bytes(nxt) == state_bytes(ref_step(state, action)), where
+            kinds.add((obj.attached, nxt.objects[0].attached))
+            wild = sim.Action6DoF(
+                RigidTransform(axis_angle_to_matrix(rng.normal(size=3) * 0.2),
+                               rng.normal(size=3) * 0.04), action.grasp)
+            assert state_bytes(sim.step(state, wild)) == state_bytes(ref_step(state, wild))
+            state, phase = nxt, next_phase
+    if name != "reach":
+        # free moves, the attach step, attached drag or lift, and the release
+        assert kinds == {(False, False), (False, True), (True, True), (True, False)}
 
 
 # ---------------------------------------------------------------------------
