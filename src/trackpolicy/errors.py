@@ -73,7 +73,7 @@ class ScriptFailureError(TrackPolicyError):
 
 
 class MissingArtifactError(TrackPolicyError):
-    """Referenced dataset or checkpoint does not exist."""
+    """Referenced checkpoint does not exist."""
 
     def __init__(self, message, artifact=None):
         super().__init__(message)

@@ -10,22 +10,18 @@ the per-point or per-frame call. An `ActionChunk` keeps the fit's stacked
 rotations (H, 3, 3) and translations (H, 3) as read-only arrays, checks
 every rotation row once, and hands out one `RigidTransform` per executed
 step through `delta(h)`. Also houses the 6DoF-delta baseline (same
-encoder+diffusion machinery, direct action targets, no triangulation) and
-the two built-in evaluation suites.
+encoder+diffusion machinery, direct action targets, no triangulation).
 """
 
 from __future__ import annotations
 
-import json
-import os
-import time
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import data, policy, sim
 from .diffusion import DiffusionSchedule
-from .errors import EmptyDatasetError, MissingArtifactError
+from .errors import EmptyDatasetError
 from .geometry import (
     RigidTransform,
     _check_rotation,
@@ -218,24 +214,15 @@ class OracleRunner:
         return oracle_chunk(task, state, sim.robot_embodiment(), cams, self.horizon)
 
 
-def _as_runner(model):
-    if hasattr(model, "chunk"):
-        return model
-    if model.target_dim == 7 * model.cfg.horizon:
-        return BaselineRunner(model)
-    return TrackPolicyRunner(model)
-
-
-def rollout(model, task: sim.TaskSpec, seed: int,
+def rollout(runner, task: sim.TaskSpec, seed: int,
             exec_horizon: int = DEFAULT_EXEC_HORIZON) -> EpisodeResult:
     """observe -> predict chunk -> execute first m steps -> repeat.
 
-    Accepts a PolicyModel (track or baseline head, told apart by target
-    width) or any runner with .chunk/.horizon. Observes through
-    sim.default_cameras(). Stops at task success or the task's step budget;
-    logs each executed step's mean triangulation residual.
+    runner: a `TrackPolicyRunner`, `BaselineRunner`, `OracleRunner` or
+    anything with .chunk/.horizon. Observes through sim.default_cameras().
+    Stops at task success or the task's step budget; logs each executed
+    step's mean triangulation residual.
     """
-    runner = _as_runner(model)
     if not 1 <= exec_horizon <= runner.horizon:
         raise ValueError(
             f"exec horizon must be in [1, {runner.horizon}], got {exec_horizon}")
@@ -260,12 +247,6 @@ def rollout(model, task: sim.TaskSpec, seed: int,
     obj = state.objects[0].pose.translation if state.objects else None
     return EpisodeResult(bool(ok), steps, tuple(residual_log),
                          state.ee_pose.translation, obj)
-
-
-def success_rate(model, task: sim.TaskSpec, seeds,
-                 exec_horizon: int = DEFAULT_EXEC_HORIZON) -> float:
-    results = [rollout(model, task, s, exec_horizon) for s in seeds]
-    return float(np.mean([r.success for r in results]))
 
 
 # ---------------------------------------------------------------------------
@@ -361,109 +342,3 @@ class BaselineRunner:
             ee = ee.compose(local)
         grasps = rows[:, 6] > 0
         return ActionChunk(rotations, translations, grasps, np.zeros((self.horizon, 1)))
-
-
-# ---------------------------------------------------------------------------
-# built-in experiments
-
-GRID_ROBOT_COUNTS = (5, 15, 25)
-GRID_HUMAN_COUNTS = (0, 20, 60)
-EXPERIMENTS = ("scaling-grid", "direction-generalization")
-
-_EVAL_SEED_BASE = 10_000   # clear of every demo-generation seed
-
-
-def dataset_filename(task: str, embodiment: str, count: int,
-                     profile: str = "default") -> str:
-    return f"{task}_{embodiment}_{profile}_{count}.demos"
-
-
-def load_required_dataset(data_dir, task, embodiment, count, profile="default"):
-    """Load a generated dataset or fail with the artifact id."""
-    name = dataset_filename(task, embodiment, count, profile)
-    path = os.path.join(data_dir, name)
-    if not os.path.exists(path):
-        raise MissingArtifactError(
-            f"dataset {name!r} not found under {data_dir}; generate it first",
-            artifact=name)
-    demos = data.load_dataset(path)
-    if len(demos) < count:
-        raise MissingArtifactError(
-            f"dataset {name!r} holds {len(demos)} demos, need {count}",
-            artifact=name)
-    return demos
-
-
-def _write_metrics(path, records) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for rec in records:
-            fh.write(json.dumps(rec, sort_keys=True) + "\n")
-
-
-def _grid_cfg(cfg: policy.TrainConfig, n_human: int) -> policy.TrainConfig:
-    # alignment losses are undefined without a human side
-    return replace(cfg, lambda_kl=0.0, lambda_da=0.0) if n_human == 0 else cfg
-
-
-def eval_suite(experiment: str, data_dir, out_dir,
-               cfg: policy.TrainConfig | None = None, n_seeds: int | None = None,
-               exec_horizon: int = DEFAULT_EXEC_HORIZON, log_fn=None) -> str:
-    """Run a built-in experiment; returns the metrics file path.
-
-    scaling-grid: train on {5,15,25} robot x {0,20,60} human push demos, one
-    success rate per cell. direction-generalization: robot demos push-right
-    only, human demos both directions; evaluates the co-trained policy, the
-    robot-only ablation, and the 6DoF baseline on both push directions.
-    """
-    if experiment not in EXPERIMENTS:
-        raise ValueError(f"unknown experiment {experiment!r}; choose from {EXPERIMENTS}")
-    cfg = cfg or policy.TrainConfig()
-    os.makedirs(out_dir, exist_ok=True)
-    records = []
-    note = log_fn or (lambda rec: None)
-
-    if experiment == "scaling-grid":
-        n_seeds = 50 if n_seeds is None else n_seeds
-        task = sim.make_task("push_right")
-        robot_all = load_required_dataset(data_dir, "push", data.ROBOT,
-                                          max(GRID_ROBOT_COUNTS), "right")
-        human_all = load_required_dataset(data_dir, "push", data.HUMAN,
-                                          max(GRID_HUMAN_COUNTS), "right")
-        seeds = range(_EVAL_SEED_BASE, _EVAL_SEED_BASE + n_seeds)
-        for nr in GRID_ROBOT_COUNTS:
-            for nh in GRID_HUMAN_COUNTS:
-                t0 = time.perf_counter()
-                model, _ = policy.train(human_all[:nh], robot_all[:nr],
-                                        _grid_cfg(cfg, nh))
-                t1 = time.perf_counter()
-                rate = success_rate(model, task, seeds, exec_horizon)
-                rec = {"experiment": experiment, "robot": nr, "human": nh,
-                       "n_seeds": n_seeds, "success_rate": rate,
-                       "train_seconds": round(t1 - t0, 3),
-                       "eval_seconds": round(time.perf_counter() - t1, 3)}
-                records.append(rec)
-                note(rec)
-    else:
-        n_seeds = 20 if n_seeds is None else n_seeds
-        robot_right = load_required_dataset(data_dir, "push", data.ROBOT, 25, "right")
-        human_both = load_required_dataset(data_dir, "push", data.HUMAN, 60, "both")
-        models = {
-            "mt_pi_hr": policy.train(human_both, robot_right, cfg)[0],
-            "mt_pi_robot_only": policy.train(
-                [], robot_right, replace(cfg, lambda_kl=0.0, lambda_da=0.0))[0],
-            "baseline_6dof": train_baseline_6dof(robot_right, cfg)[0],
-        }
-        seeds = range(_EVAL_SEED_BASE, _EVAL_SEED_BASE + n_seeds)
-        for model_name, model in models.items():
-            for direction in ("left", "right"):
-                task = sim.make_task(f"push_{direction}")
-                rate = success_rate(model, task, seeds, exec_horizon)
-                rec = {"experiment": experiment, "model": model_name,
-                       "direction": direction, "n_seeds": n_seeds,
-                       "success_rate": rate}
-                records.append(rec)
-                note(rec)
-
-    path = os.path.join(out_dir, f"{experiment}.metrics.jsonl")
-    _write_metrics(path, records)
-    return path

@@ -65,14 +65,9 @@ class MlpSpec:
         return self._shapes
 
 
-INIT_SCHEME = "uniform-fan-in"
-
-
 def init_params(spec: MlpSpec, seed: int) -> dict:
-    """U(-1/sqrt(fan_in), +1/sqrt(fan_in)) weights, zero biases.
-
-    Deterministic for a given seed; the caller records (scheme, seed).
-    """
+    """U(-1/sqrt(fan_in), +1/sqrt(fan_in)) weights, zero biases;
+    deterministic for a given seed."""
     rng = np.random.default_rng(seed)
     params = {}
     for name, shape in spec.param_shapes().items():

@@ -161,12 +161,6 @@ class MotionTrack:
             raise ValueError(f"keypoints {cur.shape} vs offsets {self.offsets.shape}")
         return cur[None] + self.offsets
 
-    def flat(self) -> np.ndarray:
-        """(2k+1)*H vector in TrainingSample.flat_target layout."""
-        h = self.horizon
-        return np.concatenate(
-            [self.offsets.reshape(h, -1), self.grasp_logits[:, None]], axis=1).reshape(-1)
-
 
 @dataclass
 class PolicyModel:

@@ -9,8 +9,9 @@ net operates on anchor-relative coordinates in normalized image units and
 the anchor is copied, not predicted, so anchor preservation and translation
 equivariance hold by construction rather than by training.
 
-Frozen after fit: parameter arrays are made read-only and transform is a
-pure function of them.
+Frozen after fit: parameter arrays are made read-only and transform_batch
+is a pure function of them. A fitted retargeter is persisted inside the
+policy checkpoint through to_arrays/from_arrays.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from .errors import (
     InsufficientDataError,
     NonFiniteError,
     NotFittedError,
-    SchemaMismatchError,
     ShapeMismatchError,
     WrongDimensionError,
     WrongEmbodimentError,
@@ -34,13 +34,10 @@ from .nn import (
     check_params,
     forward,
     init_params,
-    load_checkpoint,
     mse_loss,
-    save_checkpoint,
 )
 from .nn import tensor as T
 
-CHECKPOINT_KIND = "retargeter"
 MIN_TRAIN_FRAMES = 100
 
 # Noise stream is decoupled from the init stream so changing one cannot
@@ -52,7 +49,7 @@ class KeypointRetargeter:
     """Estimator mapping k=5 keypoint layouts toward hand-like spacing.
 
     fit() consumes hand keypoint frames (normalized image coordinates, the
-    5-point subset); transform() then applies the frozen denoiser to any
+    5-point subset); transform_batch() then applies the frozen denoiser to any
     5-point layout regardless of embodiment tag.
     """
 
@@ -111,7 +108,7 @@ class KeypointRetargeter:
 
         a = self.anchor_index
         # anchor-relative targets; anchor output dims are masked out of the
-        # loss because transform() discards them
+        # loss because transform_batch() discards them
         rel_clean = (pts - pts[:, a:a + 1]).reshape(n, 2 * k)
         mask = np.ones(2 * k)
         mask[2 * a:2 * a + 2] = 0.0
@@ -136,11 +133,6 @@ class KeypointRetargeter:
 
     # -- inference ---------------------------------------------------------
 
-    def transform(self, kps: data.KeypointSet2D) -> data.KeypointSet2D:
-        """Retarget one keypoint frame: transform_batch on a batch of one."""
-        return data.KeypointSet2D(self.transform_batch(kps.points[None])[0],
-                                  kps.embodiment, kps.view_id)
-
     def transform_batch(self, points) -> np.ndarray:
         """Retarget a stack of keypoint frames, (n, k, 2) -> (n, k, 2); the
         anchor point of each frame is copied verbatim.
@@ -148,7 +140,7 @@ class KeypointRetargeter:
         Takes raw arrays, as they arrive on the policy hot path.
         """
         if not self.fitted:
-            raise NotFittedError("call fit() or load() before transform_batch()")
+            raise NotFittedError("call fit() or from_arrays() before transform_batch()")
         pts = np.asarray(points, dtype=np.float64)
         if pts.ndim != 3:
             raise ShapeMismatchError(
@@ -192,17 +184,6 @@ class KeypointRetargeter:
         meta = dict(self.get_params())
         meta["hidden"] = list(meta["hidden"])
         return meta, self._params
-
-    def save(self, path) -> None:
-        save_checkpoint(path, CHECKPOINT_KIND, *self.to_arrays())
-
-    @classmethod
-    def load(cls, path) -> "KeypointRetargeter":
-        kind, meta, arrays = load_checkpoint(path)
-        if kind != CHECKPOINT_KIND:
-            raise SchemaMismatchError(
-                f"expected a {CHECKPOINT_KIND!r} checkpoint, got {kind!r}")
-        return cls.from_arrays(meta, arrays)
 
 
 def _net_spec(hidden) -> MlpSpec:

@@ -77,7 +77,7 @@ def test_oracle_succeeds_on_contact_tasks(name):
     assert all(r.success for r in results)
 
 
-def test_residual_gate_names_the_disagreeing_frame_and_keypoint():
+def test_residuals_single_out_the_disagreeing_frame_and_keypoint():
     cams = sim.default_cameras()
     state = sim.reset(sim.make_task("push_right"), 0)
     pts = sim.keypoints3d(state, sim.robot_embodiment())

@@ -17,7 +17,7 @@ import pytest
 
 from trackpolicy import data, inference, nn, policy, sim
 from trackpolicy.diffusion import DiffusionSchedule, timestep_embedding
-from trackpolicy.errors import NonFiniteError, ShapeMismatchError
+from trackpolicy.errors import NonFiniteError, SchemaMismatchError, ShapeMismatchError
 from trackpolicy.geometry import RigidTransform, axis_angle_to_matrix, project_rotation
 
 CFG = policy.TrainConfig(epochs=2, batch_size=16, embed_dim=8, encoder_hidden=(16,),
@@ -193,6 +193,15 @@ def test_checkpoint_round_trip_with_retargeter(trained, tmp_path):
             arr[...] = 0.0
 
 
+def test_load_policy_rejects_other_checkpoint_kinds(trained, tmp_path):
+    model, _ = trained
+    path = tmp_path / "mislabeled.ckpt"
+    meta, arrays = model.retargeter.to_arrays()
+    nn.save_checkpoint(path, "retargeter", meta, arrays)
+    with pytest.raises(SchemaMismatchError, match="'track-policy'"):
+        policy.load_policy(path)
+
+
 def reference_sample_flat(model, img, kn, seed):
     """The ancestral sampler spelled out step by step, every per-step
     constant (timestep features, sqrt(abar) factors, conditioning row)
@@ -284,9 +293,10 @@ def test_sample_flat_rejects_non_finite_conditioning_before_stepping(trained, ba
 def test_learned_rollout_is_bit_identical_for_a_seed(trained):
     model, _ = trained
     task = sim.make_task("push_right")
-    a = inference.rollout(model, task, seed=21)
-    b = inference.rollout(model, task, seed=21)
-    c = inference.rollout(model, task, seed=22)
+    runner = inference.TrackPolicyRunner(model)
+    a = inference.rollout(runner, task, seed=21)
+    b = inference.rollout(runner, task, seed=21)
+    c = inference.rollout(runner, task, seed=22)
     assert a.steps_used == b.steps_used > 0
     assert a.success == b.success
     assert np.array(a.residual_log).tobytes() == np.array(b.residual_log).tobytes()

@@ -1,4 +1,4 @@
-"""Keypoint retargeter: denoising quality, exactness properties, persistence."""
+"""Keypoint retargeter: denoising quality, exactness properties, validation."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,6 @@ from trackpolicy import data, sim
 from trackpolicy.errors import (
     InsufficientDataError,
     NotFittedError,
-    SchemaMismatchError,
     WrongDimensionError,
     WrongEmbodimentError,
 )
@@ -105,12 +104,8 @@ def test_anchor_is_copied_bit_exactly(trained):
     est, _ = trained
     pts = np.array([[0.123456789, -0.987654321], [0.51, 0.52],
                     [-0.33, 0.74], [0.05, -0.11], [0.91, 0.27]])
-    out = est.transform(data.KeypointSet2D(pts, data.ROBOT, 0))
-    assert np.array_equal(out.points[0], pts[0])
-    batch = est.transform_batch(pts[None])
-    assert np.array_equal(batch[0, 0], pts[0])
-    # one inference path: the single-frame transform is the batch of one
-    assert np.array_equal(out.points, batch[0])
+    out = est.transform_batch(pts[None])
+    assert np.array_equal(out[0, 0], pts[0])
 
 
 def test_translation_equivariance(trained):
@@ -123,8 +118,8 @@ def test_translation_equivariance(trained):
         base = np.round(clean[i] * 64) / 64
         delta = np.array([0.25, -0.125])
         assert np.array_equal((base + delta) - (base + delta)[0], base - base[0])
-        a = est.transform(data.KeypointSet2D(base, data.HUMAN, 0)).points
-        b = est.transform(data.KeypointSet2D(base + delta, data.HUMAN, 0)).points
+        a = est.transform_batch(base[None])[0]
+        b = est.transform_batch((base + delta)[None])[0]
         assert np.abs(b - (a + delta)).max() < 1e-12
 
 
@@ -140,12 +135,8 @@ def test_parameters_are_frozen_after_fit(trained):
 
 
 def test_transform_before_fit_raises():
-    est = KeypointRetargeter()
-    kps = data.KeypointSet2D(np.zeros((5, 2)), data.ROBOT, 0)
     with pytest.raises(NotFittedError):
-        est.transform(kps)
-    with pytest.raises(NotFittedError):
-        est.transform_batch(np.zeros((1, 5, 2)))
+        KeypointRetargeter().transform_batch(np.zeros((1, 5, 2)))
 
 
 def test_fit_rejects_bad_corpora():
@@ -167,7 +158,7 @@ def test_fit_rejects_bad_corpora():
 def test_transform_rejects_wrong_k(trained):
     est, _ = trained
     with pytest.raises(WrongDimensionError):
-        est.transform(data.KeypointSet2D(np.zeros((21, 2)), data.HUMAN, 0))
+        est.transform_batch(np.zeros((1, 21, 2)))
     with pytest.raises(WrongDimensionError):
         est.transform_batch(np.zeros((2, 21, 2)))
 
@@ -176,29 +167,6 @@ def test_transform_rejects_wrong_k(trained):
 # persistence
 
 
-def test_save_load_round_trip(trained, tmp_path):
-    est, _ = trained
-    path = tmp_path / "retargeter.ckpt"
-    est.save(path)
-    loaded = KeypointRetargeter.load(path)
-    assert loaded.get_params() == est.get_params()
-    pts = np.stack([f.points for f in layout_corpus("robot", 20, seed=3)])
-    assert np.array_equal(loaded.transform_batch(pts), est.transform_batch(pts))
-    arr = next(iter(loaded._params.values()))
-    with pytest.raises(ValueError):
-        arr[...] = 0.0
-
-
-def test_save_before_fit_raises(tmp_path):
+def test_to_arrays_before_fit_raises():
     with pytest.raises(NotFittedError):
-        KeypointRetargeter().save(tmp_path / "nothing.ckpt")
-
-
-def test_load_rejects_other_checkpoint_kinds(trained, tmp_path):
-    est, _ = trained
-    path = tmp_path / "mislabeled.ckpt"
-    from trackpolicy.nn import save_checkpoint
-
-    save_checkpoint(path, "encoder", {}, est._params)
-    with pytest.raises(SchemaMismatchError):
-        KeypointRetargeter.load(path)
+        KeypointRetargeter().to_arrays()
