@@ -1,6 +1,15 @@
 """Demonstration containers, hand->gripper keypoint subsetting, pixel
 normalization, horizon chunking, and JSONL dataset (de)serialization.
 
+Training rows: `chunk` turns a demo into one `TrainingRows` value, one row
+per (view, t), view-major (all of view 0 in time order, then view 1). A
+track target holds H steps of 2k+1 values: the 2k normalized offsets from
+the row's keypoints to the keypoints at t+h+1 (the last frame past the
+end), then the grasp as +/-1; 176 values for k=5, H=16. The 6DoF baseline's
+rows (`inference.baseline_samples`) keep view 0 only, with 7 values per
+step. `policy.train` joins every demo's rows into one human-first pool and
+fits the retargeter on that pool's human keypoints.
+
 Keypoint ordering convention (index -> role), shared across embodiments so a
 single policy can condition on either source:
 
@@ -27,6 +36,7 @@ import numpy as np
 from .errors import (
     DatasetCorruptError,
     EmptyDemoError,
+    MixedShapesError,
     SchemaMismatchError,
     WrongEmbodimentError,
 )
@@ -165,28 +175,44 @@ class NormalizationStats:
 
 
 @dataclass(frozen=True)
-class TrainingSample:
-    """One (t, view) supervision item.
+class TrainingRows:
+    """Stacked supervision rows: the one format training reads.
 
-    offsets[h] is the normalized displacement from the current keypoints to
-    the keypoints at t+h+1 (future minus current, not consecutive diffs), so
-    a static demo yields all-zero targets. Flattened with the grasp row the
-    target has (2k+1)*H entries: 176 for k=5, H=16.
+    Row i pairs an observation (flattened feature image, normalized
+    keypoints) with a flat target; the first n_human rows come from human
+    demos, the rest from robot demos.
     """
 
-    image: np.ndarray            # (3, R, R)
-    keypoints_norm: np.ndarray   # (5, 2)
-    offsets: np.ndarray          # (H, 5, 2)
-    grasps: np.ndarray           # (H,) in {0, 1}
-    embodiment: str
-    view_id: int
+    images: np.ndarray     # (n, 3*R*R)
+    keypoints: np.ndarray  # (n, 5, 2), normalized
+    targets: np.ndarray    # (n, d)
+    n_human: int
 
-    def flat_target(self) -> np.ndarray:
-        """(2k+1)*H vector: offsets then grasps as +/-1, per step."""
-        h = self.offsets.shape[0]
-        flat = np.concatenate(
-            [self.offsets.reshape(h, -1), (2.0 * self.grasps - 1.0)[:, None]], axis=1)
-        return flat.reshape(-1)
+    def __len__(self) -> int:
+        return self.images.shape[0]
+
+    @staticmethod
+    def join(parts) -> "TrainingRows":
+        """Every part's human rows, in part order, then every part's robot
+        rows, copied once into fresh arrays. Parts whose image rows differ in
+        width (demos of different raster sizes) raise MixedShapesError."""
+        parts = list(parts)
+        for i, part in enumerate(parts):
+            if part.images.shape[1:] != parts[0].images.shape[1:]:
+                raise MixedShapesError(f"part {i}: image rows {part.images.shape[1:]}, "
+                                       f"expected {parts[0].images.shape[1:]}")
+        return TrainingRows(*(
+            np.concatenate([getattr(p, name)[:p.n_human] for p in parts]
+                           + [getattr(p, name)[p.n_human:] for p in parts])
+            for name in ("images", "keypoints", "targets")), sum(p.n_human for p in parts))
+
+    def take(self, idx) -> "TrainingRows":
+        """The rows at idx, human rows first, each group in idx order."""
+        idx = np.asarray(idx)
+        human = idx < self.n_human
+        idx = np.concatenate([idx[human], idx[~human]])
+        return TrainingRows(self.images[idx], self.keypoints[idx], self.targets[idx],
+                            int(np.count_nonzero(human)))
 
 
 def stats_for_camera(intr: CameraIntrinsics) -> NormalizationStats:
@@ -205,37 +231,29 @@ def normalize_keypoints(kps: KeypointSet2D, intr: CameraIntrinsics) -> KeypointS
                          kps.embodiment, kps.view_id)
 
 
-def normalized_keypoint_frames(demo: Demonstration) -> list:
-    """Every keypoint frame of a demo, normalized, view-major (all of view 0
-    in time order, then view 1). This is the retargeter's training food."""
-    return [normalize_keypoints(views[v].keypoints, demo.cameras[v][0])
-            for v in range(demo.n_views) for views in demo.frames]
+def chunk(demo: Demonstration, horizon: int) -> TrainingRows:
+    """One training row per (view, t), end-of-demo targets edge-padded.
 
-
-def chunk(demo: Demonstration, horizon: int) -> list:
-    """One TrainingSample per (t, view), end-of-demo targets edge-padded."""
+    Row (v, t) holds view v's image and normalized keypoints at t; its
+    target step h is the offset from those keypoints to view v's at
+    min(t + 1 + h, T - 1), then the grasp there as +/-1.
+    """
     if demo.length == 0:
         raise EmptyDemoError("cannot chunk an empty demonstration")
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
-    samples = []
-    for v in range(demo.n_views):
-        intr = demo.cameras[v][0]
-        track = np.asarray([normalize_keypoints(views[v].keypoints, intr).points
-                            for views in demo.frames])   # (T, 5, 2)
-        grasps = np.asarray([views[v].grasp for views in demo.frames], dtype=np.float64)
-        last = demo.length - 1
-        for t in range(demo.length):
-            idx = np.minimum(t + 1 + np.arange(horizon), last)
-            samples.append(TrainingSample(
-                image=demo.frames[t][v].image,
-                keypoints_norm=track[t],
-                offsets=track[idx] - track[t],
-                grasps=grasps[idx],
-                embodiment=demo.embodiment,
-                view_id=v,
-            ))
-    return samples
+    n_views, length = demo.n_views, demo.length
+    obs = [(views[v], demo.cameras[v][0]) for v in range(n_views) for views in demo.frames]
+    images = np.array([fv.image for fv, _ in obs]).reshape(len(obs), -1)
+    keypoints = np.array([normalize_keypoints(fv.keypoints, intr).points for fv, intr in obs])
+    grasps = np.array([fv.grasp for fv, _ in obs], dtype=np.float64).reshape(n_views, length)
+    track = keypoints.reshape(n_views, length, N_TRACK_KEYPOINTS, 2)
+    idx = np.minimum(np.arange(length)[:, None] + 1 + np.arange(horizon), length - 1)
+    offsets = track[:, idx] - track[:, :, None]   # (V, T, H, 5, 2)
+    targets = np.concatenate([offsets.reshape(n_views, length, horizon, -1),
+                              (2.0 * grasps[:, idx] - 1.0)[..., None]], axis=-1)
+    return TrainingRows(images, keypoints, targets.reshape(len(obs), -1),
+                        len(obs) if demo.embodiment == HUMAN else 0)
 
 
 # ---------------------------------------------------------------------------

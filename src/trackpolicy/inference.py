@@ -253,21 +253,9 @@ def rollout(runner, task: sim.TaskSpec, seed: int,
 # 6DoF-delta baseline
 
 
-@dataclass(frozen=True)
-class DeltaSample:
-    """Baseline supervision row: view-0 observation -> H own-frame actions."""
-
-    image: np.ndarray
-    keypoints_norm: np.ndarray
-    actions: np.ndarray      # (H, 7): translation 3, axis-angle 3, grasp +-1
-    embodiment: str
-
-    def flat_target(self) -> np.ndarray:
-        return self.actions.reshape(-1)
-
-
-def baseline_samples(demo: data.Demonstration, horizon: int) -> list:
-    """Per-timestep (H, 7) end-effector delta targets from proprioception.
+def baseline_samples(demo: data.Demonstration, horizon: int) -> data.TrainingRows:
+    """View-0 rows of a demo with (H, 7) end-effector delta targets from
+    proprioception: translation 3, axis-angle 3, grasp +/-1 per step.
 
     Requires robot demos: human recordings carry no ee_poses, which is the
     structural reason this baseline cannot use them. End-of-demo targets are
@@ -278,19 +266,18 @@ def baseline_samples(demo: data.Demonstration, horizon: int) -> list:
             "6DoF baseline needs robot demonstrations with end-effector poses")
     poses = demo.ee_poses
     last = demo.length - 1
-    out = []
-    for t in range(demo.length):
-        rows = np.zeros((horizon, 7))
-        for h in range(horizon):
-            a = min(t + h, last)
-            b = min(t + h + 1, last)
-            local = poses[a].inverse().compose(poses[b])
-            rows[h, :3] = local.translation
-            rows[h, 3:6] = matrix_to_axis_angle(local.rotation)
-            rows[h, 6] = 2.0 * demo.frames[b][0].grasp - 1.0
-        kn = data.normalize_keypoints(demo.frames[t][0].keypoints, demo.cameras[0][0])
-        out.append(DeltaSample(demo.frames[t][0].image, kn.points, rows, data.ROBOT))
-    return out
+    # steps[s]: the own-frame motion from frame s to frame min(s + 1, last)
+    steps = np.zeros((demo.length, 7))
+    for s in range(demo.length):
+        b = min(s + 1, last)
+        local = poses[s].inverse().compose(poses[b])
+        steps[s, :3] = local.translation
+        steps[s, 3:6] = matrix_to_axis_angle(local.rotation)
+        steps[s, 6] = 2.0 * demo.frames[b][0].grasp - 1.0
+    actions = steps[np.minimum(np.arange(demo.length)[:, None] + np.arange(horizon), last)]
+    obs = data.chunk(demo, horizon)   # view 0's rows come first
+    return data.TrainingRows(obs.images[:demo.length], obs.keypoints[:demo.length],
+                             actions.reshape(demo.length, -1), 0)
 
 
 def train_baseline_6dof(dataset_robot, cfg: policy.TrainConfig,
@@ -304,12 +291,11 @@ def train_baseline_6dof(dataset_robot, cfg: policy.TrainConfig,
     if not demos:
         raise EmptyDatasetError("baseline needs robot demonstrations")
     cfg = replace(cfg, lambda_kl=0.0, lambda_da=0.0)
-    samples = [s for d in demos for s in baseline_samples(d, cfg.horizon)]
-    image_dim = int(np.asarray(samples[0].image).size)
-    model = policy.build_model(cfg, image_dim, target_dim=7 * cfg.horizon,
+    rows = data.TrainingRows.join([baseline_samples(d, cfg.horizon) for d in demos])
+    model = policy.build_model(cfg, rows.images.shape[1], target_dim=7 * cfg.horizon,
                                schedule=schedule)
     log = [{key: entry[key] for key in ("epoch", "mse", "total")}
-           for entry in policy.train_epochs(model, [], samples)]
+           for entry in policy.train_epochs(model, rows)]
     return model, log
 
 

@@ -17,6 +17,7 @@ produce byte-identical files.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from pathlib import Path
 
@@ -49,7 +50,8 @@ def save_checkpoint(path, kind: str, meta: dict, arrays: dict) -> None:
 
 
 def load_checkpoint(path) -> tuple:
-    """Returns (kind, meta, arrays). Raises SchemaMismatch on any corruption."""
+    """Returns (kind, meta, arrays). Raises SchemaMismatchError on any
+    corruption, a header of the wrong structure included."""
     path = Path(path)
     if not path.exists():
         raise MissingArtifactError(f"checkpoint not found: {path}", artifact=str(path))
@@ -66,11 +68,21 @@ def load_checkpoint(path) -> tuple:
         header = json.loads(raw[20:20 + hlen].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise SchemaMismatchError(f"{path}: corrupt header ({exc})") from exc
+    if not (isinstance(header, dict) and isinstance(header.get("kind"), str)
+            and isinstance(header.get("meta"), dict)
+            and isinstance(header.get("arrays"), list)):
+        raise SchemaMismatchError(f"{path}: header needs a kind, a meta object and an arrays list")
     offset = 20 + hlen
     arrays = {}
     for entry in header["arrays"]:
+        if not (isinstance(entry, dict) and isinstance(entry.get("name"), str)
+                and isinstance(entry.get("shape"), list)
+                and all(type(d) is int and d >= 0 for d in entry["shape"])):
+            raise SchemaMismatchError(
+                f"{path}: array entries need a name and a list of non-negative "
+                f"integer dims, got {entry!r}")
         shape = tuple(entry["shape"])
-        nbytes = int(np.prod(shape, dtype=np.int64)) * 8 if shape else 8
+        nbytes = math.prod(shape) * 8
         if len(raw) < offset + nbytes:
             raise SchemaMismatchError(f"{path}: truncated array {entry['name']}")
         arrays[entry["name"]] = np.frombuffer(

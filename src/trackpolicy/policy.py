@@ -38,7 +38,6 @@ from .diffusion import (
 )
 from .errors import (
     EmptyDatasetError,
-    MixedShapesError,
     NonFiniteError,
     SchemaMismatchError,
     ShapeMismatchError,
@@ -96,8 +95,10 @@ class TrainConfig:
             raise ValueError(f"lambda_da must be in [0, 1], got {self.lambda_da}")
         if self.lambda_kl < 0.0:
             raise ValueError(f"lambda_kl must be >= 0, got {self.lambda_kl}")
-        if self.batch_size < 2:
-            raise ValueError(f"batch_size must be >= 2, got {self.batch_size}")
+        # co-training batches are half human, half robot, and the moment
+        # losses need at least 2 rows on each side
+        if self.batch_size < 4:
+            raise ValueError(f"batch_size must be >= 4, got {self.batch_size}")
         if self.epochs < 0:
             raise ValueError(f"epochs must be >= 0, got {self.epochs}")
 
@@ -129,7 +130,7 @@ class MotionTrack:
 
     offsets[h] is the displacement from the *current* keypoints to the
     predicted keypoints at t+h+1, in normalized image units (same convention
-    as TrainingSample). Grasp decision per step is logit > 0.
+    as data.chunk's targets). Grasp decision per step is logit > 0.
     """
 
     offsets: np.ndarray       # (H, k, 2)
@@ -215,48 +216,15 @@ def _retarget_flat(retargeter, kps_batch: np.ndarray) -> np.ndarray:
     return kps_batch.reshape(kps_batch.shape[0], -1)
 
 
-def _stack_batch(batch, target_dim: int):
-    """Partition a sample batch human-first and stack its arrays.
-
-    Returns (x0, images, keypoints, n_human). Shape disagreements across the
-    batch raise MixedShapesError with the offending index.
-    """
-    batch = list(batch)
-    if not batch:
-        raise EmptyDatasetError("empty training batch")
-    order = [i for i, s in enumerate(batch) if s.embodiment == data.HUMAN] + \
-            [i for i, s in enumerate(batch) if s.embodiment != data.HUMAN]
-    n_human = sum(1 for s in batch if s.embodiment == data.HUMAN)
-    x0 = np.empty((len(batch), target_dim))
-    img0 = np.asarray(batch[0].image)
-    images = np.empty((len(batch), img0.size))
-    k = data.N_TRACK_KEYPOINTS
-    kps = np.empty((len(batch), k, 2))
-    for row, i in enumerate(order):
-        s = batch[i]
-        t = s.flat_target()
-        if t.shape != (target_dim,):
-            raise MixedShapesError(
-                f"sample {i}: target {t.shape}, expected ({target_dim},)")
-        if np.asarray(s.image).shape != img0.shape:
-            raise MixedShapesError(
-                f"sample {i}: image {np.asarray(s.image).shape}, expected {img0.shape}")
-        if s.keypoints_norm.shape != (k, 2):
-            raise MixedShapesError(
-                f"sample {i}: keypoints {s.keypoints_norm.shape}, expected ({k}, 2)")
-        x0[row] = t
-        images[row] = np.asarray(s.image, dtype=np.float64).reshape(-1)
-        kps[row] = s.keypoints_norm
-    return x0, images, kps, n_human
-
-
 def _timestep_weights(schedule: DiffusionSchedule) -> np.ndarray:
     w = 1.0 - schedule.alpha_bars
     return w / w.sum()
 
 
-def train_step(model: PolicyModel, batch, rng, opt: Adam | None = None) -> LossReport:
-    """One optimizer step on a mixed batch; updates model.params in place.
+def train_step(model: PolicyModel, batch: data.TrainingRows, rng,
+               opt: Adam | None = None) -> LossReport:
+    """One optimizer step on a human-first batch of rows; updates
+    model.params in place.
 
     Loss weights come from model.cfg, noise levels from model.schedule. Pass
     the same Adam across calls to keep its moments; a fresh one is created
@@ -266,10 +234,9 @@ def train_step(model: PolicyModel, batch, rng, opt: Adam | None = None) -> LossR
     """
     cfg, schedule = model.cfg, model.schedule
     params = model.params
-    x0, images, kps, n_human = _stack_batch(batch, model.target_dim)
-    n = x0.shape[0]
+    x0, n_human, n = batch.targets, batch.n_human, len(batch)
 
-    kps_cond = _retarget_flat(model.retargeter, kps)
+    kps_cond = _retarget_flat(model.retargeter, batch.keypoints)
     # The noise-mse seen through the clean-target head weighs clean-target
     # error by abar/(1-abar): ~1e4 near t=0, where x_t ~ x0 makes the job
     # trivial, vs ~0.6 at the noisiest steps that actually decide sample
@@ -282,7 +249,7 @@ def train_step(model: PolicyModel, batch, rng, opt: Adam | None = None) -> LossR
 
     # rows are human-first, so the alignment losses address each embodiment
     # as a row block of the one embedding batch
-    emb, enc_cache = apply(model.encoder, params, images)
+    emb, enc_cache = apply(model.encoder, params, batch.images)
     den_in = np.concatenate([x_t, emb, kps_cond, temb], axis=1)
     clean_hat, den_cache = apply(model.denoiser, params, den_in)
     ab = schedule.alpha_bars[t][:, None]
@@ -326,55 +293,61 @@ def train_step(model: PolicyModel, batch, rng, opt: Adam | None = None) -> LossR
     return LossReport(mse, kl_value, da_value, accuracy, total)
 
 
-def _mixed_batches(samples_h, samples_r, batch_size: int, rng):
-    """Shuffled batches; with both pools present each batch is half/half,
-    the smaller pool cycling. Single-pool batches otherwise."""
-    if samples_h and samples_r:
-        half = max(1, batch_size // 2)
-        big, small = (samples_h, samples_r) if len(samples_h) >= len(samples_r) \
-            else (samples_r, samples_h)
-        big_idx = rng.permutation(len(big))
-        small_idx = rng.permutation(len(small))
+def _mixed_batches(n_human: int, n_robot: int, batch_size: int, rng) -> list:
+    """Shuffled index batches into a human-first pool of n_human + n_robot
+    rows. With both embodiments present each batch is half/half, the
+    smaller pool cycling; single-pool batches otherwise.
+
+    Returns a list, not a generator: every permutation of an epoch is drawn
+    before its first train_step draws from the same rng.
+    """
+    if n_human and n_robot:
+        half = batch_size // 2
+        # (rows, first index) of each pool; human is the bigger one on a tie
+        (n_big, big0), (n_small, small0) = ((n_human, 0), (n_robot, n_human)) \
+            if n_human >= n_robot else ((n_robot, n_human), (n_human, 0))
+        big_idx = big0 + rng.permutation(n_big)
+        small_idx = rng.permutation(n_small)
         out = []
         pos = 0
-        for start in range(0, len(big), half):
-            chunk_big = [big[i] for i in big_idx[start:start + half]]
+        for start in range(0, n_big, half):
+            chunk_big = big_idx[start:start + half]
             if len(chunk_big) < 2:
                 continue  # moment losses need >= 2 rows per side; drop the tail
-            chunk_small = []
-            for _ in range(len(chunk_big)):
+            chunk_small = np.empty(len(chunk_big), dtype=np.intp)
+            for i in range(len(chunk_big)):
                 if pos == len(small_idx):
-                    small_idx = rng.permutation(len(small))
+                    small_idx = rng.permutation(n_small)
                     pos = 0
-                chunk_small.append(small[small_idx[pos]])
+                chunk_small[i] = small_idx[pos]
                 pos += 1
-            out.append(chunk_small + chunk_big)
+            out.append(np.concatenate([small0 + chunk_small, chunk_big]))
         return out
-    pool = samples_h or samples_r
-    idx = rng.permutation(len(pool))
-    return [[pool[i] for i in idx[s:s + batch_size]]
-            for s in range(0, len(pool), batch_size)]
+    idx = rng.permutation(n_human + n_robot)
+    return [idx[s:s + batch_size] for s in range(0, len(idx), batch_size)]
 
 
-def train_epochs(model: PolicyModel, samples_h, samples_r):
+def train_epochs(model: PolicyModel, rows: data.TrainingRows):
     """The epoch loop: yields one log entry per epoch as model.params update.
 
     Runs model.cfg's epochs with one Adam for the whole run, its learning
-    rate on a cosine decay to 5%; batches from _mixed_batches. An entry holds
+    rate on a cosine decay to 5%; each batch gathers the rows that
+    _mixed_batches picks from the human-first pool `rows`. An entry holds
     the epoch index and the mean of each LossReport field over the epoch's
     steps (None where every step skipped that term).
     """
     cfg = model.cfg
     rng = np.random.default_rng([cfg.seed, _TRAIN_STREAM])
     opt = Adam(cfg.learning_rate)
+    n_robot = len(rows) - rows.n_human
     for epoch in range(cfg.epochs):
         # cosine decay to 5%: late epochs at full lr kick the loss out of
         # the basin every few hundred steps
         frac = epoch / max(1, cfg.epochs - 1)
         opt.learning_rate = cfg.learning_rate * (
             0.05 + 0.95 * 0.5 * (1.0 + np.cos(np.pi * frac)))
-        reports = [train_step(model, b, rng, opt)
-                   for b in _mixed_batches(samples_h, samples_r, cfg.batch_size, rng)]
+        reports = [train_step(model, rows.take(idx), rng, opt)
+                   for idx in _mixed_batches(rows.n_human, n_robot, cfg.batch_size, rng)]
         entry = {"epoch": epoch}
         for key in ("mse", "kl", "da", "disc_accuracy", "total"):
             vals = [getattr(r, key) for r in reports if getattr(r, key) is not None]
@@ -387,10 +360,11 @@ def train(dataset_human, dataset_robot, cfg: TrainConfig,
     """Co-train on mixed demonstrations. Returns (model after the last epoch,
     per-epoch log).
 
-    The retargeter is fit on the human demos' keypoint frames; with no human
-    data conditioning stays raw. Aux weights > 0 require both datasets
-    (EmptyDatasetError otherwise). log_fn, if given, receives each log entry
-    as its epoch ends.
+    Every demo's rows are joined into one human-first pool (MixedShapesError
+    if their raster sizes differ). The retargeter is fit on the pool's human
+    keypoints; with no human data conditioning stays raw. Aux weights > 0
+    require both datasets (EmptyDatasetError otherwise). log_fn, if given,
+    receives each log entry as its epoch ends.
     """
     human = list(dataset_human)
     robot = list(dataset_robot)
@@ -402,16 +376,12 @@ def train(dataset_human, dataset_robot, cfg: TrainConfig,
             "alignment losses need both embodiments; set lambda_kl=lambda_da=0 "
             "for single-embodiment training")
 
-    samples_h = [s for d in human for s in data.chunk(d, cfg.horizon)]
-    samples_r = [s for d in robot for s in data.chunk(d, cfg.horizon)]
-
-    frames = [f for d in human for f in data.normalized_keypoint_frames(d)]
-    retargeter = KeypointRetargeter(seed=cfg.seed).fit(frames) if human else None
-
-    image_dim = int(np.asarray((samples_h or samples_r)[0].image).size)
-    model = build_model(cfg, image_dim, schedule=schedule, retargeter=retargeter)
+    rows = data.TrainingRows.join([data.chunk(d, cfg.horizon) for d in human + robot])
+    retargeter = KeypointRetargeter(seed=cfg.seed).fit(rows.keypoints[:rows.n_human]) \
+        if human else None
+    model = build_model(cfg, rows.images.shape[1], schedule=schedule, retargeter=retargeter)
     log = []
-    for entry in train_epochs(model, samples_h, samples_r):
+    for entry in train_epochs(model, rows):
         log.append(entry)
         if log_fn is not None:
             log_fn(entry)
@@ -494,8 +464,7 @@ def save_policy(path, model: PolicyModel) -> None:
                 has_retargeter=model.retargeter is not None)
     arrays = dict(model.params)
     if model.retargeter is not None:
-        meta["retargeter_params"], ret_arrays = model.retargeter.to_arrays()
-        for name, arr in ret_arrays.items():
+        for name, arr in model.retargeter.to_arrays().items():
             arrays[f"retargeter:{name}"] = arr
     save_checkpoint(path, CHECKPOINT_KIND, meta, arrays)
 
@@ -515,7 +484,7 @@ def load_policy(path) -> PolicyModel:
         else:
             params[name] = arr
     if meta.get("has_retargeter"):
-        retargeter = KeypointRetargeter.from_arrays(meta["retargeter_params"], ret_arrays)
+        retargeter = KeypointRetargeter.from_arrays(ret_arrays)
     model = build_model(cfg, meta["image_dim"], target_dim=meta["target_dim"],
                         schedule=schedule, retargeter=retargeter)
     for spec in (model.encoder, model.denoiser, model.discriminator):

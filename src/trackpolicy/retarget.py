@@ -9,7 +9,9 @@ net operates on anchor-relative coordinates in normalized image units and
 the anchor is copied, not predicted, so anchor preservation and translation
 equivariance hold by construction rather than by training.
 
-Frozen after fit: parameter arrays are made read-only and transform_batch
+fit() takes an (n, 5, 2) array of hand layouts (normalized image units,
+the 5-point subset); transform_batch() takes any (n, 5, 2) stack. Frozen
+after fit: parameter arrays are made read-only and transform_batch
 is a pure function of them. A fitted retargeter is persisted inside the
 policy checkpoint through to_arrays/from_arrays.
 """
@@ -25,7 +27,6 @@ from .errors import (
     NotFittedError,
     ShapeMismatchError,
     WrongDimensionError,
-    WrongEmbodimentError,
 )
 from .nn import (
     Adam,
@@ -39,37 +40,49 @@ from .nn import (
 from .nn import tensor as T
 
 MIN_TRAIN_FRAMES = 100
+NOISE_BOUND = 0.15   # uniform corruption per coordinate, normalized units
+ANCHOR_INDEX = 0     # the wrist / gripper center, never corrupted
+EPOCHS = 400
+LEARNING_RATE = 1e-3
+
+# anchor-relative 2k inputs -> 2k outputs through two relu hidden layers
+NET_SPEC = MlpSpec((2 * data.N_TRACK_KEYPOINTS, 64, 64, 2 * data.N_TRACK_KEYPOINTS),
+                   ("relu", "relu", "identity"), name="retargeter")
 
 # Noise stream is decoupled from the init stream so changing one cannot
 # silently reseed the other.
 _NOISE_STREAM = 4021
 
 
+def _check_points(pts: np.ndarray) -> None:
+    if pts.ndim != 3:
+        raise ShapeMismatchError(
+            f"points: expected 3 dims, got {pts.ndim} (shape {pts.shape})")
+    if not np.isfinite(pts).all():
+        raise NonFiniteError("points contains NaN or Inf")
+    if pts.shape[1:] != (data.N_TRACK_KEYPOINTS, 2):
+        raise WrongDimensionError(
+            f"expected (n, {data.N_TRACK_KEYPOINTS}, 2), got {pts.shape}")
+
+
+def _frozen(arrays: dict) -> dict:
+    check_params(NET_SPEC, arrays)
+    for arr in arrays.values():
+        arr.flags.writeable = False
+    return arrays
+
+
 class KeypointRetargeter:
     """Estimator mapping k=5 keypoint layouts toward hand-like spacing.
 
-    fit() consumes hand keypoint frames (normalized image coordinates, the
-    5-point subset); transform_batch() then applies the frozen denoiser to any
-    5-point layout regardless of embodiment tag.
+    fit() consumes an (n, 5, 2) array of hand layouts; transform_batch()
+    then applies the frozen denoiser to any 5-point layout regardless of
+    embodiment. The seed fixes the net's initialization and the training
+    noise.
     """
 
-    def __init__(self, noise_bound: float = 0.15, anchor_index: int = 0,
-                 hidden=(64, 64), epochs: int = 400,
-                 learning_rate: float = 1e-3, seed: int = 0):
-        self.noise_bound = noise_bound
-        self.anchor_index = anchor_index
-        self.hidden = tuple(hidden)
-        self.epochs = epochs
-        self.learning_rate = learning_rate
+    def __init__(self, seed: int = 0):
         self.seed = seed
-
-    def get_params(self) -> dict:
-        return {"noise_bound": self.noise_bound,
-                "anchor_index": self.anchor_index,
-                "hidden": self.hidden,
-                "epochs": self.epochs,
-                "learning_rate": self.learning_rate,
-                "seed": self.seed}
 
     @property
     def fitted(self) -> bool:
@@ -77,36 +90,23 @@ class KeypointRetargeter:
 
     # -- training ----------------------------------------------------------
 
-    def fit(self, frames) -> "KeypointRetargeter":
+    def fit(self, points) -> "KeypointRetargeter":
         """Train on hand keypoint frames; freezes the result.
 
-        frames: sequence of KeypointSet2D, hand embodiment, k=5, points in
-        normalized units, as data.normalize_keypoints returns them.
+        points: an (n, 5, 2) array of hand layouts in normalized units, the
+        5-point subset, as `data.chunk` stacks them into `keypoints`.
         """
-        if not (self.noise_bound > 0):
-            raise ValueError("noise_bound must be positive")
-        k = data.N_TRACK_KEYPOINTS
-        if not 0 <= self.anchor_index < k:
-            raise ValueError(f"anchor_index must be in [0, {k})")
-        frames = list(frames)
-        if len(frames) < MIN_TRAIN_FRAMES:
-            raise InsufficientDataError(
-                f"need at least {MIN_TRAIN_FRAMES} frames, got {len(frames)}")
-        for f in frames:
-            if f.embodiment != data.HUMAN:
-                raise WrongEmbodimentError(
-                    f"retargeter trains on hand keypoints, got {f.embodiment!r}")
-            if f.k != k:
-                raise WrongDimensionError(
-                    f"expected {k}-point frames (apply select_hand_subset), got k={f.k}")
-        pts = np.stack([f.points for f in frames])  # (n, k, 2)
+        pts = np.asarray(points, dtype=np.float64)
+        _check_points(pts)
         n = pts.shape[0]
+        if n < MIN_TRAIN_FRAMES:
+            raise InsufficientDataError(f"need at least {MIN_TRAIN_FRAMES} frames, got {n}")
+        k = data.N_TRACK_KEYPOINTS
 
-        spec = _net_spec(self.hidden)
-        params = init_params(spec, self.seed)
+        params = init_params(NET_SPEC, self.seed)
         rng = np.random.default_rng([self.seed, _NOISE_STREAM])
 
-        a = self.anchor_index
+        a = ANCHOR_INDEX
         # anchor-relative targets; anchor output dims are masked out of the
         # loss because transform_batch() discards them
         rel_clean = (pts - pts[:, a:a + 1]).reshape(n, 2 * k)
@@ -114,21 +114,18 @@ class KeypointRetargeter:
         mask[2 * a:2 * a + 2] = 0.0
         target = rel_clean * mask
 
-        opt = Adam(self.learning_rate)
-        loss_value = float("nan")
-        for _ in range(self.epochs):
-            noise = rng.uniform(-self.noise_bound, self.noise_bound, size=pts.shape)
+        opt = Adam(LEARNING_RATE)
+        for _ in range(EPOCHS):
+            noise = rng.uniform(-NOISE_BOUND, NOISE_BOUND, size=pts.shape)
             noise[:, a] = 0.0
             noisy = pts + noise
             rel_in = (noisy - noisy[:, a:a + 1]).reshape(n, 2 * k)
-            out, cache = apply(spec, params, rel_in)
-            loss_value, g = mse_loss(out * mask, target)
-            grads, _ = T.backward(spec, params, cache, g * mask)
+            out, cache = apply(NET_SPEC, params, rel_in)
+            _, g = mse_loss(out * mask, target)
+            grads, _ = T.backward(NET_SPEC, params, cache, g * mask)
             params = opt.step(params, grads)
 
-        fitted = self.from_arrays(self.get_params(), params)
-        self._spec, self._params = fitted._spec, fitted._params
-        self.train_loss_ = loss_value
+        self._params = _frozen(params)
         return self
 
     # -- inference ---------------------------------------------------------
@@ -142,18 +139,11 @@ class KeypointRetargeter:
         if not self.fitted:
             raise NotFittedError("call fit() or from_arrays() before transform_batch()")
         pts = np.asarray(points, dtype=np.float64)
-        if pts.ndim != 3:
-            raise ShapeMismatchError(
-                f"points: expected 3 dims, got {pts.ndim} (shape {pts.shape})")
-        if not np.isfinite(pts).all():
-            raise NonFiniteError("points contains NaN or Inf")
-        if pts.shape[1:] != (data.N_TRACK_KEYPOINTS, 2):
-            raise WrongDimensionError(
-                f"expected (n, {data.N_TRACK_KEYPOINTS}, 2), got {pts.shape}")
-        a = self.anchor_index
+        _check_points(pts)
+        a = ANCHOR_INDEX
         anchors = pts[:, a:a + 1]
         rel = (pts - anchors).reshape(pts.shape[0], -1)
-        out = forward(self._spec, self._params, rel)
+        out = forward(NET_SPEC, self._params, rel)
         result = out.reshape(pts.shape) + anchors
         result[:, a] = pts[:, a]
         return result
@@ -161,33 +151,16 @@ class KeypointRetargeter:
     # -- persistence -------------------------------------------------------
 
     @classmethod
-    def from_arrays(cls, meta: dict, arrays: dict) -> "KeypointRetargeter":
-        """A fitted retargeter from constructor params and weight arrays.
-
-        The inverse of to_arrays. The net's spec follows meta["hidden"]; the
-        arrays are frozen in place (made read-only), not copied.
-        """
-        est = cls(**{**meta, "hidden": tuple(meta["hidden"])})
-        spec = _net_spec(est.hidden)
-        check_params(spec, arrays)
-        for arr in arrays.values():
-            arr.flags.writeable = False
-        est._spec = spec
-        est._params = arrays
-        est.train_loss_ = float("nan")
+    def from_arrays(cls, arrays: dict) -> "KeypointRetargeter":
+        """A fitted retargeter from NET_SPEC weight arrays; the inverse of
+        to_arrays. The arrays are frozen in place (made read-only), not
+        copied."""
+        est = cls()
+        est._params = _frozen(arrays)
         return est
 
-    def to_arrays(self) -> tuple:
-        """(meta, arrays): JSON-ready constructor params and the frozen weights."""
+    def to_arrays(self) -> dict:
+        """The frozen weights, by NET_SPEC parameter name."""
         if not self.fitted:
             raise NotFittedError("nothing to save before fit()")
-        meta = dict(self.get_params())
-        meta["hidden"] = list(meta["hidden"])
-        return meta, self._params
-
-
-def _net_spec(hidden) -> MlpSpec:
-    """Anchor-relative 2k inputs -> 2k outputs through relu hidden layers."""
-    k = data.N_TRACK_KEYPOINTS
-    return MlpSpec((2 * k, *hidden, 2 * k),
-                   ("relu",) * len(hidden) + ("identity",), name="retargeter")
+        return self._params

@@ -99,55 +99,63 @@ def test_normalization_round_trip_and_range():
 # chunking
 
 
+def steps(rows, horizon):
+    """(offsets (n, H, 5, 2), grasps (n, H)) unpacked from the flat targets."""
+    per_step = rows.targets.reshape(len(rows), horizon, -1)
+    return per_step[..., :-1].reshape(len(rows), horizon, 5, 2), per_step[..., -1]
+
+
 def test_chunk_count():
-    samples = data.chunk(synthetic_demo(length=20, n_views=2), horizon=16)
-    assert len(samples) == 40
+    rows = data.chunk(synthetic_demo(length=20, n_views=2), horizon=16)
+    assert len(rows) == 40 and rows.n_human == 0
+    assert rows.images.shape == (40, 3 * sim.RASTER_SIZE ** 2)
+    human = data.chunk(synthetic_demo(length=20, embodiment=data.HUMAN), horizon=16)
+    assert len(human) == human.n_human == 40
 
 
 def test_chunk_static_demo_zero_offsets():
     for embodiment in (data.ROBOT, data.HUMAN):
         demo = synthetic_demo(moving=False, embodiment=embodiment)
-        for s in data.chunk(demo, horizon=16):
-            assert np.all(s.offsets == 0)
-            assert s.keypoints_norm.shape == (5, 2)
+        rows = data.chunk(demo, horizon=16)
+        assert np.all(steps(rows, 16)[0] == 0)
+        assert rows.keypoints.shape == (len(rows), 5, 2)
 
 
 def test_chunk_edge_padding_constant_tail():
     demo = synthetic_demo(length=10, n_views=1)
     h = 16
-    samples = data.chunk(demo, horizon=h)
+    offsets, grasps = steps(data.chunk(demo, horizon=h), h)
     t = 7  # tail beyond the final frame must repeat it
-    s = samples[t]
     pad_from = demo.length - 1 - (t + 1)  # offsets index where idx hits last frame
-    tail = s.offsets[pad_from:]
+    tail = offsets[t, pad_from:]
     assert np.allclose(tail, tail[0])
-    assert np.allclose(s.grasps[pad_from:], s.grasps[pad_from])
+    assert np.allclose(grasps[t, pad_from:], grasps[t, pad_from])
 
 
 def test_chunk_offsets_reconstruct_future():
     demo = sim.scripted_demo(sim.make_task("push_right"), sim.robot_embodiment(), 0)
     h = 16
-    samples = data.chunk(demo, horizon=h)
+    rows = data.chunk(demo, horizon=h)
+    offsets, _ = steps(rows, h)
     stats = data.stats_for_camera(demo.cameras[0][0])
     track = np.array([stats.normalize(demo.frames[t][0].keypoints.points)
                       for t in range(demo.length)])
-    per_view = demo.length
     for t in (0, 3, demo.length - 1):
-        s = samples[t]  # view-0 samples come first, ordered by t
+        # view-0 rows come first, ordered by t
+        assert np.array_equal(rows.images[t], demo.frames[t][0].image.reshape(-1))
         for hh in range(h):
             idx = min(t + 1 + hh, demo.length - 1)
-            assert np.max(np.abs(s.keypoints_norm + s.offsets[hh] - track[idx])) < 1e-12
-    assert len(samples) == 2 * per_view
+            assert np.max(np.abs(rows.keypoints[t] + offsets[t, hh] - track[idx])) < 1e-12
+    assert len(rows) == 2 * demo.length
 
 
 def test_chunk_flat_target_length_and_grasp_encoding():
     demo = synthetic_demo(length=12)
-    s = data.chunk(demo, horizon=16)[0]
-    flat = s.flat_target()
-    assert flat.shape == (176,)
+    rows = data.chunk(demo, horizon=16)
+    assert rows.targets.shape == (24, 176)
     # per-step layout: 10 offset values then the grasp as +/-1
-    step0 = flat[:11]
-    assert step0[-1] in (-1.0, 1.0)
+    assert np.all(np.isin(rows.targets[:, 10::11], (-1.0, 1.0)))
+    assert rows.targets[0, 10] == -1.0 and rows.targets[11, 10] == 1.0
 
 
 def test_chunk_empty_demo_raises():

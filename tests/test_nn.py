@@ -6,6 +6,9 @@ differences for gradients, direct closed-form evaluation for the diagonal
 Gaussian KL.
 """
 
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -413,3 +416,46 @@ def test_checkpoint_rejects_corruption(tmp_path):
     extra.write_bytes(bytes(raw) + b"\x00" * 4)
     with pytest.raises(SchemaMismatchError):
         nn.load_checkpoint(extra)
+
+
+def write_with_header(path, header: bytes, payload: bytes = b"") -> None:
+    path.write_bytes(b"TRKPOLCK" + struct.pack("<I", 1) + struct.pack("<Q", len(header))
+                     + header + payload)
+
+
+@pytest.mark.parametrize("header", [
+    {},
+    [],
+    "checkpoint",
+    {"kind": "k", "meta": {}},
+    {"kind": 3, "meta": {}, "arrays": []},
+    {"kind": "k", "meta": [], "arrays": []},
+    {"kind": "k", "meta": {}, "arrays": {"a": [3]}},
+    {"kind": "k", "meta": {}, "arrays": ["a"]},
+    {"kind": "k", "meta": {}, "arrays": [{"shape": [1]}]},
+    {"kind": "k", "meta": {}, "arrays": [{"name": 7, "shape": [1]}]},
+    {"kind": "k", "meta": {}, "arrays": [{"name": "a"}]},
+    {"kind": "k", "meta": {}, "arrays": [{"name": "a", "shape": 1}]},
+    {"kind": "k", "meta": {}, "arrays": [{"name": "a", "shape": [-1]}]},
+    {"kind": "k", "meta": {}, "arrays": [{"name": "a", "shape": [0.5]}]},
+    {"kind": "k", "meta": {}, "arrays": [{"name": "a", "shape": ["1"]}]},
+    {"kind": "k", "meta": {}, "arrays": [{"name": "a", "shape": [True]}]},
+    # a dim too large for int64: the file is merely too short for it
+    {"kind": "k", "meta": {}, "arrays": [{"name": "a", "shape": [2 ** 70]}]},
+])
+def test_checkpoint_rejects_a_header_of_the_wrong_structure(tmp_path, header):
+    path = tmp_path / "ck.bin"
+    write_with_header(path, json.dumps(header).encode("utf-8"), b"\x00" * 8)
+    with pytest.raises(SchemaMismatchError):
+        nn.load_checkpoint(path)
+
+
+def test_checkpoint_header_written_by_hand_loads(tmp_path):
+    path = tmp_path / "ck.bin"
+    header = {"kind": "k", "meta": {}, "arrays": [{"name": "a", "shape": [2]},
+                                                  {"name": "s", "shape": []}]}
+    write_with_header(path, json.dumps(header).encode("utf-8"),
+                      np.array([1.5, -2.0, 4.0], dtype="<f8").tobytes())
+    kind, meta, arrays = nn.load_checkpoint(path)
+    assert (kind, meta) == ("k", {})
+    assert np.array_equal(arrays["a"], [1.5, -2.0]) and arrays["s"].shape == ()

@@ -17,8 +17,15 @@ import pytest
 
 from trackpolicy import data, inference, nn, policy, sim
 from trackpolicy.diffusion import DiffusionSchedule, timestep_embedding
-from trackpolicy.errors import NonFiniteError, SchemaMismatchError, ShapeMismatchError
+from trackpolicy.errors import (
+    EmptyDatasetError,
+    MixedShapesError,
+    NonFiniteError,
+    SchemaMismatchError,
+    ShapeMismatchError,
+)
 from trackpolicy.geometry import RigidTransform, axis_angle_to_matrix, project_rotation
+from trackpolicy.retarget import KeypointRetargeter
 
 CFG = policy.TrainConfig(epochs=2, batch_size=16, embed_dim=8, encoder_hidden=(16,),
                          denoiser_hidden=(32,), disc_hidden=(8,), seed=3)
@@ -43,6 +50,12 @@ def trained(demos):
 def baseline(demos):
     _, robot = demos
     return inference.train_baseline_6dof(robot, CFG, schedule=SCHEDULE)
+
+
+def first_rows(human, robot, horizon, n=4):
+    """The first n rows of a human and of a robot demo, human first."""
+    pool = data.TrainingRows.join([data.chunk(human[0], horizon), data.chunk(robot[0], horizon)])
+    return pool.take(np.r_[0:n, pool.n_human:pool.n_human + n])
 
 
 def observation(view: int = 0, seed: int = 5):
@@ -79,6 +92,123 @@ def test_train_log_repeats_for_a_seed(demos, trained):
         assert np.array_equal(model.params[name], model2.params[name]), name
 
 
+def reference_samples(demo, horizon):
+    """(embodiment, image, keypoints, flat target) per (view, t), each row
+    built on its own from the demo's frames."""
+    out = []
+    for v in range(demo.n_views):
+        intr = demo.cameras[v][0]
+        track = np.asarray([data.normalize_keypoints(views[v].keypoints, intr).points
+                            for views in demo.frames])
+        grasps = np.asarray([views[v].grasp for views in demo.frames], dtype=np.float64)
+        for t in range(demo.length):
+            idx = np.minimum(t + 1 + np.arange(horizon), demo.length - 1)
+            flat = np.concatenate([(track[idx] - track[t]).reshape(horizon, -1),
+                                   (2.0 * grasps[idx] - 1.0)[:, None]], axis=1).reshape(-1)
+            out.append((demo.embodiment, demo.frames[t][v].image, track[t], flat))
+    return out
+
+
+def reference_batches(human, robot, cfg):
+    """Epoch 0's co-training batches built per sample: shuffled sample
+    lists (the smaller pool cycling), each stacked human-first into
+    (x0, images, keypoints, n_human)."""
+    samples_h = [s for d in human for s in reference_samples(d, cfg.horizon)]
+    samples_r = [s for d in robot for s in reference_samples(d, cfg.horizon)]
+    rng = np.random.default_rng([cfg.seed, policy._TRAIN_STREAM])
+    half = cfg.batch_size // 2
+    big, small = (samples_h, samples_r) if len(samples_h) >= len(samples_r) \
+        else (samples_r, samples_h)
+    big_idx, small_idx = rng.permutation(len(big)), rng.permutation(len(small))
+    batches, pos = [], 0
+    for start in range(0, len(big), half):
+        chunk_big = [big[i] for i in big_idx[start:start + half]]
+        if len(chunk_big) < 2:
+            continue
+        chunk_small = []
+        for _ in chunk_big:
+            if pos == len(small_idx):
+                small_idx, pos = rng.permutation(len(small)), 0
+            chunk_small.append(small[small_idx[pos]])
+            pos += 1
+        batch = [s for s in chunk_small + chunk_big if s[0] == data.HUMAN] + \
+                [s for s in chunk_small + chunk_big if s[0] != data.HUMAN]
+        batches.append((np.stack([s[3] for s in batch]),
+                        np.stack([np.asarray(s[1], dtype=np.float64).reshape(-1) for s in batch]),
+                        np.stack([s[2] for s in batch]),
+                        sum(s[0] == data.HUMAN for s in batch)))
+    return batches
+
+
+def same_bytes(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def test_train_step_gets_the_rows_per_sample_stacking_builds(demos, monkeypatch):
+    human, robot = demos
+    cfg = replace(CFG, epochs=1)
+    seen, fitted = [], []
+    train_step, fit = policy.train_step, KeypointRetargeter.fit
+
+    def record_step(model, batch, rng, opt=None):
+        seen.append(batch)
+        return train_step(model, batch, rng, opt)
+
+    def record_fit(self, points):
+        fitted.append(np.array(points))
+        return fit(self, points)
+
+    monkeypatch.setattr(policy, "train_step", record_step)
+    monkeypatch.setattr(KeypointRetargeter, "fit", record_fit)
+    policy.train(human, robot, cfg, schedule=SCHEDULE)
+    ref = reference_batches(human, robot, cfg)
+    assert len(seen) == len(ref) > 1
+    for batch, (x0, images, kps, n_human) in zip(seen, ref):
+        assert batch.n_human == n_human == len(batch) // 2
+        assert same_bytes(batch.targets, x0)
+        assert same_bytes(batch.images, images)
+        assert same_bytes(batch.keypoints, kps)
+    # the retargeter trains on every hand frame, view-major within each demo
+    frames = np.stack([s[2] for d in human for s in reference_samples(d, cfg.horizon)])
+    assert len(fitted) == 1 and same_bytes(fitted[0], frames)
+
+
+def test_train_rejects_missing_embodiments(demos):
+    human, robot = demos
+    with pytest.raises(EmptyDatasetError, match="no demonstrations"):
+        policy.train([], [], CFG)
+    for h, r in ((human, []), ([], robot)):
+        with pytest.raises(EmptyDatasetError, match="alignment losses need both"):
+            policy.train(h, r, CFG)
+
+
+def with_raster(demo, size):
+    """The demo with every feature image cropped to size x size."""
+    frames = tuple(tuple(data.FrameView(fv.image[:, :size, :size], fv.keypoints, fv.grasp)
+                         for fv in views) for views in demo.frames)
+    return replace(demo, frames=frames)
+
+
+def test_train_rejects_mixed_raster_sizes(demos):
+    human, robot = demos
+    robot_only = replace(CFG, lambda_kl=0.0, lambda_da=0.0)
+    with pytest.raises(MixedShapesError, match="part 1: image rows"):
+        policy.train([], [robot[0], with_raster(robot[1], 8)], robot_only)
+    # the two embodiments' rows meet in the one pool
+    with pytest.raises(MixedShapesError, match="image rows"):
+        policy.train(human, [with_raster(robot[0], 8)], CFG)
+
+
+def test_co_training_needs_two_rows_per_embodiment_in_a_batch(demos):
+    for size in (2, 3):
+        with pytest.raises(ValueError, match="batch_size must be >= 4"):
+            replace(CFG, batch_size=size)
+    human, robot = demos
+    _, log = policy.train(human, robot, replace(CFG, batch_size=4, epochs=1),
+                          schedule=SCHEDULE)
+    assert all(log[0][key] is not None for key in ("mse", "kl", "da", "total"))
+
+
 class RecordingOptimizer:
     """Adam stand-in: keeps the gradients train_step hands it and returns
     the parameters unchanged."""
@@ -93,8 +223,8 @@ def test_train_step_gradients_match_finite_differences(demos):
     # three nets at least 3.9e-4 (~40 h) from zero, so no probe straddles a kink.
     cfg = replace(CFG, seed=5)
     human, robot = demos
-    batch = data.chunk(human[0], cfg.horizon)[:4] + data.chunk(robot[0], cfg.horizon)[:4]
-    model = policy.build_model(cfg, batch[0].image.size, schedule=SCHEDULE)
+    batch = first_rows(human, robot, cfg.horizon)
+    model = policy.build_model(cfg, batch.images.shape[1], schedule=SCHEDULE)
     base = dict(model.params)
     opt = RecordingOptimizer()
 
@@ -130,7 +260,7 @@ def test_train_step_raises_when_a_layer_overflows(demos):
     # output, or the one on the loss, trips before any optimizer step, so no
     # parameter moves
     human, robot = demos
-    batch = data.chunk(human[0], CFG.horizon)[:4] + data.chunk(robot[0], CFG.horizon)[:4]
+    batch = first_rows(human, robot, CFG.horizon)
     for overrides, message in (
             ({"encoder/w0": 1e308}, "encoder: non-finite values produced by layer 0"),
             ({"denoiser/w0": 1e308}, "denoiser: non-finite values produced by layer 0"),
@@ -139,7 +269,7 @@ def test_train_step_raises_when_a_layer_overflows(demos):
              "disc: non-finite values produced by layer 0"),
             # a finite ~1e200 prediction whose square overflows
             ({"denoiser/b1": 1e200}, "non-finite training loss")):
-        model = policy.build_model(CFG, batch[0].image.size, schedule=SCHEDULE)
+        model = policy.build_model(CFG, batch.images.shape[1], schedule=SCHEDULE)
         for name, value in overrides.items():
             model.params[name] = np.full_like(model.params[name], value)
         before = dict(model.params)
@@ -178,7 +308,6 @@ def test_checkpoint_round_trip_with_retargeter(trained, tmp_path):
     assert loaded.cfg == model.cfg
     assert (loaded.schedule.num_steps, loaded.schedule.beta_start, loaded.schedule.beta_end) \
         == (model.schedule.num_steps, model.schedule.beta_start, model.schedule.beta_end)
-    assert loaded.retargeter.get_params() == model.retargeter.get_params()
     pts = np.stack([kn.points, kn.points + 0.01])
     assert np.array_equal(loaded.retargeter.transform_batch(pts),
                           model.retargeter.transform_batch(pts))
@@ -186,8 +315,8 @@ def test_checkpoint_round_trip_with_retargeter(trained, tmp_path):
     policy.save_policy(again, loaded)
     assert again.read_bytes() == path.read_bytes()
     # the retargeter stays frozen after a load, as after a fit
-    meta, arrays = loaded.retargeter.to_arrays()
-    assert meta == model.retargeter.to_arrays()[0]
+    arrays = loaded.retargeter.to_arrays()
+    assert arrays.keys() == model.retargeter.to_arrays().keys()
     for arr in arrays.values():
         with pytest.raises(ValueError):
             arr[...] = 0.0
@@ -196,8 +325,7 @@ def test_checkpoint_round_trip_with_retargeter(trained, tmp_path):
 def test_load_policy_rejects_other_checkpoint_kinds(trained, tmp_path):
     model, _ = trained
     path = tmp_path / "mislabeled.ckpt"
-    meta, arrays = model.retargeter.to_arrays()
-    nn.save_checkpoint(path, "retargeter", meta, arrays)
+    nn.save_checkpoint(path, "retargeter", {}, model.retargeter.to_arrays())
     with pytest.raises(SchemaMismatchError, match="'track-policy'"):
         policy.load_policy(path)
 

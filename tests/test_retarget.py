@@ -3,21 +3,22 @@
 import numpy as np
 import pytest
 
-from trackpolicy import data, sim
+from trackpolicy import data, retarget, sim
 from trackpolicy.errors import (
     InsufficientDataError,
+    NonFiniteError,
     NotFittedError,
     WrongDimensionError,
-    WrongEmbodimentError,
 )
+from trackpolicy.nn import init_params
 from trackpolicy.retarget import KeypointRetargeter
 
 
 def layout_corpus(kind, n_poses, seed):
-    """Clean normalized 5-point layouts at random workspace poses."""
+    """Clean normalized 5-point layouts at random workspace poses, (n, 5, 2)."""
     cams = sim.default_cameras()
-    return [data.normalize_keypoints(f, cams[f.view_id][0])
-            for f in sim.random_keypoint_frames(kind, n_poses, seed)]
+    return np.stack([data.normalize_keypoints(f, cams[f.view_id][0]).points
+                     for f in sim.random_keypoint_frames(kind, n_poses, seed)])
 
 
 def template_distance(queries, templates):
@@ -52,7 +53,7 @@ def trained():
 
 def test_denoises_held_out_layouts(trained):
     est, _ = trained
-    clean = np.stack([f.points for f in layout_corpus("human", 100, seed=7)])
+    clean = layout_corpus("human", 100, seed=7)
     noisy = noisy_copy(clean, seed=7)
     rmse = float(np.sqrt(np.mean((est.transform_batch(noisy) - clean) ** 2)))
     identity = float(np.sqrt(np.mean((noisy - clean) ** 2)))
@@ -64,23 +65,22 @@ def test_denoises_held_out_layouts(trained):
 def test_denoise_bound_holds_across_eval_seeds(trained):
     est, _ = trained
     for seed in (13, 21, 99, 123):
-        clean = np.stack([f.points for f in layout_corpus("human", 100, seed=seed)])
+        clean = layout_corpus("human", 100, seed=seed)
         den = est.transform_batch(noisy_copy(clean, seed=seed))
         assert float(np.sqrt(np.mean((den - clean) ** 2))) < 0.02
 
 
 def test_clean_layouts_pass_through_nearly_unchanged(trained):
     est, _ = trained
-    clean = np.stack([f.points for f in layout_corpus("human", 100, seed=7)])
+    clean = layout_corpus("human", 100, seed=7)
     rmse = float(np.sqrt(np.mean((est.transform_batch(clean) - clean) ** 2)))
     assert rmse < 0.02
     assert abs(rmse - 0.0130622) < 2e-3  # regression pin
 
 
 def test_untrained_net_is_no_better_than_identity():
-    frames = layout_corpus("human", 200, seed=0)
-    est = KeypointRetargeter(epochs=0).fit(frames)
-    clean = np.stack([f.points for f in layout_corpus("human", 100, seed=7)])
+    est = KeypointRetargeter.from_arrays(init_params(retarget.NET_SPEC, 0))
+    clean = layout_corpus("human", 100, seed=7)
     noisy = noisy_copy(clean, seed=7)
     rmse0 = float(np.sqrt(np.mean((est.transform_batch(noisy) - clean) ** 2)))
     identity = float(np.sqrt(np.mean((noisy - clean) ** 2)))
@@ -88,9 +88,8 @@ def test_untrained_net_is_no_better_than_identity():
 
 
 def test_robot_layouts_move_toward_hand_templates(trained):
-    est, train_frames = trained
-    templates = np.stack([f.points for f in train_frames])
-    robot = np.stack([f.points for f in layout_corpus("robot", 100, seed=11)])
+    est, templates = trained
+    robot = layout_corpus("robot", 100, seed=11)
     before = template_distance(robot, templates)
     after = template_distance(est.transform_batch(robot), templates)
     assert after < 0.5 * before
@@ -110,7 +109,7 @@ def test_anchor_is_copied_bit_exactly(trained):
 
 def test_translation_equivariance(trained):
     est, _ = trained
-    clean = np.stack([f.points for f in layout_corpus("human", 4, seed=7)])
+    clean = layout_corpus("human", 4, seed=7)
     # Snap to multiples of 2^-6 and shift by a dyadic delta: the anchor-
     # relative inputs are then bitwise identical before and after the shift,
     # so only the final anchor re-add can round differently.
@@ -143,16 +142,12 @@ def test_fit_rejects_bad_corpora():
     good = layout_corpus("human", 60, seed=0)
     with pytest.raises(InsufficientDataError):
         KeypointRetargeter().fit(good[:99])
-    robot = layout_corpus("robot", 60, seed=0)
-    with pytest.raises(WrongEmbodimentError):
-        KeypointRetargeter().fit(robot)
-    full_hand = [data.KeypointSet2D(np.zeros((21, 2)), data.HUMAN, 0)] * 120
     with pytest.raises(WrongDimensionError):
-        KeypointRetargeter().fit(full_hand)
-    with pytest.raises(ValueError):
-        KeypointRetargeter(noise_bound=0.0).fit(good)
-    with pytest.raises(ValueError):
-        KeypointRetargeter(anchor_index=5).fit(good)
+        KeypointRetargeter().fit(np.zeros((120, 21, 2)))
+    bad = good.copy()
+    bad[7, 2, 1] = np.nan
+    with pytest.raises(NonFiniteError):
+        KeypointRetargeter().fit(bad)
 
 
 def test_transform_rejects_wrong_k(trained):
