@@ -1,14 +1,21 @@
-"""Demonstration containers, hand->gripper keypoint subsetting, pixel
-normalization, horizon chunking, and JSONL dataset (de)serialization.
+"""Demonstration containers, pixel normalization, horizon chunking, and
+JSONL dataset (de)serialization.
+
+Normalization: `normalize_keypoints` maps a camera's pixel keypoints to
+(p - c) / c, with c half its image size, so in-image points land in
+[-1, 1]; `denormalize_keypoints` is its inverse, p * c + c. Both take plain
+(..., 2) arrays.
 
 Training rows: `chunk` turns a demo into one `TrainingRows` value, one row
-per (view, t), view-major (all of view 0 in time order, then view 1). A
-track target holds H steps of 2k+1 values: the 2k normalized offsets from
-the row's keypoints to the keypoints at t+h+1 (the last frame past the
-end), then the grasp as +/-1; 176 values for k=5, H=16. The 6DoF baseline's
-rows (`inference.baseline_samples`) keep view 0 only, with 7 values per
-step. `policy.train` joins every demo's rows into one human-first pool and
-fits the retargeter on that pool's human keypoints.
+per (view, t), view-major (all of view 0 in time order, then view 1). Each
+view's keypoints are stacked over time, cut to the 5-point hand subset for
+21-point hands, and normalized in one call. A track target holds H steps of
+2k+1 values: the 2k normalized offsets from the row's keypoints to the
+keypoints at t+h+1 (the last frame past the end), then the grasp as +/-1;
+176 values for k=5, H=16. The 6DoF baseline's rows
+(`inference.baseline_samples`) keep view 0 only, with 7 values per step.
+`policy.train` joins every demo's rows into one human-first pool and fits
+the retargeter on that pool's human keypoints.
 
 Keypoint ordering convention (index -> role), shared across embodiments so a
 single policy can condition on either source:
@@ -26,8 +33,6 @@ order, so the gripper-equivalent subset is indices (0, 2, 4, 6, 8).
 
 from __future__ import annotations
 
-import gzip
-import io
 import json
 from dataclasses import dataclass
 
@@ -38,9 +43,8 @@ from .errors import (
     EmptyDemoError,
     MixedShapesError,
     SchemaMismatchError,
-    WrongEmbodimentError,
 )
-from .geometry import CameraIntrinsics, CameraPose, RigidTransform
+from .geometry import CameraIntrinsics, RigidTransform
 
 HUMAN = "human"
 ROBOT = "robot"
@@ -80,20 +84,6 @@ class KeypointSet2D:
         return self.points.shape[0]
 
 
-def select_hand_subset(kps: KeypointSet2D) -> KeypointSet2D:
-    """Project a 21-point hand to the 5 gripper-equivalent points
-    (HAND_SUBSET_INDICES).
-
-    Idempotent: a 5-point human set passes through unchanged, so chunking
-    pipelines can apply it unconditionally.
-    """
-    if kps.embodiment != HUMAN:
-        raise WrongEmbodimentError(f"hand subset needs human keypoints, got {kps.embodiment}")
-    if kps.k == 5:
-        return kps
-    return KeypointSet2D(kps.points[list(HAND_SUBSET_INDICES)], HUMAN, kps.view_id)
-
-
 @dataclass(frozen=True)
 class FrameView:
     """One camera's record at one timestep."""
@@ -118,7 +108,7 @@ class Demonstration:
     frames: tuple  # tuple over t of tuple over views of FrameView
     task_name: str
     seed: int
-    cameras: tuple  # one (CameraIntrinsics, CameraPose) per view
+    cameras: tuple  # one (CameraIntrinsics, RigidTransform world->camera) per view
     ee_poses: tuple = ()  # optional, one RigidTransform per frame
 
     def __post_init__(self):
@@ -145,33 +135,6 @@ class Demonstration:
     @property
     def n_views(self) -> int:
         return len(self.cameras)
-
-
-@dataclass(frozen=True)
-class NormalizationStats:
-    """Affine pixel <-> [-1, 1] map; shift/scale per coordinate (u, v)."""
-
-    shift: np.ndarray
-    scale: np.ndarray
-
-    def __post_init__(self):
-        shift = np.asarray(self.shift, dtype=np.float64).reshape(2)
-        scale = np.asarray(self.scale, dtype=np.float64).reshape(2)
-        if np.any(scale <= 0):
-            raise ValueError("scale must be positive")
-        object.__setattr__(self, "shift", shift)
-        object.__setattr__(self, "scale", scale)
-
-    @staticmethod
-    def for_image(width: int, height: int) -> "NormalizationStats":
-        return NormalizationStats(np.array([width / 2.0, height / 2.0]),
-                                  np.array([width / 2.0, height / 2.0]))
-
-    def normalize(self, points) -> np.ndarray:
-        return (np.asarray(points, dtype=np.float64) - self.shift) / self.scale
-
-    def denormalize(self, points) -> np.ndarray:
-        return np.asarray(points, dtype=np.float64) * self.scale + self.shift
 
 
 @dataclass(frozen=True)
@@ -215,20 +178,17 @@ class TrainingRows:
                             int(np.count_nonzero(human)))
 
 
-def stats_for_camera(intr: CameraIntrinsics) -> NormalizationStats:
-    return NormalizationStats.for_image(intr.width, intr.height)
+def normalize_keypoints(points, intr: CameraIntrinsics) -> np.ndarray:
+    """A camera's (..., 2) pixel keypoints -> normalized units, (p - c) / c
+    with c half its image size. The one place the package normalizes."""
+    c = np.array([intr.width / 2.0, intr.height / 2.0])
+    return (np.asarray(points, dtype=np.float64) - c) / c
 
 
-def normalize_keypoints(kps: KeypointSet2D, intr: CameraIntrinsics) -> KeypointSet2D:
-    """Pixel keypoints seen by a camera -> its normalized 5-point set.
-
-    Hand sets get the 5-point subset first; coordinates land in [-1, 1] for
-    in-image points. The one place the package normalizes keypoints.
-    """
-    if kps.embodiment == HUMAN:
-        kps = select_hand_subset(kps)
-    return KeypointSet2D(stats_for_camera(intr).normalize(kps.points),
-                         kps.embodiment, kps.view_id)
+def denormalize_keypoints(points, intr: CameraIntrinsics) -> np.ndarray:
+    """Inverse of `normalize_keypoints`: normalized (..., 2) -> pixels, p * c + c."""
+    c = np.array([intr.width / 2.0, intr.height / 2.0])
+    return np.asarray(points, dtype=np.float64) * c + c
 
 
 def chunk(demo: Demonstration, horizon: int) -> TrainingRows:
@@ -243,11 +203,16 @@ def chunk(demo: Demonstration, horizon: int) -> TrainingRows:
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
     n_views, length = demo.n_views, demo.length
-    obs = [(views[v], demo.cameras[v][0]) for v in range(n_views) for views in demo.frames]
-    images = np.array([fv.image for fv, _ in obs]).reshape(len(obs), -1)
-    keypoints = np.array([normalize_keypoints(fv.keypoints, intr).points for fv, intr in obs])
-    grasps = np.array([fv.grasp for fv, _ in obs], dtype=np.float64).reshape(n_views, length)
-    track = keypoints.reshape(n_views, length, N_TRACK_KEYPOINTS, 2)
+    obs = [views[v] for v in range(n_views) for views in demo.frames]
+    images = np.array([fv.image for fv in obs]).reshape(len(obs), -1)
+    grasps = np.array([fv.grasp for fv in obs], dtype=np.float64).reshape(n_views, length)
+    track = np.empty((n_views, length, N_TRACK_KEYPOINTS, 2))
+    for v in range(n_views):
+        pts = np.array([views[v].keypoints.points for views in demo.frames])
+        if pts.shape[1] != N_TRACK_KEYPOINTS:   # a 21-point hand
+            pts = pts[:, list(HAND_SUBSET_INDICES)]
+        track[v] = normalize_keypoints(pts, demo.cameras[v][0])
+    keypoints = track.reshape(len(obs), N_TRACK_KEYPOINTS, 2)
     idx = np.minimum(np.arange(length)[:, None] + 1 + np.arange(horizon), length - 1)
     offsets = track[:, idx] - track[:, :, None]   # (V, T, H, 5, 2)
     targets = np.concatenate([offsets.reshape(n_views, length, horizon, -1),
@@ -261,21 +226,6 @@ def chunk(demo: Demonstration, horizon: int) -> TrainingRows:
 
 SCHEMA = "trackpolicy-demos"
 SCHEMA_VERSION = 1
-
-
-def _open_for_read(path):
-    path = str(path)
-    if path.endswith(".gz"):
-        return io.TextIOWrapper(gzip.open(path, "rb"), encoding="utf-8")
-    return open(path, "r", encoding="utf-8")
-
-
-def _open_for_write(path):
-    path = str(path)
-    if path.endswith(".gz"):
-        # mtime=0 keeps the compressed bytes reproducible across runs
-        return io.TextIOWrapper(gzip.GzipFile(path, "wb", mtime=0), encoding="utf-8")
-    return open(path, "w", encoding="utf-8")
 
 
 def _dump(obj) -> str:
@@ -314,19 +264,19 @@ def _encode_camera(cam) -> dict:
 def _decode_camera(rec: dict):
     intr = CameraIntrinsics(rec["fx"], rec["fy"], rec["cx"], rec["cy"],
                             rec["width"], rec["height"])
-    pose = CameraPose(np.asarray(rec["pose"]["rotation"]).reshape(3, 3),
-                      rec["pose"]["translation"])
+    pose = RigidTransform(np.asarray(rec["pose"]["rotation"]).reshape(3, 3),
+                          rec["pose"]["translation"])
     return (intr, pose)
 
 
 def save_dataset(demos, path) -> None:
-    """Line-delimited JSON, one record per line; `.gz` paths are compressed.
+    """Line-delimited JSON, one record per line.
 
     Layout: a file header, then for each demo a demo header followed by one
     record per frame. Floats round-trip exactly (shortest-repr JSON).
     """
     demos = list(demos)
-    with _open_for_write(path) as f:
+    with open(path, "w", encoding="utf-8") as f:
         f.write(_dump({"schema": SCHEMA, "version": SCHEMA_VERSION,
                        "count": len(demos)}) + "\n")
         for demo in demos:
@@ -355,7 +305,7 @@ def save_dataset(demos, path) -> None:
 def load_dataset(path) -> list:
     """Inverse of save_dataset. Corrupt lines raise with their line number."""
     demos = []
-    with _open_for_read(path) as f:
+    with open(path, "r", encoding="utf-8") as f:
         lines = f.readlines()
 
     def parse(line_no: int) -> dict:

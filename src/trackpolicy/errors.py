@@ -13,17 +13,6 @@ class DegenerateRaysError(TrackPolicyError):
     """Triangulation rays are parallel or the cameras are coincident."""
 
 
-class DegenerateConfigurationError(TrackPolicyError):
-    """Rigid fit source points are too few or rank-deficient.
-
-    Callers that need liveness should fall back to a translation-only fit.
-    """
-
-
-class WrongEmbodimentError(TrackPolicyError):
-    """Operation applied to a keypoint set of the wrong embodiment or size."""
-
-
 class WrongDimensionError(TrackPolicyError):
     """Keypoint set has the wrong number of points for this model."""
 

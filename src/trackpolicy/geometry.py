@@ -4,7 +4,8 @@ Conventions used throughout the package:
 
 * World and camera frames are right-handed. Camera frames follow the usual
   computer-vision layout: x right, y down, z forward along the optical axis.
-* ``CameraPose`` stores the world->camera map, so ``X_cam = R @ X_world + t``.
+* A camera is a ``(CameraIntrinsics, RigidTransform)`` pair whose transform
+  is the world->camera map, so ``X_cam = R @ X_world + t``.
 * Pixels are continuous ``(u, v)`` with u along image width, v along height.
 * Everything runs in float64; triangulation at ~10 cm baselines needs it.
 * Projection, triangulation, residuals and Kabsch take stacks of points or
@@ -20,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BehindCameraError, DegenerateConfigurationError, DegenerateRaysError
+from .errors import BehindCameraError, DegenerateRaysError
 
 _ORTHO_TOL = 1e-9
 _MIN_CAMERA_Z = 1e-6
@@ -77,22 +78,6 @@ class CameraIntrinsics:
             raise ValueError("principal point must lie inside the image")
 
 
-@dataclass(frozen=True)
-class CameraPose:
-    """World->camera rigid map: X_cam = rotation @ X_world + translation."""
-
-    rotation: np.ndarray
-    translation: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "rotation", _check_rotation(self.rotation, "rotation").copy())
-        object.__setattr__(self, "translation", _vec3(self.translation, "translation").copy())
-
-    def camera_center(self) -> np.ndarray:
-        """Camera origin expressed in world coordinates."""
-        return -self.rotation.T @ self.translation
-
-
 @dataclass(frozen=True, slots=True)
 class RigidTransform:
     """Element of SE(3): y = rotation @ x + translation."""
@@ -103,10 +88,6 @@ class RigidTransform:
     def __post_init__(self):
         object.__setattr__(self, "rotation", _check_rotation(self.rotation, "rotation").copy())
         object.__setattr__(self, "translation", _vec3(self.translation, "translation").copy())
-
-    @staticmethod
-    def identity() -> "RigidTransform":
-        return RigidTransform(np.eye(3), np.zeros(3))
 
     def compose(self, other: "RigidTransform") -> "RigidTransform":
         """self o other: apply ``other`` first, then ``self``."""
@@ -125,7 +106,7 @@ class RigidTransform:
         return p @ self.rotation.T + self.translation
 
 
-Camera = tuple[CameraIntrinsics, CameraPose]
+Camera = tuple[CameraIntrinsics, RigidTransform]   # world->camera
 
 
 def rotation_angle(r: np.ndarray) -> float:
@@ -183,7 +164,7 @@ def matrix_to_axis_angle(r: np.ndarray) -> np.ndarray:
     return theta * w / (2.0 * np.sin(theta))
 
 
-def look_at(eye, target) -> CameraPose:
+def look_at(eye, target) -> RigidTransform:
     """World->camera pose for a camera at ``eye`` looking toward ``target``,
     image x axis level with the world's xy plane (world +z is up)."""
     eye = _vec3(eye, "eye")
@@ -200,7 +181,7 @@ def look_at(eye, target) -> CameraPose:
     x = x / nx
     y = np.cross(z, x)
     r = np.stack([x, y, z])
-    return CameraPose(r, -r @ eye)
+    return RigidTransform(r, -r @ eye)
 
 
 def _matvec(m: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -224,7 +205,7 @@ def _rownorm(a: np.ndarray) -> np.ndarray:
     return np.sqrt(_rowdot(a, a))
 
 
-def project_points(points, intrinsics: CameraIntrinsics, pose: CameraPose) -> np.ndarray:
+def project_points(points, intrinsics: CameraIntrinsics, pose: RigidTransform) -> np.ndarray:
     """Project an (n, 3) stack of world points through a pinhole camera.
 
     Returns (n, 2) pixels. Rotations are stacked matrix-vector products, so
@@ -246,12 +227,7 @@ def project_points(points, intrinsics: CameraIntrinsics, pose: CameraPose) -> np
     return uv
 
 
-def project(point, intrinsics: CameraIntrinsics, pose: CameraPose) -> np.ndarray:
-    """Project one world point through a pinhole camera. Returns pixel (u, v)."""
-    return project_points(_vec3(point, "point"), intrinsics, pose)[0]
-
-
-def pixel_ray(pixel, intrinsics: CameraIntrinsics, pose: CameraPose):
+def pixel_ray(pixel, intrinsics: CameraIntrinsics, pose: RigidTransform):
     """Back-project pixels to world-frame rays: (origin, unit directions).
 
     pixel is one (2,) pixel or an (n, 2) stack; the directions take the same
@@ -262,7 +238,8 @@ def pixel_ray(pixel, intrinsics: CameraIntrinsics, pose: CameraPose):
                       (px[..., 1] - intrinsics.cy) / intrinsics.fy,
                       np.ones(px.shape[:-1])], axis=-1)
     d_world = _matvec(pose.rotation.T, d_cam)
-    return pose.camera_center(), d_world / _rownorm(d_world)[..., None]
+    center = -pose.rotation.T @ pose.translation
+    return center, d_world / _rownorm(d_world)[..., None]
 
 
 def triangulate(px1, px2, cam1: Camera, cam2: Camera) -> np.ndarray:
@@ -328,11 +305,14 @@ def project_rotation(r) -> np.ndarray:
 def _kabsch(a: np.ndarray, b: np.ndarray):
     """Kabsch over (m, k, 3) source/target stacks, one fit per leading index.
 
-    Returns (rotations (m, 3, 3), translations (m, 3), rank_ok (m,), source
-    singular values (m, 3)). Every product is a stacked matmul and the SVDs
-    and determinants are batched LAPACK calls, so each fit is bit-identical
-    to fitting that frame alone. Fits with rank_ok False are meaningless;
-    the caller raises or falls back to translation_fit.
+    Returns (rotations (m, 3, 3), translations (m, 3), rank_ok (m,)). Every
+    product is a stacked matmul and the SVDs and determinants are batched
+    LAPACK calls, so each fit is bit-identical to fitting that frame alone.
+    Uses the SVD sign correction, so a fit is a proper rotation even when the
+    optimal orthogonal map would be a reflection. A fit whose centered source
+    has its two smallest singular values <= 1e-9 is rank-deficient and has
+    rank_ok False; its rotation is meaningless, and the caller always
+    replaces it with the centroid shift.
     """
     ca = a.mean(axis=1)
     cb = b.mean(axis=1)
@@ -347,70 +327,30 @@ def _kabsch(a: np.ndarray, b: np.ndarray):
     flip[:, 0, 0] = flip[:, 1, 1] = 1.0
     flip[:, 2, 2] = np.sign(np.linalg.det(np.matmul(v, ut)))
     r = np.matmul(np.matmul(v, flip), ut)
-    return r, cb - _matvec(r, ca), rank_ok, sv
+    return r, cb - _matvec(r, ca), rank_ok
 
 
-def _point_stacks(src, dst):
-    a = np.asarray(src, dtype=np.float64).reshape(-1, 3)
-    b = np.asarray(dst, dtype=np.float64).reshape(-1, 3)
-    if a.shape != b.shape:
-        raise ValueError(f"src/dst shapes disagree: {a.shape} vs {b.shape}")
-    return a, b
-
-
-def fit_rigid_transform(src, dst) -> RigidTransform:
-    """Least-squares rigid alignment (Kabsch): minimizes sum |R src + t - dst|^2.
-
-    Uses the SVD sign correction so the result is a proper rotation even when
-    the optimal orthogonal map would be a reflection. Raises
-    DegenerateConfigurationError for k < 3 or rank-deficient source points
-    (two smallest singular values of the centered source <= 1e-9); callers
-    needing liveness fall back to ``translation_fit``.
-    """
-    a, b = _point_stacks(src, dst)
-    if a.shape[0] < 3:
-        raise DegenerateConfigurationError(f"need at least 3 points, got {a.shape[0]}")
-    r, t, rank_ok, sv = _kabsch(a[None], b[None])
-    if not rank_ok[0]:
-        raise DegenerateConfigurationError(
-            f"source points are rank-deficient (singular values {sv[0]})")
-    return RigidTransform(r[0], t[0])
-
-
-def translation_fit(src, dst) -> RigidTransform:
-    """Translation-only fallback: identity rotation, centroid shift."""
-    a, b = _point_stacks(src, dst)
-    return RigidTransform(np.eye(3), b.mean(axis=0) - a.mean(axis=0))
-
-
-def tracks_to_actions(frames, allow_fallback: bool = True):
+def tracks_to_actions(frames):
     """Per-step rigid deltas for an (H+1, k, 3) stack of keypoint frames.
 
-    Returns (rotations (H, 3, 3), translations (H, 3)); row h maps frame h
-    onto frame h+1 in the world frame. All H fits run as one batched Kabsch,
-    each row bit-identical to ``fit_rigid_transform`` on that pair. With
-    ``allow_fallback`` a degenerate fit degrades to ``translation_fit``
-    instead of raising; otherwise the first degenerate fit raises
-    DegenerateConfigurationError naming its frame index. The rows are not
-    checked here: whoever builds transforms from them checks each rotation
-    (``RigidTransform``, ``inference.ActionChunk``).
+    Returns (rotations (H, 3, 3), translations (H, 3)); row h is the
+    least-squares rigid map (Kabsch) of frame h onto frame h+1 in the world
+    frame, minimizing sum |R f[h] + t - f[h+1]|^2. All H fits run as one
+    batched Kabsch. A step with fewer than 3 points or a rank-deficient
+    source frame falls back to the identity rotation and the centroid shift
+    f[h+1].mean - f[h].mean. The rows are not checked here: whoever builds
+    transforms from them checks each rotation (``RigidTransform``,
+    ``inference.ActionChunk``).
     """
     f = np.asarray(frames, dtype=np.float64)
     if f.ndim != 3 or f.shape[2] != 3 or f.shape[0] < 2:
         raise ValueError(f"expected (H+1, k, 3) frames with H >= 1, got {f.shape}")
     n = f.shape[0] - 1
     if f.shape[1] < 3:
-        if not allow_fallback:
-            raise DegenerateConfigurationError(
-                f"frame 0: need at least 3 points, got {f.shape[1]}")
         r, t, rank_ok = np.empty((n, 3, 3)), np.empty((n, 3)), np.zeros(n, dtype=bool)
     else:
-        r, t, rank_ok, sv = _kabsch(f[:-1], f[1:])
-        if not allow_fallback and not rank_ok.all():
-            h = int(np.argmin(rank_ok))
-            raise DegenerateConfigurationError(
-                f"frame {h}: source points are rank-deficient (singular values {sv[h]})")
+        r, t, rank_ok = _kabsch(f[:-1], f[1:])
     for h in np.flatnonzero(~rank_ok):
-        fallback = translation_fit(f[h], f[h + 1])
-        r[h], t[h] = fallback.rotation, fallback.translation
+        r[h] = np.eye(3)
+        t[h] = f[h + 1].mean(axis=0) - f[h].mean(axis=0)
     return r, t

@@ -1,12 +1,15 @@
 """Test-time action recovery and closed-loop evaluation.
 
-The 2D-to-action path: sample a motion track per camera view (shared seed),
-denormalize to pixels, triangulate every keypoint of every step across the
-two views, fit per-step rigid transforms to the 3D keypoint sequence, and
-execute the first m deltas before re-predicting. `chunk_from_tracks` makes
-one stacked call each to `triangulate`, `reprojection_residual_px` and
-`tracks_to_actions` per chunk; each row of those stacks is bit-identical to
-the per-point or per-frame call. An `ActionChunk` keeps the fit's stacked
+The 2D-to-action path: normalize each view's pixel keypoints
+(`data.normalize_keypoints`), sample that view's track offsets and grasp
+logits as plain arrays (`policy.sample`, shared seed), add the offsets to the
+current keypoints and denormalize to pixels (`data.denormalize_keypoints`),
+triangulate every keypoint of every step across the two views, fit per-step
+rigid transforms to the 3D keypoint sequence, and execute the first m
+deltas before re-predicting. `chunk_from_tracks` makes one stacked call
+each to `triangulate`, `reprojection_residual_px` and `tracks_to_actions`
+per chunk; each row of those stacks is bit-identical to computing that
+point or frame alone. An `ActionChunk` keeps the fit's stacked
 rotations (H, 3, 3) and translations (H, 3) as read-only arrays, checks
 every rotation row once, and hands out one `RigidTransform` per executed
 step through `delta(h)`. Also houses the 6DoF-delta baseline (same
@@ -143,18 +146,18 @@ def predict_chunk(model: policy.PolicyModel, obs0, obs1, cams,
                   seed: int = 0) -> ActionChunk:
     """Sample a track in each view and recover 6DoF deltas plus grasps.
 
-    obs0/obs1: (feature image, KeypointSet2D in pixels) per view. The same
-    seed drives both views' samplers -- a mild consistency aid. Leftover
-    cross-view disagreement is not gated: it stays in the chunk's
-    residuals_px.
+    obs0/obs1: (feature image, KeypointSet2D in pixels) per view, as
+    `sim.observe` returns them. The same seed drives both views' samplers
+    -- a mild consistency aid. Leftover cross-view disagreement is not
+    gated: it stays in the chunk's residuals_px.
     """
     per_view = []
     for v, (img, kps) in enumerate((obs0, obs1)):
-        stats = data.stats_for_camera(cams[v][0])
-        kn = data.normalize_keypoints(kps, cams[v][0])
-        track = policy.sample(model, img, kn, seed=seed)
-        absolute = np.concatenate([kn.points[None], track.absolute(kn.points)], axis=0)
-        per_view.append((stats.denormalize(absolute), track.grasps))
+        intr = cams[v][0]
+        kn = data.normalize_keypoints(kps.points, intr)
+        offsets, grasp_logits = policy.sample(model, img, kn, seed=seed)
+        absolute = np.concatenate([kn[None], kn[None] + offsets], axis=0)
+        per_view.append((data.denormalize_keypoints(absolute, intr), grasp_logits > 0))
     return chunk_from_tracks(per_view[0], per_view[1], cams)
 
 
@@ -311,7 +314,7 @@ class BaselineRunner:
 
     def chunk(self, task, state, cams, seed) -> ActionChunk:
         img, kps, _ = sim.observe(state, cams[0], sim.robot_embodiment(), view_id=0)
-        kn = data.normalize_keypoints(kps, cams[0][0])
+        kn = data.normalize_keypoints(kps.points, cams[0][0])
         rows = policy.sample_flat(self.model, img, kn, seed=seed).reshape(self.horizon, 7)
         ee = state.ee_pose
         rotations = np.empty((self.horizon, 3, 3))

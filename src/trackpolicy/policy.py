@@ -124,45 +124,6 @@ class LossReport:
     total: float
 
 
-@dataclass(frozen=True)
-class MotionTrack:
-    """Sampled prediction: per-step keypoint displacements plus grasp logits.
-
-    offsets[h] is the displacement from the *current* keypoints to the
-    predicted keypoints at t+h+1, in normalized image units (same convention
-    as data.chunk's targets). Grasp decision per step is logit > 0.
-    """
-
-    offsets: np.ndarray       # (H, k, 2)
-    grasp_logits: np.ndarray  # (H,)
-    view_id: int = 0
-
-    def __post_init__(self):
-        off = np.asarray(self.offsets, dtype=np.float64)
-        gl = np.asarray(self.grasp_logits, dtype=np.float64)
-        if off.ndim != 3 or off.shape[2] != 2:
-            raise ValueError(f"offsets must be (H, k, 2), got {off.shape}")
-        if gl.shape != (off.shape[0],):
-            raise ValueError(f"need one grasp logit per step, got {gl.shape}")
-        object.__setattr__(self, "offsets", off)
-        object.__setattr__(self, "grasp_logits", gl)
-
-    @property
-    def horizon(self) -> int:
-        return self.offsets.shape[0]
-
-    @property
-    def grasps(self) -> np.ndarray:
-        return self.grasp_logits > 0
-
-    def absolute(self, current_keypoints) -> np.ndarray:
-        """Predicted keypoint positions s_{t+1..t+H}: current + offsets."""
-        cur = np.asarray(current_keypoints, dtype=np.float64)
-        if cur.shape != self.offsets.shape[1:]:
-            raise ValueError(f"keypoints {cur.shape} vs offsets {self.offsets.shape}")
-        return cur[None] + self.offsets
-
-
 @dataclass
 class PolicyModel:
     """Parameter bundle: three net specs, one flat name->array dict."""
@@ -388,31 +349,33 @@ def train(dataset_human, dataset_robot, cfg: TrainConfig,
     return model, log
 
 
-def sample_flat(model: PolicyModel, feature_image, keypoints: data.KeypointSet2D,
+def sample_flat(model: PolicyModel, feature_image, keypoints,
                 seed: int = 0) -> np.ndarray:
     """Raw conditional diffusion draw: the flat target vector, un-reshaped.
 
-    Runs model.schedule's steps; the draw is a function of seed alone. The
-    track policy wraps this into a MotionTrack; the 6DoF-delta baseline
-    reads its action rows straight out of the flat vector.
+    keypoints: the observation's normalized (5, 2) keypoints. Runs
+    model.schedule's steps; the draw is a function of seed alone. The track
+    policy splits it into offsets and grasp logits (`sample`); the
+    6DoF-delta baseline reads its action rows straight out of it.
 
-    Validated once per draw: the denoiser's parameter shapes, the width of
-    its input row and the finiteness of the fixed conditioning (embedding
-    and retargeted keypoints). Each step then runs the denoiser through
-    `apply`, whose per-layer check still catches a non-finite output, and
-    the sampler checks every x_t.
+    Validated once per draw: the keypoints' shape, the denoiser's parameter
+    shapes, the width of its input row and the finiteness of the fixed
+    conditioning (embedding and retargeted keypoints). Each step then runs
+    the denoiser through `apply`, whose per-layer check still catches a
+    non-finite output, and the sampler checks every x_t.
     """
     schedule = model.schedule
     rng = np.random.default_rng([int(seed), _SAMPLE_STREAM])
-    if keypoints.k != data.N_TRACK_KEYPOINTS:
-        raise ValueError(f"expected k={data.N_TRACK_KEYPOINTS}, got k={keypoints.k}")
+    kps = np.asarray(keypoints, dtype=np.float64)
+    if kps.shape != (data.N_TRACK_KEYPOINTS, 2):
+        raise ValueError(f"expected ({data.N_TRACK_KEYPOINTS}, 2) keypoints, got {kps.shape}")
     img = np.asarray(feature_image, dtype=np.float64).reshape(1, -1)
     d = model.target_dim
     # the denoiser's input row is [x_t | embedding | keypoints | timestep
     # features]; only the first and last blocks change between steps
     den_in = np.concatenate([
         np.zeros((1, d)), forward(model.encoder, model.params, img),
-        _retarget_flat(model.retargeter, keypoints.points[None]),
+        _retarget_flat(model.retargeter, kps[None]),
         np.zeros((1, TIME_EMBED_DIM))], axis=1)
     check_params(model.denoiser, model.params)
     if den_in.shape[1] != model.denoiser.widths[0]:
@@ -439,16 +402,18 @@ def sample_flat(model: PolicyModel, feature_image, keypoints: data.KeypointSet2D
     return ancestral_sample(eps_fn, 1, d, schedule, rng)[0]
 
 
-def sample(model: PolicyModel, feature_image, keypoints: data.KeypointSet2D,
-           seed: int = 0) -> MotionTrack:
+def sample(model: PolicyModel, feature_image, keypoints, seed: int = 0):
     """Draw one motion track conditioned on an observation.
 
-    keypoints: normalized units, k matching the model. Bit-identical for a
-    given seed.
+    keypoints: the normalized (5, 2) keypoints. Returns (offsets (H, 5, 2),
+    grasp logits (H,)): offsets[h] is the displacement from the current
+    keypoints to the predicted keypoints at t+h+1 in normalized units (as in
+    `data.chunk`'s targets), and step h grasps when its logit is > 0.
+    Bit-identical for a given seed.
     """
     k = data.N_TRACK_KEYPOINTS
     per_step = sample_flat(model, feature_image, keypoints, seed).reshape(-1, 2 * k + 1)
-    return MotionTrack(per_step[:, :-1].reshape(-1, k, 2), per_step[:, -1], keypoints.view_id)
+    return per_step[:, :-1].reshape(-1, k, 2), per_step[:, -1]
 
 
 # ---------------------------------------------------------------------------
@@ -473,6 +438,10 @@ def load_policy(path) -> PolicyModel:
     kind, meta, arrays = load_checkpoint(path)
     if kind != CHECKPOINT_KIND:
         raise SchemaMismatchError(f"expected a {CHECKPOINT_KIND!r} checkpoint, got {kind!r}")
+    missing = [key for key in [f.name for f in fields(TrainConfig)] + [
+        "image_dim", "target_dim", "num_steps", "beta_start", "beta_end"] if key not in meta]
+    if missing:
+        raise SchemaMismatchError(f"policy checkpoint meta lacks {missing}")
     cfg = TrainConfig(**{f.name: meta[f.name] for f in fields(TrainConfig)})
     schedule = DiffusionSchedule(meta["num_steps"], meta["beta_start"], meta["beta_end"])
     retargeter = None

@@ -65,6 +65,20 @@ def _check_points(pts: np.ndarray) -> None:
             f"expected (n, {data.N_TRACK_KEYPOINTS}, 2), got {pts.shape}")
 
 
+def _denoising_loss(params: dict, rel_in: np.ndarray, target: np.ndarray,
+                    mask: np.ndarray):
+    """fit's training loss and its gradient: (mse, grads by parameter name).
+
+    rel_in holds the noisy anchor-relative (n, 2k) inputs, target the clean
+    ones with the anchor dims zeroed; mask zeroes the anchor's output dims
+    too, because transform_batch discards them.
+    """
+    out, cache = apply(NET_SPEC, params, rel_in)
+    loss, g = mse_loss(out * mask, target)
+    grads, _ = T.backward(NET_SPEC, params, cache, g * mask)
+    return loss, grads
+
+
 def _frozen(arrays: dict) -> dict:
     check_params(NET_SPEC, arrays)
     for arr in arrays.values():
@@ -107,8 +121,7 @@ class KeypointRetargeter:
         rng = np.random.default_rng([self.seed, _NOISE_STREAM])
 
         a = ANCHOR_INDEX
-        # anchor-relative targets; anchor output dims are masked out of the
-        # loss because transform_batch() discards them
+        # anchor-relative targets, anchor dims masked (see _denoising_loss)
         rel_clean = (pts - pts[:, a:a + 1]).reshape(n, 2 * k)
         mask = np.ones(2 * k)
         mask[2 * a:2 * a + 2] = 0.0
@@ -120,9 +133,7 @@ class KeypointRetargeter:
             noise[:, a] = 0.0
             noisy = pts + noise
             rel_in = (noisy - noisy[:, a:a + 1]).reshape(n, 2 * k)
-            out, cache = apply(NET_SPEC, params, rel_in)
-            _, g = mse_loss(out * mask, target)
-            grads, _ = T.backward(NET_SPEC, params, cache, g * mask)
+            _, grads = _denoising_loss(params, rel_in, target, mask)
             params = opt.step(params, grads)
 
         self._params = _frozen(params)

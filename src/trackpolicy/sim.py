@@ -143,7 +143,8 @@ class EmbodimentModel:
 
     `finger_mask` marks the offsets whose x coordinate narrows toward the
     center axis when the gripper closes. Both are stored as read-only
-    copies, since the built-in models are shared by every caller.
+    copies, since the built-in models are shared by every caller, and so is
+    the closed layout, built once here.
     """
 
     kind: str
@@ -162,23 +163,22 @@ class EmbodimentModel:
             raise ValueError("finger_mask length must match offsets")
         if len({tuple(row) for row in off.round(9)}) != expected:
             raise ValueError("keypoint offsets must be distinct")
-        off.flags.writeable = False
-        mask.flags.writeable = False
+        closed = off.copy()
+        closed[mask, 0] *= 1.0 - CLOSURE_FRACTION
+        for arr in (off, mask, closed):
+            arr.flags.writeable = False
         object.__setattr__(self, "keypoint_offsets", off)
         object.__setattr__(self, "finger_mask", mask)
+        object.__setattr__(self, "_closed_offsets", closed)
 
     @property
     def k(self) -> int:
         return self.keypoint_offsets.shape[0]
 
     def offsets_for(self, closed: bool) -> np.ndarray:
-        """(k, 3) offsets; the read-only open layout itself when open, a
-        fresh array when closed."""
-        if not closed:
-            return self.keypoint_offsets
-        off = self.keypoint_offsets.copy()
-        off[self.finger_mask, 0] *= 1.0 - CLOSURE_FRACTION
-        return off
+        """(k, 3) offsets of the open or the closed layout, each a read-only
+        array built once per model."""
+        return self._closed_offsets if closed else self.keypoint_offsets
 
 
 @lru_cache(maxsize=None)

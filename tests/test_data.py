@@ -1,4 +1,5 @@
-"""Containers, hand subsetting, chunking, normalization, and dataset IO."""
+"""Containers, hand subsetting (through `data.chunk`), chunking,
+normalization, and dataset IO."""
 
 import json
 
@@ -10,8 +11,8 @@ from trackpolicy.errors import (
     DatasetCorruptError,
     EmptyDemoError,
     SchemaMismatchError,
-    WrongEmbodimentError,
 )
+from trackpolicy.geometry import CameraIntrinsics
 
 
 def synthetic_demo(length=20, n_views=2, moving=True, embodiment=data.ROBOT):
@@ -34,25 +35,34 @@ def synthetic_demo(length=20, n_views=2, moving=True, embodiment=data.ROBOT):
                               task_name="push_right", seed=3, cameras=cameras)
 
 
+def human_demo(points):
+    """A human demo whose frame t, view v shows pixel keypoints points[t, v]."""
+    img = np.zeros((3, sim.RASTER_SIZE, sim.RASTER_SIZE))
+    frames = tuple(tuple(data.FrameView(img, data.KeypointSet2D(p, data.HUMAN, v), 0)
+                         for v, p in enumerate(views)) for views in points)
+    return data.Demonstration(data.HUMAN, frames, "push_right", 0,
+                              sim.default_cameras()[:points.shape[1]])
+
+
 # ---------------------------------------------------------------------------
-# hand subset
+# hand subset, as data.chunk takes it
 
 
 def test_subset_copies_source_indices():
     rng = np.random.default_rng(0)
-    pts = rng.uniform(0, 128, size=(21, 2))
-    kps = data.KeypointSet2D(pts, data.HUMAN, view_id=1)
-    sub = data.select_hand_subset(kps)
-    assert sub.k == 5
-    assert sub.embodiment == data.HUMAN
-    assert sub.view_id == 1
-    assert np.array_equal(sub.points, pts[list(data.HAND_SUBSET_INDICES)])
+    pts = rng.uniform(0, 128, size=(3, 2, 21, 2))
+    rows = data.chunk(human_demo(pts), horizon=2)
+    assert rows.keypoints.shape == (6, 5, 2)
+    for v, (intr, _) in enumerate(sim.default_cameras()):
+        for t in range(3):
+            want = data.normalize_keypoints(pts[t, v, list(data.HAND_SUBSET_INDICES)], intr)
+            assert np.array_equal(rows.keypoints[3 * v + t], want)
 
 
 def test_subset_constant_points():
-    pts = np.full((21, 2), 10.0)
-    sub = data.select_hand_subset(data.KeypointSet2D(pts, data.HUMAN))
-    assert np.array_equal(sub.points, np.full((5, 2), 10.0))
+    rows = data.chunk(human_demo(np.full((2, 2, 21, 2), 10.0)), horizon=1)
+    want = data.normalize_keypoints(np.full((5, 2), 10.0), sim.default_cameras()[0][0])
+    assert np.array_equal(rows.keypoints, np.broadcast_to(want, (4, 5, 2)))
 
 
 def test_subset_region_structure():
@@ -68,18 +78,14 @@ def test_subset_region_structure():
     assert sum(map(len, regions.values())) == 5
 
 
-def test_subset_rejects_robot():
-    kps = data.KeypointSet2D(np.zeros((5, 2)), data.ROBOT)
-    with pytest.raises(WrongEmbodimentError):
-        data.select_hand_subset(kps)
-
-
 def test_subset_idempotent():
+    # a human demo already cut to the 5-point subset chunks like its source
     rng = np.random.default_rng(1)
-    kps = data.KeypointSet2D(rng.uniform(0, 128, size=(21, 2)), data.HUMAN)
-    once = data.select_hand_subset(kps)
-    twice = data.select_hand_subset(once)
-    assert np.array_equal(once.points, twice.points)
+    full = rng.uniform(0, 128, size=(4, 2, 21, 2))
+    once = data.chunk(human_demo(full), horizon=3)
+    twice = data.chunk(human_demo(full[:, :, list(data.HAND_SUBSET_INDICES)]), horizon=3)
+    assert np.array_equal(once.keypoints, twice.keypoints)
+    assert np.array_equal(once.targets, twice.targets)
 
 
 # ---------------------------------------------------------------------------
@@ -87,12 +93,13 @@ def test_subset_idempotent():
 
 
 def test_normalization_round_trip_and_range():
-    stats = data.NormalizationStats.for_image(128, 128)
+    intr = CameraIntrinsics(fx=100.0, fy=100.0, cx=64.0, cy=48.0, width=128, height=96)
     rng = np.random.default_rng(2)
-    pts = rng.uniform(0, 128, size=(50, 2))
-    normed = stats.normalize(pts)
+    pts = rng.uniform((0, 0), (128, 96), size=(50, 2))
+    normed = data.normalize_keypoints(pts, intr)
+    assert np.array_equal(normed, (pts - (64.0, 48.0)) / (64.0, 48.0))
     assert np.all(normed >= -1) and np.all(normed <= 1)
-    assert np.max(np.abs(stats.denormalize(normed) - pts)) < 1e-12
+    assert np.max(np.abs(data.denormalize_keypoints(normed, intr) - pts)) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -137,8 +144,8 @@ def test_chunk_offsets_reconstruct_future():
     h = 16
     rows = data.chunk(demo, horizon=h)
     offsets, _ = steps(rows, h)
-    stats = data.stats_for_camera(demo.cameras[0][0])
-    track = np.array([stats.normalize(demo.frames[t][0].keypoints.points)
+    track = np.array([data.normalize_keypoints(demo.frames[t][0].keypoints.points,
+                                               demo.cameras[0][0])
                       for t in range(demo.length)])
     for t in (0, 3, demo.length - 1):
         # view-0 rows come first, ordered by t
@@ -212,14 +219,6 @@ def test_save_load_round_trip(tmp_path):
         assert demos_equal(d1, d2)
     counts = {e: sum(d.embodiment == e for d in loaded) for e in data.EMBODIMENTS}
     assert counts == {"human": 2, "robot": 1}
-
-
-def test_save_load_gzip_round_trip(tmp_path):
-    demos = _mixed_demos()[:1]
-    path = tmp_path / "demos.jsonl.gz"
-    data.save_dataset(demos, path)
-    assert path.read_bytes()[:2] == b"\x1f\x8b"
-    assert demos_equal(data.load_dataset(path)[0], demos[0])
 
 
 def reference_encode_image(img):

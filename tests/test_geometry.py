@@ -17,32 +17,24 @@ Independent oracles used here:
 import numpy as np
 import pytest
 
-from trackpolicy.errors import (
-    BehindCameraError,
-    DegenerateConfigurationError,
-    DegenerateRaysError,
-)
+from trackpolicy.errors import BehindCameraError, DegenerateRaysError
 from trackpolicy.geometry import (
     _ORTHO_TOL,
     CameraIntrinsics,
-    CameraPose,
     RigidTransform,
     axis_angle_to_matrix,
-    fit_rigid_transform,
     look_at,
     matrix_to_axis_angle,
-    project,
     project_points,
     reprojection_residual_px,
     rotation_angle,
-    translation_fit,
     triangulate,
     tracks_to_actions,
 )
 from trackpolicy.sim import MAX_ROTATION
 
 INTR = CameraIntrinsics(fx=100.0, fy=100.0, cx=64.0, cy=64.0, width=128, height=128)
-IDENTITY_POSE = CameraPose(np.eye(3), np.zeros(3))
+IDENTITY_POSE = RigidTransform()
 
 
 def random_rotation(rng):
@@ -87,7 +79,8 @@ def oracle_triangulate_gauss_newton(px1, px2, cam1, cam2, x0, iters=25):
     px2 = np.asarray(px2, dtype=float)
 
     def residual(x):
-        return np.concatenate([project(x, *cam1) - px1, project(x, *cam2) - px2])
+        return np.concatenate([project_points(x, *cam1)[0] - px1,
+                               project_points(x, *cam2)[0] - px2])
 
     x = np.asarray(x0, dtype=float).copy()
     h = 1e-7
@@ -164,6 +157,19 @@ def rowwise_kabsch(src, dst):
     return r, cb - r @ ca
 
 
+def rigid_fit(src, dst) -> RigidTransform:
+    """The rigid fit of src onto dst: tracks_to_actions on a 2-frame stack."""
+    rotations, translations = tracks_to_actions(np.stack([src, dst]))
+    return RigidTransform(rotations[0], translations[0])
+
+
+def assert_centroid_shift(src, dst):
+    """The fallback fit: identity rotation and dst's centroid minus src's."""
+    rotations, translations = tracks_to_actions(np.stack([src, dst]))
+    assert np.array_equal(rotations[0], np.eye(3))
+    assert np.array_equal(translations[0], dst.mean(axis=0) - src.mean(axis=0))
+
+
 def rmsd(transform, src, dst):
     return float(np.sqrt(np.mean(np.sum((transform.apply(src) - dst) ** 2, axis=1))))
 
@@ -173,20 +179,20 @@ def rmsd(transform, src, dst):
 
 
 def test_project_on_axis():
-    assert np.allclose(project((0, 0, 1), INTR, IDENTITY_POSE), (64, 64))
+    assert np.allclose(project_points((0, 0, 1), INTR, IDENTITY_POSE)[0], (64, 64))
 
 
 def test_project_translated_camera():
     # Camera moved to world x=+0.1; the point lands 0.1 m left in camera frame.
-    pose = CameraPose(np.eye(3), [-0.1, 0, 0])
-    assert np.allclose(project((0, 0, 1), INTR, pose), (54, 64))
+    pose = RigidTransform(np.eye(3), [-0.1, 0, 0])
+    assert np.allclose(project_points((0, 0, 1), INTR, pose)[0], (54, 64))
 
 
 def test_project_behind_camera_raises():
     with pytest.raises(BehindCameraError):
-        project((0, 0, -0.5), INTR, IDENTITY_POSE)
+        project_points((0, 0, -0.5), INTR, IDENTITY_POSE)
     with pytest.raises(BehindCameraError):
-        project((0, 0, 0), INTR, IDENTITY_POSE)
+        project_points((0, 0, 0), INTR, IDENTITY_POSE)
     pts = np.array([[0.0, 0.0, 1.0], [0.1, 0.0, 2.0], [0.0, 0.1, -0.5], [0.0, 0.0, 3.0]])
     with pytest.raises(BehindCameraError, match="point 2"):
         project_points(pts, INTR, IDENTITY_POSE)
@@ -197,7 +203,7 @@ def test_project_matches_homogeneous_oracle():
     for _ in range(200):
         (_, pose), _ = random_camera_pair(rng)
         p = rng.uniform(-0.2, 0.2, size=3)
-        uv = project(p, INTR, pose)
+        uv = project_points(p, INTR, pose)[0]
         assert np.max(np.abs(uv - oracle_project_homogeneous(p, INTR, pose))) < 1e-10
 
 
@@ -207,7 +213,7 @@ def test_project_points_matches_scalar():
     pts = rng.uniform(-0.2, 0.2, size=(17, 3))
     batch = project_points(pts, INTR, pose)
     for i, p in enumerate(pts):
-        assert np.array_equal(batch[i], project(p, INTR, pose))
+        assert np.array_equal(batch[i], project_points(p, INTR, pose)[0])
         # and bit-equal to the textbook per-row product R @ p + t
         pc = pose.rotation @ p + pose.translation
         row = (INTR.fx * pc[0] / pc[2] + INTR.cx, INTR.fy * pc[1] / pc[2] + INTR.cy)
@@ -220,7 +226,7 @@ def test_project_points_matches_scalar():
 
 def test_triangulate_inverts_projection_examples():
     cam1 = (INTR, IDENTITY_POSE)
-    cam2 = (INTR, CameraPose(np.eye(3), [-0.1, 0, 0]))
+    cam2 = (INTR, RigidTransform(np.eye(3), [-0.1, 0, 0]))
     p = triangulate((64, 64), (54, 64), cam1, cam2)
     assert np.max(np.abs(p - np.array([0, 0, 1.0]))) < 1e-9
 
@@ -233,7 +239,7 @@ def test_triangulate_zero_baseline_raises():
 
 def test_triangulate_parallel_rays_raises():
     cam1 = (INTR, IDENTITY_POSE)
-    cam2 = (INTR, CameraPose(np.eye(3), [-0.1, 0, 0]))
+    cam2 = (INTR, RigidTransform(np.eye(3), [-0.1, 0, 0]))
     # Same pixel in two translated-but-parallel cameras -> parallel rays.
     with pytest.raises(DegenerateRaysError):
         triangulate((64, 64), (64, 64), cam1, cam2)
@@ -269,14 +275,14 @@ def test_residual_stack_matches_per_point_bitwise():
             single = reprojection_residual_px(pts[i], px1[i], px2[i], cam1, cam2)
             assert isinstance(single, float)
             assert batch[i] == single
-            e1 = np.linalg.norm(project(pts[i], *cam1) - px1[i])
-            e2 = np.linalg.norm(project(pts[i], *cam2) - px2[i])
+            e1 = np.linalg.norm(project_points(pts[i], *cam1)[0] - px1[i])
+            e2 = np.linalg.norm(project_points(pts[i], *cam2)[0] - px2[i])
             assert batch[i] == 0.5 * (e1 + e2)
 
 
 def test_triangulate_stack_with_one_parallel_row_raises():
     cam1 = (INTR, IDENTITY_POSE)
-    cam2 = (INTR, CameraPose(np.eye(3), [-0.1, 0, 0]))
+    cam2 = (INTR, RigidTransform(np.eye(3), [-0.1, 0, 0]))
     px1 = np.array([[64.0, 64.0], [70.0, 60.0], [64.0, 64.0]])
     px2 = np.array([[54.0, 64.0], [60.0, 60.0], [64.0, 64.0]])
     triangulate(px1[:2], px2[:2], cam1, cam2)
@@ -288,7 +294,7 @@ def test_triangulate_stack_with_one_parallel_row_raises():
 
 def test_residual_stack_with_one_point_behind_camera_raises():
     cam1 = (INTR, IDENTITY_POSE)
-    cam2 = (INTR, CameraPose(np.eye(3), [-0.1, 0, 0]))
+    cam2 = (INTR, RigidTransform(np.eye(3), [-0.1, 0, 0]))
     pts = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0], [0.05, 0.0, 1.5]])
     px = np.full((3, 2), 64.0)
     with pytest.raises(BehindCameraError, match="point 1"):
@@ -301,7 +307,8 @@ def test_triangulate_round_trip_exact():
     for _ in range(1000):
         cam1, cam2 = random_camera_pair(rng)
         p = rng.uniform(-0.2, 0.2, size=3)
-        p_hat = triangulate(project(p, *cam1), project(p, *cam2), cam1, cam2)
+        p_hat = triangulate(project_points(p, *cam1)[0], project_points(p, *cam2)[0],
+                            cam1, cam2)
         worst = max(worst, float(np.max(np.abs(p_hat - p))))
     assert worst < 1e-9
 
@@ -312,8 +319,8 @@ def test_triangulate_noisy_matches_gauss_newton_oracle():
     for _ in range(1000):
         cam1, cam2 = random_camera_pair(rng)
         p = rng.uniform(-0.2, 0.2, size=3)
-        px1 = project(p, *cam1) + rng.normal(scale=0.5, size=2)
-        px2 = project(p, *cam2) + rng.normal(scale=0.5, size=2)
+        px1 = project_points(p, *cam1)[0] + rng.normal(scale=0.5, size=2)
+        px2 = project_points(p, *cam2)[0] + rng.normal(scale=0.5, size=2)
         p_mid = triangulate(px1, px2, cam1, cam2)
         p_gn = oracle_triangulate_gauss_newton(px1, px2, cam1, cam2, x0=p)
         err_mid.append(np.linalg.norm(p_mid - p))
@@ -324,13 +331,13 @@ def test_triangulate_noisy_matches_gauss_newton_oracle():
 
 
 # ---------------------------------------------------------------------------
-# rigid fitting
+# rigid fitting, through tracks_to_actions on 2-frame stacks
 
 
 def test_fit_identity():
     rng = np.random.default_rng(4)
     src = rng.normal(size=(5, 3))
-    t = fit_rigid_transform(src, src)
+    t = rigid_fit(src, src)
     assert np.allclose(t.rotation, np.eye(3), atol=1e-12)
     assert np.allclose(t.translation, 0, atol=1e-12)
 
@@ -338,7 +345,7 @@ def test_fit_identity():
 def test_fit_pure_translation():
     rng = np.random.default_rng(5)
     src = rng.normal(size=(5, 3))
-    t = fit_rigid_transform(src, src + np.array([0.1, 0, 0]))
+    t = rigid_fit(src, src + np.array([0.1, 0, 0]))
     assert np.max(np.abs(t.rotation - np.eye(3))) < 1e-10
     assert np.max(np.abs(t.translation - np.array([0.1, 0, 0]))) < 1e-10
 
@@ -349,20 +356,27 @@ def test_fit_exact_recovery():
         src = rng.normal(size=(5, 3))
         r0 = random_rotation(rng)
         t0 = rng.normal(size=3)
-        fit = fit_rigid_transform(src, src @ r0.T + t0)
+        fit = rigid_fit(src, src @ r0.T + t0)
         assert np.max(np.abs(fit.rotation - r0)) < 1e-8
         assert np.max(np.abs(fit.translation - t0)) < 1e-8
 
 
-def test_fit_too_few_points_raises():
-    with pytest.raises(DegenerateConfigurationError):
-        fit_rigid_transform(np.zeros((2, 3)), np.zeros((2, 3)))
+def test_fit_too_few_points_falls_back():
+    frames = np.random.default_rng(18).normal(size=(4, 2, 3))
+    for h in range(3):
+        assert_centroid_shift(frames[h], frames[h + 1])
+    # and the same rows come out of one stacked call
+    rotations, translations = tracks_to_actions(frames)
+    for h in range(3):
+        assert np.array_equal(rotations[h], np.eye(3))
+        assert np.array_equal(translations[h], frames[h + 1].mean(axis=0) - frames[h].mean(axis=0))
 
 
-def test_fit_collinear_raises():
+def test_fit_collinear_falls_back():
     src = np.outer(np.arange(5.0), [1.0, 0, 0])
-    with pytest.raises(DegenerateConfigurationError):
-        fit_rigid_transform(src, src)
+    rng = np.random.default_rng(19)
+    assert_centroid_shift(src, src)
+    assert_centroid_shift(src, src @ random_rotation(rng).T + rng.normal(size=3))
 
 
 def test_fit_noisy_beats_rotation_grid_oracle():
@@ -371,7 +385,7 @@ def test_fit_noisy_beats_rotation_grid_oracle():
     r0 = random_rotation(rng)
     t0 = rng.normal(scale=0.1, size=3)
     dst = src @ r0.T + t0 + rng.normal(scale=1e-3, size=src.shape)
-    fit = fit_rigid_transform(src, dst)
+    fit = rigid_fit(src, dst)
     grid_best = oracle_best_rotation_rmsd_grid(src, dst)
     assert rmsd(fit, src, dst) <= grid_best + 1e-12
 
@@ -380,7 +394,7 @@ def test_fit_reflection_gets_proper_rotation():
     rng = np.random.default_rng(8)
     src = rng.normal(size=(6, 3))
     mirrored = src * np.array([-1.0, 1.0, 1.0]) + rng.normal(scale=1e-4, size=src.shape)
-    fit = fit_rigid_transform(src, mirrored)
+    fit = rigid_fit(src, mirrored)
     assert abs(np.linalg.det(fit.rotation) - 1.0) < 1e-9
     assert np.max(np.abs(fit.rotation.T @ fit.rotation - np.eye(3))) < 1e-9
 
@@ -389,10 +403,10 @@ def test_fit_left_invariance():
     rng = np.random.default_rng(9)
     src = rng.normal(size=(5, 3))
     dst = src @ random_rotation(rng).T + rng.normal(size=3) + rng.normal(scale=0.01, size=src.shape)
-    base = fit_rigid_transform(src, dst)
+    base = rigid_fit(src, dst)
     for _ in range(20):
         q = random_rotation(rng)
-        rotated = fit_rigid_transform(src @ q.T, dst @ q.T)
+        rotated = rigid_fit(src @ q.T, dst @ q.T)
         assert np.max(np.abs(rotated.rotation - q @ base.rotation @ q.T)) < 1e-9
         assert np.max(np.abs(rotated.translation - q @ base.translation)) < 1e-9
 
@@ -413,7 +427,7 @@ def test_rigid_transform_compose_inverse():
         assert np.max(np.abs(ident.translation)) < 1e-12
 
 
-@pytest.mark.parametrize("make", [RigidTransform, CameraPose])
+@pytest.mark.parametrize("make", [RigidTransform])
 def test_rotation_with_nan_rejected(make):
     with pytest.raises(ValueError):
         make(np.full((3, 3), np.nan), np.zeros(3))
@@ -441,7 +455,7 @@ def test_non_3x3_rotation_rejected():
 
 def test_random_and_composed_rotations_accepted():
     rng = np.random.default_rng(14)
-    total = RigidTransform.identity()
+    total = RigidTransform()
     for _ in range(50):
         step = RigidTransform(random_rotation(rng), rng.normal(size=3))
         total = total.compose(step)
@@ -573,22 +587,10 @@ def test_tracks_composition_maps_first_to_last():
                               rng.normal(scale=0.05, size=3))
         frames.append(step.apply(frames[-1]))
     frames = np.asarray(frames)
-    total = RigidTransform.identity()
+    total = RigidTransform()
     for r, t in zip(*tracks_to_actions(frames)):
         total = RigidTransform(r, t).compose(total)
     assert np.max(np.abs(total.apply(frames[0]) - frames[-1])) < 1e-8
-
-
-def test_tracks_degenerate_frame_index_in_error():
-    rng = np.random.default_rng(15)
-    good = rng.normal(size=(5, 3))
-    collinear = np.outer(np.arange(5.0), [1.0, 2.0, 0.5])
-    frames = np.stack([good, good + 0.01, collinear, collinear])
-    with pytest.raises(DegenerateConfigurationError, match="frame 2"):
-        tracks_to_actions(frames, allow_fallback=False)
-    # With the fallback the degenerate step degrades to translation-only.
-    rotations, _ = tracks_to_actions(frames, allow_fallback=True)
-    assert np.allclose(rotations[2], np.eye(3))
 
 
 def test_tracks_stack_matches_per_frame_fits_bitwise():
@@ -604,35 +606,17 @@ def test_tracks_stack_matches_per_frame_fits_bitwise():
     rotations, translations = tracks_to_actions(frames)
     assert rotations.shape == (16, 3, 3) and translations.shape == (16, 3)
     for h, (rot, trans) in enumerate(zip(rotations, translations)):
-        if h == 6:
-            with pytest.raises(DegenerateConfigurationError):
-                fit_rigid_transform(frames[h], frames[h + 1])
-            want = translation_fit(frames[h], frames[h + 1])
-            assert np.array_equal(rot, np.eye(3))
-        else:
-            want = fit_rigid_transform(frames[h], frames[h + 1])
-            r, t = rowwise_kabsch(frames[h], frames[h + 1])
-            assert np.array_equal(rot, r) and np.array_equal(trans, t)
+        want = rigid_fit(frames[h], frames[h + 1])
         assert np.array_equal(rot, want.rotation)
         assert np.array_equal(trans, want.translation)
-    with pytest.raises(DegenerateConfigurationError, match="frame 6"):
-        tracks_to_actions(frames, allow_fallback=False)
-
-
-def test_tracks_too_few_points_fall_back_or_raise():
-    frames = np.random.default_rng(18).normal(size=(4, 2, 3))
-    for h, (r, t) in enumerate(zip(*tracks_to_actions(frames))):
-        want = translation_fit(frames[h], frames[h + 1])
-        assert np.array_equal(r, want.rotation)
-        assert np.array_equal(t, want.translation)
-    with pytest.raises(DegenerateConfigurationError, match="frame 0"):
-        tracks_to_actions(frames, allow_fallback=False)
+        if h == 6:
+            assert_centroid_shift(frames[h], frames[h + 1])
+        else:
+            r, t = rowwise_kabsch(frames[h], frames[h + 1])
+            assert np.array_equal(rot, r) and np.array_equal(trans, t)
 
 
 def test_translation_fit_matches_centroids():
+    # every keypoint on one spot: the source has rank 0
     rng = np.random.default_rng(16)
-    src = rng.normal(size=(5, 3))
-    dst = rng.normal(size=(5, 3))
-    t = translation_fit(src, dst)
-    assert np.allclose(t.translation, dst.mean(axis=0) - src.mean(axis=0))
-    assert np.allclose(t.rotation, np.eye(3))
+    assert_centroid_shift(np.tile(rng.normal(size=3), (5, 1)), rng.normal(size=(5, 3)))

@@ -20,10 +20,8 @@ from trackpolicy import inference, sim
 from trackpolicy.geometry import (
     RigidTransform,
     axis_angle_to_matrix,
-    fit_rigid_transform,
     project_points,
     tracks_to_actions,
-    translation_fit,
 )
 
 SEEDS = (0, 1, 2, 3, 4)
@@ -164,14 +162,15 @@ def test_chunk_deltas_equal_per_frame_fits_bitwise():
     deltas = chunk.deltas
     assert chunk.horizon == len(deltas) == 8
     for h in range(8):
+        rotations, translations = tracks_to_actions(frames[h:h + 2])
         if h == 4:
-            want = translation_fit(frames[h], frames[h + 1])
-        else:
-            want = fit_rigid_transform(frames[h], frames[h + 1])
+            assert np.array_equal(rotations[0], np.eye(3))
+            assert np.array_equal(translations[0],
+                                  frames[h + 1].mean(axis=0) - frames[h].mean(axis=0))
         for got in (chunk.delta(h), deltas[h]):
             assert isinstance(got, RigidTransform)
-            assert got.rotation.tobytes() == want.rotation.tobytes()
-            assert got.translation.tobytes() == want.translation.tobytes()
+            assert got.rotation.tobytes() == rotations[0].tobytes()
+            assert got.translation.tobytes() == translations[0].tobytes()
 
 
 def test_chunk_arrays_are_read_only_copies():

@@ -63,8 +63,7 @@ def observation(view: int = 0, seed: int = 5):
     state = sim.reset(sim.make_task("push_right"), seed)
     cams = sim.default_cameras()
     img, kps, _ = sim.observe(state, cams[view], sim.robot_embodiment(), view_id=view)
-    stats = data.stats_for_camera(cams[view][0])
-    return state, img, data.KeypointSet2D(stats.normalize(kps.points), data.ROBOT, view)
+    return state, img, data.normalize_keypoints(kps.points, cams[view][0])
 
 
 def assert_same_chunk(a, b):
@@ -98,8 +97,10 @@ def reference_samples(demo, horizon):
     out = []
     for v in range(demo.n_views):
         intr = demo.cameras[v][0]
-        track = np.asarray([data.normalize_keypoints(views[v].keypoints, intr).points
-                            for views in demo.frames])
+        track = np.asarray([data.normalize_keypoints(
+            views[v].keypoints.points[list(data.HAND_SUBSET_INDICES)]
+            if views[v].keypoints.k == 21 else views[v].keypoints.points, intr)
+            for views in demo.frames])
         grasps = np.asarray([views[v].grasp for views in demo.frames], dtype=np.float64)
         for t in range(demo.length):
             idx = np.minimum(t + 1 + np.arange(horizon), demo.length - 1)
@@ -285,13 +286,14 @@ def test_train_step_raises_when_a_layer_overflows(demos):
 def test_sample_is_bit_identical_for_a_seed(trained):
     model, _ = trained
     _, img, kn = observation()
-    a = policy.sample(model, img, kn, seed=11)
-    b = policy.sample(model, img, kn, seed=11)
-    c = policy.sample(model, img, kn, seed=12)
-    assert a.offsets.shape == (CFG.horizon, data.N_TRACK_KEYPOINTS, 2)
-    assert np.array_equal(a.offsets, b.offsets)
-    assert np.array_equal(a.grasp_logits, b.grasp_logits)
-    assert not np.array_equal(a.offsets, c.offsets)
+    a_offsets, a_logits = policy.sample(model, img, kn, seed=11)
+    b_offsets, b_logits = policy.sample(model, img, kn, seed=11)
+    c_offsets, _ = policy.sample(model, img, kn, seed=12)
+    assert a_offsets.shape == (CFG.horizon, data.N_TRACK_KEYPOINTS, 2)
+    assert a_logits.shape == (CFG.horizon,)
+    assert np.array_equal(a_offsets, b_offsets)
+    assert np.array_equal(a_logits, b_logits)
+    assert not np.array_equal(a_offsets, c_offsets)
 
 
 def test_checkpoint_round_trip_with_retargeter(trained, tmp_path):
@@ -301,14 +303,12 @@ def test_checkpoint_round_trip_with_retargeter(trained, tmp_path):
     policy.save_policy(path, model)
     loaded = policy.load_policy(path)
     _, img, kn = observation(view=1)
-    a = policy.sample(model, img, kn, seed=4)
-    b = policy.sample(loaded, img, kn, seed=4)
-    assert np.array_equal(a.offsets, b.offsets)
-    assert np.array_equal(a.grasp_logits, b.grasp_logits)
+    for a, b in zip(policy.sample(model, img, kn, seed=4), policy.sample(loaded, img, kn, seed=4)):
+        assert np.array_equal(a, b)
     assert loaded.cfg == model.cfg
     assert (loaded.schedule.num_steps, loaded.schedule.beta_start, loaded.schedule.beta_end) \
         == (model.schedule.num_steps, model.schedule.beta_start, model.schedule.beta_end)
-    pts = np.stack([kn.points, kn.points + 0.01])
+    pts = np.stack([kn, kn + 0.01])
     assert np.array_equal(loaded.retargeter.transform_batch(pts),
                           model.retargeter.transform_batch(pts))
     again = tmp_path / "again.ckpt"
@@ -330,6 +330,13 @@ def test_load_policy_rejects_other_checkpoint_kinds(trained, tmp_path):
         policy.load_policy(path)
 
 
+def test_load_policy_names_missing_meta_keys(tmp_path):
+    path = tmp_path / "incomplete.ckpt"
+    nn.save_checkpoint(path, policy.CHECKPOINT_KIND, {"horizon": 16}, {})
+    with pytest.raises(SchemaMismatchError, match="'lambda_kl'.*'image_dim'.*'beta_end'"):
+        policy.load_policy(path)
+
+
 def reference_sample_flat(model, img, kn, seed):
     """The ancestral sampler spelled out step by step, every per-step
     constant (timestep features, sqrt(abar) factors, conditioning row)
@@ -337,7 +344,7 @@ def reference_sample_flat(model, img, kn, seed):
     schedule = model.schedule
     rng = np.random.default_rng([seed, policy._SAMPLE_STREAM])
     emb = nn.forward(model.encoder, model.params, np.asarray(img).reshape(1, -1))
-    kps = model.retargeter.transform_batch(kn.points[None]).reshape(1, -1)
+    kps = model.retargeter.transform_batch(kn[None]).reshape(1, -1)
     x = rng.standard_normal((1, model.target_dim))
     for t in range(schedule.num_steps - 1, -1, -1):
         den_in = np.concatenate([x, emb, kps, timestep_embedding(t)], axis=1)
@@ -388,6 +395,16 @@ def test_sample_flat_rejects_a_misshapen_denoiser_before_stepping(trained, no_sa
         policy.sample_flat(bad, img, kn, seed=1)
 
 
+def test_sample_flat_rejects_keypoints_of_the_wrong_shape_before_stepping(trained,
+                                                                         no_sampler_step):
+    model, _ = trained
+    _, img, kn = observation()
+    hand = np.zeros((21, 2))
+    for bad in (hand, kn.reshape(-1), kn[None]):
+        with pytest.raises(ValueError, match=r"expected \(5, 2\) keypoints"):
+            policy.sample_flat(model, img, bad, seed=1)
+
+
 def test_sample_flat_names_the_layer_a_nan_weight_reaches(trained):
     model, _ = trained
     _, img, kn = observation()
@@ -405,15 +422,14 @@ def test_sample_flat_rejects_non_finite_conditioning_before_stepping(trained, ba
     w0[0, 2] = np.nan
     with pytest.raises(NonFiniteError, match="encoder: non-finite values produced by layer 0"):
         policy.sample_flat(with_param(model, "encoder/w0", w0), img, kn, seed=1)
-    # KeypointSet2D rejects NaN when built; its array can still be written later
-    bad_kn = data.KeypointSet2D(kn.points, kn.embodiment, kn.view_id)
-    bad_kn.points[1, 0] = np.nan
+    bad_kn = kn.copy()
+    bad_kn[1, 0] = np.nan
     with pytest.raises(NonFiniteError, match="points contains NaN or Inf"):
         policy.sample_flat(model, img, bad_kn, seed=1)
     # the baseline has no retargeter: its keypoints reach the denoiser row
     # raw, checked only by sample_flat itself
     base_model, _ = baseline
-    bad_kn.points[1, 0] = np.inf
+    bad_kn[1, 0] = np.inf
     with pytest.raises(NonFiniteError, match="non-finite conditioning"):
         policy.sample_flat(base_model, img, bad_kn, seed=1)
 

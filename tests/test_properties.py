@@ -3,7 +3,7 @@
 Random camera pairs watch the robot's keypoints ride a random end-effector
 trajectory. `chunk_from_tracks` must (a) give, bit for bit, what the
 per-point `triangulate`/`reprojection_residual_px` calls and per-frame
-`fit_rigid_transform` give, and (b) recover the motion from exact
+`tracks_to_actions` calls give, and (b) recover the motion from exact
 projections: executing its deltas through `world_to_ee_delta` retraces the
 end-effector. Examples are derandomized so the suite is repeatable.
 """
@@ -17,10 +17,10 @@ from trackpolicy.geometry import (
     CameraIntrinsics,
     RigidTransform,
     axis_angle_to_matrix,
-    fit_rigid_transform,
     look_at,
     project_points,
     reprojection_residual_px,
+    tracks_to_actions,
     triangulate,
 )
 
@@ -88,9 +88,9 @@ def test_chunk_from_tracks_matches_per_point_calls_bitwise(cams, traj):
             if f > 0:
                 assert chunk.residuals_px[f - 1, j] == res
     for h, delta in enumerate(chunk.deltas):
-        want = fit_rigid_transform(pts3[h], pts3[h + 1])
-        assert np.array_equal(delta.rotation, want.rotation)
-        assert np.array_equal(delta.translation, want.translation)
+        rotations, translations = tracks_to_actions(pts3[h:h + 2])
+        assert np.array_equal(delta.rotation, rotations[0])
+        assert np.array_equal(delta.translation, translations[0])
 
 
 @SETTINGS

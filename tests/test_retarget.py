@@ -10,14 +10,15 @@ from trackpolicy.errors import (
     NotFittedError,
     WrongDimensionError,
 )
-from trackpolicy.nn import init_params
+from trackpolicy.nn import finite_difference_check, init_params
 from trackpolicy.retarget import KeypointRetargeter
 
 
 def layout_corpus(kind, n_poses, seed):
     """Clean normalized 5-point layouts at random workspace poses, (n, 5, 2)."""
     cams = sim.default_cameras()
-    return np.stack([data.normalize_keypoints(f, cams[f.view_id][0]).points
+    subset = list(data.HAND_SUBSET_INDICES) if kind == "human" else slice(None)
+    return np.stack([data.normalize_keypoints(f.points[subset], cams[f.view_id][0])
                      for f in sim.random_keypoint_frames(kind, n_poses, seed)])
 
 
@@ -93,6 +94,23 @@ def test_robot_layouts_move_toward_hand_templates(trained):
     before = template_distance(robot, templates)
     after = template_distance(est.transform_batch(robot), templates)
     assert after < 0.5 * before
+
+
+def test_denoising_loss_gradient_matches_finite_differences():
+    # the loss and gradient fit() steps on, on one epoch's noisy inputs
+    clean = layout_corpus("human", 6, seed=3)
+    noisy = noisy_copy(clean, seed=3)
+    n, a = len(clean), retarget.ANCHOR_INDEX
+    rel_in = (noisy - noisy[:, a:a + 1]).reshape(n, -1)
+    mask = np.ones(rel_in.shape[1])
+    mask[2 * a:2 * a + 2] = 0.0
+    target = (clean - clean[:, a:a + 1]).reshape(n, -1) * mask
+    rng = np.random.default_rng(4)
+    for seed in (0, 1):
+        worst = finite_difference_check(
+            lambda p: retarget._denoising_loss(p, rel_in, target, mask),
+            init_params(retarget.NET_SPEC, seed), rng, n_probes=30)
+        assert worst < 1e-5
 
 
 # ---------------------------------------------------------------------------
