@@ -365,11 +365,6 @@ def test_fit_too_few_points_falls_back():
     frames = np.random.default_rng(18).normal(size=(4, 2, 3))
     for h in range(3):
         assert_centroid_shift(frames[h], frames[h + 1])
-    # and the same rows come out of one stacked call
-    rotations, translations = tracks_to_actions(frames)
-    for h in range(3):
-        assert np.array_equal(rotations[h], np.eye(3))
-        assert np.array_equal(translations[h], frames[h + 1].mean(axis=0) - frames[h].mean(axis=0))
 
 
 def test_fit_collinear_falls_back():
@@ -614,6 +609,15 @@ def test_tracks_stack_matches_per_frame_fits_bitwise():
         else:
             r, t = rowwise_kabsch(frames[h], frames[h + 1])
             assert np.array_equal(rot, r) and np.array_equal(trans, t)
+
+
+def test_tracks_too_few_points_fall_back():
+    # the 2-point fits of test_fit_too_few_points_falls_back, from one stacked call
+    frames = np.random.default_rng(18).normal(size=(4, 2, 3))
+    rotations, translations = tracks_to_actions(frames)
+    for h in range(3):
+        assert np.array_equal(rotations[h], np.eye(3))
+        assert np.array_equal(translations[h], frames[h + 1].mean(axis=0) - frames[h].mean(axis=0))
 
 
 def test_translation_fit_matches_centroids():
