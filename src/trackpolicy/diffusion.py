@@ -1,9 +1,9 @@
 """Denoising-diffusion core: variance schedule, timestep features, forward
 noising, and the ancestral sampling loop.
 
-Model-agnostic on purpose. The sampler takes any eps_fn(x, t) -> predicted
-noise, so one loop drives the conditional track policy, the 6DoF baseline,
-and unconditional toy targets in tests.
+Model-agnostic on purpose. The sampler takes any clean_fn(x, t) -> predicted
+clean sample, so one loop drives the conditional track policy, the 6DoF
+baseline, and unconditional toy targets in tests.
 """
 
 from __future__ import annotations
@@ -90,32 +90,37 @@ def add_noise(schedule: DiffusionSchedule, x0, t, eps) -> np.ndarray:
     return np.sqrt(ab) * x0 + np.sqrt(1.0 - ab) * eps
 
 
-def ancestral_sample(eps_fn, n: int, dim: int, schedule: DiffusionSchedule, rng) -> np.ndarray:
+def ancestral_sample(clean_fn, n: int, dim: int, schedule: DiffusionSchedule, rng) -> np.ndarray:
     """Draw n samples of dimension dim by full reverse diffusion.
 
-    eps_fn(x, t) receives the whole current batch (n, dim) and the integer
-    step t and returns predicted noise of the same shape; per-step noise uses
-    sigma_t = sqrt(beta_t), none on the final step. Deterministic given the
-    rng state. x is one array updated in place from step to step, so eps_fn
-    must read it during its call and not keep it (returning x itself is
-    fine); the array eps_fn returns is only read.
+    clean_fn(x, t) receives the whole current batch (n, dim) and the integer
+    step t and returns the predicted clean sample of the same shape. Each
+    step moves x to the DDPM posterior mean in x0 form (Ho et al. 2020,
+    eq. 7), ct[t] * x + c0[t] * clean, plus sigma_t = sqrt(beta_t) noise,
+    none on the final step. Deterministic given the rng state: x_T first,
+    then one noise draw per step while t > 0. x is one array updated in
+    place from step to step, so clean_fn must read it during its call and
+    not keep it (returning x itself is fine); the array clean_fn returns is
+    only read.
     """
-    # per-step constants, elementwise the same values the loop would compute
-    eps_coef = schedule.betas / np.sqrt(1.0 - schedule.alpha_bars)
-    sqrt_alphas = np.sqrt(schedule.alphas)
+    # posterior-mean coefficients; with abar_{-1} = 1, ct[0] = 0 and c0[0] = 1
+    # up to rounding, so the last step lands on the clean prediction
+    abar_prev = np.concatenate([[1.0], schedule.alpha_bars[:-1]])
+    one_minus_abar = 1.0 - schedule.alpha_bars
+    c0 = np.sqrt(abar_prev) * schedule.betas / one_minus_abar
+    ct = np.sqrt(schedule.alphas) * (1.0 - abar_prev) / one_minus_abar
     sigmas = np.sqrt(schedule.betas)
     x = rng.standard_normal((n, dim))
-    # scratch for eps_coef * eps_hat, then for the step's noise: standard_normal
+    # scratch for c0 * clean, then for the step's noise: standard_normal
     # fills it with the values, in the order, a fresh (n, dim) draw would have
     buf = np.empty_like(x)
     for t in range(schedule.num_steps - 1, -1, -1):
-        eps_hat = np.asarray(eps_fn(x, t), dtype=np.float64)
-        if eps_hat.shape != x.shape:
-            raise ValueError(f"eps_fn returned {eps_hat.shape}, expected {x.shape}")
-        # x = (x - eps_coef[t] * eps_hat) / sqrt_alphas[t] + sigmas[t] * noise
-        np.multiply(eps_coef[t], eps_hat, out=buf)
-        x -= buf
-        x /= sqrt_alphas[t]
+        clean = np.asarray(clean_fn(x, t), dtype=np.float64)
+        if clean.shape != x.shape:
+            raise ValueError(f"clean_fn returned {clean.shape}, expected {x.shape}")
+        np.multiply(c0[t], clean, out=buf)
+        x *= ct[t]
+        x += buf
         if t > 0:
             rng.standard_normal(out=buf)
             buf *= sigmas[t]

@@ -54,8 +54,8 @@ class ActionChunk:
     residuals_px[h, j] is the triangulation reprojection gap for keypoint j
     at predicted frame h+1 -- zero iff the two views' predictions are
     consistent with one 3D point. All four arrays are private read-only
-    copies, and every rotation row passes the `RigidTransform` check once
-    here.
+    copies, every rotation row passes the `RigidTransform` check once here,
+    and translations and residuals must be finite.
     """
 
     rotations: np.ndarray     # (H, 3, 3)
@@ -75,6 +75,8 @@ class ActionChunk:
             raise ValueError(
                 f"deltas/grasps/residuals lengths disagree: "
                 f"{rot.shape[0]}/{len(grasps)}/{res.shape[0]}")
+        if not np.isfinite(trans).all():
+            raise ValueError("chunk translations must be finite")
         if not np.all(np.isfinite(res)):
             raise ValueError("triangulation residuals must be finite")
         for h, r in enumerate(rot):

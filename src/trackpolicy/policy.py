@@ -13,8 +13,8 @@ recovered analytically as (x_t - sqrt(abar)*clean_hat) / sqrt(1-abar). The
 two parameterizations share the same optimum, but a plain MLP asked for the
 noise directly must modulate an input gain of 1/sqrt(1-abar) (1 to ~50 over
 the schedule) by timestep, which it learns orders of magnitude more slowly
-than the smooth clean-target map. Loss and sampler both consume the noise
-prediction.
+than the smooth clean-target map. The loss consumes the noise prediction,
+the sampler the clean one.
 
 Conditioning keypoints always pass through the frozen retargeter first; a
 model built with retargeter=None conditions on raw keypoints (identity
@@ -93,8 +93,11 @@ class TrainConfig:
             raise ValueError(f"horizon must be >= 1, got {self.horizon}")
         if not 0.0 <= self.lambda_da <= 1.0:
             raise ValueError(f"lambda_da must be in [0, 1], got {self.lambda_da}")
-        if self.lambda_kl < 0.0:
-            raise ValueError(f"lambda_kl must be >= 0, got {self.lambda_kl}")
+        # written so that NaN fails them
+        if not 0.0 <= self.lambda_kl < np.inf:
+            raise ValueError(f"lambda_kl must be finite and >= 0, got {self.lambda_kl}")
+        if not 0.0 < self.learning_rate < np.inf:
+            raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
         # co-training batches are half human, half robot, and the moment
         # losses need at least 2 rows on each side
         if self.batch_size < 4:
@@ -360,9 +363,14 @@ def sample_flat(model: PolicyModel, feature_image, keypoints,
 
     Validated once per draw: the keypoints' shape, the denoiser's parameter
     shapes, the width of its input row and the finiteness of the fixed
-    conditioning (embedding and retargeted keypoints). Each step then runs
-    the denoiser through `apply`, whose per-layer check still catches a
-    non-finite output, and the sampler checks every x_t.
+    conditioning (embedding and retargeted keypoints). The input row is
+    [x_t | conditioning | timestep features] and only x_t varies within a
+    draw, so layer 0's other terms are summed once into a (num_steps,
+    hidden) table whose row t is step t's layer-0 bias. Each step runs the
+    denoiser on x_t alone through `apply`, whose per-layer check catches a
+    non-finite output (a NaN in any block of layer 0's weights or in its
+    bias reaches the first step's), hands the clean prediction to the
+    sampler, and the sampler checks every x_t.
     """
     schedule = model.schedule
     rng = np.random.default_rng([int(seed), _SAMPLE_STREAM])
@@ -371,35 +379,27 @@ def sample_flat(model: PolicyModel, feature_image, keypoints,
         raise ValueError(f"expected ({data.N_TRACK_KEYPOINTS}, 2) keypoints, got {kps.shape}")
     img = np.asarray(feature_image, dtype=np.float64).reshape(1, -1)
     d = model.target_dim
-    # the denoiser's input row is [x_t | embedding | keypoints | timestep
-    # features]; only the first and last blocks change between steps
-    den_in = np.concatenate([
-        np.zeros((1, d)), forward(model.encoder, model.params, img),
-        _retarget_flat(model.retargeter, kps[None]),
-        np.zeros((1, TIME_EMBED_DIM))], axis=1)
+    cond = np.concatenate([forward(model.encoder, model.params, img),
+                           _retarget_flat(model.retargeter, kps[None])], axis=1)
     check_params(model.denoiser, model.params)
-    if den_in.shape[1] != model.denoiser.widths[0]:
+    width = d + cond.shape[1] + TIME_EMBED_DIM
+    if width != model.denoiser.widths[0]:
         raise ShapeMismatchError(
-            f"denoiser input width {den_in.shape[1]} does not match spec width "
+            f"denoiser input width {width} does not match spec width "
             f"{model.denoiser.widths[0]}")
-    if not np.isfinite(den_in[:, d:-TIME_EMBED_DIM]).all():
+    if not np.isfinite(cond).all():
         raise NonFiniteError("non-finite conditioning (embedding or keypoints)")
-    x_cols, t_cols = den_in[:, :d], den_in[:, -TIME_EMBED_DIM:]
-    temb = timestep_table(schedule.num_steps)
-    sqrt_ab = np.sqrt(schedule.alpha_bars)
-    sqrt_1mab = np.sqrt(1.0 - schedule.alpha_bars)
+    w0 = model.params["denoiser/w0"]
+    pre = timestep_table(schedule.num_steps) @ w0[-TIME_EMBED_DIM:]
+    pre += cond @ w0[d:-TIME_EMBED_DIM]
+    pre += model.params["denoiser/b0"]
+    params = {**model.params, "denoiser/w0": w0[:d]}
 
-    def eps_fn(x, t):
-        x_cols[...] = x
-        t_cols[...] = temb[t]
-        # (x - sqrt_ab * clean_hat) / sqrt_1mab, in place on apply's output
-        eps = apply(model.denoiser, model.params, den_in)[0]
-        eps *= sqrt_ab[t]
-        np.subtract(x, eps, out=eps)
-        eps /= sqrt_1mab[t]
-        return eps
+    def clean_fn(x, t):
+        params["denoiser/b0"] = pre[t]
+        return apply(model.denoiser, params, x)[0]
 
-    return ancestral_sample(eps_fn, 1, d, schedule, rng)[0]
+    return ancestral_sample(clean_fn, 1, d, schedule, rng)[0]
 
 
 def sample(model: PolicyModel, feature_image, keypoints, seed: int = 0):

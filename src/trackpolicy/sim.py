@@ -693,33 +693,3 @@ def generate_demos(task_name: str, kind: str, count: int, profile: str = "defaul
         raise ValueError(f"direction profiles only apply to push, not {task_name}")
     emb = embodiment(kind)
     return [scripted_demo(tasks[i % len(tasks)], emb, seed_start + i) for i in range(count)]
-
-
-# band the end-effector actually visits across tasks: spawn box plus push
-# travel laterally, grasp height up to home height vertically
-WORKSPACE_LOW = np.array([-0.13, -0.09, 0.06])
-WORKSPACE_HIGH = np.array([0.13, 0.09, 0.13])
-
-
-def random_keypoint_frames(kind: str, n_poses: int, seed: int) -> list:
-    """Projected keypoint frames at uniform-random workspace poses.
-
-    One KeypointSet2D (pixel coordinates) per (pose, default camera view),
-    open/closed drawn 50/50, no tracker jitter — the clean layout
-    distribution used to train and evaluate layout-level learners without
-    tying them to any task script.
-    """
-    emb = embodiment(kind)
-    cams = default_cameras()
-    rng = np.random.default_rng([int(seed), 7331])
-    out = []
-    for _ in range(n_poses):
-        pos = rng.uniform(WORKSPACE_LOW, WORKSPACE_HIGH)
-        closed = bool(rng.integers(2))
-        state = SimState(ee_pose=RigidTransform(HOME_POSE.rotation, pos),
-                         gripper_closed=closed, objects=(),
-                         goal_center=np.zeros(3), rng_seed=int(seed), step_count=0)
-        pts3 = keypoints3d(state, emb)
-        for v, (intr, pose) in enumerate(cams):
-            out.append(KeypointSet2D(project_points(pts3, intr, pose), kind, v))
-    return out

@@ -3,7 +3,8 @@
 The sampler oracle: for a Gaussian target the optimal noise predictor is
 linear, so the sampler's output distribution has closed-form moments that we
 can recurse exactly and compare against both Monte-Carlo draws and the
-target itself.
+target itself. The sampler takes a clean-sample predictor; `as_clean_fn`
+turns a noise predictor into the clean prediction it implies.
 """
 
 import numpy as np
@@ -108,6 +109,17 @@ def _gaussian_eps_fn(schedule, mu, cov):
     return eps_fn
 
 
+def as_clean_fn(schedule, eps_fn):
+    """The clean-sample predictor implied by a noise predictor:
+    (x - sqrt(1 - abar) eps_hat) / sqrt(abar)."""
+
+    def clean_fn(x, t):
+        ab = schedule.alpha_bars[t]
+        return (x - np.sqrt(1 - ab) * eps_fn(x, t)) / np.sqrt(ab)
+
+    return clean_fn
+
+
 def _closed_form_moments(schedule, mu, cov):
     """Mean/cov of the sampler's output under the optimal predictor.
 
@@ -134,7 +146,8 @@ def test_sampler_matches_closed_form_gaussian():
     assert np.abs(S / cov - 1).max() < 0.02
 
     rng = np.random.default_rng(0)
-    draws = ancestral_sample(_gaussian_eps_fn(SOUND, mu, cov), 4000, 2, SOUND, rng)
+    draws = ancestral_sample(as_clean_fn(SOUND, _gaussian_eps_fn(SOUND, mu, cov)),
+                             4000, 2, SOUND, rng)
     est_cov = np.cov(draws.T, bias=True)
     # Monte-Carlo agreement with the recursion (~3 standard errors at n=4000)
     assert np.abs(draws.mean(0) - m).max() < 0.05
@@ -152,28 +165,32 @@ def test_sampler_recovers_deterministic_target_default_schedule():
         ab = s.alpha_bars[t]
         return (x - np.sqrt(ab) * c) / np.sqrt(1 - ab)
 
-    draws = ancestral_sample(eps_fn, 16, 3, s, np.random.default_rng(3))
+    draws = ancestral_sample(as_clean_fn(s, eps_fn), 16, 3, s, np.random.default_rng(3))
     assert np.abs(draws - c).max() < 1e-9
 
 
 def test_sampler_determinism_and_seed_sensitivity():
-    eps_fn = _gaussian_eps_fn(SOUND, np.zeros(2), np.eye(2))
-    a = ancestral_sample(eps_fn, 5, 2, SOUND, np.random.default_rng(11))
-    b = ancestral_sample(eps_fn, 5, 2, SOUND, np.random.default_rng(11))
-    c = ancestral_sample(eps_fn, 5, 2, SOUND, np.random.default_rng(12))
+    clean_fn = as_clean_fn(SOUND, _gaussian_eps_fn(SOUND, np.zeros(2), np.eye(2)))
+    a = ancestral_sample(clean_fn, 5, 2, SOUND, np.random.default_rng(11))
+    b = ancestral_sample(clean_fn, 5, 2, SOUND, np.random.default_rng(11))
+    c = ancestral_sample(clean_fn, 5, 2, SOUND, np.random.default_rng(12))
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
 
 
-def reference_ancestral_sample(eps_fn, n, dim, schedule, rng):
-    """The sampler before it updated x in place: a fresh array for every
-    update and a fresh (n, dim) noise draw on every step."""
-    eps_coef = schedule.betas / np.sqrt(1.0 - schedule.alpha_bars)
+def reference_ancestral_sample(clean_fn, n, dim, schedule, rng):
+    """The posterior-mean sampler written plainly: coefficients computed
+    inside the loop, a fresh array for every update and a fresh (n, dim)
+    noise draw on every step."""
     x = rng.standard_normal((n, dim))
     for t in range(schedule.num_steps - 1, -1, -1):
-        x = (x - eps_coef[t] * eps_fn(x, t)) / np.sqrt(schedule.alphas)[t]
+        abar, beta = schedule.alpha_bars[t], schedule.betas[t]
+        abar_prev = schedule.alpha_bars[t - 1] if t > 0 else 1.0
+        c0 = np.sqrt(abar_prev) * beta / (1.0 - abar)
+        ct = np.sqrt(schedule.alphas[t]) * (1.0 - abar_prev) / (1.0 - abar)
+        x = ct * x + c0 * clean_fn(x, t)
         if t > 0:
-            x = x + np.sqrt(schedule.betas)[t] * rng.standard_normal((n, dim))
+            x = x + np.sqrt(beta) * rng.standard_normal((n, dim))
     return x
 
 
@@ -181,21 +198,23 @@ def test_in_place_sampler_equals_the_allocating_loop_bitwise():
     s = DiffusionSchedule()
     c = np.array([0.7, -1.2, 0.05])
 
-    def clean_target(x, t):
+    def eps_target(x, t):
         return (x - np.sqrt(s.alpha_bars[t]) * c) / np.sqrt(1 - s.alpha_bars[t])
 
+    clean_target = as_clean_fn(s, eps_target)
     cases = (
-        (_gaussian_eps_fn(SOUND, np.array([0.5, -0.3]), np.eye(2)), 5, 2, SOUND),
+        (as_clean_fn(SOUND, _gaussian_eps_fn(SOUND, np.array([0.5, -0.3]), np.eye(2))),
+         5, 2, SOUND),
         (clean_target, 1, 3, s),
         (clean_target, 4, 3, s),
         # returns the sampler's own x: the update must read it before writing
         (lambda x, t: x, 3, 4, s),
         (lambda x, t: 0.5 * x, 2, 6, DiffusionSchedule(7)),
     )
-    for eps_fn, n, dim, schedule in cases:
+    for clean_fn, n, dim, schedule in cases:
         rng, ref_rng = np.random.default_rng(17), np.random.default_rng(17)
-        got = ancestral_sample(eps_fn, n, dim, schedule, rng)
-        want = reference_ancestral_sample(eps_fn, n, dim, schedule, ref_rng)
+        got = ancestral_sample(clean_fn, n, dim, schedule, rng)
+        want = reference_ancestral_sample(clean_fn, n, dim, schedule, ref_rng)
         assert got.shape == want.shape == (n, dim)
         assert got.tobytes() == want.tobytes(), (n, dim)
         # the reused noise buffer draws the same values in the same order
@@ -205,12 +224,12 @@ def test_in_place_sampler_equals_the_allocating_loop_bitwise():
 def test_sampler_only_reads_the_eps_fn_output():
     held = []
 
-    def eps_fn(x, t):
+    def clean_fn(x, t):
         held.append(np.full_like(x, 0.25))
         held.append(held[-1].copy())
         return held[-2]
 
-    ancestral_sample(eps_fn, 2, 3, DiffusionSchedule(5), np.random.default_rng(0))
+    ancestral_sample(clean_fn, 2, 3, DiffusionSchedule(5), np.random.default_rng(0))
     for returned, copy in zip(held[::2], held[1::2]):
         assert returned.tobytes() == copy.tobytes()
 

@@ -218,6 +218,17 @@ def test_chunk_rejects_bad_rows():
         build(3, bad)
 
 
+def test_chunk_rejects_non_finite_translations():
+    with pytest.raises(ValueError, match="chunk translations must be finite"):
+        inference.ActionChunk(np.eye(3)[None], [[np.inf, 0, 0]], [True], np.zeros((1, 5)))
+    chunk, _ = fitted_chunk()
+    for value in (np.nan, -np.inf):
+        trans = np.array(chunk.translations)
+        trans[6, 2] = value
+        with pytest.raises(ValueError, match="chunk translations must be finite"):
+            inference.ActionChunk(chunk.rotations, trans, chunk.grasps, chunk.residuals_px)
+
+
 def test_retained_oracle_chunks_stay_small():
     # a benchmark keeps every replan's chunk; 100 of them at most 4 KB each
     task, cams, emb = sim.make_task("push_right"), sim.default_cameras(), sim.robot_embodiment()

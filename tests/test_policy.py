@@ -16,7 +16,12 @@ import numpy as np
 import pytest
 
 from trackpolicy import data, inference, nn, policy, sim
-from trackpolicy.diffusion import DiffusionSchedule, timestep_embedding
+from trackpolicy.diffusion import (
+    TIME_EMBED_DIM,
+    DiffusionSchedule,
+    timestep_embedding,
+    timestep_table,
+)
 from trackpolicy.errors import (
     EmptyDatasetError,
     MixedShapesError,
@@ -77,6 +82,21 @@ def assert_same_chunk(a, b):
 
 # ---------------------------------------------------------------------------
 # track policy
+
+
+def test_train_config_rejects_each_bad_knob():
+    for field, bad in (("horizon", 0), ("lambda_da", -0.1), ("lambda_da", 1.5),
+                       ("lambda_da", np.nan), ("lambda_kl", -1.0), ("lambda_kl", np.nan),
+                       ("lambda_kl", np.inf), ("learning_rate", -1e-3),
+                       ("learning_rate", 0.0), ("learning_rate", np.inf),
+                       ("learning_rate", np.nan), ("batch_size", 3), ("epochs", -1)):
+        with pytest.raises(ValueError, match=field):
+            policy.TrainConfig(**{field: bad})
+    # the edges of each accepted range construct
+    for field, good in (("horizon", 1), ("lambda_da", 0.0), ("lambda_da", 1.0),
+                        ("lambda_kl", 0.0), ("learning_rate", 1e-12),
+                        ("batch_size", 4), ("epochs", 0)):
+        assert getattr(policy.TrainConfig(**{field: good}), field) == good
 
 
 def test_train_log_repeats_for_a_seed(demos, trained):
@@ -338,9 +358,37 @@ def test_load_policy_names_missing_meta_keys(tmp_path):
 
 
 def reference_sample_flat(model, img, kn, seed):
-    """The ancestral sampler spelled out step by step, every per-step
-    constant (timestep features, sqrt(abar) factors, conditioning row)
-    rebuilt inside the loop."""
+    """The sampler spelled out step by step: layer 0's fixed terms, the
+    posterior-mean coefficients and the denoiser's layers are all rebuilt
+    inside the loop."""
+    schedule, params, d = model.schedule, model.params, model.target_dim
+    rng = np.random.default_rng([seed, policy._SAMPLE_STREAM])
+    emb = nn.forward(model.encoder, model.params, np.asarray(img).reshape(1, -1))
+    kps = model.retargeter.transform_batch(kn[None]).reshape(1, -1)
+    cond = np.concatenate([emb, kps], axis=1)
+    x = rng.standard_normal((1, d))
+    for t in range(schedule.num_steps - 1, -1, -1):
+        w0 = params["denoiser/w0"]
+        time_term = (timestep_table(schedule.num_steps) @ w0[d + cond.shape[1]:])[t]
+        bias = time_term + (cond @ w0[d:d + cond.shape[1]])[0] + params["denoiser/b0"]
+        clean = x @ w0[:d] + bias
+        # every hidden layer is relu, the output layer identity
+        for i in range(1, len(model.denoiser.activations)):
+            clean = np.maximum(clean, 0.0) @ params[f"denoiser/w{i}"] + params[f"denoiser/b{i}"]
+        abar, beta = schedule.alpha_bars[t], schedule.betas[t]
+        abar_prev = schedule.alpha_bars[t - 1] if t > 0 else 1.0
+        c0 = np.sqrt(abar_prev) * beta / (1.0 - abar)
+        ct = np.sqrt(schedule.alphas[t]) * (1.0 - abar_prev) / (1.0 - abar)
+        x = ct * x + c0 * clean
+        if t > 0:
+            x = x + np.sqrt(beta) * rng.standard_normal(x.shape)
+    return x[0]
+
+
+def reference_eps_sample_flat(model, img, kn, seed):
+    """The sampler in its noise-prediction form: the whole concatenated
+    input row through the denoiser every step, its clean output turned into
+    a noise prediction, and the ancestral update on that."""
     schedule = model.schedule
     rng = np.random.default_rng([seed, policy._SAMPLE_STREAM])
     emb = nn.forward(model.encoder, model.params, np.asarray(img).reshape(1, -1))
@@ -363,8 +411,11 @@ def test_sample_flat_matches_the_step_by_step_sampler(trained):
     model, _ = trained
     for view, seed in ((0, 1), (1, 2), (0, 3)):
         _, img, kn = observation(view=view, seed=seed)
-        assert np.array_equal(policy.sample_flat(model, img, kn, seed=seed),
-                              reference_sample_flat(model, img, kn, seed))
+        got = policy.sample_flat(model, img, kn, seed=seed)
+        assert np.array_equal(got, reference_sample_flat(model, img, kn, seed))
+        # the same draw up to rounding: the split first layer and the
+        # posterior-mean update only reorder floating-point sums
+        assert np.abs(got - reference_eps_sample_flat(model, img, kn, seed)).max() <= 1e-10
 
 
 @pytest.fixture
@@ -412,6 +463,36 @@ def test_sample_flat_names_the_layer_a_nan_weight_reaches(trained):
     w1[3, 0] = np.nan
     with pytest.raises(NonFiniteError, match="denoiser: non-finite values produced by layer 1"):
         policy.sample_flat(with_param(model, "denoiser/w1", w1), img, kn, seed=1)
+
+
+def test_sample_flat_names_layer_0_for_a_nan_in_any_of_its_blocks(trained, baseline,
+                                                                  monkeypatch):
+    # the x_t rows multiply x every step; the conditioning rows, the timestep
+    # rows and the bias are summed once per draw into each step's layer-0 bias
+    steps = []
+
+    def counting_apply(*args):
+        steps.append(args)
+        return nn.apply(*args)
+
+    monkeypatch.setattr(policy, "apply", counting_apply)
+    _, img, kn = observation()
+    for model in (trained[0], baseline[0]):
+        d, width = model.target_dim, model.denoiser.widths[0]
+        k = width - TIME_EMBED_DIM  # the first timestep row
+        for name, index in (("denoiser/w0", (3, 1)),        # an x_t row
+                            ("denoiser/w0", (d + 2, 0)),    # an embedding row
+                            ("denoiser/w0", (k - 1, 4)),    # a keypoint row
+                            ("denoiser/w0", (k, 2)),        # timestep rows
+                            ("denoiser/w0", (width - 1, 5)),
+                            ("denoiser/b0", (7,))):
+            value = model.params[name].copy()
+            value[index] = np.nan
+            steps.clear()
+            with pytest.raises(NonFiniteError,
+                               match="denoiser: non-finite values produced by layer 0"):
+                policy.sample_flat(with_param(model, name, value), img, kn, seed=1)
+            assert len(steps) == 1, (name, index)
 
 
 def test_sample_flat_rejects_non_finite_conditioning_before_stepping(trained, baseline,

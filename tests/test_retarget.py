@@ -10,16 +10,38 @@ from trackpolicy.errors import (
     NotFittedError,
     WrongDimensionError,
 )
+from trackpolicy.geometry import RigidTransform, project_points
 from trackpolicy.nn import finite_difference_check, init_params
 from trackpolicy.retarget import KeypointRetargeter
 
 
+# band the end-effector actually visits across tasks: spawn box plus push
+# travel laterally, grasp height up to home height vertically
+WORKSPACE_LOW = np.array([-0.13, -0.09, 0.06])
+WORKSPACE_HIGH = np.array([0.13, 0.09, 0.13])
+
+
 def layout_corpus(kind, n_poses, seed):
-    """Clean normalized 5-point layouts at random workspace poses, (n, 5, 2)."""
+    """Clean normalized 5-point layouts at random workspace poses, (n, 5, 2).
+
+    One layout per (pose, default camera view), open/closed drawn 50/50, no
+    tracker jitter: the layout distribution free of any task script.
+    """
+    emb = sim.embodiment(kind)
     cams = sim.default_cameras()
     subset = list(data.HAND_SUBSET_INDICES) if kind == "human" else slice(None)
-    return np.stack([data.normalize_keypoints(f.points[subset], cams[f.view_id][0])
-                     for f in sim.random_keypoint_frames(kind, n_poses, seed)])
+    rng = np.random.default_rng([int(seed), 7331])
+    out = []
+    for _ in range(n_poses):
+        pos = rng.uniform(WORKSPACE_LOW, WORKSPACE_HIGH)
+        closed = bool(rng.integers(2))
+        state = sim.SimState(ee_pose=RigidTransform(sim.HOME_POSE.rotation, pos),
+                             gripper_closed=closed, objects=(),
+                             goal_center=np.zeros(3), rng_seed=int(seed))
+        pts3 = sim.keypoints3d(state, emb)
+        for intr, pose in cams:
+            out.append(data.normalize_keypoints(project_points(pts3, intr, pose)[subset], intr))
+    return np.stack(out)
 
 
 def template_distance(queries, templates):
