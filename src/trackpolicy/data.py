@@ -102,7 +102,11 @@ class FrameView:
 
 @dataclass(frozen=True)
 class Demonstration:
-    """A full episode: frames[t][v] over time t and camera view v."""
+    """A full episode: frames[t][v] over time t and camera view v.
+
+    Every frame view has frame 0's keypoint count and image shape, so the
+    views stack over time.
+    """
 
     embodiment: str
     frames: tuple  # tuple over t of tuple over views of FrameView
@@ -122,9 +126,15 @@ class Demonstration:
         for t, views in enumerate(frames):
             if len(views) != n_views:
                 raise ValueError(f"frame {t} has {len(views)} views, expected {n_views}")
-            for fv in views:
+            for v, fv in enumerate(views):
                 if fv.keypoints.embodiment != self.embodiment:
                     raise ValueError("frame embodiment tag disagrees with demonstration")
+                first = frames[0][0]
+                if fv.keypoints.k != first.keypoints.k or fv.image.shape != first.image.shape:
+                    raise ValueError(
+                        f"frame {t} view {v} has {fv.keypoints.k} keypoints and a "
+                        f"{fv.image.shape} image; frame 0 has {first.keypoints.k} "
+                        f"and {first.image.shape}")
         if self.ee_poses and len(self.ee_poses) != len(frames):
             raise ValueError("ee_poses length must match frame count")
 

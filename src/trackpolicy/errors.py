@@ -13,10 +13,6 @@ class DegenerateRaysError(TrackPolicyError):
     """Triangulation rays are parallel or the cameras are coincident."""
 
 
-class WrongDimensionError(TrackPolicyError):
-    """Keypoint set has the wrong number of points for this model."""
-
-
 class EmptyDemoError(TrackPolicyError):
     """Demonstration has no frames."""
 

@@ -102,11 +102,14 @@ class ActionChunk:
 
 @dataclass(frozen=True)
 class EpisodeResult:
+    """One rollout's outcome: success, steps executed, and the final EE and
+    box positions (world frame)."""
+
     success: bool
     steps_used: int
     residual_log: tuple       # mean residual px per executed step
     final_ee: np.ndarray
-    final_object: np.ndarray | None
+    final_object: np.ndarray
 
 
 def world_to_ee_delta(ee_pose: RigidTransform, world_delta: RigidTransform) -> RigidTransform:
@@ -205,7 +208,7 @@ class TrackPolicyRunner:
 
     def chunk(self, task, state, cams, seed) -> ActionChunk:
         emb = sim.robot_embodiment()
-        obs = [sim.observe(state, cams[v], emb, view_id=v)[:2] for v in range(2)]
+        obs = [sim.observe(state, cams[v], emb, view_id=v) for v in range(2)]
         return predict_chunk(self.model, obs[0], obs[1], cams, seed=seed)
 
 
@@ -226,7 +229,8 @@ def rollout(runner, task: sim.TaskSpec, seed: int,
     runner: a `TrackPolicyRunner`, `BaselineRunner`, `OracleRunner` or
     anything with .chunk/.horizon. Observes through sim.default_cameras().
     Stops at task success or the task's step budget; logs each executed
-    step's mean triangulation residual.
+    step's mean triangulation residual. The result's `final_object` is the
+    box's final position.
     """
     if not 1 <= exec_horizon <= runner.horizon:
         raise ValueError(
@@ -249,9 +253,8 @@ def rollout(runner, task: sim.TaskSpec, seed: int,
             if sim.success(task, state):
                 ok = True
                 break
-    obj = state.objects[0].pose.translation if state.objects else None
     return EpisodeResult(bool(ok), steps, tuple(residual_log),
-                         state.ee_pose.translation, obj)
+                         state.ee_pose.translation, state.box_pose.translation)
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +318,7 @@ class BaselineRunner:
         return self.model.cfg.horizon
 
     def chunk(self, task, state, cams, seed) -> ActionChunk:
-        img, kps, _ = sim.observe(state, cams[0], sim.robot_embodiment(), view_id=0)
+        img, kps = sim.observe(state, cams[0], sim.robot_embodiment(), view_id=0)
         kn = data.normalize_keypoints(kps.points, cams[0][0])
         rows = policy.sample_flat(self.model, img, kn, seed=seed).reshape(self.horizon, 7)
         ee = state.ee_pose

@@ -26,7 +26,6 @@ from .errors import (
     NonFiniteError,
     NotFittedError,
     ShapeMismatchError,
-    WrongDimensionError,
 )
 from .nn import (
     Adam,
@@ -61,7 +60,7 @@ def _check_points(pts: np.ndarray) -> None:
     if not np.isfinite(pts).all():
         raise NonFiniteError("points contains NaN or Inf")
     if pts.shape[1:] != (data.N_TRACK_KEYPOINTS, 2):
-        raise WrongDimensionError(
+        raise ShapeMismatchError(
             f"expected (n, {data.N_TRACK_KEYPOINTS}, 2), got {pts.shape}")
 
 

@@ -5,7 +5,8 @@ World frame: z up, table surface at z=0, workspace roughly |x|,|y| <= 0.3 m.
 The end-effector frame points its z axis along the fingers, so the home
 orientation (fingers down) maps EE +z to world -z. States are immutable;
 `step` returns a new state. No dynamics: the single physical interaction is
-attachment — a grasped object moves rigidly with the end-effector.
+attachment -- a box the closed gripper holds (`SimState.box_attached`)
+moves rigidly with the end-effector until the gripper opens.
 
 Observations come from one renderer, `render`, which rasterizes a list of
 states through one camera in a single pass; `observe` is its one-state case,
@@ -21,8 +22,8 @@ numpy call costs more than its arithmetic. So:
   `np.linalg.norm`;
 * waypoints are plain float tuples and only the selected target becomes an
   array;
-* an attached object's ride computes the products `inverse()` and
-  `compose()` would, and builds only the final, checked `RigidTransform`;
+* the held box's ride computes the products `inverse()` and `compose()`
+  would, and builds only the final, checked `RigidTransform`;
 * `geometry.rotation_angle` traces and clips on plain floats but keeps
   `np.arccos`, whose rounding `math.acos` does not match.
 
@@ -66,7 +67,7 @@ CH_GOAL = 2
 
 MAX_TRANSLATION = 0.05   # m per step
 MAX_ROTATION = 0.2       # rad per step
-ATTACH_DISTANCE = 0.01   # m from EE origin to object surface
+ATTACH_DISTANCE = 0.01   # m from EE origin to box surface
 GRASP_THRESHOLD = 0.015  # m, human grasp-label heuristic
 CLOSURE_FRACTION = 0.25  # lateral finger narrowing when closed
 
@@ -94,43 +95,23 @@ class Action6DoF:
 
 
 @dataclass(frozen=True, slots=True)
-class ObjectState:
-    id: str
-    pose: RigidTransform
-    half_extents: np.ndarray
-    attached: bool = False
-
-    def __post_init__(self):
-        he = np.asarray(self.half_extents, dtype=np.float64).reshape(3)
-        if np.any(he <= 0):
-            raise ValueError("half extents must be positive")
-        object.__setattr__(self, "half_extents", he)
-
-
-@dataclass(frozen=True, slots=True)
 class SimState:
+    """End-effector pose and gripper, the one box's pose (half extents
+    `OBJECT_HALF_EXTENTS`) and whether the gripper, which must then be
+    closed, holds it, the goal, and the number of steps taken."""
+
     ee_pose: RigidTransform
     gripper_closed: bool
-    objects: tuple
+    box_pose: RigidTransform
+    box_attached: bool
     goal_center: np.ndarray
-    rng_seed: int
     step_count: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "objects", tuple(self.objects))
         object.__setattr__(self, "goal_center",
                            np.asarray(self.goal_center, dtype=np.float64).reshape(3))
-        attached = [o for o in self.objects if o.attached]
-        if len(attached) > 1:
-            raise ValueError("at most one object may be attached")
-        if attached and not self.gripper_closed:
-            raise ValueError("attached object requires a closed gripper")
-
-    def attached_object(self):
-        for o in self.objects:
-            if o.attached:
-                return o
-        return None
+        if self.box_attached and not self.gripper_closed:
+            raise ValueError("an attached box requires a closed gripper")
 
 
 # ---------------------------------------------------------------------------
@@ -324,13 +305,13 @@ def default_cameras() -> tuple:
 
 
 def reset(task: TaskSpec, seed: int) -> SimState:
-    """Deterministic initial state: object uniform in the task box, EE home."""
+    """Deterministic initial state: box uniform in the task box, EE home."""
     rng = np.random.default_rng(seed)
     pos = rng.uniform(task.object_box_low, task.object_box_high)
-    obj = ObjectState("box0", RigidTransform(np.eye(3), pos), OBJECT_HALF_EXTENTS)
     goal = pos + task.goal_center if task.goal_is_offset else task.goal_center
-    return SimState(ee_pose=HOME_POSE, gripper_closed=False, objects=(obj,),
-                    goal_center=goal, rng_seed=int(seed), step_count=0)
+    return SimState(ee_pose=HOME_POSE, gripper_closed=False,
+                    box_pose=RigidTransform(np.eye(3), pos), box_attached=False,
+                    goal_center=goal)
 
 
 def _clamp_delta(delta: RigidTransform) -> RigidTransform:
@@ -358,49 +339,35 @@ def _inverse_parts(pose: RigidTransform):
     return rt.copy(), -rt @ pose.translation
 
 
-def surface_distance(point: np.ndarray, obj: ObjectState) -> float:
-    """Distance from a world point to the object's box surface; 0 inside."""
-    inv_r, inv_t = _inverse_parts(obj.pose)
+def surface_distance(point: np.ndarray, box_pose: RigidTransform) -> float:
+    """Distance from a world point to the surface of the box at `box_pose`
+    (half extents `OBJECT_HALF_EXTENTS`); 0 inside."""
+    inv_r, inv_t = _inverse_parts(box_pose)
     local = np.asarray(point, dtype=np.float64) @ inv_r.T + inv_t   # inverse().apply
-    outside = np.maximum(np.abs(local) - obj.half_extents, 0.0)
+    outside = np.maximum(np.abs(local) - OBJECT_HALF_EXTENTS, 0.0)
     return math.sqrt(outside.dot(outside))
 
 
 def step(state: SimState, action: Action6DoF) -> SimState:
-    """Apply one clamped EE-frame increment; handle attach/detach."""
+    """Apply one clamped EE-frame increment. A held box rides along; then
+    a closed gripper holds the box if it already did or if the EE origin is
+    within ATTACH_DISTANCE of its surface, and an open one releases it."""
     delta = _clamp_delta(action.delta)
     new_ee = state.ee_pose.compose(delta)
     grasp = bool(action.grasp)
-
-    objects = []
-    attach_done = any(o.attached for o in state.objects) and grasp
-    for obj in state.objects:
-        if obj.attached and grasp:
-            # rigid ride: keep the object's pose in the EE frame constant,
-            # new_ee o (ee^-1 o obj) with the products compose() computes
-            inv_r, inv_t = _inverse_parts(state.ee_pose)
-            rel_r = inv_r @ obj.pose.rotation
-            rel_t = inv_r @ obj.pose.translation + inv_t
-            r = new_ee.rotation
-            pose = RigidTransform(r @ rel_r, r @ rel_t + new_ee.translation)
-            objects.append(ObjectState(obj.id, pose, obj.half_extents, True))
-        elif obj.attached and not grasp:
-            objects.append(ObjectState(obj.id, obj.pose, obj.half_extents, False))
-        else:
-            objects.append(obj)
-
-    if grasp and not attach_done:
-        ee_pos = new_ee.translation
-        candidates = [(surface_distance(ee_pos, o), i) for i, o in enumerate(objects)
-                      if not o.attached]
-        candidates = [(d, i) for d, i in candidates if d <= ATTACH_DISTANCE]
-        if candidates:
-            _, i = min(candidates)
-            o = objects[i]
-            objects[i] = ObjectState(o.id, o.pose, o.half_extents, True)
-
-    return SimState(ee_pose=new_ee, gripper_closed=grasp, objects=tuple(objects),
-                    goal_center=state.goal_center, rng_seed=state.rng_seed,
+    box = state.box_pose
+    if state.box_attached and grasp:
+        # rigid ride: keep the box's pose in the EE frame constant,
+        # new_ee o (ee^-1 o box) with the products compose() computes
+        inv_r, inv_t = _inverse_parts(state.ee_pose)
+        rel_r = inv_r @ box.rotation
+        rel_t = inv_r @ box.translation + inv_t
+        r = new_ee.rotation
+        box = RigidTransform(r @ rel_r, r @ rel_t + new_ee.translation)
+    attached = grasp and (state.box_attached
+                          or surface_distance(new_ee.translation, box) <= ATTACH_DISTANCE)
+    return SimState(ee_pose=new_ee, gripper_closed=grasp, box_pose=box,
+                    box_attached=attached, goal_center=state.goal_center,
                     step_count=state.step_count + 1)
 
 
@@ -411,20 +378,15 @@ def keypoints3d(state: SimState, emb: EmbodimentModel) -> np.ndarray:
 
 def grasp_label(state: SimState, emb: EmbodimentModel) -> int:
     """Ground-truth gripper state for robots; proximity heuristic for hands:
-    thumb tip AND at least one other fingertip within GRASP_THRESHOLD of an
-    object's surface."""
+    thumb tip AND at least one other fingertip within GRASP_THRESHOLD of the
+    box's surface."""
     if emb.kind == ROBOT:
         return int(state.gripper_closed)
     pts = keypoints3d(state, emb)
-    thumb_tip = pts[4]
-    other_tips = pts[[8, 12, 16, 20]]
-    for obj in state.objects:
-        if surface_distance(thumb_tip, obj) >= GRASP_THRESHOLD:
-            continue
-        for tip in other_tips:
-            if surface_distance(tip, obj) < GRASP_THRESHOLD:
-                return 1
-    return 0
+    if surface_distance(pts[4], state.box_pose) >= GRASP_THRESHOLD:
+        return 0
+    return int(any(surface_distance(tip, state.box_pose) < GRASP_THRESHOLD
+                   for tip in pts[[8, 12, 16, 20]]))
 
 
 # ---------------------------------------------------------------------------
@@ -435,9 +397,8 @@ def render(states, cam, emb: EmbodimentModel):
     """Render a list of states through one camera in a single pass.
 
     Returns (images (n, 3, R, R), keypoints (n, k, 2)) with R = RASTER_SIZE.
-    Channels: object centers (mass 1 each), end-effector keypoints (total
-    mass 1) and the goal (mass 1) -- a rasterized stand-in for an RGB render.
-    The states must share one object count.
+    Channels: the box center (mass 1), end-effector keypoints (total mass 1)
+    and the goal (mass 1) -- a rasterized stand-in for an RGB render.
 
     Every point is splatted bilinearly onto the grid: raster cell (i, j)
     covers pixels [j*c, (j+1)*c) x [i*c, (i+1)*c), c = width / R, with its
@@ -445,28 +406,24 @@ def render(states, cam, emb: EmbodimentModel):
     clipped, and so are rounding-noise corner weights (<= 1e-12) that would
     light up cells a point exactly on a cell center never touches.
 
-    One `project_points` call covers every state's object centers, keypoints
-    and goal (rows of a stack project exactly as they would alone), and one
-    `np.bincount` accumulates every splat. Each cell sums its terms from 0.0
-    in the order a per-point loop would: object by object, then corner
-    (top-left, top-right, bottom-left, bottom-right), then keypoint. So each
-    row is bit-identical to rendering its state alone.
+    One `project_points` call covers every state's box center, keypoints and
+    goal (rows of a stack project exactly as they would alone), and one
+    `np.bincount` accumulates every splat in (corner, state, point) order.
+    Each cell sums its terms from 0.0 in the order a per-point loop would:
+    corner (top-left, top-right, bottom-left, bottom-right), then keypoint.
+    So each row is bit-identical to rendering its state alone.
     """
     intr, pose = cam
     n = len(states)
-    n_obj = len(states[0].objects)
-    if any(len(st.objects) != n_obj for st in states):
-        raise ValueError("rendered states must share one object count")
-    pts3 = np.vstack([np.vstack([*(obj.pose.translation for obj in st.objects),
-                                 keypoints3d(st, emb), st.goal_center])
+    pts3 = np.vstack([np.vstack([st.box_pose.translation, keypoints3d(st, emb),
+                                 st.goal_center])
                       for st in states])
     uv = project_points(pts3, intr, pose).reshape(n, -1, 2)   # (n, P, 2)
-    p = uv.shape[1]
-    channel = np.full(p, CH_EE)
-    channel[:n_obj] = CH_OBJECT
+    channel = np.full(uv.shape[1], CH_EE)
+    channel[0] = CH_OBJECT
     channel[-1] = CH_GOAL
-    mass = np.ones(p)
-    mass[n_obj:n_obj + emb.k] = 1.0 / emb.k
+    mass = np.ones(uv.shape[1])
+    mass[1:1 + emb.k] = 1.0 / emb.k
 
     cell = intr.width / RASTER_SIZE
     gx = (uv[..., 0] - cell / 2) / cell
@@ -481,36 +438,31 @@ def render(states, cam, emb: EmbodimentModel):
     ys = y0 + np.array([0, 0, 1, 1])[:, None, None]
     ok = (xs >= 0) & (xs < RASTER_SIZE) & (ys >= 0) & (ys < RASTER_SIZE) & (w > 1e-12)
     cells = ((np.arange(n)[:, None] * 3 + channel) * RASTER_SIZE + ys) * RASTER_SIZE + xs
-    # objects are splatted one after another, each corner by corner; the
-    # keypoints and the goal corner by corner, each corner over all points
-    cells, weights, ok = (np.concatenate([a[..., :n_obj].transpose(2, 0, 1).ravel(),
-                                          a[..., n_obj:].ravel()])
-                          for a in (cells, w * mass, ok))
-    images = np.bincount(cells[ok], weights[ok], minlength=n * 3 * RASTER_SIZE ** 2)
+    images = np.bincount(cells[ok], (w * mass)[ok], minlength=n * 3 * RASTER_SIZE ** 2)
     return (images.reshape(n, 3, RASTER_SIZE, RASTER_SIZE),
-            uv[:, n_obj:n_obj + emb.k])
+            uv[:, 1:1 + emb.k])
 
 
 def observe(state: SimState, cam, emb: EmbodimentModel, view_id: int = 0):
-    """(feature image, 2D keypoints, grasp label) for one camera: `render`
-    of the single state, bit-identical to its row in any longer stack."""
+    """(feature image, 2D keypoints) for one camera: `render` of the single
+    state, bit-identical to its row in any longer stack."""
     images, keypoints = render([state], cam, emb)
-    return images[0], KeypointSet2D(keypoints[0], emb.kind, view_id), grasp_label(state, emb)
+    return images[0], KeypointSet2D(keypoints[0], emb.kind, view_id)
 
 
 def success(task: TaskSpec, state: SimState) -> bool:
     if task.name == "reach":
         d = state.ee_pose.translation - state.goal_center
         return bool(math.sqrt(d.dot(d)) <= task.success_radius)
-    obj = state.objects[0]
-    if obj.attached:
+    if state.box_attached:
         return False
-    delta_xy = obj.pose.translation[:2] - state.goal_center[:2]
+    box = state.box_pose.translation
+    delta_xy = box[:2] - state.goal_center[:2]
     dist_xy = math.sqrt(delta_xy.dot(delta_xy))
     if task.name in ("push_left", "push_right"):
         return bool(dist_xy <= task.success_radius)
     if task.name == "pick_place":
-        resting = abs(obj.pose.translation[2] - OBJECT_HALF_EXTENTS[2]) <= 0.02
+        resting = abs(box[2] - OBJECT_HALF_EXTENTS[2]) <= 0.02
         return bool(dist_xy <= task.success_radius and resting)
     raise ValueError(f"unknown task {task.name!r}")
 
@@ -520,7 +472,7 @@ def success(task: TaskSpec, state: SimState) -> bool:
 
 _STEP_GAIN = 0.04       # max commanded translation per step (under the clamp)
 _WAYPOINT_TOL = 0.004
-_GRASP_HEIGHT = 0.006   # palm clearance above the object's top face
+_GRASP_HEIGHT = 0.006   # palm clearance above the box's top face
 _APPROACH_HEIGHT = 0.03
 _HALF_HEIGHT = float(OBJECT_HALF_EXTENTS[2])
 
@@ -537,7 +489,7 @@ def _move_toward(current: np.ndarray, target) -> tuple:
 def _demo_waypoints(task: TaskSpec, state: SimState) -> list:
     """(target position, grasp flag) controller phases for the scripted
     expert, each target a tuple of three floats."""
-    ox, oy, oz = state.objects[0].pose.translation.tolist()
+    ox, oy, oz = state.box_pose.translation.tolist()
     top = oz + _HALF_HEIGHT
     grasp_z = top + _GRASP_HEIGHT
     gx, gy, gz = state.goal_center.tolist()

@@ -221,6 +221,34 @@ def test_save_load_round_trip(tmp_path):
     assert counts == {"human": 2, "robot": 1}
 
 
+def test_demo_rejects_frames_of_differing_keypoint_counts_or_image_shapes(tmp_path):
+    # a hand demo whose frame 0 holds the 5-point subset and whose later
+    # frames hold all 21 points would stack into a ragged array in chunk
+    pts = np.random.default_rng(4).uniform(0, 128, size=(3, 2, 21, 2))
+    demo = human_demo(pts)
+    subset = [data.FrameView(fv.image, data.KeypointSet2D(
+        fv.keypoints.points[list(data.HAND_SUBSET_INDICES)], data.HUMAN, v), 0)
+        for v, fv in enumerate(demo.frames[0])]
+    with pytest.raises(ValueError, match="frame 1 view 0 has 21 keypoints"):
+        data.Demonstration(data.HUMAN, (tuple(subset),) + demo.frames[1:],
+                           "push_right", 0, demo.cameras)
+    wide = data.FrameView(np.zeros((3, 8, 8)), demo.frames[2][1].keypoints, 0)
+    with pytest.raises(ValueError, match="frame 2 view 1 .* image"):
+        data.Demonstration(data.HUMAN, demo.frames[:2] + ((demo.frames[2][0], wide),),
+                           "push_right", 0, demo.cameras)
+    # the same subset frame 0 written into a saved file fails on load
+    path = tmp_path / "demos.jsonl"
+    data.save_dataset([demo], path)
+    lines = path.read_text().splitlines()
+    rec = json.loads(lines[2])
+    for view, fv in zip(rec["frame"]["views"], subset):
+        view["keypoints"] = fv.keypoints.points.tolist()
+    lines[2] = data._dump(rec)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match="frame 1 view 0 has 21 keypoints"):
+        data.load_dataset(path)
+
+
 def reference_encode_image(img):
     """Per-pixel sparse image encoder, the layout the dataset files use."""
     c, i, j = np.nonzero(img)

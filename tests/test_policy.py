@@ -67,7 +67,7 @@ def observation(view: int = 0, seed: int = 5):
     """(state, feature image, normalized robot keypoints) for one view."""
     state = sim.reset(sim.make_task("push_right"), seed)
     cams = sim.default_cameras()
-    img, kps, _ = sim.observe(state, cams[view], sim.robot_embodiment(), view_id=view)
+    img, kps = sim.observe(state, cams[view], sim.robot_embodiment(), view_id=view)
     return state, img, data.normalize_keypoints(kps.points, cams[view][0])
 
 

@@ -8,7 +8,7 @@ from trackpolicy.errors import (
     InsufficientDataError,
     NonFiniteError,
     NotFittedError,
-    WrongDimensionError,
+    ShapeMismatchError,
 )
 from trackpolicy.geometry import RigidTransform, project_points
 from trackpolicy.nn import finite_difference_check, init_params
@@ -35,10 +35,7 @@ def layout_corpus(kind, n_poses, seed):
     for _ in range(n_poses):
         pos = rng.uniform(WORKSPACE_LOW, WORKSPACE_HIGH)
         closed = bool(rng.integers(2))
-        state = sim.SimState(ee_pose=RigidTransform(sim.HOME_POSE.rotation, pos),
-                             gripper_closed=closed, objects=(),
-                             goal_center=np.zeros(3), rng_seed=int(seed))
-        pts3 = sim.keypoints3d(state, emb)
+        pts3 = RigidTransform(sim.HOME_POSE.rotation, pos).apply(emb.offsets_for(closed))
         for intr, pose in cams:
             out.append(data.normalize_keypoints(project_points(pts3, intr, pose)[subset], intr))
     return np.stack(out)
@@ -182,7 +179,7 @@ def test_fit_rejects_bad_corpora():
     good = layout_corpus("human", 60, seed=0)
     with pytest.raises(InsufficientDataError):
         KeypointRetargeter().fit(good[:99])
-    with pytest.raises(WrongDimensionError):
+    with pytest.raises(ShapeMismatchError):
         KeypointRetargeter().fit(np.zeros((120, 21, 2)))
     bad = good.copy()
     bad[7, 2, 1] = np.nan
@@ -192,9 +189,9 @@ def test_fit_rejects_bad_corpora():
 
 def test_transform_rejects_wrong_k(trained):
     est, _ = trained
-    with pytest.raises(WrongDimensionError):
+    with pytest.raises(ShapeMismatchError):
         est.transform_batch(np.zeros((1, 21, 2)))
-    with pytest.raises(WrongDimensionError):
+    with pytest.raises(ShapeMismatchError):
         est.transform_batch(np.zeros((2, 21, 2)))
 
 

@@ -9,8 +9,6 @@ The expert and `step` compute their 3-vector math on plain floats and
 The built-in embodiments and cameras are shared, read-only objects.
 """
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 from scipy import stats
@@ -28,25 +26,28 @@ from trackpolicy.geometry import (
 )
 
 
-def make_state(ee_pose=None, gripper_closed=False, objects=(), goal=(0.1, 0.0, 0.1)):
+def box_at(position):
+    return RigidTransform(np.eye(3), position)
+
+
+# resting on the table at the world origin
+BOX_AT_ORIGIN = box_at([0.0, 0.0, 0.03])
+
+
+def make_state(ee_pose=None, gripper_closed=False, box_pose=BOX_AT_ORIGIN,
+               box_attached=False, goal=(0.1, 0.0, 0.1)):
     return sim.SimState(
         ee_pose=ee_pose if ee_pose is not None else RigidTransform(),
-        gripper_closed=gripper_closed, objects=objects, goal_center=goal, rng_seed=0)
+        gripper_closed=gripper_closed, box_pose=box_pose, box_attached=box_attached,
+        goal_center=goal)
 
 
 def states_equal(a: sim.SimState, b: sim.SimState) -> bool:
-    if not (np.array_equal(a.ee_pose.rotation, b.ee_pose.rotation)
-            and np.array_equal(a.ee_pose.translation, b.ee_pose.translation)):
-        return False
-    if a.gripper_closed != b.gripper_closed or len(a.objects) != len(b.objects):
-        return False
-    for oa, ob in zip(a.objects, b.objects):
-        if not (oa.id == ob.id and oa.attached == ob.attached
-                and np.array_equal(oa.pose.rotation, ob.pose.rotation)
-                and np.array_equal(oa.pose.translation, ob.pose.translation)
-                and np.array_equal(oa.half_extents, ob.half_extents)):
-            return False
-    return np.array_equal(a.goal_center, b.goal_center)
+    poses = ((a.ee_pose, b.ee_pose), (a.box_pose, b.box_pose))
+    return (all(np.array_equal(p.rotation, q.rotation)
+                and np.array_equal(p.translation, q.translation) for p, q in poses)
+            and a.gripper_closed == b.gripper_closed and a.box_attached == b.box_attached
+            and np.array_equal(a.goal_center, b.goal_center))
 
 
 def hold_action(grasp=0):
@@ -69,14 +70,14 @@ def test_reset_deterministic():
 def test_reset_object_inside_box():
     task = sim.make_task("push_left")
     for seed in range(1000):
-        p = sim.reset(task, seed).objects[0].pose.translation
+        p = sim.reset(task, seed).box_pose.translation
         assert np.all(p >= task.object_box_low - 1e-12)
         assert np.all(p <= task.object_box_high + 1e-12)
 
 
 def test_reset_distribution_uniform_chi_squared():
     task = sim.make_task("push_right")
-    xs = np.array([sim.reset(task, s).objects[0].pose.translation[:2] for s in range(1000)])
+    xs = np.array([sim.reset(task, s).box_pose.translation[:2] for s in range(1000)])
     for axis in range(2):
         counts, _ = np.histogram(xs[:, axis],
                                  bins=8,
@@ -123,31 +124,61 @@ def test_clamp_delta_caps_translation_and_keeps_rotation():
 
 
 def test_step_attach_detach_cycle():
-    obj = sim.ObjectState("o", RigidTransform(np.eye(3), [0.0, 0.0, 0.03]),
-                          sim.OBJECT_HALF_EXTENTS)
     palm = RigidTransform(sim.HOME_POSE.rotation, np.array([0.0, 0.0, 0.065]))
-    state = make_state(ee_pose=palm, objects=(obj,))
+    state = make_state(ee_pose=palm)
     grabbed = sim.step(state, hold_action(grasp=1))
-    assert grabbed.objects[0].attached and grabbed.gripper_closed
-    # attached object rides rigidly
+    assert grabbed.box_attached and grabbed.gripper_closed
+    # attached box rides rigidly
     moved = sim.step(grabbed, translate_action([0.03, 0.01, 0.0], grasp=1))
-    obj_delta = moved.objects[0].pose.translation - grabbed.objects[0].pose.translation
+    box_delta = moved.box_pose.translation - grabbed.box_pose.translation
     ee_delta = moved.ee_pose.translation - grabbed.ee_pose.translation
-    assert np.allclose(obj_delta, ee_delta, atol=1e-15)
+    assert np.allclose(box_delta, ee_delta, atol=1e-15)
     released = sim.step(moved, hold_action(grasp=0))
-    assert not released.objects[0].attached and not released.gripper_closed
+    assert not released.box_attached and not released.gripper_closed
     after = sim.step(released, translate_action([0.02, 0.0, 0.0]))
-    assert np.array_equal(after.objects[0].pose.translation,
-                          released.objects[0].pose.translation)
+    assert np.array_equal(after.box_pose.translation, released.box_pose.translation)
 
 
 def test_step_no_attach_when_far():
-    obj = sim.ObjectState("o", RigidTransform(np.eye(3), [0.2, 0.0, 0.03]),
-                          sim.OBJECT_HALF_EXTENTS)
-    state = make_state(ee_pose=sim.HOME_POSE, objects=(obj,))
+    state = make_state(ee_pose=sim.HOME_POSE, box_pose=box_at([0.2, 0.0, 0.03]))
     nxt = sim.step(state, hold_action(grasp=1))
-    assert not nxt.objects[0].attached
+    assert not nxt.box_attached
     assert nxt.gripper_closed  # gripper state still follows the command
+
+
+def test_closed_gripper_attaches_on_the_step_that_reaches_the_box():
+    # closed 6 cm above the box's top face: nothing to hold yet
+    state = sim.step(make_state(ee_pose=sim.HOME_POSE), hold_action(grasp=1))
+    assert state.gripper_closed and not state.box_attached
+    # still closed, down 4 cm (EE +z is world -z): 2 cm off, still free
+    state = sim.step(state, translate_action([0.0, 0.0, 0.04], grasp=1))
+    assert sim.surface_distance(state.ee_pose.translation, state.box_pose) > sim.ATTACH_DISTANCE
+    assert not state.box_attached
+    # down 1.5 cm more: within ATTACH_DISTANCE, so this step attaches the
+    # box, which has not moved yet
+    reached = sim.step(state, translate_action([0.0, 0.0, 0.015], grasp=1))
+    assert sim.surface_distance(reached.ee_pose.translation,
+                                reached.box_pose) <= sim.ATTACH_DISTANCE
+    assert reached.box_attached
+    assert reached.box_pose.translation.tobytes() == BOX_AT_ORIGIN.translation.tobytes()
+    dragged = sim.step(reached, translate_action([0.02, 0.0, 0.0], grasp=1))
+    assert dragged.box_attached and dragged.box_pose.translation[0] > 0.019
+
+
+def test_attached_box_rides_beyond_the_attach_distance():
+    # a held box keeps its EE-frame pose whatever the EE's distance to it
+    ee = RigidTransform(sim.HOME_POSE.rotation, np.array([0.0, 0.0, 0.2]))
+    state = make_state(ee_pose=ee, gripper_closed=True, box_attached=True)
+    assert sim.surface_distance(ee.translation, state.box_pose) > 10 * sim.ATTACH_DISTANCE
+    turn = RigidTransform(axis_angle_to_matrix([0.0, 0.1, 0.05]), [0.03, 0.0, -0.02])
+    nxt = sim.step(state, sim.Action6DoF(turn, 1))
+    assert nxt.box_attached
+    want = nxt.ee_pose.compose(ee.inverse().compose(state.box_pose))
+    assert nxt.box_pose.rotation.tobytes() == want.rotation.tobytes()
+    assert nxt.box_pose.translation.tobytes() == want.translation.tobytes()
+    assert not np.array_equal(nxt.box_pose.translation, state.box_pose.translation)
+    with pytest.raises(ValueError, match="closed gripper"):
+        make_state(ee_pose=ee, box_attached=True)
 
 
 def test_attachment_conservation_under_drag():
@@ -158,9 +189,8 @@ def test_attachment_conservation_under_drag():
     for _ in range(task.horizon):
         action, phase = sim.scripted_policy(task, state, phase)
         state = sim.step(state, action)
-        obj = state.attached_object()
-        if obj is not None:
-            rel = state.ee_pose.inverse().compose(obj.pose)
+        if state.box_attached:
+            rel = state.ee_pose.inverse().compose(state.box_pose)
             rel_poses.append(np.concatenate([rel.rotation.ravel(), rel.translation]))
         if sim.success(task, state):
             break
@@ -246,32 +276,27 @@ def _custom_hand(thumb_tip, index_tip):
     return sim.EmbodimentModel(HUMAN, offsets, np.zeros(21, dtype=bool))
 
 
-def _box_at_origin():
-    return sim.ObjectState("o", RigidTransform(np.eye(3), [0.0, 0.0, 0.03]),
-                           sim.OBJECT_HALF_EXTENTS)
-
-
 def test_grasp_label_far_hand_zero():
     emb = sim.human_embodiment()
-    state = make_state(ee_pose=sim.HOME_POSE, objects=(_box_at_origin(),))
+    state = make_state(ee_pose=sim.HOME_POSE)
     # palm 25 cm up -> every keypoint >= 10 cm from the box
     assert sim.grasp_label(state, emb) == 0
 
 
 def test_grasp_label_thumb_and_index_touching():
     emb = _custom_hand(thumb_tip=(-0.029, 0.0, 0.03), index_tip=(0.029, 0.0, 0.03))
-    state = make_state(objects=(_box_at_origin(),))
+    state = make_state()
     assert sim.grasp_label(state, emb) == 1
 
 
 def test_grasp_label_requires_thumb_and_fingertip():
     # thumb 1.4 cm from the surface, index 1.6 cm -> no fingertip inside tau
     emb = _custom_hand(thumb_tip=(-0.044, 0.0, 0.03), index_tip=(0.046, 0.0, 0.03))
-    state = make_state(objects=(_box_at_origin(),))
+    state = make_state()
     assert sim.grasp_label(state, emb) == 0
     # moving the index inside tau flips the label
     emb2 = _custom_hand(thumb_tip=(-0.044, 0.0, 0.03), index_tip=(0.044, 0.0, 0.03))
-    state2 = make_state(objects=(_box_at_origin(),))
+    state2 = make_state()
     assert sim.grasp_label(state2, emb2) == 1
 
 
@@ -286,10 +311,10 @@ def test_grasp_label_robot_reads_gripper():
 # observation
 
 
-def test_observe_empty_scene_object_channel_zero():
-    state = make_state(ee_pose=sim.HOME_POSE, objects=())
+def test_observe_box_out_of_view_object_channel_zero():
+    state = make_state(ee_pose=sim.HOME_POSE, box_pose=box_at([2.0, 0.0, 0.03]))
     cam = sim.default_cameras()[0]
-    img, _, _ = sim.observe(state, cam, sim.robot_embodiment())
+    img, _ = sim.observe(state, cam, sim.robot_embodiment())
     assert np.all(img[sim.CH_OBJECT] == 0)
     assert img[sim.CH_EE].sum() > 0
 
@@ -302,9 +327,8 @@ def test_observe_object_at_cell_center_single_cell():
     target_px = np.array([9 * 8 + 4.0, 6 * 8 + 4.0])
     origin, direction = pixel_ray(target_px, intr, pose)
     p = origin + 0.75 * direction
-    obj = sim.ObjectState("o", RigidTransform(np.eye(3), p), sim.OBJECT_HALF_EXTENTS)
-    state = make_state(ee_pose=sim.HOME_POSE, objects=(obj,))
-    img, _, _ = sim.observe(state, cam, sim.robot_embodiment())
+    state = make_state(ee_pose=sim.HOME_POSE, box_pose=box_at(p))
+    img, _ = sim.observe(state, cam, sim.robot_embodiment())
     nz = list(zip(*np.nonzero(img[sim.CH_OBJECT])))
     assert nz == [(6, 9)]
     assert np.isclose(img[sim.CH_OBJECT][6, 9], 1.0)
@@ -336,7 +360,7 @@ def test_observe_keypoints_match_per_point_projection():
 
 def test_observe_behind_camera_propagates():
     far = RigidTransform(sim.HOME_POSE.rotation, np.array([0.0, -3.0, 0.3]))
-    state = make_state(ee_pose=far, objects=())
+    state = make_state(ee_pose=far)
     with pytest.raises(BehindCameraError):
         sim.observe(state, sim.default_cameras()[0], sim.robot_embodiment())
 
@@ -365,18 +389,16 @@ def reference_splat(channel, uv, weights, cell):
 
 
 def reference_observe(state, cam, emb, view_id=0):
-    """Per-state observation: each object, then the keypoints, then the goal
+    """Per-state observation: the box, then the keypoints, then the goal
     splatted by its own `reference_splat` call."""
     intr, pose = cam
     cell = intr.width / sim.RASTER_SIZE
     img = np.zeros((3, sim.RASTER_SIZE, sim.RASTER_SIZE))
-    n_obj = len(state.objects)
-    uv_all = project_points(np.vstack([*(o.pose.translation for o in state.objects),
+    uv_all = project_points(np.vstack([state.box_pose.translation,
                                        sim.keypoints3d(state, emb), state.goal_center]),
                             intr, pose)
-    for i in range(n_obj):
-        reference_splat(img[sim.CH_OBJECT], uv_all[i], 1.0, cell)
-    uv = uv_all[n_obj:n_obj + emb.k]
+    reference_splat(img[sim.CH_OBJECT], uv_all[0], 1.0, cell)
+    uv = uv_all[1:1 + emb.k]
     reference_splat(img[sim.CH_EE], uv, 1.0 / emb.k, cell)
     reference_splat(img[sim.CH_GOAL], uv_all[-1], 1.0, cell)
     return img, KeypointSet2D(uv, emb.kind, view_id), sim.grasp_label(state, emb)
@@ -444,23 +466,21 @@ def point_at_pixel(cam, px, depth=1.5):
 
 
 def test_render_rows_match_the_reference_at_the_raster_edges():
-    # crafted states: three objects sharing a cell (its sum keeps the
-    # object-by-object order), mass partly or wholly off the raster on each
-    # side, a closed gripper, and an object-free scene
+    # crafted states: box and goal mass partly or wholly off the raster on
+    # each side, a closed gripper, and hand keypoints sharing cells (each
+    # such cell sums its terms in keypoint order)
     cam = sim.default_cameras()[1]
     emb = sim.human_embodiment()
     rng = np.random.default_rng(21)
     states = []
-    for *objs_px, goal_px in (((60.3, 61.7), (62.9, 58.2), (57.1, 60.6), (-3.0, 70.5)),
-                              ((130.5, 2.2), (-6.0, -2.5), (30.0, 100.0), (125.0, 131.0)),
-                              ((4.4, 127.9), (64.0, 64.0), (90.0, 20.0), (131.9, -3.9))):
-        objs = tuple(sim.ObjectState(f"o{i}", RigidTransform(np.eye(3), point_at_pixel(cam, px)),
-                                     sim.OBJECT_HALF_EXTENTS)
-                     for i, px in enumerate(objs_px))
+    for box_px, goal_px in (((60.3, 61.7), (-3.0, 70.5)),
+                            ((130.5, 2.2), (125.0, 131.0)),
+                            ((4.4, 127.9), (131.9, -3.9))):
         ee = RigidTransform(sim.HOME_POSE.rotation, rng.uniform(-0.1, 0.1, size=3)
                             + np.array([0.0, 0.0, 0.1]))
         states.append(make_state(ee_pose=ee, gripper_closed=len(states) == 1,
-                                 objects=objs, goal=point_at_pixel(cam, goal_px)))
+                                 box_pose=box_at(point_at_pixel(cam, box_px)),
+                                 goal=point_at_pixel(cam, goal_px)))
     images, keypoints = sim.render(states, cam, emb)
     assert images.shape == (3, 3, sim.RASTER_SIZE, sim.RASTER_SIZE)
     assert keypoints.shape == (3, emb.k, 2)
@@ -468,18 +488,17 @@ def test_render_rows_match_the_reference_at_the_raster_edges():
         ref_img, ref_kps, _ = reference_observe(st, cam, emb)
         assert img.tobytes() == ref_img.tobytes()
         assert kps.tobytes() == ref_kps.points.tobytes()
-        single, _, _ = sim.observe(st, cam, emb)
+        single, _ = sim.observe(st, cam, emb)
         assert single.tobytes() == ref_img.tobytes()
         # clipped mass really was dropped
         assert 0.0 < img[sim.CH_GOAL].sum() < 1.0
-    # 12 corner terms on 8 cells; cell (7, 7) sums one from each object
-    assert np.count_nonzero(images[0, sim.CH_OBJECT]) == 8
-    assert images[1, sim.CH_OBJECT].sum() < 2.0 and images[2, sim.CH_OBJECT].sum() < 3.0
-    bare = make_state(ee_pose=sim.HOME_POSE, gripper_closed=True)
-    images, _ = sim.render([bare, bare], cam, emb)
-    assert images[1].tobytes() == reference_observe(bare, cam, emb)[0].tobytes()
-    with pytest.raises(ValueError, match="object count"):
-        sim.render([bare, states[0]], cam, emb)
+        # 84 keypoint corner terms on far fewer cells
+        assert np.count_nonzero(img[sim.CH_EE]) < emb.k
+    # the on-raster box's 4 corner terms on 4 cells; the others lose mass
+    assert np.count_nonzero(images[0, sim.CH_OBJECT]) == 4
+    assert abs(images[0, sim.CH_OBJECT].sum() - 1.0) < 1e-12
+    assert 0.0 < images[1, sim.CH_OBJECT].sum() < 1.0
+    assert 0.0 < images[2, sim.CH_OBJECT].sum() < 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -538,7 +557,7 @@ def test_scripted_pick_place_succeeds():
         if sim.success(task, state):
             break
     assert sim.success(task, state)
-    assert np.linalg.norm(state.objects[0].pose.translation[:2]
+    assert np.linalg.norm(state.box_pose.translation[:2]
                           - task.goal_center[:2]) <= task.success_radius
 
 
@@ -547,26 +566,26 @@ def test_push_left_profile_moves_object_left():
     assert demo.task_name == "push_left"
     task = sim.make_task("push_left")
     state = sim.reset(task, 3)
-    x0 = state.objects[0].pose.translation[0]
+    x0 = state.box_pose.translation[0]
     phase = 0
     for _ in range(task.horizon):
         action, phase = sim.scripted_policy(task, state, phase)
         state = sim.step(state, action)
         if sim.success(task, state):
             break
-    assert state.objects[0].pose.translation[0] < x0
+    assert state.box_pose.translation[0] < x0
 
 
 def test_human_demo_jitter_is_bounded_and_absent_for_robot():
     task = sim.make_task("push_right")
     human = sim.scripted_demo(task, sim.human_embodiment(), 9, jitter_px=1.0)
     state = sim.reset(task, 9)
-    img, kps, _ = sim.observe(state, human.cameras[0], sim.human_embodiment(), view_id=0)
+    img, kps = sim.observe(state, human.cameras[0], sim.human_embodiment(), view_id=0)
     noise = human.frames[0][0].keypoints.points - kps.points
     assert np.max(np.abs(noise)) <= 3.0 + 1e-9
     assert np.max(np.abs(noise)) > 0
     robot = sim.scripted_demo(task, sim.robot_embodiment(), 9)
-    _, rkps, _ = sim.observe(state, robot.cameras[0], sim.robot_embodiment(), view_id=0)
+    _, rkps = sim.observe(state, robot.cameras[0], sim.robot_embodiment(), view_id=0)
     assert np.array_equal(robot.frames[0][0].keypoints.points, rkps.points)
 
 
@@ -619,34 +638,25 @@ def ref_clamp_delta(delta):
     return RigidTransform(r, t)
 
 
-def ref_surface_distance(point, obj):
-    local = obj.pose.inverse().apply(point)
-    return float(np.linalg.norm(np.maximum(np.abs(local) - obj.half_extents, 0.0)))
+def ref_surface_distance(point, box_pose):
+    local = box_pose.inverse().apply(point)
+    return float(np.linalg.norm(np.maximum(np.abs(local) - sim.OBJECT_HALF_EXTENTS, 0.0)))
 
 
 def ref_step(state, action):
     delta = ref_clamp_delta(action.delta)
     new_ee = state.ee_pose.compose(delta)
     grasp = bool(action.grasp)
-    objects = []
-    attach_done = any(o.attached for o in state.objects) and grasp
-    for obj in state.objects:
-        if obj.attached and grasp:
-            rel = state.ee_pose.inverse().compose(obj.pose)
-            objects.append(replace(obj, pose=new_ee.compose(rel)))
-        elif obj.attached:
-            objects.append(replace(obj, attached=False))
-        else:
-            objects.append(obj)
-    if grasp and not attach_done:
-        candidates = [(ref_surface_distance(new_ee.translation, o), i)
-                      for i, o in enumerate(objects) if not o.attached]
-        candidates = [(d, i) for d, i in candidates if d <= sim.ATTACH_DISTANCE]
-        if candidates:
-            _, i = min(candidates)
-            objects[i] = replace(objects[i], attached=True)
-    return sim.SimState(ee_pose=new_ee, gripper_closed=grasp, objects=tuple(objects),
-                        goal_center=state.goal_center, rng_seed=state.rng_seed,
+    box = state.box_pose
+    if state.box_attached and grasp:
+        box = new_ee.compose(state.ee_pose.inverse().compose(box))
+        attached = True
+    elif grasp:
+        attached = ref_surface_distance(new_ee.translation, box) <= sim.ATTACH_DISTANCE
+    else:
+        attached = False
+    return sim.SimState(ee_pose=new_ee, gripper_closed=grasp, box_pose=box,
+                        box_attached=attached, goal_center=state.goal_center,
                         step_count=state.step_count + 1)
 
 
@@ -654,18 +664,18 @@ def ref_success(task, state):
     if task.name == "reach":
         return bool(np.linalg.norm(state.ee_pose.translation - state.goal_center)
                     <= task.success_radius)
-    obj = state.objects[0]
-    if obj.attached:
+    if state.box_attached:
         return False
-    delta_xy = obj.pose.translation[:2] - state.goal_center[:2]
+    box = state.box_pose.translation
+    delta_xy = box[:2] - state.goal_center[:2]
     if task.name in ("push_left", "push_right"):
         return bool(np.linalg.norm(delta_xy) <= task.success_radius)
-    resting = abs(obj.pose.translation[2] - sim.OBJECT_HALF_EXTENTS[2]) <= 0.02
+    resting = abs(box[2] - sim.OBJECT_HALF_EXTENTS[2]) <= 0.02
     return bool(np.linalg.norm(delta_xy) <= task.success_radius and resting)
 
 
 def ref_waypoints(task, state):
-    obj = state.objects[0].pose.translation
+    obj = state.box_pose.translation
     half = sim.OBJECT_HALF_EXTENTS[2]
     top = obj[2] + half
     grasp_z = top + sim._GRASP_HEIGHT
@@ -730,12 +740,9 @@ def ref_resume_phase(task, state):
 
 
 def state_bytes(st):
-    out = [st.ee_pose.rotation.tobytes(), st.ee_pose.translation.tobytes(),
-           st.gripper_closed, st.step_count, st.rng_seed, st.goal_center.tobytes()]
-    for o in st.objects:
-        out += [o.id, o.attached, o.pose.rotation.tobytes(), o.pose.translation.tobytes(),
-                o.half_extents.tobytes()]
-    return out
+    return [st.ee_pose.rotation.tobytes(), st.ee_pose.translation.tobytes(),
+            st.gripper_closed, st.step_count, st.goal_center.tobytes(),
+            st.box_attached, st.box_pose.rotation.tobytes(), st.box_pose.translation.tobytes()]
 
 
 def action_bytes(action):
@@ -759,10 +766,10 @@ def test_expert_and_step_match_the_numpy_reference_bytewise(name):
             where = f"seed {seed} step {state.step_count}"
             assert sim.resume_phase(task, state) == ref_resume_phase(task, state), where
             assert sim.success(task, state) is ref_success(task, state), where
-            obj = state.objects[0]
+            box = state.box_pose
             points = [p for emb in embs for p in sim.keypoints3d(state, emb)]
-            got = [sim.surface_distance(p, obj) for p in points + [obj.pose.translation]]
-            want = [ref_surface_distance(p, obj) for p in points + [obj.pose.translation]]
+            got = [sim.surface_distance(p, box) for p in points + [box.translation]]
+            want = [ref_surface_distance(p, box) for p in points + [box.translation]]
             assert np.array(got).tobytes() == np.array(want).tobytes(), where
             if ref_success(task, state) or state.step_count >= task.horizon:
                 break
@@ -773,7 +780,7 @@ def test_expert_and_step_match_the_numpy_reference_bytewise(name):
             assert action_bytes(late) == action_bytes(ref_scripted_policy(task, state, 99)[0])
             nxt = sim.step(state, action)
             assert state_bytes(nxt) == state_bytes(ref_step(state, action)), where
-            kinds.add((obj.attached, nxt.objects[0].attached))
+            kinds.add((state.box_attached, nxt.box_attached))
             wild = sim.Action6DoF(
                 RigidTransform(axis_angle_to_matrix(rng.normal(size=3) * 0.2),
                                rng.normal(size=3) * 0.04), action.grasp)
