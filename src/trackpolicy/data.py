@@ -1,5 +1,5 @@
 """Demonstration containers, pixel normalization, horizon chunking, and
-JSONL dataset (de)serialization.
+dataset files (one `nn.checkpoint` file per dataset).
 
 Normalization: `normalize_keypoints` maps a camera's pixel keypoints to
 (p - c) / c, with c half its image size, so in-image points land in
@@ -33,18 +33,13 @@ order, so the gripper-equivalent subset is indices (0, 2, 4, 6, 8).
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .errors import (
-    DatasetCorruptError,
-    EmptyDemoError,
-    MixedShapesError,
-    SchemaMismatchError,
-)
+from .errors import EmptyDemoError, MixedShapesError, SchemaMismatchError
 from .geometry import CameraIntrinsics, RigidTransform
+from .nn import check_array_names, check_keys, load_checkpoint, save_checkpoint
 
 HUMAN = "human"
 ROBOT = "robot"
@@ -105,7 +100,7 @@ class Demonstration:
     """A full episode: frames[t][v] over time t and camera view v.
 
     Every frame view has frame 0's keypoint count and image shape, so the
-    views stack over time.
+    frames stack into the (T, V, ...) arrays that `save_dataset` writes.
     """
 
     embodiment: str
@@ -234,140 +229,86 @@ def chunk(demo: Demonstration, horizon: int) -> TrainingRows:
 # ---------------------------------------------------------------------------
 # serialization
 
-SCHEMA = "trackpolicy-demos"
-SCHEMA_VERSION = 1
+DATASET_KIND = "trackpolicy-demos"
 
-
-def _dump(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-
-
-def _encode_image(img: np.ndarray) -> dict:
-    """Sparse image record: one (channel, row, column, value) per nonzero,
-    written as a JSON array."""
-    nz = np.nonzero(img)
-    return {"shape": list(img.shape),
-            "nz": list(zip(*(i.tolist() for i in nz), img[nz].tolist()))}
-
-
-def _decode_image(rec: dict) -> np.ndarray:
-    img = np.zeros(tuple(rec["shape"]))
-    # a per-pixel loop beats one fancy index at a few dozen nonzeros: the
-    # index arrays cost more to build than the assignments they replace
-    for a, b, d, val in rec["nz"]:
-        img[a, b, d] = val
-    return img
-
-
-def _encode_pose(rot: np.ndarray, trans: np.ndarray) -> dict:
-    return {"rotation": [float(x) for x in np.asarray(rot).reshape(9)],
-            "translation": [float(x) for x in np.asarray(trans).reshape(3)]}
-
-
-def _encode_camera(cam) -> dict:
-    intr, pose = cam
-    return {"fx": intr.fx, "fy": intr.fy, "cx": intr.cx, "cy": intr.cy,
-            "width": intr.width, "height": intr.height,
-            "pose": _encode_pose(pose.rotation, pose.translation)}
-
-
-def _decode_camera(rec: dict):
-    intr = CameraIntrinsics(rec["fx"], rec["fy"], rec["cx"], rec["cy"],
-                            rec["width"], rec["height"])
-    pose = RigidTransform(np.asarray(rec["pose"]["rotation"]).reshape(3, 3),
-                          rec["pose"]["translation"])
-    return (intr, pose)
+# demo i's arrays, stored as "i/<name>", and their dims: T frames, V views,
+# C x H x W feature rasters, k keypoints, E EE poses (0 or T)
+_LAYOUT = {"images": "TVCHW", "keypoints": "TVk2", "grasps": "TV", "view_ids": "TV",
+           "camera_rotations": "V33", "camera_translations": "V3",
+           "ee_rotations": "E33", "ee_translations": "E3"}
+_INTRINSICS = tuple(f.name for f in fields(CameraIntrinsics))
 
 
 def save_dataset(demos, path) -> None:
-    """Line-delimited JSON, one record per line.
-
-    Layout: a file header, then for each demo a demo header followed by one
-    record per frame. Floats round-trip exactly (shortest-repr JSON).
-    """
-    demos = list(demos)
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(_dump({"schema": SCHEMA, "version": SCHEMA_VERSION,
-                       "count": len(demos)}) + "\n")
-        for demo in demos:
-            f.write(_dump({"demo": {
-                "embodiment": demo.embodiment,
-                "task": demo.task_name,
-                "seed": int(demo.seed),
-                "n_frames": demo.length,
-                "n_views": demo.n_views,
-                "cameras": [_encode_camera(c) for c in demo.cameras],
-                "has_ee_poses": bool(demo.ee_poses),
-            }}) + "\n")
-            for t, views in enumerate(demo.frames):
-                rec = {"t": t, "views": [{
-                    "image": _encode_image(fv.image),
-                    "keypoints": [[float(u), float(v)] for u, v in fv.keypoints.points],
-                    "grasp": int(fv.grasp),
-                    "view_id": fv.keypoints.view_id,
-                } for fv in views]}
-                if demo.ee_poses:
-                    pose = demo.ee_poses[t]
-                    rec["ee_pose"] = _encode_pose(pose.rotation, pose.translation)
-                f.write(_dump({"frame": rec}) + "\n")
+    """One `nn.checkpoint` file: meta["demos"] holds each demo's embodiment,
+    task, seed and per-view intrinsics; demo i's arrays are i/images
+    (T, V, 3, R, R), i/keypoints (T, V, k, 2), i/grasps and i/view_ids (T, V),
+    the world->camera i/camera_rotations (V, 3, 3) and i/camera_translations
+    (V, 3), and i/ee_rotations (T, 3, 3) and i/ee_translations (T, 3), which
+    have no rows without EE poses. Equal demos give byte-identical files."""
+    meta, arrays = [], {}
+    for i, demo in enumerate(demos):
+        meta.append({"embodiment": demo.embodiment, "task": demo.task_name, "seed": int(demo.seed),
+                     "intrinsics": [asdict(intr) for intr, _ in demo.cameras]})
+        views = [fv for frame in demo.frames for fv in frame]
+        # a zero-frame demo still writes every array, with no rows
+        (C, H, W), k = (views[0].image.shape, views[0].keypoints.k) if views else ((3, 0, 0), 0)
+        dims = dict(T=demo.length, V=demo.n_views, C=C, H=H, W=W, k=k, E=len(demo.ee_poses))
+        values = {"images": [fv.image for fv in views],
+                  "keypoints": [fv.keypoints.points for fv in views],
+                  "grasps": [fv.grasp for fv in views],
+                  "view_ids": [fv.keypoints.view_id for fv in views],
+                  "camera_rotations": [pose.rotation for _, pose in demo.cameras],
+                  "camera_translations": [pose.translation for _, pose in demo.cameras],
+                  "ee_rotations": [p.rotation for p in demo.ee_poses],
+                  "ee_translations": [p.translation for p in demo.ee_poses]}
+        for name, letters in _LAYOUT.items():
+            arrays[f"{i}/{name}"] = np.array(values[name], dtype=np.float64).reshape(
+                [dims[c] if c.isalpha() else int(c) for c in letters])
+    save_checkpoint(path, DATASET_KIND, {"demos": meta}, arrays)
 
 
 def load_dataset(path) -> list:
-    """Inverse of save_dataset. Corrupt lines raise with their line number."""
+    """Inverse of save_dataset, through the checked constructors. The wrong kind,
+    a missing meta key or array, arrays whose dims disagree, a grasp outside {0, 1},
+    a non-integer view id or a corrupt container raise SchemaMismatchError."""
+    kind, meta, arrays = load_checkpoint(path)
+    if kind != DATASET_KIND:
+        raise SchemaMismatchError(f"{path}: expected a {DATASET_KIND!r} file, got {kind!r}")
+    if not isinstance(meta.get("demos"), list):
+        raise SchemaMismatchError(f"{path}: dataset meta needs a 'demos' list")
+    check_array_names(arrays, [f"{i}/{name}" for i in range(len(meta["demos"]))
+                               for name in _LAYOUT], f"{path}: dataset")
     demos = []
-    with open(path, "r", encoding="utf-8") as f:
-        lines = f.readlines()
-
-    def parse(line_no: int) -> dict:
-        if line_no > len(lines):
-            raise DatasetCorruptError(f"line {line_no}: unexpected end of file",
-                                      line_number=line_no)
-        try:
-            return json.loads(lines[line_no - 1])
-        except json.JSONDecodeError as exc:
-            raise DatasetCorruptError(f"line {line_no}: invalid record ({exc.msg})",
-                                      line_number=line_no) from exc
-
-    header = parse(1)
-    if header.get("schema") != SCHEMA:
-        raise SchemaMismatchError(f"unknown dataset schema: {header.get('schema')!r}")
-    if header.get("version") != SCHEMA_VERSION:
-        raise SchemaMismatchError(f"unsupported dataset version {header.get('version')!r}")
-    line_no = 2
-    for _ in range(header["count"]):
-        rec = parse(line_no)
-        if "demo" not in rec:
-            raise DatasetCorruptError(f"line {line_no}: expected demo header",
-                                      line_number=line_no)
-        meta = rec["demo"]
-        line_no += 1
-        cameras = tuple(_decode_camera(c) for c in meta["cameras"])
-        frames = []
-        ee_poses = []
-        for t in range(meta["n_frames"]):
-            frec = parse(line_no)
-            if "frame" not in frec or frec["frame"]["t"] != t:
-                raise DatasetCorruptError(f"line {line_no}: expected frame {t}",
-                                          line_number=line_no)
-            fr = frec["frame"]
-            if len(fr["views"]) != meta["n_views"]:
-                raise DatasetCorruptError(
-                    f"line {line_no}: expected {meta['n_views']} views",
-                    line_number=line_no)
-            views = tuple(FrameView(
-                image=_decode_image(v["image"]),
-                keypoints=KeypointSet2D(np.asarray(v["keypoints"]),
-                                        meta["embodiment"], v["view_id"]),
-                grasp=v["grasp"],
-            ) for v in fr["views"])
-            frames.append(views)
-            if meta["has_ee_poses"]:
-                p = fr["ee_pose"]
-                ee_poses.append(RigidTransform(
-                    np.asarray(p["rotation"]).reshape(3, 3), p["translation"]))
-            line_no += 1
-        demos.append(Demonstration(
-            embodiment=meta["embodiment"], frames=tuple(frames),
-            task_name=meta["task"], seed=meta["seed"], cameras=cameras,
-            ee_poses=tuple(ee_poses)))
+    for i, rec in enumerate(meta["demos"]):
+        what = f"{path}: demo {i}"
+        check_keys(rec, ("embodiment", "task", "seed", "intrinsics"), what)
+        a = {name: arrays[f"{i}/{name}"] for name in _LAYOUT}
+        dims = {}   # each dim letter bound by its first array
+        for name, letters in _LAYOUT.items():
+            shape = a[name].shape
+            if len(shape) != len(letters) or any(dims.setdefault(c, d) != d if c.isalpha()
+                                                 else d != int(c) for c, d in zip(letters, shape)):
+                raise SchemaMismatchError(f"{what}: {name} has shape {shape}, "
+                                          f"expected dims {letters} with {dims}")
+        if dims["E"] not in (0, dims["T"]):
+            raise SchemaMismatchError(f"{what}: {dims['E']} EE poses for {dims['T']} frames")
+        view_ids = a["view_ids"]
+        if not (np.isin(a["grasps"], (0.0, 1.0)).all() and np.isfinite(view_ids).all()
+                and (view_ids == np.round(view_ids)).all()):
+            raise SchemaMismatchError(f"{what}: grasps must be 0 or 1, view ids integers")
+        intrinsics = rec["intrinsics"]
+        if not isinstance(intrinsics, list) or len(intrinsics) != dims["V"]:
+            raise SchemaMismatchError(f"{what}: needs one intrinsics record per view")
+        for intr in intrinsics:
+            check_keys(intr, _INTRINSICS, f"{what} intrinsics")
+        cameras = tuple(
+            (CameraIntrinsics(**{name: intr[name] for name in _INTRINSICS}), RigidTransform(r, t))
+            for intr, r, t in zip(intrinsics, a["camera_rotations"], a["camera_translations"]))
+        frames = tuple(tuple(FrameView(a["images"][t, v], KeypointSet2D(
+            a["keypoints"][t, v], rec["embodiment"], int(view_ids[t, v])), int(a["grasps"][t, v]))
+            for v in range(dims["V"])) for t in range(dims["T"]))
+        ee_poses = tuple(map(RigidTransform, a["ee_rotations"], a["ee_translations"]))
+        demos.append(Demonstration(rec["embodiment"], frames, rec["task"], rec["seed"], cameras,
+                                   ee_poses))
     return demos

@@ -22,15 +22,7 @@ class EmptyDatasetError(TrackPolicyError):
 
 
 class SchemaMismatchError(TrackPolicyError):
-    """Serialized artifact disagrees with the expected schema version or shape."""
-
-
-class DatasetCorruptError(TrackPolicyError):
-    """Dataset file is truncated or contains an unparseable record."""
-
-    def __init__(self, message, line_number=None):
-        super().__init__(message)
-        self.line_number = line_number
+    """Serialized artifact is corrupt or disagrees with its expected layout."""
 
 
 class ShapeMismatchError(TrackPolicyError):

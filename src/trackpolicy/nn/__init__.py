@@ -3,7 +3,7 @@ return their own gradients, Adam, finite-difference checking, and binary
 checkpoints."""
 
 from . import tensor
-from .checkpoint import load_checkpoint, save_checkpoint
+from .checkpoint import check_array_names, check_keys, load_checkpoint, save_checkpoint
 from .gradcheck import finite_difference_check
 from .losses import bce_with_logits, gaussian_kl_alignment, mse_loss
 from .mlp import MlpSpec, apply, check_params, forward, init_params
@@ -15,5 +15,5 @@ __all__ = [
     "mse_loss", "bce_with_logits", "gaussian_kl_alignment",
     "Adam",
     "finite_difference_check",
-    "save_checkpoint", "load_checkpoint",
+    "save_checkpoint", "load_checkpoint", "check_keys", "check_array_names",
 ]

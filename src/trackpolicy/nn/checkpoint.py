@@ -1,4 +1,5 @@
-"""Binary checkpoint files.
+"""Binary checkpoint files: the one file format, for policies
+(`policy.save_policy`) and demo datasets (`data.save_dataset`).
 
 Layout (all integers little-endian):
 
@@ -91,3 +92,20 @@ def load_checkpoint(path) -> tuple:
     if offset != len(raw):
         raise SchemaMismatchError(f"{path}: {len(raw) - offset} trailing bytes")
     return header["kind"], header["meta"], arrays
+
+
+def check_keys(rec, keys, what: str) -> None:
+    """Raise SchemaMismatchError naming the keys a meta record lacks."""
+    missing = [key for key in keys if key not in rec] if isinstance(rec, dict) else list(keys)
+    if missing:
+        raise SchemaMismatchError(f"{what} lacks {missing}")
+
+
+def check_array_names(arrays: dict, expected, what: str) -> None:
+    """Raise SchemaMismatchError naming every missing and every unexpected
+    array unless the names in `arrays` are exactly `expected`."""
+    expected = set(expected)
+    missing, unexpected = sorted(expected - arrays.keys()), sorted(arrays.keys() - expected)
+    if missing or unexpected:
+        raise SchemaMismatchError(
+            f"{what}: missing arrays {missing}, unexpected arrays {unexpected}")

@@ -47,6 +47,8 @@ from .nn import (
     MlpSpec,
     apply,
     bce_with_logits,
+    check_array_names,
+    check_keys,
     check_params,
     forward,
     gaussian_kl_alignment,
@@ -56,7 +58,7 @@ from .nn import (
     save_checkpoint,
 )
 from .nn import tensor as T
-from .retarget import KeypointRetargeter
+from .retarget import NET_SPEC as RETARGET_SPEC, KeypointRetargeter
 
 CHECKPOINT_KIND = "track-policy"
 
@@ -271,22 +273,14 @@ def _mixed_batches(n_human: int, n_robot: int, batch_size: int, rng) -> list:
         (n_big, big0), (n_small, small0) = ((n_human, 0), (n_robot, n_human)) \
             if n_human >= n_robot else ((n_robot, n_human), (n_human, 0))
         big_idx = big0 + rng.permutation(n_big)
-        small_idx = rng.permutation(n_small)
-        out = []
-        pos = 0
-        for start in range(0, n_big, half):
-            chunk_big = big_idx[start:start + half]
-            if len(chunk_big) < 2:
-                continue  # moment losses need >= 2 rows per side; drop the tail
-            chunk_small = np.empty(len(chunk_big), dtype=np.intp)
-            for i in range(len(chunk_big)):
-                if pos == len(small_idx):
-                    small_idx = rng.permutation(n_small)
-                    pos = 0
-                chunk_small[i] = small_idx[pos]
-                pos += 1
-            out.append(np.concatenate([small0 + chunk_small, chunk_big]))
-        return out
+        # moment losses need >= 2 rows per side; drop a shorter tail
+        chunks = [c for c in np.split(big_idx, range(half, n_big, half)) if len(c) >= 2]
+        ends = np.cumsum([0] + [len(c) for c in chunks])
+        # the smaller pool cycles through as many fresh permutations as the
+        # kept chunks use up, the first drawn even when they use none
+        small_idx = small0 + np.concatenate([rng.permutation(n_small)
+                                             for _ in range(max(1, -(-ends[-1] // n_small)))])
+        return [np.concatenate([small_idx[a:b], c]) for c, a, b in zip(chunks, ends, ends[1:])]
     idx = rng.permutation(n_human + n_robot)
     return [idx[s:s + batch_size] for s in range(0, len(idx), batch_size)]
 
@@ -438,25 +432,18 @@ def load_policy(path) -> PolicyModel:
     kind, meta, arrays = load_checkpoint(path)
     if kind != CHECKPOINT_KIND:
         raise SchemaMismatchError(f"expected a {CHECKPOINT_KIND!r} checkpoint, got {kind!r}")
-    missing = [key for key in [f.name for f in fields(TrainConfig)] + [
-        "image_dim", "target_dim", "num_steps", "beta_start", "beta_end"] if key not in meta]
-    if missing:
-        raise SchemaMismatchError(f"policy checkpoint meta lacks {missing}")
+    check_keys(meta, [f.name for f in fields(TrainConfig)] + [
+        "image_dim", "target_dim", "num_steps", "beta_start", "beta_end"], "policy checkpoint meta")
     cfg = TrainConfig(**{f.name: meta[f.name] for f in fields(TrainConfig)})
     schedule = DiffusionSchedule(meta["num_steps"], meta["beta_start"], meta["beta_end"])
-    retargeter = None
-    params = {}
-    ret_arrays = {}
-    for name, arr in arrays.items():
-        if name.startswith("retargeter:"):
-            ret_arrays[name.split(":", 1)[1]] = arr
-        else:
-            params[name] = arr
-    if meta.get("has_retargeter"):
-        retargeter = KeypointRetargeter.from_arrays(ret_arrays)
-    model = build_model(cfg, meta["image_dim"], target_dim=meta["target_dim"],
-                        schedule=schedule, retargeter=retargeter)
+    model = build_model(cfg, meta["image_dim"], target_dim=meta["target_dim"], schedule=schedule)
+    retarget_names = [f"retargeter:{name}" for name in RETARGET_SPEC.param_shapes()] \
+        if meta.get("has_retargeter") else []
+    check_array_names(arrays, [*model.params, *retarget_names], f"{path}: policy checkpoint")
     for spec in (model.encoder, model.denoiser, model.discriminator):
-        check_params(spec, params)
-    model.params = params
+        check_params(spec, arrays)
+    model.params = {name: arr for name, arr in arrays.items() if name in model.params}
+    if retarget_names:
+        model.retargeter = KeypointRetargeter.from_arrays(
+            {name.split(":", 1)[1]: arrays[name] for name in retarget_names})
     return model

@@ -1,17 +1,11 @@
 """Containers, hand subsetting (through `data.chunk`), chunking,
 normalization, and dataset IO."""
 
-import json
-
 import numpy as np
 import pytest
 
-from trackpolicy import data, sim
-from trackpolicy.errors import (
-    DatasetCorruptError,
-    EmptyDemoError,
-    SchemaMismatchError,
-)
+from trackpolicy import data, nn, policy, sim
+from trackpolicy.errors import EmptyDemoError, SchemaMismatchError
 from trackpolicy.geometry import CameraIntrinsics
 
 
@@ -210,18 +204,23 @@ def demos_equal(a, b) -> bool:
 
 
 def test_save_load_round_trip(tmp_path):
-    demos = _mixed_demos()
-    path = tmp_path / "demos.jsonl"
+    # a zero-frame demo round-trips too, its arrays holding no rows
+    empty = data.Demonstration(data.ROBOT, (), "reach", 5, sim.default_cameras())
+    demos = _mixed_demos() + [empty]
+    path = tmp_path / "demos.ckpt"
     data.save_dataset(demos, path)
     loaded = data.load_dataset(path)
     assert len(loaded) == len(demos)
     for d1, d2 in zip(demos, loaded):
         assert demos_equal(d1, d2)
     counts = {e: sum(d.embodiment == e for d in loaded) for e in data.EMBODIMENTS}
-    assert counts == {"human": 2, "robot": 1}
+    assert counts == {"human": 2, "robot": 2}
+    again = tmp_path / "again.ckpt"
+    data.save_dataset(loaded, again)
+    assert again.read_bytes() == path.read_bytes()
 
 
-def test_demo_rejects_frames_of_differing_keypoint_counts_or_image_shapes(tmp_path):
+def test_demo_rejects_frames_of_differing_keypoint_counts_or_image_shapes():
     # a hand demo whose frame 0 holds the 5-point subset and whose later
     # frames hold all 21 points would stack into a ragged array in chunk
     pts = np.random.default_rng(4).uniform(0, 128, size=(3, 2, 21, 2))
@@ -236,74 +235,106 @@ def test_demo_rejects_frames_of_differing_keypoint_counts_or_image_shapes(tmp_pa
     with pytest.raises(ValueError, match="frame 2 view 1 .* image"):
         data.Demonstration(data.HUMAN, demo.frames[:2] + ((demo.frames[2][0], wide),),
                            "push_right", 0, demo.cameras)
-    # the same subset frame 0 written into a saved file fails on load
-    path = tmp_path / "demos.jsonl"
-    data.save_dataset([demo], path)
-    lines = path.read_text().splitlines()
-    rec = json.loads(lines[2])
-    for view, fv in zip(rec["frame"]["views"], subset):
-        view["keypoints"] = fv.keypoints.points.tolist()
-    lines[2] = data._dump(rec)
-    path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(ValueError, match="frame 1 view 0 has 21 keypoints"):
+
+
+@pytest.fixture
+def saved(tmp_path):
+    """A saved robot demo (with EE poses) followed by a human one."""
+    path = tmp_path / "demos.ckpt"
+    data.save_dataset(_mixed_demos()[:2], path)
+    return path
+
+
+def test_truncated_file_raises_schema_mismatch(saved, tmp_path):
+    raw = saved.read_bytes()
+    for size in (10, 40, len(raw) // 2, len(raw) - 8):
+        cut = tmp_path / f"cut{size}.ckpt"
+        cut.write_bytes(raw[:size])
+        with pytest.raises(SchemaMismatchError):
+            data.load_dataset(cut)
+
+
+def test_corrupt_header_or_trailing_bytes_raise_schema_mismatch(saved, tmp_path):
+    raw = saved.read_bytes()
+    for name, bad in (("magic", b"X" + raw[1:]), ("header", raw[:21] + b"\xff" + raw[22:]),
+                      ("trailing", raw + b"\0" * 8)):
+        path = tmp_path / f"{name}.ckpt"
+        path.write_bytes(bad)
+        with pytest.raises(SchemaMismatchError):
+            data.load_dataset(path)
+
+
+def test_version_mismatch(saved):
+    raw = saved.read_bytes()
+    saved.write_bytes(raw[:8] + (99).to_bytes(4, "little") + raw[12:])
+    with pytest.raises(SchemaMismatchError, match="version 99"):
+        data.load_dataset(saved)
+
+
+def test_unknown_schema(saved, tmp_path):
+    # a policy checkpoint is not a dataset, and a dataset is not a policy
+    path = tmp_path / "policy.ckpt"
+    cfg = policy.TrainConfig(embed_dim=4, encoder_hidden=(4,), denoiser_hidden=(4,),
+                             disc_hidden=(4,))
+    policy.save_policy(path, policy.build_model(cfg, image_dim=12))
+    with pytest.raises(SchemaMismatchError, match="'trackpolicy-demos'"):
         data.load_dataset(path)
+    with pytest.raises(SchemaMismatchError, match="'track-policy'"):
+        policy.load_policy(saved)
 
 
-def reference_encode_image(img):
-    """Per-pixel sparse image encoder, the layout the dataset files use."""
-    c, i, j = np.nonzero(img)
-    return {"shape": list(img.shape),
-            "nz": [[int(a), int(b), int(d), float(img[a, b, d])]
-                   for a, b, d in zip(c, i, j)]}
+def _drop(rec, key):
+    return {k: v for k, v in rec.items() if k != key}
 
 
-def test_image_codec_matches_the_per_pixel_reference():
-    images = [fv.image for d in _mixed_demos() for views in d.frames for fv in views]
-    images.append(np.zeros((3, sim.RASTER_SIZE, sim.RASTER_SIZE)))
-    for img in images:
-        rec = data._encode_image(img)
-        ref = reference_encode_image(img)
-        assert data._dump(rec) == data._dump(ref)
-        assert data._decode_image(json.loads(data._dump(rec))).tobytes() == img.tobytes()
-    assert sum(len(data._encode_image(img)["nz"]) for img in images) > 100
-    with pytest.raises(ValueError):
-        data._decode_image({"shape": [3, 2, 2], "nz": [[0, 1, 1, 0.5], [0, 1, 0.5]]})
+# (what the rewrite does, meta edit, array edit, message); demo 0 is the
+# robot demo, demo 1 the human one
+MALFORMED = [
+    ("no demo list", lambda m: {}, None, "dataset meta needs a 'demos' list"),
+    ("demos not a list", lambda m: {"demos": 2}, None, "dataset meta needs a 'demos' list"),
+    ("no seed", lambda m: {"demos": [_drop(m["demos"][0], "seed"), m["demos"][1]]}, None,
+     r"demo 0 lacks \['seed'\]"),
+    ("no fx", lambda m: {"demos": [m["demos"][0], {**m["demos"][1], "intrinsics": [
+        _drop(m["demos"][1]["intrinsics"][0], "fx"), m["demos"][1]["intrinsics"][1]]}]},
+     None, r"demo 1 intrinsics lacks \['fx'\]"),
+    ("one view's intrinsics", lambda m: {"demos": [
+        {**m["demos"][0], "intrinsics": m["demos"][0]["intrinsics"][:1]}, m["demos"][1]]},
+     None, "one intrinsics record per view"),
+    ("no grasps", None, lambda a: _drop(a, "1/grasps"), r"missing arrays \['1/grasps'\]"),
+    ("extra array", None, lambda a: {**a, "2/images": np.zeros(1)},
+     r"unexpected arrays \['2/images'\]"),
+    ("flat images", None, lambda a: {**a, "0/images": a["0/images"].reshape(-1)},
+     r"images has shape \(\d+,\), expected dims TVCHW"),
+    ("short keypoints", None, lambda a: {**a, "1/keypoints": a["1/keypoints"][:-1]},
+     r"keypoints has shape \(\d+, 2, 21, 2\), expected dims TVk2 with \{'T': \d+, 'V': 2"),
+    ("extra camera", None,
+     lambda a: {**a, "0/camera_rotations": np.concatenate([a["0/camera_rotations"]] * 2)},
+     r"camera_rotations has shape \(4, 3, 3\), expected dims V33 with \{.*'V': 2"),
+    ("short EE translations", None,
+     lambda a: {**a, "0/ee_translations": a["0/ee_translations"][1:]},
+     r"ee_translations has shape \(\d+, 3\), expected dims E3"),
+    ("EE translations only", None,
+     lambda a: {**a, "0/ee_rotations": np.zeros((0, 3, 3))},
+     r"ee_translations has shape \(\d+, 3\), expected dims E3 with \{.*'E': 0"),
+    ("EE poses for half the frames", None,
+     lambda a: {**a, "0/ee_rotations": a["0/ee_rotations"][::2],
+                "0/ee_translations": a["0/ee_translations"][::2]}, r"\d+ EE poses for \d+ frames"),
+    ("half grasp", None, lambda a: {**a, "0/grasps": a["0/grasps"] * 0.5},
+     "grasps must be 0 or 1, view ids integers"),
+    ("grasp of 2", None, lambda a: {**a, "1/grasps": a["1/grasps"] + 2.0},
+     "grasps must be 0 or 1, view ids integers"),
+    ("fractional view id", None, lambda a: {**a, "1/view_ids": a["1/view_ids"] + 0.5},
+     "grasps must be 0 or 1, view ids integers"),
+    ("NaN view id", None, lambda a: {**a, "0/view_ids": a["0/view_ids"] * np.nan},
+     "grasps must be 0 or 1, view ids integers"),
+]
 
 
-def test_truncated_file_reports_line(tmp_path):
-    demos = _mixed_demos()[:1]
-    path = tmp_path / "demos.jsonl"
-    data.save_dataset(demos, path)
-    lines = path.read_text().splitlines()
-    truncated = tmp_path / "trunc.jsonl"
-    truncated.write_text("\n".join(lines[:-2]) + "\n")
-    with pytest.raises(DatasetCorruptError) as exc:
-        data.load_dataset(truncated)
-    assert exc.value.line_number == len(lines) - 1
-
-
-def test_corrupt_line_reports_line(tmp_path):
-    demos = _mixed_demos()[:1]
-    path = tmp_path / "demos.jsonl"
-    data.save_dataset(demos, path)
-    lines = path.read_text().splitlines()
-    lines[3] = lines[3][: len(lines[3]) // 2]  # chop a frame record in half
-    bad = tmp_path / "bad.jsonl"
-    bad.write_text("\n".join(lines) + "\n")
-    with pytest.raises(DatasetCorruptError) as exc:
-        data.load_dataset(bad)
-    assert exc.value.line_number == 4
-
-
-def test_version_mismatch(tmp_path):
-    path = tmp_path / "demos.jsonl"
-    path.write_text('{"schema":"trackpolicy-demos","version":99,"count":0}\n')
-    with pytest.raises(SchemaMismatchError):
-        data.load_dataset(path)
-
-
-def test_unknown_schema(tmp_path):
-    path = tmp_path / "demos.jsonl"
-    path.write_text('{"schema":"something-else","version":1,"count":0}\n')
-    with pytest.raises(SchemaMismatchError):
-        data.load_dataset(path)
+@pytest.mark.parametrize("edit_meta, edit_arrays, message",
+                         [case[1:] for case in MALFORMED], ids=[case[0] for case in MALFORMED])
+def test_load_dataset_rejects_malformed_meta_and_arrays(saved, edit_meta, edit_arrays, message):
+    kind, meta, arrays = nn.load_checkpoint(saved)
+    nn.save_checkpoint(saved, kind, edit_meta(meta) if edit_meta else meta,
+                       edit_arrays(arrays) if edit_arrays else arrays)
+    with pytest.raises(SchemaMismatchError, match=message):
+        data.load_dataset(saved)

@@ -130,30 +130,68 @@ def reference_samples(demo, horizon):
     return out
 
 
-def reference_batches(human, robot, cfg):
-    """Epoch 0's co-training batches built per sample: shuffled sample
-    lists (the smaller pool cycling), each stacked human-first into
-    (x0, images, keypoints, n_human)."""
-    samples_h = [s for d in human for s in reference_samples(d, cfg.horizon)]
-    samples_r = [s for d in robot for s in reference_samples(d, cfg.horizon)]
-    rng = np.random.default_rng([cfg.seed, policy._TRAIN_STREAM])
-    half = cfg.batch_size // 2
-    big, small = (samples_h, samples_r) if len(samples_h) >= len(samples_r) \
-        else (samples_r, samples_h)
-    big_idx, small_idx = rng.permutation(len(big)), rng.permutation(len(small))
-    batches, pos = [], 0
-    for start in range(0, len(big), half):
-        chunk_big = [big[i] for i in big_idx[start:start + half]]
+def reference_index_batches(n_human, n_robot, batch_size, rng):
+    """Index batches into the human-first pool, built one row at a time:
+    the bigger pool's permutation in half-batches (a tail under 2 rows
+    dropped), each paired with the next rows of the smaller pool's
+    permutation, a fresh one drawn the moment it runs out."""
+    if not (n_human and n_robot):
+        idx = rng.permutation(n_human + n_robot)
+        return [idx[s:s + batch_size] for s in range(0, len(idx), batch_size)]
+    half = batch_size // 2
+    (n_big, big0), (n_small, small0) = ((n_human, 0), (n_robot, n_human)) \
+        if n_human >= n_robot else ((n_robot, n_human), (n_human, 0))
+    big_idx = big0 + rng.permutation(n_big)
+    small_idx, pos = rng.permutation(n_small), 0
+    batches = []
+    for start in range(0, n_big, half):
+        chunk_big = big_idx[start:start + half]
         if len(chunk_big) < 2:
             continue
-        chunk_small = []
-        for _ in chunk_big:
-            if pos == len(small_idx):
-                small_idx, pos = rng.permutation(len(small)), 0
-            chunk_small.append(small[small_idx[pos]])
+        chunk_small = np.empty(len(chunk_big), dtype=np.intp)
+        for i in range(len(chunk_big)):
+            if pos == n_small:
+                small_idx, pos = rng.permutation(n_small), 0
+            chunk_small[i] = small0 + small_idx[pos]
             pos += 1
-        batch = [s for s in chunk_small + chunk_big if s[0] == data.HUMAN] + \
-                [s for s in chunk_small + chunk_big if s[0] != data.HUMAN]
+        batches.append(np.concatenate([chunk_small, chunk_big]))
+    return batches
+
+
+@pytest.mark.parametrize("n_human, n_robot, batch_size", [
+    (6, 20, 8),    # the robot pool is larger
+    (30, 3, 8),    # the small pool cycles ten times
+    (12, 4, 8),    # it runs out exactly at the last batch
+    (13, 5, 8),    # a 1-row tail is dropped
+    (8, 8, 4),     # a tie: human is the bigger pool
+    (3, 2, 32),    # one short chunk
+    (10, 0, 4),    # only one pool
+    (0, 9, 4),
+])
+def test_mixed_batches_match_the_per_row_reference(n_human, n_robot, batch_size):
+    rng, ref_rng = np.random.default_rng(7), np.random.default_rng(7)
+    got = policy._mixed_batches(n_human, n_robot, batch_size, rng)
+    want = reference_index_batches(n_human, n_robot, batch_size, ref_rng)
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert same_bytes(a, b)
+    # the same draws in the same order leave the same rng state
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def reference_batches(human, robot, cfg):
+    """Epoch 0's co-training batches built per sample: the per-row index
+    batches, each stacked human-first into (x0, images, keypoints,
+    n_human)."""
+    samples_h = [s for d in human for s in reference_samples(d, cfg.horizon)]
+    samples_r = [s for d in robot for s in reference_samples(d, cfg.horizon)]
+    samples = samples_h + samples_r
+    rng = np.random.default_rng([cfg.seed, policy._TRAIN_STREAM])
+    batches = []
+    for idx in reference_index_batches(len(samples_h), len(samples_r), cfg.batch_size, rng):
+        picked = [samples[i] for i in idx]
+        batch = [s for s in picked if s[0] == data.HUMAN] + \
+                [s for s in picked if s[0] != data.HUMAN]
         batches.append((np.stack([s[3] for s in batch]),
                         np.stack([np.asarray(s[1], dtype=np.float64).reshape(-1) for s in batch]),
                         np.stack([s[2] for s in batch]),
@@ -355,6 +393,35 @@ def test_load_policy_names_missing_meta_keys(tmp_path):
     nn.save_checkpoint(path, policy.CHECKPOINT_KIND, {"horizon": 16}, {})
     with pytest.raises(SchemaMismatchError, match="'lambda_kl'.*'image_dim'.*'beta_end'"):
         policy.load_policy(path)
+
+
+def resaved_with(src, dst, drop=(), add=None):
+    """A copy of the checkpoint at src without the arrays in drop and with
+    the arrays in add."""
+    kind, meta, arrays = nn.load_checkpoint(src)
+    arrays = {name: arr for name, arr in arrays.items() if name not in drop}
+    nn.save_checkpoint(dst, kind, meta, {**arrays, **(add or {})})
+    return dst
+
+
+def test_load_policy_names_missing_arrays(trained, tmp_path):
+    path = tmp_path / "policy.ckpt"
+    policy.save_policy(path, trained[0])
+    bad = resaved_with(path, tmp_path / "missing.ckpt",
+                       drop=("denoiser/w1", "retargeter:retargeter/b2"))
+    with pytest.raises(SchemaMismatchError, match=r"missing arrays \['denoiser/w1', "
+                       r"'retargeter:retargeter/b2'\], unexpected arrays \[\]"):
+        policy.load_policy(bad)
+
+
+def test_load_policy_names_unexpected_arrays(trained, tmp_path):
+    path = tmp_path / "policy.ckpt"
+    policy.save_policy(path, trained[0])
+    bad = resaved_with(path, tmp_path / "extra.ckpt",
+                       add={"denoiser/w9": np.zeros(2), "retargeter:scale": np.ones(1)})
+    with pytest.raises(SchemaMismatchError, match=r"missing arrays \[\], unexpected arrays "
+                       r"\['denoiser/w9', 'retargeter:scale'\]"):
+        policy.load_policy(bad)
 
 
 def reference_sample_flat(model, img, kn, seed):
