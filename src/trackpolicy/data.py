@@ -53,13 +53,21 @@ N_TRACK_KEYPOINTS = 5
 
 @dataclass(frozen=True)
 class KeypointSet2D:
-    """Ordered 2D keypoints for one view. points: (k, 2) pixels."""
+    """Ordered 2D keypoints for one view. points: (k, 2) pixels; view_id an
+    integer (ValueError otherwise), stored as int."""
 
     points: np.ndarray
     embodiment: str
     view_id: int = 0
 
     def __post_init__(self):
+        try:
+            view_id = int(self.view_id)
+        except (TypeError, ValueError, OverflowError):
+            view_id = None
+        if view_id is None or view_id != self.view_id:
+            raise ValueError(f"view_id must be an integer, got {self.view_id!r}")
+        object.__setattr__(self, "view_id", view_id)
         p = np.asarray(self.points, dtype=np.float64)
         if p.ndim != 2 or p.shape[1] != 2:
             raise ValueError(f"points must be (k, 2), got {p.shape}")
@@ -81,7 +89,8 @@ class KeypointSet2D:
 
 @dataclass(frozen=True)
 class FrameView:
-    """One camera's record at one timestep."""
+    """One camera's record at one timestep. grasp is 0 or 1 (ValueError
+    otherwise), stored as int."""
 
     image: np.ndarray  # (3, R, R) feature raster
     keypoints: KeypointSet2D
@@ -91,6 +100,8 @@ class FrameView:
         img = np.asarray(self.image, dtype=np.float64)
         if img.ndim != 3:
             raise ValueError(f"feature image must be (C, R, R), got {img.shape}")
+        if self.grasp not in (0, 1):
+            raise ValueError(f"grasp must be 0 or 1, got {self.grasp!r}")
         object.__setattr__(self, "image", img)
         object.__setattr__(self, "grasp", int(self.grasp))
 

@@ -19,11 +19,17 @@ the sampler the clean one.
 Conditioning keypoints always pass through the frozen retargeter first; a
 model built with retargeter=None conditions on raw keypoints (identity
 retargeting, for robot-only ablations).
+
+`train_epochs` is the one training loop, for the track head and the 6DoF
+baseline. It trains only the feature cells its pool lights: a raster cell
+that is zero in every training row cannot move its encoder weights, so the
+steps run on a narrower view of the encoder, and the model keeps its full
+input width with those weights at their initial values.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -33,7 +39,6 @@ from .diffusion import (
     DiffusionSchedule,
     add_noise,
     ancestral_sample,
-    timestep_embedding,
     timestep_table,
 )
 from .errors import (
@@ -211,7 +216,7 @@ def train_step(model: PolicyModel, batch: data.TrainingRows, rng,
     t = rng.choice(schedule.num_steps, size=n, p=_timestep_weights(schedule))
     eps = rng.standard_normal(x0.shape)
     x_t = add_noise(schedule, x0, t, eps)
-    temb = timestep_embedding(t)
+    temb = timestep_table(schedule.num_steps)[t]
 
     # rows are human-first, so the alignment losses address each embodiment
     # as a row block of the one embedding batch
@@ -286,15 +291,33 @@ def _mixed_batches(n_human: int, n_robot: int, batch_size: int, rng) -> list:
 
 
 def train_epochs(model: PolicyModel, rows: data.TrainingRows):
-    """The epoch loop: yields one log entry per epoch as model.params update.
+    """The epoch loop: yields one log entry per epoch, once model.params hold
+    that epoch's result.
 
     Runs model.cfg's epochs with one Adam for the whole run, its learning
     rate on a cosine decay to 5%; each batch gathers the rows that
     _mixed_batches picks from the human-first pool `rows`. An entry holds
     the epoch index and the mean of each LossReport field over the epoch's
     steps (None where every step skipped that term).
+
+    Only the feature cells that some row of the pool lights are trained. A
+    cell that is zero in every row adds nothing to the encoder's input layer
+    and gets an exactly zero gradient, so its encoder/w0 row keeps its
+    initial value whatever the loop does. The steps therefore run on a view
+    of the model whose encoder reads the lit cells alone, fed the pool's lit
+    image columns. model.params take the view's params at each epoch's end,
+    with the full encoder/w0 rebuilt from the initial one, so the model keeps
+    its full input width and a cell no row lit still meets its initial
+    weights. A pool that lights no cell raises EmptyDatasetError.
     """
     cfg = model.cfg
+    lit = np.flatnonzero(rows.images.any(axis=0))
+    if not len(lit):
+        raise EmptyDatasetError("no training row lights any feature cell")
+    w0 = model.params["encoder/w0"]
+    encoder = replace(model.encoder, widths=(len(lit), *model.encoder.widths[1:]))
+    view = replace(model, encoder=encoder, params={**model.params, "encoder/w0": w0[lit]})
+    rows = replace(rows, images=rows.images[:, lit])
     rng = np.random.default_rng([cfg.seed, _TRAIN_STREAM])
     opt = Adam(cfg.learning_rate)
     n_robot = len(rows) - rows.n_human
@@ -304,8 +327,11 @@ def train_epochs(model: PolicyModel, rows: data.TrainingRows):
         frac = epoch / max(1, cfg.epochs - 1)
         opt.learning_rate = cfg.learning_rate * (
             0.05 + 0.95 * 0.5 * (1.0 + np.cos(np.pi * frac)))
-        reports = [train_step(model, rows.take(idx), rng, opt)
+        reports = [train_step(view, rows.take(idx), rng, opt)
                    for idx in _mixed_batches(rows.n_human, n_robot, cfg.batch_size, rng)]
+        w0 = w0.copy()
+        w0[lit] = view.params["encoder/w0"]
+        model.params = {**view.params, "encoder/w0": w0}
         entry = {"epoch": epoch}
         for key in ("mse", "kl", "da", "disc_accuracy", "total"):
             vals = [getattr(r, key) for r in reports if getattr(r, key) is not None]

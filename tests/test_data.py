@@ -237,6 +237,28 @@ def test_demo_rejects_frames_of_differing_keypoint_counts_or_image_shapes():
                            "push_right", 0, demo.cameras)
 
 
+def test_frame_view_rejects_a_grasp_outside_0_and_1():
+    # the constructor accepts exactly what load_dataset accepts
+    kps = data.KeypointSet2D(np.zeros((5, 2)), data.ROBOT)
+    img = np.zeros((3, 4, 4))
+    for bad in (0.7, 2, -1, np.nan, "1"):
+        with pytest.raises(ValueError, match="grasp must be 0 or 1"):
+            data.FrameView(img, kps, bad)
+    for good in (0, 1, 1.0, True, np.int64(0), np.float64(1.0)):
+        fv = data.FrameView(img, kps, good)
+        assert fv.grasp == good and type(fv.grasp) is int
+
+
+def test_keypoint_set_rejects_a_non_integer_view_id():
+    pts = np.zeros((5, 2))
+    for bad in (0.7, np.nan, np.inf, "1", None):
+        with pytest.raises(ValueError, match="view_id must be an integer"):
+            data.KeypointSet2D(pts, data.ROBOT, bad)
+    for good in (0, 3, 1.0, np.int64(2), np.float64(1.0)):
+        kps = data.KeypointSet2D(pts, data.ROBOT, good)
+        assert kps.view_id == good and type(kps.view_id) is int
+
+
 @pytest.fixture
 def saved(tmp_path):
     """A saved robot demo (with EE poses) followed by a human one."""

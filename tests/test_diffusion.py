@@ -15,6 +15,7 @@ from trackpolicy.diffusion import (
     add_noise,
     ancestral_sample,
     timestep_embedding,
+    timestep_table,
 )
 from trackpolicy.errors import NonFiniteError
 
@@ -73,6 +74,15 @@ def test_timestep_embedding_contract():
     assert np.array_equal(single[0], emb[7])
     with pytest.raises(ValueError):
         timestep_embedding(3, dim=33)
+
+
+@pytest.mark.parametrize("n", [1, 7, 32, 257])
+def test_timestep_table_rows_equal_batched_embeddings_bitwise(n):
+    # policy.train_step gathers its batch's timestep features from the table
+    t = np.random.default_rng(n).integers(0, 100, size=n)
+    got, want = timestep_table(100)[t], timestep_embedding(t)
+    assert got.shape == want.shape == (n, 32)
+    assert got.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,8 @@ rollouts and checkpoints exactly, and the sampler must equal a step-by-step
 reference that rebuilds every per-step constant. A draw validates the
 denoiser's parameters and its fixed conditioning before the first step.
 The co-training step's gradients are checked against finite differences of
-the objective each net descends.
+the objective each net descends, and the epoch loop, which trains only the
+feature cells its pool lights, against a full-width reference loop.
 """
 
 from dataclasses import replace
@@ -221,15 +222,110 @@ def test_train_step_gets_the_rows_per_sample_stacking_builds(demos, monkeypatch)
     monkeypatch.setattr(KeypointRetargeter, "fit", record_fit)
     policy.train(human, robot, cfg, schedule=SCHEDULE)
     ref = reference_batches(human, robot, cfg)
+    # the steps see only the feature cells that some row of the pool lights
+    pool = np.stack([np.asarray(s[1]).reshape(-1) for d in human + robot
+                     for s in reference_samples(d, cfg.horizon)])
+    lit = np.flatnonzero(pool.any(axis=0))
+    assert 0 < len(lit) < pool.shape[1]
     assert len(seen) == len(ref) > 1
     for batch, (x0, images, kps, n_human) in zip(seen, ref):
         assert batch.n_human == n_human == len(batch) // 2
         assert same_bytes(batch.targets, x0)
-        assert same_bytes(batch.images, images)
+        assert same_bytes(batch.images, images[:, lit])
         assert same_bytes(batch.keypoints, kps)
     # the retargeter trains on every hand frame, view-major within each demo
     frames = np.stack([s[2] for d in human for s in reference_samples(d, cfg.horizon)])
     assert len(fitted) == 1 and same_bytes(fitted[0], frames)
+
+
+def test_training_leaves_unlit_encoder_rows_at_their_initial_values(demos, trained, baseline):
+    human, robot = demos
+    track_pool = data.TrainingRows.join([data.chunk(d, CFG.horizon) for d in human + robot])
+    baseline_pool = data.TrainingRows.join(
+        [inference.baseline_samples(d, CFG.horizon) for d in robot])
+    for (model, _), pool, target_dim in ((trained, track_pool, None),
+                                         (baseline, baseline_pool, 7 * CFG.horizon)):
+        lit = pool.images.any(axis=0)   # the cells some row lights
+        assert 0 < lit.sum() < len(lit)
+        initial = policy.build_model(CFG, len(lit), target_dim=target_dim,
+                                     schedule=SCHEDULE).params["encoder/w0"]
+        w0 = model.params["encoder/w0"]
+        assert w0.shape == initial.shape == (3 * sim.RASTER_SIZE ** 2, CFG.encoder_hidden[0])
+        assert model.image_dim == len(lit)
+        assert w0[~lit].tobytes() == initial[~lit].tobytes()
+        assert not np.array_equal(w0[lit], initial[lit])
+
+
+def reference_train(model, rows):
+    """The epoch loop at full width: every step runs the whole encoder, and
+    model.params update after every step. Returns the per-epoch log."""
+    cfg = model.cfg
+    rng = np.random.default_rng([cfg.seed, policy._TRAIN_STREAM])
+    opt = nn.Adam(cfg.learning_rate)
+    log = []
+    for epoch in range(cfg.epochs):
+        frac = epoch / max(1, cfg.epochs - 1)
+        opt.learning_rate = cfg.learning_rate * (
+            0.05 + 0.95 * 0.5 * (1.0 + np.cos(np.pi * frac)))
+        reports = [policy.train_step(model, rows.take(idx), rng, opt) for idx in
+                   policy._mixed_batches(rows.n_human, len(rows) - rows.n_human,
+                                         cfg.batch_size, rng)]
+        log.append({"epoch": epoch, **{key: float(np.mean([getattr(r, key) for r in reports]))
+                                       for key in ("mse", "kl", "da", "disc_accuracy", "total")}})
+    return log
+
+
+def test_lit_training_matches_the_full_width_loop(demos, trained):
+    # dropping the cells no row lights changes the arithmetic by rounding only
+    human, robot = demos
+    model, log = trained
+    rows = data.TrainingRows.join([data.chunk(d, CFG.horizon) for d in human + robot])
+    retargeter = KeypointRetargeter(seed=CFG.seed).fit(rows.keypoints[:rows.n_human])
+    ref = policy.build_model(CFG, rows.images.shape[1], schedule=SCHEDULE, retargeter=retargeter)
+    ref_log = reference_train(ref, rows)
+    assert [e.keys() for e in log] == [e.keys() for e in ref_log]
+    for entry, ref_entry in zip(log, ref_log):
+        for key, value in entry.items():
+            assert abs(value - ref_entry[key]) <= 1e-10, (entry["epoch"], key)
+    assert model.params.keys() == ref.params.keys()
+    for name, value in model.params.items():
+        np.testing.assert_allclose(value, ref.params[name], rtol=0, atol=1e-10, err_msg=name)
+
+
+def test_lit_trained_model_round_trips_at_full_width(trained, tmp_path):
+    model, _ = trained
+    path = tmp_path / "policy.ckpt"
+    policy.save_policy(path, model)
+    loaded = policy.load_policy(path)
+    assert loaded.encoder == model.encoder
+    assert loaded.image_dim == 3 * sim.RASTER_SIZE ** 2
+    assert loaded.params.keys() == model.params.keys()
+    for name, value in model.params.items():
+        assert same_bytes(loaded.params[name], value), name
+    # an image lighting every cell, the unlit ones included, samples alike
+    _, _, kn = observation()
+    bright = np.ones((3, sim.RASTER_SIZE, sim.RASTER_SIZE))
+    assert same_bytes(policy.sample_flat(loaded, bright, kn, seed=2),
+                      policy.sample_flat(model, bright, kn, seed=2))
+
+
+def dark(demo):
+    """The demo with every feature image zeroed."""
+    return replace(demo, frames=tuple(tuple(replace(fv, image=np.zeros_like(fv.image))
+                                            for fv in views) for views in demo.frames))
+
+
+def test_training_rejects_a_pool_that_lights_no_cell(demos):
+    _, robot = demos
+    robot_only = replace(CFG, lambda_kl=0.0, lambda_da=0.0)
+    dark_robot = [dark(d) for d in robot]
+    with pytest.raises(EmptyDatasetError, match="lights any feature cell"):
+        policy.train([], dark_robot, robot_only, schedule=SCHEDULE)
+    with pytest.raises(EmptyDatasetError, match="lights any feature cell"):
+        inference.train_baseline_6dof(dark_robot, CFG, schedule=SCHEDULE)
+    # one lit row is enough
+    _, log = policy.train([], [dark(robot[0]), robot[1]], robot_only, schedule=SCHEDULE)
+    assert len(log) == CFG.epochs
 
 
 def test_train_rejects_missing_embodiments(demos):
