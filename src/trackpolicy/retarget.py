@@ -14,6 +14,11 @@ the 5-point subset); transform_batch() takes any (n, 5, 2) stack. Frozen
 after fit: parameter arrays are made read-only and transform_batch
 is a pure function of them. A fitted retargeter is persisted inside the
 policy checkpoint through to_arrays/from_arrays.
+
+fit() takes STEPS Adam steps, each on BATCH_ROWS rows drawn with
+replacement from the corpus, so a fit costs the same at any corpus size. A
+denoiser over a 10-dim layout can afford that: its targets are a few hand
+shapes seen at many poses, not a set to memorize.
 """
 
 from __future__ import annotations
@@ -41,7 +46,8 @@ from .nn import tensor as T
 MIN_TRAIN_FRAMES = 100
 NOISE_BOUND = 0.15   # uniform corruption per coordinate, normalized units
 ANCHOR_INDEX = 0     # the wrist / gripper center, never corrupted
-EPOCHS = 400
+STEPS = 400
+BATCH_ROWS = 128     # rows per step
 LEARNING_RATE = 1e-3
 
 # anchor-relative 2k inputs -> 2k outputs through two relu hidden layers
@@ -107,7 +113,9 @@ class KeypointRetargeter:
         """Train on hand keypoint frames; freezes the result.
 
         points: an (n, 5, 2) array of hand layouts in normalized units, the
-        5-point subset, as `data.chunk` stacks them into `keypoints`.
+        5-point subset, as `data.chunk` stacks them into `keypoints`. The
+        seed fixes the init and, through the noise stream, each step's rows
+        and noise (see the module docstring).
         """
         pts = np.asarray(points, dtype=np.float64)
         _check_points(pts)
@@ -127,12 +135,13 @@ class KeypointRetargeter:
         target = rel_clean * mask
 
         opt = Adam(LEARNING_RATE)
-        for _ in range(EPOCHS):
-            noise = rng.uniform(-NOISE_BOUND, NOISE_BOUND, size=pts.shape)
+        for _ in range(STEPS):
+            idx = rng.integers(n, size=BATCH_ROWS)
+            noise = rng.uniform(-NOISE_BOUND, NOISE_BOUND, size=(BATCH_ROWS, k, 2))
             noise[:, a] = 0.0
-            noisy = pts + noise
-            rel_in = (noisy - noisy[:, a:a + 1]).reshape(n, 2 * k)
-            _, grads = _denoising_loss(params, rel_in, target, mask)
+            noisy = pts[idx] + noise
+            rel_in = (noisy - noisy[:, a:a + 1]).reshape(BATCH_ROWS, 2 * k)
+            _, grads = _denoising_loss(params, rel_in, target[idx], mask)
             params = opt.step(params, grads)
 
         self._params = _frozen(params)
@@ -164,13 +173,15 @@ class KeypointRetargeter:
     def from_arrays(cls, arrays: dict) -> "KeypointRetargeter":
         """A fitted retargeter from NET_SPEC weight arrays; the inverse of
         to_arrays. The arrays are frozen in place (made read-only), not
-        copied."""
+        copied; the dict is copied, so later changes to it do not reach the
+        retargeter."""
         est = cls()
-        est._params = _frozen(arrays)
+        est._params = _frozen(dict(arrays))
         return est
 
     def to_arrays(self) -> dict:
-        """The frozen weights, by NET_SPEC parameter name."""
+        """The frozen weights, by NET_SPEC parameter name: a new dict of the
+        retargeter's read-only arrays."""
         if not self.fitted:
             raise NotFittedError("nothing to save before fit()")
-        return self._params
+        return dict(self._params)

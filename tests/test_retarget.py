@@ -11,7 +11,7 @@ from trackpolicy.errors import (
     ShapeMismatchError,
 )
 from trackpolicy.geometry import RigidTransform, project_points
-from trackpolicy.nn import finite_difference_check, init_params
+from trackpolicy.nn import Adam, finite_difference_check, init_params
 from trackpolicy.retarget import KeypointRetargeter
 
 
@@ -202,3 +202,91 @@ def test_transform_rejects_wrong_k(trained):
 def test_to_arrays_before_fit_raises():
     with pytest.raises(NotFittedError):
         KeypointRetargeter().to_arrays()
+
+
+def test_array_dicts_do_not_alias_the_retargeter(trained):
+    est, _ = trained
+    pts = layout_corpus("human", 4, seed=5)
+    before, out = est.to_arrays(), est.transform_batch(pts)
+    handed_out = est.to_arrays()
+    del handed_out["retargeter/w0"]
+    handed_out["extra"] = np.zeros(1)
+    assert est.to_arrays().keys() == before.keys()
+    assert np.array_equal(est.transform_batch(pts), out)
+
+    given = dict(before)
+    loaded = KeypointRetargeter.from_arrays(given)
+    given["retargeter/w0"] = np.zeros_like(before["retargeter/w0"])
+    del given["retargeter/b2"]
+    assert loaded.to_arrays().keys() == before.keys()
+    assert all(loaded.to_arrays()[k] is v for k, v in before.items())
+    assert np.array_equal(loaded.transform_batch(pts), out)
+
+
+# ---------------------------------------------------------------------------
+# rows per step
+
+
+def test_each_step_takes_batch_rows_of_the_corpus(monkeypatch):
+    steps, loss = [], retarget._denoising_loss
+
+    def recorded(params, rel_in, target, mask):
+        steps.append((rel_in, target))
+        return loss(params, rel_in, target, mask)
+
+    monkeypatch.setattr(retarget, "_denoising_loss", recorded)
+    frames = layout_corpus("human", 150, seed=2)   # 300 frames
+    KeypointRetargeter().fit(frames)
+    a = retarget.ANCHOR_INDEX
+    targets = (frames - frames[:, a:a + 1]).reshape(len(frames), -1)
+    targets[:, 2 * a:2 * a + 2] = 0.0
+    assert len(steps) == retarget.STEPS
+    seen = set()
+    for rel_in, target in steps:
+        assert rel_in.shape == target.shape == (retarget.BATCH_ROWS, targets.shape[1])
+        hits = (target[:, None] == targets[None]).all(axis=-1)
+        assert hits.any(axis=1).all()   # every target row is a corpus row
+        seen.update(np.flatnonzero(hits.any(axis=0)))
+    assert len(seen) == len(frames)     # and the steps cover the corpus
+
+
+def test_fit_repeats_for_a_seed():
+    frames = layout_corpus("human", 100, seed=4)
+    first = KeypointRetargeter(seed=3).fit(frames).to_arrays()
+    again = KeypointRetargeter(seed=3).fit(frames.copy()).to_arrays()
+    other = KeypointRetargeter(seed=4).fit(frames).to_arrays()
+    assert all(np.array_equal(again[k], v) for k, v in first.items())
+    assert not np.array_equal(other["retargeter/w0"], first["retargeter/w0"])
+
+
+def full_batch_fit(frames, seed):
+    """The fit with every row in every step, as it ran before rows were
+    drawn per step: the reference the drawn rows are judged against."""
+    n, a = len(frames), retarget.ANCHOR_INDEX
+    params = init_params(retarget.NET_SPEC, seed)
+    rng = np.random.default_rng([seed, retarget._NOISE_STREAM])
+    mask = np.ones(frames[0].size)
+    mask[2 * a:2 * a + 2] = 0.0
+    target = (frames - frames[:, a:a + 1]).reshape(n, -1) * mask
+    opt = Adam(retarget.LEARNING_RATE)
+    for _ in range(retarget.STEPS):
+        noise = rng.uniform(-retarget.NOISE_BOUND, retarget.NOISE_BOUND, size=frames.shape)
+        noise[:, a] = 0.0
+        noisy = frames + noise
+        rel_in = (noisy - noisy[:, a:a + 1]).reshape(n, -1)
+        params = opt.step(params, retarget._denoising_loss(params, rel_in, target, mask)[1])
+    return KeypointRetargeter.from_arrays(params)
+
+
+def test_drawn_rows_move_outputs_less_than_a_seed_change():
+    # drawing rows is a cost cut, not a change of model: against the
+    # full-batch fit, it moves the retargeted layouts less than a new seed
+    frames = layout_corpus("human", 200, seed=6)   # 400 frames
+    drawn = KeypointRetargeter(seed=0).fit(frames)
+    full = [full_batch_fit(frames, s) for s in (0, 1)]
+    for kind, seed in (("human", 7), ("robot", 11)):
+        pts = layout_corpus(kind, 100, seed=seed)
+        ref = full[0].transform_batch(pts)
+        drawn_move = np.abs(drawn.transform_batch(pts) - ref).mean()
+        seed_move = np.abs(full[1].transform_batch(pts) - ref).mean()
+        assert drawn_move < seed_move, kind
