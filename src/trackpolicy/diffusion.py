@@ -94,27 +94,34 @@ def ancestral_sample(clean_fn, n: int, dim: int, schedule: DiffusionSchedule, rn
     """Draw n samples of dimension dim by full reverse diffusion.
 
     clean_fn(x, t) receives the whole current batch (n, dim) and the integer
-    step t and returns the predicted clean sample of the same shape. Each
-    step moves x to the DDPM posterior mean in x0 form (Ho et al. 2020,
-    eq. 7), ct[t] * x + c0[t] * clean, plus sigma_t = sqrt(beta_t) noise,
-    none on the final step. Deterministic given the rng state: x_T first,
-    then one noise draw per step while t > 0. x is one array updated in
+    step t and returns the predicted clean sample of the same shape, in any
+    float dtype; the sampler reads it as float64, and x, the noise and every
+    update stay float64. Each step moves x to the DDPM posterior mean in x0
+    form (Ho et al. 2020, eq. 7), ct[t] * x + c0[t] * clean, plus sigma_t =
+    sqrt(beta_t) noise, none on the final step. Deterministic given the rng
+    state: x_T first, then the noise of every step while t > 0, drawn in one
+    (T - 1, n, dim) block right after x_T (T = schedule.num_steps). The
+    block holds the values, in the order, that one (n, dim) draw per step
+    would, so the samples and the final rng state are the same; it holds
+    (T - 1)·n·dim float64s for the whole draw. x is one array updated in
     place from step to step, so clean_fn must read it during its call and
     not keep it (returning x itself is fine); the array clean_fn returns is
     only read.
     """
+    num_steps = schedule.num_steps
     # posterior-mean coefficients; with abar_{-1} = 1, ct[0] = 0 and c0[0] = 1
     # up to rounding, so the last step lands on the clean prediction
     abar_prev = np.concatenate([[1.0], schedule.alpha_bars[:-1]])
     one_minus_abar = 1.0 - schedule.alpha_bars
-    c0 = np.sqrt(abar_prev) * schedule.betas / one_minus_abar
-    ct = np.sqrt(schedule.alphas) * (1.0 - abar_prev) / one_minus_abar
-    sigmas = np.sqrt(schedule.betas)
+    c0 = (np.sqrt(abar_prev) * schedule.betas / one_minus_abar).tolist()
+    ct = (np.sqrt(schedule.alphas) * (1.0 - abar_prev) / one_minus_abar).tolist()
     x = rng.standard_normal((n, dim))
-    # scratch for c0 * clean, then for the step's noise: standard_normal
-    # fills it with the values, in the order, a fresh (n, dim) draw would have
+    # row i is the sigma-scaled noise of step t = num_steps - 1 - i
+    noise = rng.standard_normal((num_steps - 1, n, dim))
+    noise *= np.sqrt(schedule.betas)[num_steps - 1:0:-1, None, None]
+    # scratch for c0 * clean
     buf = np.empty_like(x)
-    for t in range(schedule.num_steps - 1, -1, -1):
+    for i, t in enumerate(range(num_steps - 1, -1, -1)):
         clean = np.asarray(clean_fn(x, t), dtype=np.float64)
         if clean.shape != x.shape:
             raise ValueError(f"clean_fn returned {clean.shape}, expected {x.shape}")
@@ -122,9 +129,7 @@ def ancestral_sample(clean_fn, n: int, dim: int, schedule: DiffusionSchedule, rn
         x *= ct[t]
         x += buf
         if t > 0:
-            rng.standard_normal(out=buf)
-            buf *= sigmas[t]
-            x += buf
+            x += noise[i]
         if not np.isfinite(x).all():
             raise NonFiniteError(f"sampler produced non-finite values at step {t}")
     return x

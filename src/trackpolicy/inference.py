@@ -14,6 +14,11 @@ rotations (H, 3, 3) and translations (H, 3) as read-only arrays, checks
 every rotation row once, and hands out one `RigidTransform` per executed
 step through `delta(h)`. Also houses the 6DoF-delta baseline (same
 encoder+diffusion machinery, direct action targets, no triangulation).
+
+Both runners sample through `policy.sample_flat`, whose denoiser steps run
+in float32 on per-draw copies of the weights, the bulk of a replan's time;
+the samples come back as float64, and the geometry, the rigid fits and the
+baseline's post-processing run in float64.
 """
 
 from __future__ import annotations

@@ -20,6 +20,13 @@ Conditioning keypoints always pass through the frozen retargeter first; a
 model built with retargeter=None conditions on raw keypoints (identity
 retargeting, for robot-only ablations).
 
+Sampling runs the denoiser chain in float32, because the sampler's time goes
+into its per-step matrix-vector products and float32 halves the weight bytes
+they read. Everything else stays float64: the model's weights, training,
+checkpoints, the encoder, the retargeter and the sampler's own update. A draw
+differs from its float64 counterpart by float32 rounding (a few 1e-8 on the
+test models).
+
 `train_epochs` is the one training loop, for the track head and the 6DoF
 baseline. It trains only the feature cells its pool lights: a raster cell
 that is zero in every training row cannot move its encoder weights, so the
@@ -111,6 +118,9 @@ class TrainConfig:
             raise ValueError(f"batch_size must be >= 4, got {self.batch_size}")
         if self.epochs < 0:
             raise ValueError(f"epochs must be >= 0, got {self.epochs}")
+        # the seed feeds numpy's SeedSequence, which takes integers >= 0 only
+        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+            raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
 
     @property
     def target_dim(self) -> int:
@@ -391,6 +401,14 @@ def sample_flat(model: PolicyModel, feature_image, keypoints,
     non-finite output (a NaN in any block of layer 0's weights or in its
     bias reaches the first step's), hands the clean prediction to the
     sampler, and the sampler checks every x_t.
+
+    The denoiser chain runs in float32: after the checks, the bias table
+    (summed in float64), the x_t block of layer 0's weights and the other
+    denoiser parameters are cast once per draw, and each step casts x_t on
+    its way in. Each step's products then read half the bytes of weights,
+    and the sampler reads the clean prediction back as float64, so the
+    result is float64 and model.params are left as they are. A NaN or Inf
+    weight stays non-finite in float32 and is caught as before.
     """
     schedule = model.schedule
     rng = np.random.default_rng([int(seed), _SAMPLE_STREAM])
@@ -413,11 +431,15 @@ def sample_flat(model: PolicyModel, feature_image, keypoints,
     pre = timestep_table(schedule.num_steps) @ w0[-TIME_EMBED_DIM:]
     pre += cond @ w0[d:-TIME_EMBED_DIM]
     pre += model.params["denoiser/b0"]
-    params = {**model.params, "denoiser/w0": w0[:d]}
+    # the chain's float32 copies, made once per draw
+    pre = pre.astype(np.float32)
+    params = {name: model.params[name].astype(np.float32)
+              for name in model.denoiser.param_shapes() if name != "denoiser/w0"}
+    params["denoiser/w0"] = w0[:d].astype(np.float32)
 
     def clean_fn(x, t):
         params["denoiser/b0"] = pre[t]
-        return apply(model.denoiser, params, x)[0]
+        return apply(model.denoiser, params, x.astype(np.float32))[0]
 
     return ancestral_sample(clean_fn, 1, d, schedule, rng)[0]
 

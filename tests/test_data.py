@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from trackpolicy import data, nn, policy, sim
-from trackpolicy.errors import EmptyDemoError, SchemaMismatchError
+from trackpolicy.errors import EmptyDemoError, MissingArtifactError, SchemaMismatchError
 from trackpolicy.geometry import CameraIntrinsics
 
 
@@ -265,6 +265,14 @@ def saved(tmp_path):
     path = tmp_path / "demos.ckpt"
     data.save_dataset(_mixed_demos()[:2], path)
     return path
+
+
+def test_missing_file_raises_missing_artifact(tmp_path):
+    path = tmp_path / "absent.ckpt"
+    for load in (data.load_dataset, policy.load_policy):
+        with pytest.raises(MissingArtifactError, match="checkpoint not found") as info:
+            load(path)
+        assert info.value.artifact == str(path)
 
 
 def test_truncated_file_raises_schema_mismatch(saved, tmp_path):

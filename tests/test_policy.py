@@ -4,7 +4,9 @@ Every case runs a tiny configuration (small nets, 10-step schedule, two
 epochs) so the whole module trains in a few seconds. Determinism is checked
 bit for bit: a fixed seed must reproduce training logs, samples, chunks,
 rollouts and checkpoints exactly, and the sampler must equal a step-by-step
-reference that rebuilds every per-step constant. A draw validates the
+reference that rebuilds every per-step constant and runs the denoiser in
+float32 where the sampler does; the float64 references, draws and rollouts
+stay within float32 rounding of it. A draw validates the
 denoiser's parameters and its fixed conditioning before the first step.
 The co-training step's gradients are checked against finite differences of
 the objective each net descends, and the epoch loop, which trains only the
@@ -12,6 +14,7 @@ feature cells its pool lights, against a full-width reference loop.
 """
 
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -90,13 +93,14 @@ def test_train_config_rejects_each_bad_knob():
                        ("lambda_da", np.nan), ("lambda_kl", -1.0), ("lambda_kl", np.nan),
                        ("lambda_kl", np.inf), ("learning_rate", -1e-3),
                        ("learning_rate", 0.0), ("learning_rate", np.inf),
-                       ("learning_rate", np.nan), ("batch_size", 3), ("epochs", -1)):
+                       ("learning_rate", np.nan), ("batch_size", 3), ("epochs", -1),
+                       ("seed", -1), ("seed", 1.5)):
         with pytest.raises(ValueError, match=field):
             policy.TrainConfig(**{field: bad})
     # the edges of each accepted range construct
     for field, good in (("horizon", 1), ("lambda_da", 0.0), ("lambda_da", 1.0),
                         ("lambda_kl", 0.0), ("learning_rate", 1e-12),
-                        ("batch_size", 4), ("epochs", 0)):
+                        ("batch_size", 4), ("epochs", 0), ("seed", 0)):
         assert getattr(policy.TrainConfig(**{field: good}), field) == good
 
 
@@ -520,10 +524,13 @@ def test_load_policy_names_unexpected_arrays(trained, tmp_path):
         policy.load_policy(bad)
 
 
-def reference_sample_flat(model, img, kn, seed):
+def reference_sample_flat(model, img, kn, seed, dtype=np.float32):
     """The sampler spelled out step by step: layer 0's fixed terms, the
     posterior-mean coefficients and the denoiser's layers are all rebuilt
-    inside the loop."""
+    inside the loop. The denoiser runs in dtype, cast at the points where
+    sample_flat casts: the layer-0 bias summed in float64 and then cast,
+    x_t cast on its way in, every weight and bias cast, and the clean
+    prediction read back as float64. With float64 every cast is a no-op."""
     schedule, params, d = model.schedule, model.params, model.target_dim
     rng = np.random.default_rng([seed, policy._SAMPLE_STREAM])
     emb = nn.forward(model.encoder, model.params, np.asarray(img).reshape(1, -1))
@@ -534,10 +541,12 @@ def reference_sample_flat(model, img, kn, seed):
         w0 = params["denoiser/w0"]
         time_term = (timestep_table(schedule.num_steps) @ w0[d + cond.shape[1]:])[t]
         bias = time_term + (cond @ w0[d:d + cond.shape[1]])[0] + params["denoiser/b0"]
-        clean = x @ w0[:d] + bias
+        clean = x.astype(dtype) @ w0[:d].astype(dtype) + bias.astype(dtype)
         # every hidden layer is relu, the output layer identity
         for i in range(1, len(model.denoiser.activations)):
-            clean = np.maximum(clean, 0.0) @ params[f"denoiser/w{i}"] + params[f"denoiser/b{i}"]
+            clean = np.maximum(clean, 0.0) @ params[f"denoiser/w{i}"].astype(dtype) \
+                + params[f"denoiser/b{i}"].astype(dtype)
+        clean = clean.astype(np.float64)
         abar, beta = schedule.alpha_bars[t], schedule.betas[t]
         abar_prev = schedule.alpha_bars[t - 1] if t > 0 else 1.0
         c0 = np.sqrt(abar_prev) * beta / (1.0 - abar)
@@ -576,9 +585,45 @@ def test_sample_flat_matches_the_step_by_step_sampler(trained):
         _, img, kn = observation(view=view, seed=seed)
         got = policy.sample_flat(model, img, kn, seed=seed)
         assert np.array_equal(got, reference_sample_flat(model, img, kn, seed))
-        # the same draw up to rounding: the split first layer and the
-        # posterior-mean update only reorder floating-point sums
-        assert np.abs(got - reference_eps_sample_flat(model, img, kn, seed)).max() <= 1e-10
+        # the same draw up to float32 rounding in the denoiser: the float64
+        # references differ from it by ~3e-8 here, and the split first layer
+        # and the posterior-mean update only reorder floating-point sums
+        for reference in (reference_sample_flat(model, img, kn, seed, dtype=np.float64),
+                          reference_eps_sample_flat(model, img, kn, seed)):
+            assert np.abs(got - reference).max() <= 1e-5
+
+
+def test_sample_flat_runs_the_denoiser_in_float32(trained, baseline, monkeypatch):
+    calls = []
+
+    def recording_apply(spec, params, x):
+        calls.append((x.dtype, {params[name].dtype for name in spec.param_shapes()}))
+        return nn.apply(spec, params, x)
+
+    monkeypatch.setattr(policy, "apply", recording_apply)
+    _, img, kn = observation()
+    f32 = np.dtype(np.float32)
+    for model in (trained[0], baseline[0]):
+        calls.clear()
+        got = policy.sample_flat(model, img, kn, seed=1)
+        assert got.dtype == np.float64 and got.shape == (model.target_dim,)
+        assert calls == [(f32, {f32})] * SCHEDULE.num_steps
+        # the model's own weights stay float64
+        assert {arr.dtype for arr in model.params.values()} == {np.dtype(np.float64)}
+
+
+def test_float32_sampler_rolls_out_like_the_float64_reference(trained, monkeypatch):
+    model, _ = trained
+    runner = inference.TrackPolicyRunner(model)
+    cases = [(sim.make_task(name), seed) for name in ("push_right", "push_left")
+             for seed in (21, 22)]
+    got = [inference.rollout(runner, task, seed) for task, seed in cases]
+    monkeypatch.setattr(policy, "sample_flat", partial(reference_sample_flat, dtype=np.float64))
+    want = [inference.rollout(runner, task, seed) for task, seed in cases]
+    for a, b in zip(got, want):
+        assert a.success == b.success
+        assert a.steps_used == b.steps_used
+        assert np.abs(a.final_ee - b.final_ee).max() <= 1e-6
 
 
 @pytest.fixture
