@@ -3,7 +3,10 @@ noising, and the ancestral sampling loop.
 
 Model-agnostic on purpose. The sampler takes any clean_fn(x, t) -> predicted
 clean sample, so one loop drives the conditional track policy, the 6DoF
-baseline, and unconditional toy targets in tests.
+baseline, and unconditional toy targets in tests. A draw's randomness comes
+apart from its loop: `draw_noise` draws x_T and every step's noise from an
+rng, and `ancestral_sample` steps from them, so draws that share a seed can
+share one noise draw.
 """
 
 from __future__ import annotations
@@ -35,6 +38,9 @@ class DiffusionSchedule:
     alpha_bars: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        # an integer count: it sizes the tables and keys the samplers' caches
+        if not isinstance(self.num_steps, (int, np.integer)):
+            raise ValueError(f"num_steps must be an integer, got {self.num_steps!r}")
         if self.num_steps < 1:
             raise ValueError(f"num_steps must be >= 1, got {self.num_steps}")
         if not 0.0 < self.beta_start <= self.beta_end < 1.0:
@@ -90,35 +96,52 @@ def add_noise(schedule: DiffusionSchedule, x0, t, eps) -> np.ndarray:
     return np.sqrt(ab) * x0 + np.sqrt(1.0 - ab) * eps
 
 
-def ancestral_sample(clean_fn, n: int, dim: int, schedule: DiffusionSchedule, rng) -> np.ndarray:
-    """Draw n samples of dimension dim by full reverse diffusion.
+def draw_noise(schedule: DiffusionSchedule, n: int, dim: int, rng) -> tuple:
+    """The random part of one reverse-diffusion draw: (x_T, noise).
+
+    x_T is (n, dim) standard normal; noise is the (T - 1, n, dim) block of
+    every step's sigma-scaled noise (T = schedule.num_steps), row i going to
+    step t = T - 1 - i with sigma_t = sqrt(beta_t); step 0 adds none. Drawn
+    x_T first, then the whole block, which holds the values, in the order,
+    that one (n, dim) draw per step would, so a caller that draws per step
+    from the same rng gets the same numbers and the same final rng state.
+    Both arrays are read-only, so a cached draw can be handed to any number
+    of samplers.
+    """
+    num_steps = schedule.num_steps
+    x_T = rng.standard_normal((n, dim))
+    noise = rng.standard_normal((num_steps - 1, n, dim))
+    noise *= np.sqrt(schedule.betas)[num_steps - 1:0:-1, None, None]
+    x_T.flags.writeable = False
+    noise.flags.writeable = False
+    return x_T, noise
+
+
+def ancestral_sample(clean_fn, schedule: DiffusionSchedule, x_T, noise) -> np.ndarray:
+    """Run full reverse diffusion from x_T with `draw_noise`'s noise block.
 
     clean_fn(x, t) receives the whole current batch (n, dim) and the integer
     step t and returns the predicted clean sample of the same shape, in any
     float dtype; the sampler reads it as float64, and x, the noise and every
     update stay float64. Each step moves x to the DDPM posterior mean in x0
-    form (Ho et al. 2020, eq. 7), ct[t] * x + c0[t] * clean, plus sigma_t =
-    sqrt(beta_t) noise, none on the final step. Deterministic given the rng
-    state: x_T first, then the noise of every step while t > 0, drawn in one
-    (T - 1, n, dim) block right after x_T (T = schedule.num_steps). The
-    block holds the values, in the order, that one (n, dim) draw per step
-    would, so the samples and the final rng state are the same; it holds
-    (T - 1)·n·dim float64s for the whole draw. x is one array updated in
-    place from step to step, so clean_fn must read it during its call and
-    not keep it (returning x itself is fine); the array clean_fn returns is
-    only read.
+    form (Ho et al. 2020, eq. 7), ct[t] * x + c0[t] * clean, plus the step's
+    row of noise, none on the final step. Deterministic given (x_T, noise):
+    neither is written, since x starts as a float64 copy of x_T. x is one
+    array updated in place from step to step, so clean_fn must read it
+    during its call and not keep it (returning x itself is fine); the array
+    clean_fn returns is only read.
     """
     num_steps = schedule.num_steps
+    x = np.array(x_T, dtype=np.float64)
+    if np.shape(noise) != (num_steps - 1, *x.shape):
+        raise ValueError(f"noise block {np.shape(noise)} does not match "
+                         f"{(num_steps - 1, *x.shape)}")
     # posterior-mean coefficients; with abar_{-1} = 1, ct[0] = 0 and c0[0] = 1
     # up to rounding, so the last step lands on the clean prediction
     abar_prev = np.concatenate([[1.0], schedule.alpha_bars[:-1]])
     one_minus_abar = 1.0 - schedule.alpha_bars
     c0 = (np.sqrt(abar_prev) * schedule.betas / one_minus_abar).tolist()
     ct = (np.sqrt(schedule.alphas) * (1.0 - abar_prev) / one_minus_abar).tolist()
-    x = rng.standard_normal((n, dim))
-    # row i is the sigma-scaled noise of step t = num_steps - 1 - i
-    noise = rng.standard_normal((num_steps - 1, n, dim))
-    noise *= np.sqrt(schedule.betas)[num_steps - 1:0:-1, None, None]
     # scratch for c0 * clean
     buf = np.empty_like(x)
     for i, t in enumerate(range(num_steps - 1, -1, -1)):

@@ -16,9 +16,10 @@ step through `delta(h)`. Also houses the 6DoF-delta baseline (same
 encoder+diffusion machinery, direct action targets, no triangulation).
 
 Both runners sample through `policy.sample_flat`, whose denoiser steps run
-in float32 on per-draw copies of the weights, the bulk of a replan's time;
-the samples come back as float64, and the geometry, the rigid fits and the
-baseline's post-processing run in float64.
+in float32 on copies of the weights made once per model, the bulk of a
+replan's time; the two views of a replan share one seed and so one noise
+draw. The samples come back as float64, and the geometry, the rigid fits and
+the baseline's post-processing run in float64.
 """
 
 from __future__ import annotations
@@ -158,7 +159,8 @@ def predict_chunk(model: policy.PolicyModel, obs0, obs1, cams,
 
     obs0/obs1: (feature image, KeypointSet2D in pixels) per view, as
     `sim.observe` returns them. The same seed drives both views' samplers
-    -- a mild consistency aid. Leftover cross-view disagreement is not
+    -- a mild consistency aid -- so both start from the same x_T and add the
+    same step noise, drawn once. Leftover cross-view disagreement is not
     gated: it stays in the chunk's residuals_px.
     """
     per_view = []

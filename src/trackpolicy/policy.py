@@ -25,7 +25,11 @@ into its per-step matrix-vector products and float32 halves the weight bytes
 they read. Everything else stays float64: the model's weights, training,
 checkpoints, the encoder, the retargeter and the sampler's own update. A draw
 differs from its float64 counterpart by float32 rounding (a few 1e-8 on the
-test models).
+test models). What a draw needs from the weights alone (the float32 copies
+and layer 0's timestep term) is built once per model and rebuilt when the
+denoiser's arrays are replaced; x_T and the step noise, a function of the
+seed alone, are drawn once for the two views of a replan, which share their
+seed.
 
 `train_epochs` is the one training loop, for the track head and the 6DoF
 baseline. It trains only the feature cells its pool lights: a raster cell
@@ -36,7 +40,8 @@ input width with those weights at their initial values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+import functools
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -46,6 +51,7 @@ from .diffusion import (
     DiffusionSchedule,
     add_noise,
     ancestral_sample,
+    draw_noise,
     timestep_table,
 )
 from .errors import (
@@ -103,8 +109,14 @@ class TrainConfig:
         object.__setattr__(self, "encoder_hidden", tuple(self.encoder_hidden))
         object.__setattr__(self, "denoiser_hidden", tuple(self.denoiser_hidden))
         object.__setattr__(self, "disc_hidden", tuple(self.disc_hidden))
-        if self.horizon < 1:
-            raise ValueError(f"horizon must be >= 1, got {self.horizon}")
+        # integer counts, so NaN and 2.5 fail them too. Co-training batches
+        # are half human, half robot, and the moment losses need at least 2
+        # rows on each side; the seed feeds numpy's SeedSequence, which
+        # takes integers >= 0 only
+        for name, low in (("horizon", 1), ("batch_size", 4), ("epochs", 0), ("seed", 0)):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)) or value < low:
+                raise ValueError(f"{name} must be >= {low} and an integer, got {value!r}")
         if not 0.0 <= self.lambda_da <= 1.0:
             raise ValueError(f"lambda_da must be in [0, 1], got {self.lambda_da}")
         # written so that NaN fails them
@@ -112,15 +124,6 @@ class TrainConfig:
             raise ValueError(f"lambda_kl must be finite and >= 0, got {self.lambda_kl}")
         if not 0.0 < self.learning_rate < np.inf:
             raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
-        # co-training batches are half human, half robot, and the moment
-        # losses need at least 2 rows on each side
-        if self.batch_size < 4:
-            raise ValueError(f"batch_size must be >= 4, got {self.batch_size}")
-        if self.epochs < 0:
-            raise ValueError(f"epochs must be >= 0, got {self.epochs}")
-        # the seed feeds numpy's SeedSequence, which takes integers >= 0 only
-        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
-            raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
 
     @property
     def target_dim(self) -> int:
@@ -146,7 +149,13 @@ class LossReport:
 
 @dataclass
 class PolicyModel:
-    """Parameter bundle: three net specs, one flat name->array dict."""
+    """Parameter bundle: three net specs, one flat name->array dict.
+
+    _chain is the sampler's weight-only state (`_Chain`), built by the first
+    draw and rebuilt by `sample_flat` whenever the denoiser's arrays, its
+    spec or the schedule it was built from are replaced; a
+    `dataclasses.replace` copy starts without one.
+    """
 
     encoder: MlpSpec
     denoiser: MlpSpec
@@ -155,6 +164,7 @@ class PolicyModel:
     cfg: TrainConfig
     schedule: DiffusionSchedule
     retargeter: KeypointRetargeter | None = None
+    _chain: _Chain | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def image_dim(self) -> int:
@@ -382,6 +392,57 @@ def train(dataset_human, dataset_robot, cfg: TrainConfig,
     return model, log
 
 
+@dataclass(frozen=True)
+class _Chain:
+    """The sampler's weight-only state for one model.
+
+    params: float32 copies of layer 0's x_t block (`denoiser/w0` rows :d)
+    and of every denoiser parameter past layer 0, all read-only. time_term:
+    the float64 (num_steps, hidden) product timestep_table(num_steps) @
+    w0[time rows]. sources: the model.params arrays it was built from, in
+    the spec's parameter order, to tell when they have been replaced.
+    """
+
+    denoiser: MlpSpec
+    schedule: DiffusionSchedule
+    sources: tuple
+    params: dict
+    time_term: np.ndarray
+
+
+def _chain(model: PolicyModel) -> _Chain:
+    """model's `_Chain`, rebuilt when a denoiser array, the denoiser spec or
+    the schedule is not the object it was built from."""
+    sources = tuple(model.params[name] for name in model.denoiser.param_shapes())
+    chain = model._chain
+    if (chain is not None and chain.denoiser is model.denoiser
+            and chain.schedule is model.schedule
+            and all(a is b for a, b in zip(chain.sources, sources))):
+        return chain
+    # a write into a source array would leave the copies stale, so the
+    # sources become read-only and such a write raises
+    for arr in sources:
+        arr.flags.writeable = False
+    d = model.target_dim
+    w0 = model.params["denoiser/w0"]
+    params = {name: model.params[name].astype(np.float32)
+              for name in model.denoiser.param_shapes()
+              if name not in ("denoiser/w0", "denoiser/b0")}
+    params["denoiser/w0"] = w0[:d].astype(np.float32)
+    time_term = timestep_table(model.schedule.num_steps) @ w0[-TIME_EMBED_DIM:]
+    for arr in (*params.values(), time_term):
+        arr.flags.writeable = False
+    model._chain = _Chain(model.denoiser, model.schedule, sources, params, time_term)
+    return model._chain
+
+
+@functools.lru_cache(maxsize=2)
+def _seed_noise(schedule: DiffusionSchedule, dim: int, seed: int) -> tuple:
+    """`draw_noise` for one row from seed's sampler stream, read-only and
+    cached: both views of a replan draw with the same seed."""
+    return draw_noise(schedule, 1, dim, np.random.default_rng([seed, _SAMPLE_STREAM]))
+
+
 def sample_flat(model: PolicyModel, feature_image, keypoints,
                 seed: int = 0) -> np.ndarray:
     """Raw conditional diffusion draw: the flat target vector, un-reshaped.
@@ -391,27 +452,32 @@ def sample_flat(model: PolicyModel, feature_image, keypoints,
     policy splits it into offsets and grasp logits (`sample`); the
     6DoF-delta baseline reads its action rows straight out of it.
 
-    Validated once per draw: the keypoints' shape, the denoiser's parameter
+    Validated on every draw: the keypoints' shape, the denoiser's parameter
     shapes, the width of its input row and the finiteness of the fixed
     conditioning (embedding and retargeted keypoints). The input row is
     [x_t | conditioning | timestep features] and only x_t varies within a
-    draw, so layer 0's other terms are summed once into a (num_steps,
-    hidden) table whose row t is step t's layer-0 bias. Each step runs the
-    denoiser on x_t alone through `apply`, whose per-layer check catches a
-    non-finite output (a NaN in any block of layer 0's weights or in its
-    bias reaches the first step's), hands the clean prediction to the
-    sampler, and the sampler checks every x_t.
+    draw, so layer 0's other terms are summed into a (num_steps, hidden)
+    table whose row t is step t's layer-0 bias: the model's cached timestep
+    term plus this draw's conditioning term plus `denoiser/b0`, in float64.
+    Each step runs the denoiser on x_t alone through `apply`, whose
+    per-layer check catches a non-finite output (a NaN in any block of layer
+    0's weights or in its bias reaches the first step's), hands the clean
+    prediction to the sampler, and the sampler checks every x_t.
 
-    The denoiser chain runs in float32: after the checks, the bias table
-    (summed in float64), the x_t block of layer 0's weights and the other
-    denoiser parameters are cast once per draw, and each step casts x_t on
-    its way in. Each step's products then read half the bytes of weights,
-    and the sampler reads the clean prediction back as float64, so the
-    result is float64 and model.params are left as they are. A NaN or Inf
-    weight stays non-finite in float32 and is caught as before.
+    The denoiser chain runs in float32. The float32 weights (layer 0's x_t
+    block and every later layer) and the timestep term depend only on the
+    weights, so they are built once per model (`_Chain`) and rebuilt when
+    training, a load or an assignment replaces a denoiser array, its spec or
+    the schedule; the model's denoiser arrays are read-only from the first
+    draw on, so an in-place write raises instead of leaving the copies
+    stale. Per draw only the bias table is cast, and each step casts x_t on
+    its way in; the sampler reads the clean prediction back as float64, so
+    the result is float64. A NaN or Inf weight stays non-finite in float32
+    and is caught as before. x_T and the step noise depend only on
+    (schedule, target width, seed) and are drawn once for the last two such
+    keys, so the second view of a replan reuses the first view's draw.
     """
     schedule = model.schedule
-    rng = np.random.default_rng([int(seed), _SAMPLE_STREAM])
     kps = np.asarray(keypoints, dtype=np.float64)
     if kps.shape != (data.N_TRACK_KEYPOINTS, 2):
         raise ValueError(f"expected ({data.N_TRACK_KEYPOINTS}, 2) keypoints, got {kps.shape}")
@@ -427,21 +493,17 @@ def sample_flat(model: PolicyModel, feature_image, keypoints,
             f"{model.denoiser.widths[0]}")
     if not np.isfinite(cond).all():
         raise NonFiniteError("non-finite conditioning (embedding or keypoints)")
-    w0 = model.params["denoiser/w0"]
-    pre = timestep_table(schedule.num_steps) @ w0[-TIME_EMBED_DIM:]
-    pre += cond @ w0[d:-TIME_EMBED_DIM]
+    chain = _chain(model)
+    pre = chain.time_term + cond @ model.params["denoiser/w0"][d:-TIME_EMBED_DIM]
     pre += model.params["denoiser/b0"]
-    # the chain's float32 copies, made once per draw
     pre = pre.astype(np.float32)
-    params = {name: model.params[name].astype(np.float32)
-              for name in model.denoiser.param_shapes() if name != "denoiser/w0"}
-    params["denoiser/w0"] = w0[:d].astype(np.float32)
+    params = dict(chain.params)
 
     def clean_fn(x, t):
         params["denoiser/b0"] = pre[t]
         return apply(model.denoiser, params, x.astype(np.float32))[0]
 
-    return ancestral_sample(clean_fn, 1, d, schedule, rng)[0]
+    return ancestral_sample(clean_fn, schedule, *_seed_noise(schedule, d, int(seed)))[0]
 
 
 def sample(model: PolicyModel, feature_image, keypoints, seed: int = 0):

@@ -4,7 +4,9 @@ The sampler oracle: for a Gaussian target the optimal noise predictor is
 linear, so the sampler's output distribution has closed-form moments that we
 can recurse exactly and compare against both Monte-Carlo draws and the
 target itself. The sampler takes a clean-sample predictor; `as_clean_fn`
-turns a noise predictor into the clean prediction it implies.
+turns a noise predictor into the clean prediction it implies. Its x_T and
+step noise come from `draw_noise`, which draws them from an rng in the order
+a per-step loop would.
 """
 
 import numpy as np
@@ -14,6 +16,7 @@ from trackpolicy.diffusion import (
     DiffusionSchedule,
     add_noise,
     ancestral_sample,
+    draw_noise,
     timestep_embedding,
     timestep_table,
 )
@@ -57,6 +60,11 @@ def test_schedule_validation():
         DiffusionSchedule(10, 0.05, 0.02)
     with pytest.raises(ValueError):
         DiffusionSchedule(10, 0.1, 1.0)
+    # the step count sizes the tables and keys the policy's noise cache
+    for bad in (2.5, 10.0, float("nan")):
+        with pytest.raises(ValueError, match="num_steps"):
+            DiffusionSchedule(bad)
+    assert DiffusionSchedule(np.int64(10)).betas.shape == (10,)
 
 
 # ---------------------------------------------------------------------------
@@ -157,7 +165,7 @@ def test_sampler_matches_closed_form_gaussian():
 
     rng = np.random.default_rng(0)
     draws = ancestral_sample(as_clean_fn(SOUND, _gaussian_eps_fn(SOUND, mu, cov)),
-                             4000, 2, SOUND, rng)
+                             SOUND, *draw_noise(SOUND, 4000, 2, rng))
     est_cov = np.cov(draws.T, bias=True)
     # Monte-Carlo agreement with the recursion (~3 standard errors at n=4000)
     assert np.abs(draws.mean(0) - m).max() < 0.05
@@ -175,15 +183,16 @@ def test_sampler_recovers_deterministic_target_default_schedule():
         ab = s.alpha_bars[t]
         return (x - np.sqrt(ab) * c) / np.sqrt(1 - ab)
 
-    draws = ancestral_sample(as_clean_fn(s, eps_fn), 16, 3, s, np.random.default_rng(3))
+    draws = ancestral_sample(as_clean_fn(s, eps_fn), s,
+                             *draw_noise(s, 16, 3, np.random.default_rng(3)))
     assert np.abs(draws - c).max() < 1e-9
 
 
 def test_sampler_determinism_and_seed_sensitivity():
     clean_fn = as_clean_fn(SOUND, _gaussian_eps_fn(SOUND, np.zeros(2), np.eye(2)))
-    a = ancestral_sample(clean_fn, 5, 2, SOUND, np.random.default_rng(11))
-    b = ancestral_sample(clean_fn, 5, 2, SOUND, np.random.default_rng(11))
-    c = ancestral_sample(clean_fn, 5, 2, SOUND, np.random.default_rng(12))
+    a = ancestral_sample(clean_fn, SOUND, *draw_noise(SOUND, 5, 2, np.random.default_rng(11)))
+    b = ancestral_sample(clean_fn, SOUND, *draw_noise(SOUND, 5, 2, np.random.default_rng(11)))
+    c = ancestral_sample(clean_fn, SOUND, *draw_noise(SOUND, 5, 2, np.random.default_rng(12)))
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
 
@@ -223,7 +232,7 @@ def test_in_place_sampler_equals_the_allocating_loop_bitwise():
     )
     for clean_fn, n, dim, schedule in cases:
         rng, ref_rng = np.random.default_rng(17), np.random.default_rng(17)
-        got = ancestral_sample(clean_fn, n, dim, schedule, rng)
+        got = ancestral_sample(clean_fn, schedule, *draw_noise(schedule, n, dim, rng))
         want = reference_ancestral_sample(clean_fn, n, dim, schedule, ref_rng)
         assert got.shape == want.shape == (n, dim)
         assert got.tobytes() == want.tobytes(), (n, dim)
@@ -239,13 +248,39 @@ def test_sampler_only_reads_the_eps_fn_output():
         held.append(held[-1].copy())
         return held[-2]
 
-    ancestral_sample(clean_fn, 2, 3, DiffusionSchedule(5), np.random.default_rng(0))
+    s = DiffusionSchedule(5)
+    ancestral_sample(clean_fn, s, *draw_noise(s, 2, 3, np.random.default_rng(0)))
     for returned, copy in zip(held[::2], held[1::2]):
         assert returned.tobytes() == copy.tobytes()
 
 
 def test_sampler_rejects_bad_eps_fn():
     with pytest.raises(ValueError):
-        ancestral_sample(lambda x, t: x[:, :1], 4, 2, SOUND, np.random.default_rng(0))
+        ancestral_sample(lambda x, t: x[:, :1], SOUND,
+                         *draw_noise(SOUND, 4, 2, np.random.default_rng(0)))
     with pytest.raises(NonFiniteError):
-        ancestral_sample(lambda x, t: x * np.inf, 4, 2, SOUND, np.random.default_rng(0))
+        ancestral_sample(lambda x, t: x * np.inf, SOUND,
+                         *draw_noise(SOUND, 4, 2, np.random.default_rng(0)))
+
+
+def test_sampler_leaves_its_noise_unchanged():
+    # a cached noise draw serves every draw with its seed, so it must stay
+    # read-only and the sampler must step on a copy of x_T
+    s = DiffusionSchedule(6)
+    x_T, noise = draw_noise(s, 2, 3, np.random.default_rng(4))
+    assert not x_T.flags.writeable and not noise.flags.writeable
+    before = x_T.copy(), noise.copy()
+    first = ancestral_sample(lambda x, t: 0.5 * x, s, x_T, noise)
+    again = ancestral_sample(lambda x, t: 0.5 * x, s, x_T, noise)
+    assert first.flags.writeable
+    assert first.tobytes() == again.tobytes()
+    assert x_T.tobytes() == before[0].tobytes()
+    assert noise.tobytes() == before[1].tobytes()
+
+
+def test_sampler_rejects_a_noise_block_of_another_shape():
+    s = DiffusionSchedule(6)
+    x_T, noise = draw_noise(s, 2, 3, np.random.default_rng(4))
+    for bad in (noise[:, :1], noise[1:], noise[..., :2]):
+        with pytest.raises(ValueError, match="noise block"):
+            ancestral_sample(lambda x, t: x, s, x_T, bad)

@@ -7,7 +7,10 @@ rollouts and checkpoints exactly, and the sampler must equal a step-by-step
 reference that rebuilds every per-step constant and runs the denoiser in
 float32 where the sampler does; the float64 references, draws and rollouts
 stay within float32 rounding of it. A draw validates the
-denoiser's parameters and its fixed conditioning before the first step.
+denoiser's parameters and its fixed conditioning before the first step. The
+sampler's float32 weights are built once per model and must follow any
+replacement of its denoiser arrays or schedule, and the two views of a
+replan share one noise draw.
 The co-training step's gradients are checked against finite differences of
 the objective each net descends, and the epoch loop, which trains only the
 feature cells its pool lights, against a full-width reference loop.
@@ -23,6 +26,7 @@ from trackpolicy import data, inference, nn, policy, sim
 from trackpolicy.diffusion import (
     TIME_EMBED_DIM,
     DiffusionSchedule,
+    draw_noise,
     timestep_embedding,
     timestep_table,
 )
@@ -94,7 +98,11 @@ def test_train_config_rejects_each_bad_knob():
                        ("lambda_kl", np.inf), ("learning_rate", -1e-3),
                        ("learning_rate", 0.0), ("learning_rate", np.inf),
                        ("learning_rate", np.nan), ("batch_size", 3), ("epochs", -1),
-                       ("seed", -1), ("seed", 1.5)):
+                       ("seed", -1), ("seed", 1.5),
+                       # sizes are integer counts: 2.5 used to construct and
+                       # then fail inside range() or truncate a layer width
+                       ("horizon", 2.5), ("horizon", np.nan), ("batch_size", 6.5),
+                       ("batch_size", np.nan), ("epochs", 2.5), ("epochs", np.nan)):
         with pytest.raises(ValueError, match=field):
             policy.TrainConfig(**{field: bad})
     # the edges of each accepted range construct
@@ -442,7 +450,10 @@ def test_train_step_raises_when_a_layer_overflows(demos):
 
 
 def test_sample_is_bit_identical_for_a_seed(trained):
-    model, _ = trained
+    """The first draw is cold: it builds the model's cached float32 chain
+    and the seed's noise draw. The second reuses both, and equals it."""
+    model = replace(trained[0])
+    policy._seed_noise.cache_clear()
     _, img, kn = observation()
     a_offsets, a_logits = policy.sample(model, img, kn, seed=11)
     b_offsets, b_logits = policy.sample(model, img, kn, seed=11)
@@ -624,6 +635,73 @@ def test_float32_sampler_rolls_out_like_the_float64_reference(trained, monkeypat
         assert a.success == b.success
         assert a.steps_used == b.steps_used
         assert np.abs(a.final_ee - b.final_ee).max() <= 1e-6
+
+
+def test_draws_share_the_float32_weights_of_a_model(trained, monkeypatch):
+    weights = []
+
+    def recording_apply(spec, params, x):
+        weights.append({name: arr for name, arr in params.items() if name != "denoiser/b0"})
+        return nn.apply(spec, params, x)
+
+    monkeypatch.setattr(policy, "apply", recording_apply)
+    model = replace(trained[0])
+    _, img, kn = observation()
+    policy.sample_flat(model, img, kn, seed=1)
+    policy.sample_flat(model, img, kn, seed=2)
+    assert len(weights) == 2 * SCHEDULE.num_steps
+    first = weights[0]
+    assert first.keys() == set(model.denoiser.param_shapes()) - {"denoiser/b0"}
+    for step in weights[1:]:
+        assert step.keys() == first.keys()
+        assert all(step[name] is arr for name, arr in first.items())
+
+
+def test_sample_flat_follows_replaced_denoiser_weights_and_schedule(trained):
+    model = replace(trained[0])
+    _, img, kn = observation()
+    before = policy.sample_flat(model, img, kn, seed=3)
+    w1 = model.params["denoiser/w1"]
+    model.params = {**model.params, "denoiser/w1": 2 * w1}
+    got = policy.sample_flat(model, img, kn, seed=3)
+    assert not np.array_equal(got, before)
+    assert np.array_equal(got, reference_sample_flat(model, img, kn, 3))
+    model.schedule = DiffusionSchedule(num_steps=4)
+    got = policy.sample_flat(model, img, kn, seed=3)
+    assert np.array_equal(got, reference_sample_flat(model, img, kn, 3))
+
+
+def test_denoiser_weights_are_read_only_after_a_draw(trained):
+    # the cached float32 copies would go stale under an in-place write
+    model = replace(trained[0])
+    model.params = {**model.params, **{name: model.params[name].copy()
+                                       for name in model.denoiser.param_shapes()}}
+    assert all(model.params[name].flags.writeable for name in model.denoiser.param_shapes())
+    _, img, kn = observation()
+    policy.sample_flat(model, img, kn, seed=1)
+    for name in model.denoiser.param_shapes():
+        with pytest.raises(ValueError, match="read-only"):
+            model.params[name][0] = 0.0
+
+
+def test_a_replan_draws_its_noise_once(trained, monkeypatch):
+    calls = []
+
+    def counting_draw_noise(*args):
+        calls.append(args[:3])
+        return draw_noise(*args)
+
+    model, _ = trained
+    state, _, _ = observation()
+    task, cams = sim.make_task("push_right"), sim.default_cameras()
+    runner = inference.TrackPolicyRunner(model)
+    monkeypatch.setattr(policy, "draw_noise", counting_draw_noise)
+    policy._seed_noise.cache_clear()
+    got = runner.chunk(task, state, cams, seed=41)
+    assert calls == [(model.schedule, 1, model.target_dim)]
+    # each view drawing its own noise, as a sampler without the cache would
+    monkeypatch.setattr(policy, "sample_flat", reference_sample_flat)
+    assert_same_chunk(got, runner.chunk(task, state, cams, seed=41))
 
 
 @pytest.fixture
