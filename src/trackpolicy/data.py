@@ -37,7 +37,7 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .errors import EmptyDemoError, MixedShapesError, SchemaMismatchError
+from .errors import EmptyDemoError, MixedShapesError, SchemaMismatchError, has_nonfinite
 from .geometry import CameraIntrinsics, RigidTransform
 from .nn import check_array_names, check_keys, load_checkpoint, save_checkpoint
 
@@ -71,7 +71,7 @@ class KeypointSet2D:
         p = np.asarray(self.points, dtype=np.float64)
         if p.ndim != 2 or p.shape[1] != 2:
             raise ValueError(f"points must be (k, 2), got {p.shape}")
-        if not np.all(np.isfinite(p)):
+        if has_nonfinite(p):
             raise ValueError("keypoints must be finite")
         if self.embodiment not in EMBODIMENTS:
             raise ValueError(f"unknown embodiment {self.embodiment!r}")
@@ -305,7 +305,7 @@ def load_dataset(path) -> list:
         if dims["E"] not in (0, dims["T"]):
             raise SchemaMismatchError(f"{what}: {dims['E']} EE poses for {dims['T']} frames")
         view_ids = a["view_ids"]
-        if not (np.isin(a["grasps"], (0.0, 1.0)).all() and np.isfinite(view_ids).all()
+        if not (np.isin(a["grasps"], (0.0, 1.0)).all() and not has_nonfinite(view_ids)
                 and (view_ids == np.round(view_ids)).all()):
             raise SchemaMismatchError(f"{what}: grasps must be 0 or 1, view ids integers")
         intrinsics = rec["intrinsics"]

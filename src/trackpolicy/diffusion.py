@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NonFiniteError
+from .errors import NonFiniteError, has_nonfinite
 
 TIME_EMBED_DIM = 32
 
@@ -117,42 +117,57 @@ def draw_noise(schedule: DiffusionSchedule, n: int, dim: int, rng) -> tuple:
     return x_T, noise
 
 
+@functools.lru_cache(maxsize=8)
+def posterior_coefficients(schedule: DiffusionSchedule) -> tuple:
+    """(c0, ct): per-step DDPM posterior-mean coefficients as float tuples.
+
+    Step t moves x to ct[t] * x + c0[t] * clean (Ho et al. 2020, eq. 7 in x0
+    form). With abar_{-1} = 1, ct[0] = 0 and c0[0] = 1 up to rounding, so
+    the last step lands on the clean prediction. Cached per schedule, as
+    `timestep_table` is per step count: equal schedules hash alike and share
+    one entry, and every sampler call reads it.
+    """
+    abar_prev = np.concatenate([[1.0], schedule.alpha_bars[:-1]])
+    one_minus_abar = 1.0 - schedule.alpha_bars
+    c0 = np.sqrt(abar_prev) * schedule.betas / one_minus_abar
+    ct = np.sqrt(schedule.alphas) * (1.0 - abar_prev) / one_minus_abar
+    return tuple(c0.tolist()), tuple(ct.tolist())
+
+
 def ancestral_sample(clean_fn, schedule: DiffusionSchedule, x_T, noise) -> np.ndarray:
     """Run full reverse diffusion from x_T with `draw_noise`'s noise block.
 
     clean_fn(x, t) receives the whole current batch (n, dim) and the integer
-    step t and returns the predicted clean sample of the same shape, in any
-    float dtype; the sampler reads it as float64, and x, the noise and every
-    update stay float64. Each step moves x to the DDPM posterior mean in x0
-    form (Ho et al. 2020, eq. 7), ct[t] * x + c0[t] * clean, plus the step's
-    row of noise, none on the final step. Deterministic given (x_T, noise):
-    neither is written, since x starts as a float64 copy of x_T. x is one
-    array updated in place from step to step, so clean_fn must read it
-    during its call and not keep it (returning x itself is fine); the array
-    clean_fn returns is only read.
+    step t and returns the predicted clean sample as an array of the same
+    shape, in any float dtype; x, the noise and every update stay float64.
+    Each step moves x to the DDPM posterior mean, ct[t] * x + c0[t] * clean
+    (`posterior_coefficients`), plus the step's row of noise, none on the
+    final step. The clean prediction is read back into a float64 scratch
+    array and scaled there, which is bitwise c0[t] * float64(clean) without
+    a converted copy, and x is checked for NaN/Inf after every step.
+    Deterministic given (x_T, noise): neither is written, since x starts as
+    a float64 copy of x_T. x is one array updated in place from step to
+    step, so clean_fn must read it during its call and not keep it
+    (returning x itself is fine); the array clean_fn returns is only read.
     """
     num_steps = schedule.num_steps
     x = np.array(x_T, dtype=np.float64)
     if np.shape(noise) != (num_steps - 1, *x.shape):
         raise ValueError(f"noise block {np.shape(noise)} does not match "
                          f"{(num_steps - 1, *x.shape)}")
-    # posterior-mean coefficients; with abar_{-1} = 1, ct[0] = 0 and c0[0] = 1
-    # up to rounding, so the last step lands on the clean prediction
-    abar_prev = np.concatenate([[1.0], schedule.alpha_bars[:-1]])
-    one_minus_abar = 1.0 - schedule.alpha_bars
-    c0 = (np.sqrt(abar_prev) * schedule.betas / one_minus_abar).tolist()
-    ct = (np.sqrt(schedule.alphas) * (1.0 - abar_prev) / one_minus_abar).tolist()
+    c0, ct = posterior_coefficients(schedule)
     # scratch for c0 * clean
     buf = np.empty_like(x)
     for i, t in enumerate(range(num_steps - 1, -1, -1)):
-        clean = np.asarray(clean_fn(x, t), dtype=np.float64)
+        clean = clean_fn(x, t)
         if clean.shape != x.shape:
             raise ValueError(f"clean_fn returned {clean.shape}, expected {x.shape}")
-        np.multiply(c0[t], clean, out=buf)
+        buf[...] = clean
+        buf *= c0[t]
         x *= ct[t]
         x += buf
         if t > 0:
             x += noise[i]
-        if not np.isfinite(x).all():
+        if has_nonfinite(x):
             raise NonFiniteError(f"sampler produced non-finite values at step {t}")
     return x

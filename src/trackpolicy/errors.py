@@ -1,4 +1,7 @@
-"""Exception classes shared across the package."""
+"""Exception classes shared across the package, and the finiteness test
+that guards most NonFiniteError and ValueError raises."""
+
+import numpy as np
 
 
 class TrackPolicyError(Exception):
@@ -67,3 +70,14 @@ class ResidualTooHighError(TrackPolicyError):
 
 class NotFittedError(TrackPolicyError):
     """Estimator used before fit()."""
+
+
+def has_nonfinite(a: np.ndarray) -> bool:
+    """True iff the array (or numpy scalar) holds a NaN, +inf or -inf.
+
+    The package's one finiteness check. It tests the same values as
+    `not np.isfinite(a).all()` but counts the finite entries instead of
+    reducing them with `ndarray.all`, whose wrapper is most of the cost on
+    the one-row arrays each denoising step checks. An empty array is finite.
+    """
+    return np.count_nonzero(np.isfinite(a)) != a.size

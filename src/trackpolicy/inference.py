@@ -16,10 +16,12 @@ step through `delta(h)`. Also houses the 6DoF-delta baseline (same
 encoder+diffusion machinery, direct action targets, no triangulation).
 
 Both runners sample through `policy.sample_flat`, whose denoiser steps run
-in float32 on copies of the weights made once per model, the bulk of a
-replan's time; the two views of a replan share one seed and so one noise
-draw. The samples come back as float64, and the geometry, the rigid fits and
-the baseline's post-processing run in float64.
+in float32 on copies of the weights made once per model. Those steps are the
+bulk of a replan's time: 2 x num_steps one-row steps, each mostly numpy
+dispatch (three matrix-vector products, bias adds, activations and four
+finiteness checks) rather than arithmetic. The two views of a replan share
+one seed and so one noise draw. The samples come back as float64, and the
+geometry, the rigid fits and the baseline's post-processing run in float64.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ import numpy as np
 
 from . import data, policy, sim
 from .diffusion import DiffusionSchedule
-from .errors import EmptyDatasetError
+from .errors import EmptyDatasetError, has_nonfinite
 from .geometry import (
     RigidTransform,
     _check_rotation,
@@ -81,9 +83,9 @@ class ActionChunk:
             raise ValueError(
                 f"deltas/grasps/residuals lengths disagree: "
                 f"{rot.shape[0]}/{len(grasps)}/{res.shape[0]}")
-        if not np.isfinite(trans).all():
+        if has_nonfinite(trans):
             raise ValueError("chunk translations must be finite")
-        if not np.all(np.isfinite(res)):
+        if has_nonfinite(res):
             raise ValueError("triangulation residuals must be finite")
         for h, r in enumerate(rot):
             _check_rotation(r, f"chunk rotation {h}")

@@ -3,12 +3,17 @@
 `apply` is the one layer loop, shared by training and sampling: it returns
 the output together with the activations that `tensor.backward` needs for
 the reverse pass, and raises NonFiniteError as soon as a layer produces
-NaN/Inf. Each layer writes its bias and activation into the fresh array its
-matmul returned, so a layer costs one allocation. `apply` checks neither
-the parameters nor the input: `forward` is the validating entry point
-(parameter shapes, input shape and finiteness, then `apply`'s output), and
-a caller that runs one net many times on inputs it builds itself, such as
-the diffusion sampler, validates once and then calls `apply`.
+NaN/Inf. The check runs on each layer's pre-activation, through the
+package's one predicate (`errors.has_nonfinite`), so a -inf that relu would
+zero still raises and names its layer; at the sampler's one-row batches the
+check is a sizeable share of a layer, which is why it counts finite entries
+rather than reducing with `ndarray.all`. Each layer writes its bias and
+activation into the fresh array its matmul returned, so a layer costs one
+allocation. `apply` checks neither the parameters nor the input: `forward`
+is the validating entry point (parameter shapes, input shape and
+finiteness, then `apply`'s output), and a caller that runs one net many
+times on inputs it builds itself, such as the diffusion sampler, validates
+once and then calls `apply`.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from ..errors import NonFiniteError, ShapeMismatchError
+from ..errors import NonFiniteError, ShapeMismatchError, has_nonfinite
 
 ACTIVATIONS = ("relu", "tanh", "identity")
 
@@ -27,7 +32,9 @@ ACTIVATIONS = ("relu", "tanh", "identity")
 class MlpSpec:
     """Layer widths plus one activation per weight layer.
 
-    widths = (d_in, h1, ..., d_out); activations has len(widths) - 1 entries.
+    widths = (d_in, h1, ..., d_out), each a positive integer (a float or a
+    bool is rejected rather than truncated); activations has len(widths) - 1
+    entries.
     """
 
     widths: tuple
@@ -37,7 +44,11 @@ class MlpSpec:
     _layers: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "widths", tuple(int(w) for w in self.widths))
+        widths = tuple(self.widths)
+        for w in widths:
+            if isinstance(w, bool) or not isinstance(w, (int, np.integer)):
+                raise ValueError(f"widths must be integers, got {w!r} in {widths}")
+        object.__setattr__(self, "widths", tuple(int(w) for w in widths))
         object.__setattr__(self, "activations", tuple(self.activations))
         if len(self.widths) < 2:
             raise ValueError("need at least input and output widths")
@@ -103,7 +114,7 @@ def apply(spec: MlpSpec, params: dict, x: np.ndarray) -> tuple:
     for i, (w, b, act) in enumerate(spec._layers):
         h = h @ params[w]
         h += params[b]
-        if not np.isfinite(h).all():
+        if has_nonfinite(h):
             raise NonFiniteError(f"{spec.name}: non-finite values produced by layer {i}")
         if act == "relu":
             np.maximum(h, 0.0, out=h)
@@ -123,7 +134,7 @@ def forward(spec: MlpSpec, params: dict, x) -> np.ndarray:
         raise ShapeMismatchError(
             f"input shape {x.shape} does not match spec width {spec.widths[0]}")
     check_params(spec, params)
-    if not np.isfinite(x).all():
+    if has_nonfinite(x):
         raise NonFiniteError(f"{spec.name}: non-finite input")
     h = apply(spec, params, x)[0]
     return h[0] if squeeze else h

@@ -20,16 +20,19 @@ Conditioning keypoints always pass through the frozen retargeter first; a
 model built with retargeter=None conditions on raw keypoints (identity
 retargeting, for robot-only ablations).
 
-Sampling runs the denoiser chain in float32, because the sampler's time goes
-into its per-step matrix-vector products and float32 halves the weight bytes
-they read. Everything else stays float64: the model's weights, training,
-checkpoints, the encoder, the retargeter and the sampler's own update. A draw
-differs from its float64 counterpart by float32 rounding (a few 1e-8 on the
-test models). What a draw needs from the weights alone (the float32 copies
-and layer 0's timestep term) is built once per model and rebuilt when the
-denoiser's arrays are replaced; x_T and the step noise, a function of the
-seed alone, are drawn once for the two views of a replan, which share their
-seed.
+Sampling runs the denoiser chain in float32, which halves the weight bytes
+each step's matrix-vector products read. At one row per draw, though, a
+step's time goes mostly to numpy dispatch: three products, their bias adds
+and activations, a finiteness check per layer and one on the sampler's x.
+Those checks use the package's one predicate (`errors.has_nonfinite`), which
+skips `ndarray.all`'s reduction wrapper. Everything else stays float64: the
+model's weights, training, checkpoints, the encoder, the retargeter and the
+sampler's own update. A draw differs from its float64 counterpart by float32
+rounding (a few 1e-8 on the test models). What a draw needs from the weights
+alone (the float32 copies and layer 0's timestep term) is built once per
+model and rebuilt when the denoiser's arrays are replaced; x_T and the step
+noise, a function of the seed alone, are drawn once for the two views of a
+replan, which share their seed.
 
 `train_epochs` is the one training loop, for the track head and the 6DoF
 baseline. It trains only the feature cells its pool lights: a raster cell
@@ -59,6 +62,7 @@ from .errors import (
     NonFiniteError,
     SchemaMismatchError,
     ShapeMismatchError,
+    has_nonfinite,
 )
 from .nn import (
     Adam,
@@ -117,6 +121,15 @@ class TrainConfig:
             value = getattr(self, name)
             if not isinstance(value, (int, np.integer)) or value < low:
                 raise ValueError(f"{name} must be >= {low} and an integer, got {value!r}")
+        # layer widths: integers >= 1 and no bools, rejected here under the
+        # knob's name rather than by MlpSpec when the model is built
+        for name, widths in (("embed_dim", (self.embed_dim,)),
+                             ("encoder_hidden", self.encoder_hidden),
+                             ("denoiser_hidden", self.denoiser_hidden),
+                             ("disc_hidden", self.disc_hidden)):
+            if not all(isinstance(w, (int, np.integer)) and not isinstance(w, bool) and w >= 1
+                       for w in widths):
+                raise ValueError(f"{name} must hold integers >= 1, got {getattr(self, name)!r}")
         if not 0.0 <= self.lambda_da <= 1.0:
             raise ValueError(f"lambda_da must be in [0, 1], got {self.lambda_da}")
         # written so that NaN fails them
@@ -471,11 +484,12 @@ def sample_flat(model: PolicyModel, feature_image, keypoints,
     the schedule; the model's denoiser arrays are read-only from the first
     draw on, so an in-place write raises instead of leaving the copies
     stale. Per draw only the bias table is cast, and each step casts x_t on
-    its way in; the sampler reads the clean prediction back as float64, so
-    the result is float64. A NaN or Inf weight stays non-finite in float32
-    and is caught as before. x_T and the step noise depend only on
-    (schedule, target width, seed) and are drawn once for the last two such
-    keys, so the second view of a replan reuses the first view's draw.
+    its way in; the sampler assigns the float32 clean prediction into its
+    float64 scratch and scales it there, so the result is float64. A NaN or
+    Inf weight stays non-finite in float32 and is caught as before. x_T and
+    the step noise depend only on (schedule, target width, seed) and are
+    drawn once for the last two such keys, so the second view of a replan
+    reuses the first view's draw.
     """
     schedule = model.schedule
     kps = np.asarray(keypoints, dtype=np.float64)
@@ -491,7 +505,7 @@ def sample_flat(model: PolicyModel, feature_image, keypoints,
         raise ShapeMismatchError(
             f"denoiser input width {width} does not match spec width "
             f"{model.denoiser.widths[0]}")
-    if not np.isfinite(cond).all():
+    if has_nonfinite(cond):
         raise NonFiniteError("non-finite conditioning (embedding or keypoints)")
     chain = _chain(model)
     pre = chain.time_term + cond @ model.params["denoiser/w0"][d:-TIME_EMBED_DIM]

@@ -31,6 +31,7 @@ from .errors import (
     NonFiniteError,
     NotFittedError,
     ShapeMismatchError,
+    has_nonfinite,
 )
 from .nn import (
     Adam,
@@ -63,7 +64,7 @@ def _check_points(pts: np.ndarray) -> None:
     if pts.ndim != 3:
         raise ShapeMismatchError(
             f"points: expected 3 dims, got {pts.ndim} (shape {pts.shape})")
-    if not np.isfinite(pts).all():
+    if has_nonfinite(pts):
         raise NonFiniteError("points contains NaN or Inf")
     if pts.shape[1:] != (data.N_TRACK_KEYPOINTS, 2):
         raise ShapeMismatchError(

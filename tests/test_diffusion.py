@@ -17,6 +17,7 @@ from trackpolicy.diffusion import (
     add_noise,
     ancestral_sample,
     draw_noise,
+    posterior_coefficients,
     timestep_embedding,
     timestep_table,
 )
@@ -238,6 +239,50 @@ def test_in_place_sampler_equals_the_allocating_loop_bitwise():
         assert got.tobytes() == want.tobytes(), (n, dim)
         # the reused noise buffer draws the same values in the same order
         assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_float32_clean_fn_is_read_back_as_float64_bitwise():
+    # the track policy's denoiser returns float32; the sampler must add
+    # exactly c0 * float64(clean), as an explicit cast would
+    w = np.random.default_rng(5).standard_normal((4, 4)).astype(np.float32)
+
+    def clean_fn(x, t):
+        return np.tanh(x.astype(np.float32) @ w) * np.float32(1.5)
+
+    def cast_clean_fn(x, t):
+        return clean_fn(x, t).astype(np.float64)
+
+    x = np.random.default_rng(6).standard_normal((3, 4))
+    assert clean_fn(x, 0).dtype == np.float32
+    for n, schedule in ((1, DiffusionSchedule()), (3, SOUND), (2, DiffusionSchedule(7))):
+        rng, ref_rng = np.random.default_rng(23), np.random.default_rng(23)
+        got = ancestral_sample(clean_fn, schedule, *draw_noise(schedule, n, 4, rng))
+        want = reference_ancestral_sample(cast_clean_fn, n, 4, schedule, ref_rng)
+        assert got.dtype == want.dtype == np.float64
+        assert got.tobytes() == want.tobytes(), n
+
+
+def test_posterior_coefficients_are_the_inline_formula_cached_per_schedule():
+    for s in (DiffusionSchedule(), SOUND, DiffusionSchedule(7), DiffusionSchedule(1)):
+        c0, ct = posterior_coefficients(s)
+        assert type(c0) is tuple and type(ct) is tuple
+        assert len(c0) == len(ct) == s.num_steps
+        for t in range(s.num_steps):
+            abar, beta = s.alpha_bars[t], s.betas[t]
+            abar_prev = s.alpha_bars[t - 1] if t > 0 else 1.0
+            want_c0 = np.sqrt(abar_prev) * beta / (1.0 - abar)
+            want_ct = np.sqrt(s.alphas[t]) * (1.0 - abar_prev) / (1.0 - abar)
+            assert np.float64(c0[t]).tobytes() == np.float64(want_c0).tobytes(), t
+            assert np.float64(ct[t]).tobytes() == np.float64(want_ct).tobytes(), t
+        assert ct[0] == 0.0
+    # equal schedules hash alike, so they share one entry
+    posterior_coefficients.cache_clear()
+    first = posterior_coefficients(DiffusionSchedule(50, 1e-4, 0.02))
+    assert posterior_coefficients(DiffusionSchedule(50, 1e-4, 0.02)) is first
+    info = posterior_coefficients.cache_info()
+    assert (info.currsize, info.hits, info.misses) == (1, 1, 1)
+    assert posterior_coefficients(DiffusionSchedule(50, 1e-4, 0.03)) != first
+    assert posterior_coefficients.cache_info().currsize == 2
 
 
 def test_sampler_only_reads_the_eps_fn_output():

@@ -18,6 +18,7 @@ from trackpolicy.errors import (
     NonFiniteError,
     SchemaMismatchError,
     ShapeMismatchError,
+    has_nonfinite,
 )
 from trackpolicy.nn import tensor as T
 from trackpolicy.nn.optim import BETA1, BETA2, EPS
@@ -67,6 +68,51 @@ def oracle_gaussian_kl(fa, fb):
 
 # ---------------------------------------------------------------------------
 # forward
+
+
+def test_mlp_spec_rejects_widths_it_would_truncate():
+    # int() used to turn 3.7 into 3 and True into 1
+    for widths in ((3.7, 4, 2), (3, True, 2), (3, 4, 2.0), (3, np.float32(4), 2),
+                   (3, np.bool_(True), 2), (3, "4", 2)):
+        with pytest.raises(ValueError, match="integers"):
+            nn.MlpSpec(widths, ("relu", "identity"))
+    for widths in ((3, 0, 2), (3, -1, 2)):
+        with pytest.raises(ValueError, match="positive"):
+            nn.MlpSpec(widths, ("relu", "identity"))
+    spec = nn.MlpSpec((np.int64(3), 4, np.int32(2)), ("relu", "identity"))
+    assert spec.widths == (3, 4, 2) and all(type(w) is int for w in spec.widths)
+    # any iterable of widths, read once
+    assert nn.MlpSpec(iter((3, 4, 2)), ("relu", "identity")).widths == (3, 4, 2)
+
+
+def test_has_nonfinite_flags_exactly_the_nonfinite_arrays():
+    for dtype in (np.float32, np.float64):
+        clean = np.linspace(-3.0, 3.0, 12, dtype=dtype).reshape(3, 4)
+        assert not has_nonfinite(clean)
+        # the largest finite values are finite
+        assert not has_nonfinite(np.array([np.finfo(dtype).max, -np.finfo(dtype).max,
+                                           np.finfo(dtype).tiny], dtype=dtype))
+        for bad in (np.nan, np.inf, -np.inf):
+            for idx in ((0, 0), (1, 2), (2, 3)):
+                a = clean.copy()
+                a[idx] = bad
+                assert has_nonfinite(a), (dtype, bad, idx)
+                assert has_nonfinite(a[None]) and has_nonfinite(a.T)
+            # 0-d arrays and numpy scalars
+            assert has_nonfinite(np.array(bad, dtype=dtype))
+            assert has_nonfinite(dtype(bad))
+        assert not has_nonfinite(np.array(1.5, dtype=dtype))
+        assert not has_nonfinite(dtype(1.5))
+        # an empty array holds nothing non-finite
+        assert not has_nonfinite(np.empty((0, 4), dtype=dtype))
+        assert not has_nonfinite(np.empty(0, dtype=dtype))
+    # it agrees with the reduction it replaced on random mixes
+    rng = np.random.default_rng(3)
+    for _ in range(200):
+        a = rng.standard_normal(rng.integers(0, 6, size=2))
+        a[rng.random(a.shape) < 0.05] = rng.choice([np.nan, np.inf, -np.inf])
+        for arr in (a, a.astype(np.float32)):
+            assert has_nonfinite(arr) == (not np.isfinite(arr).all())
 
 
 def test_forward_identity_layer():
@@ -158,6 +204,23 @@ def test_forward_raises_when_a_layer_overflows():
         # a -inf pre-activation would come out of relu as 0: still caught
         with pytest.raises(NonFiniteError, match="layer 0"):
             nn.forward(spec, params, np.full((1, 2), -1e200))
+
+
+def test_float32_apply_names_a_layer_0_pre_activation_of_minus_inf():
+    # the sampler's dtype: float32 weights and input. relu would turn the
+    # -inf into 0, so only the check on the pre-activation sees it
+    spec = nn.MlpSpec((2, 3, 1), ("relu", "identity"))
+    params = {name: arr.astype(np.float32) for name, arr in nn.init_params(spec, 0).items()}
+    x = np.ones((1, 2), dtype=np.float32)
+    assert np.isfinite(nn.apply(spec, params, x)[0]).all()
+    params["mlp/b0"] = np.array([0.0, -np.inf, 0.0], dtype=np.float32)
+    with pytest.raises(NonFiniteError, match="mlp: non-finite values produced by layer 0"):
+        nn.apply(spec, params, x)
+    # a NaN in the second layer is named as layer 1
+    params["mlp/b0"] = np.zeros(3, dtype=np.float32)
+    params["mlp/b1"] = np.array([np.nan], dtype=np.float32)
+    with pytest.raises(NonFiniteError, match="layer 1"):
+        nn.apply(spec, params, x)
 
 
 def test_init_deterministic():

@@ -102,13 +102,20 @@ def test_train_config_rejects_each_bad_knob():
                        # sizes are integer counts: 2.5 used to construct and
                        # then fail inside range() or truncate a layer width
                        ("horizon", 2.5), ("horizon", np.nan), ("batch_size", 6.5),
-                       ("batch_size", np.nan), ("epochs", 2.5), ("epochs", np.nan)):
+                       ("batch_size", np.nan), ("epochs", 2.5), ("epochs", np.nan),
+                       ("embed_dim", 2.5), ("embed_dim", 0), ("embed_dim", True),
+                       ("embed_dim", np.nan), ("embed_dim", (64,)), ("encoder_hidden", (16.9,)),
+                       ("encoder_hidden", (16, 0)), ("denoiser_hidden", (256, 255.5)),
+                       ("denoiser_hidden", (-1,)), ("disc_hidden", (True,)),
+                       ("disc_hidden", (np.float64(32),))):
         with pytest.raises(ValueError, match=field):
             policy.TrainConfig(**{field: bad})
     # the edges of each accepted range construct
     for field, good in (("horizon", 1), ("lambda_da", 0.0), ("lambda_da", 1.0),
                         ("lambda_kl", 0.0), ("learning_rate", 1e-12),
-                        ("batch_size", 4), ("epochs", 0), ("seed", 0)):
+                        ("batch_size", 4), ("epochs", 0), ("seed", 0),
+                        ("embed_dim", 1), ("encoder_hidden", ()), ("denoiser_hidden", (1, 1)),
+                        ("disc_hidden", (np.int64(8),))):
         assert getattr(policy.TrainConfig(**{field: good}), field) == good
 
 
