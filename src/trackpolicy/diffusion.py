@@ -56,17 +56,15 @@ class DiffusionSchedule:
         object.__setattr__(self, "alpha_bars", alpha_bars)
 
 
-def timestep_embedding(t, dim: int = TIME_EMBED_DIM, max_period: float = 10000.0) -> np.ndarray:
+def timestep_embedding(t) -> np.ndarray:
     """Transformer-style sin/cos features of integer timesteps.
 
-    t: scalar or (n,) array of step indices. Returns (n, dim), values in
-    [-1, 1], injective over any practical step range.
+    t: scalar or (n,) array of step indices. Returns (n, TIME_EMBED_DIM),
+    values in [-1, 1], injective over any practical step range.
     """
-    if dim % 2 != 0:
-        raise ValueError(f"embedding dim must be even, got {dim}")
     t = np.atleast_1d(np.asarray(t, dtype=np.float64))
-    half = dim // 2
-    freqs = np.exp(-np.log(max_period) * np.arange(half) / half)
+    half = TIME_EMBED_DIM // 2
+    freqs = np.exp(-np.log(10000.0) * np.arange(half) / half)
     ang = t[:, None] * freqs[None, :]
     return np.concatenate([np.sin(ang), np.cos(ang)], axis=1)
 

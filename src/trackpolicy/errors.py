@@ -68,10 +68,6 @@ class ResidualTooHighError(TrackPolicyError):
     """
 
 
-class NotFittedError(TrackPolicyError):
-    """Estimator used before fit()."""
-
-
 def has_nonfinite(a: np.ndarray) -> bool:
     """True iff the array (or numpy scalar) holds a NaN, +inf or -inf.
 

@@ -58,7 +58,7 @@ def gaussian_kl_alignment(features_a, features_b) -> tuple:
 
     Variances are floored at 1e-6 to keep the divergence finite for collapsed
     batches; a floored dimension passes no gradient to its variance. Summed
-    over feature dimensions; zero iff the fitted moments coincide.
+    over feature dimensions; zero iff the two batches' moments coincide.
     """
     mu_a, c_a, raw_a = _batch_moments(features_a, "features_a")
     mu_b, c_b, raw_b = _batch_moments(features_b, "features_b")

@@ -113,13 +113,13 @@ class TrainConfig:
         object.__setattr__(self, "encoder_hidden", tuple(self.encoder_hidden))
         object.__setattr__(self, "denoiser_hidden", tuple(self.denoiser_hidden))
         object.__setattr__(self, "disc_hidden", tuple(self.disc_hidden))
-        # integer counts, so NaN and 2.5 fail them too. Co-training batches
-        # are half human, half robot, and the moment losses need at least 2
-        # rows on each side; the seed feeds numpy's SeedSequence, which
-        # takes integers >= 0 only
+        # integer counts and no bools, so NaN and 2.5 fail them too.
+        # Co-training batches are half human, half robot, and the moment
+        # losses need at least 2 rows on each side; the seed feeds numpy's
+        # SeedSequence, which takes integers >= 0 only
         for name, low in (("horizon", 1), ("batch_size", 4), ("epochs", 0), ("seed", 0)):
             value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)) or value < low:
+            if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < low:
                 raise ValueError(f"{name} must be >= {low} and an integer, got {value!r}")
         # layer widths: integers >= 1 and no bools, rejected here under the
         # knob's name rather than by MlpSpec when the model is built
@@ -394,7 +394,7 @@ def train(dataset_human, dataset_robot, cfg: TrainConfig,
             "for single-embodiment training")
 
     rows = data.TrainingRows.join([data.chunk(d, cfg.horizon) for d in human + robot])
-    retargeter = KeypointRetargeter(seed=cfg.seed).fit(rows.keypoints[:rows.n_human]) \
+    retargeter = KeypointRetargeter.fit(rows.keypoints[:rows.n_human], cfg.seed) \
         if human else None
     model = build_model(cfg, rows.images.shape[1], schedule=schedule, retargeter=retargeter)
     log = []
@@ -560,14 +560,16 @@ def load_policy(path) -> PolicyModel:
         "image_dim", "target_dim", "num_steps", "beta_start", "beta_end"], "policy checkpoint meta")
     cfg = TrainConfig(**{f.name: meta[f.name] for f in fields(TrainConfig)})
     schedule = DiffusionSchedule(meta["num_steps"], meta["beta_start"], meta["beta_end"])
+    # built first for its parameter names: every missing or unexpected array
+    # is named in one SchemaMismatchError before any array is used
     model = build_model(cfg, meta["image_dim"], target_dim=meta["target_dim"], schedule=schedule)
     retarget_names = [f"retargeter:{name}" for name in RETARGET_SPEC.param_shapes()] \
         if meta.get("has_retargeter") else []
     check_array_names(arrays, [*model.params, *retarget_names], f"{path}: policy checkpoint")
     for spec in (model.encoder, model.denoiser, model.discriminator):
         check_params(spec, arrays)
-    model.params = {name: arr for name, arr in arrays.items() if name in model.params}
-    if retarget_names:
-        model.retargeter = KeypointRetargeter.from_arrays(
-            {name.split(":", 1)[1]: arrays[name] for name in retarget_names})
-    return model
+    params = {name: arr for name, arr in arrays.items() if name in model.params}
+    retargeter = KeypointRetargeter(
+        {name.split(":", 1)[1]: arrays[name] for name in retarget_names}) \
+        if retarget_names else None
+    return replace(model, params=params, retargeter=retargeter)

@@ -9,11 +9,13 @@ net operates on anchor-relative coordinates in normalized image units and
 the anchor is copied, not predicted, so anchor preservation and translation
 equivariance hold by construction rather than by training.
 
-fit() takes an (n, 5, 2) array of hand layouts (normalized image units,
-the 5-point subset); transform_batch() takes any (n, 5, 2) stack. Frozen
-after fit: parameter arrays are made read-only and transform_batch
-is a pure function of them. A fitted retargeter is persisted inside the
-policy checkpoint through to_arrays/from_arrays.
+A retargeter is its frozen NET_SPEC weights and nothing else. There are two
+ways to get one: KeypointRetargeter(params) wraps given weights (a policy
+checkpoint's, through to_arrays and back), and KeypointRetargeter.fit(points,
+seed) trains weights on an (n, 5, 2) array of hand layouts (normalized image
+units, the 5-point subset) and returns the retargeter built from them.
+Either way the arrays are made read-only, so transform_batch, which takes
+any (n, 5, 2) stack, is a pure function of them.
 
 fit() takes STEPS Adam steps, each on BATCH_ROWS rows drawn with
 replacement from the corpus, so a fit costs the same at any corpus size. A
@@ -29,7 +31,6 @@ from . import data
 from .errors import (
     InsufficientDataError,
     NonFiniteError,
-    NotFittedError,
     ShapeMismatchError,
     has_nonfinite,
 )
@@ -85,33 +86,30 @@ def _denoising_loss(params: dict, rel_in: np.ndarray, target: np.ndarray,
     return loss, grads
 
 
-def _frozen(arrays: dict) -> dict:
-    check_params(NET_SPEC, arrays)
-    for arr in arrays.values():
-        arr.flags.writeable = False
-    return arrays
-
-
 class KeypointRetargeter:
-    """Estimator mapping k=5 keypoint layouts toward hand-like spacing.
+    """Frozen denoiser mapping k=5 keypoint layouts toward hand-like spacing.
 
-    fit() consumes an (n, 5, 2) array of hand layouts; transform_batch()
-    then applies the frozen denoiser to any 5-point layout regardless of
-    embodiment. The seed fixes the net's initialization and the training
-    noise.
+    Built from NET_SPEC weight arrays, or returned by fit() trained on hand
+    layouts; transform_batch() applies it to any 5-point layout regardless
+    of embodiment.
     """
 
-    def __init__(self, seed: int = 0):
-        self.seed = seed
-
-    @property
-    def fitted(self) -> bool:
-        return getattr(self, "_params", None) is not None
+    def __init__(self, params: dict):
+        """Wrap NET_SPEC weight arrays (ShapeMismatchError if one is missing
+        or misshapen). The arrays are frozen in place (made read-only), not
+        copied; the dict is copied, so later changes to it do not reach the
+        retargeter."""
+        params = dict(params)
+        check_params(NET_SPEC, params)
+        for arr in params.values():
+            arr.flags.writeable = False
+        self._params = params
 
     # -- training ----------------------------------------------------------
 
-    def fit(self, points) -> "KeypointRetargeter":
-        """Train on hand keypoint frames; freezes the result.
+    @staticmethod
+    def fit(points, seed: int = 0) -> "KeypointRetargeter":
+        """A retargeter trained on hand keypoint frames.
 
         points: an (n, 5, 2) array of hand layouts in normalized units, the
         5-point subset, as `data.chunk` stacks them into `keypoints`. The
@@ -125,8 +123,8 @@ class KeypointRetargeter:
             raise InsufficientDataError(f"need at least {MIN_TRAIN_FRAMES} frames, got {n}")
         k = data.N_TRACK_KEYPOINTS
 
-        params = init_params(NET_SPEC, self.seed)
-        rng = np.random.default_rng([self.seed, _NOISE_STREAM])
+        params = init_params(NET_SPEC, seed)
+        rng = np.random.default_rng([seed, _NOISE_STREAM])
 
         a = ANCHOR_INDEX
         # anchor-relative targets, anchor dims masked (see _denoising_loss)
@@ -145,8 +143,7 @@ class KeypointRetargeter:
             _, grads = _denoising_loss(params, rel_in, target[idx], mask)
             params = opt.step(params, grads)
 
-        self._params = _frozen(params)
-        return self
+        return KeypointRetargeter(params)
 
     # -- inference ---------------------------------------------------------
 
@@ -156,8 +153,6 @@ class KeypointRetargeter:
 
         Takes raw arrays, as they arrive on the policy hot path.
         """
-        if not self.fitted:
-            raise NotFittedError("call fit() or from_arrays() before transform_batch()")
         pts = np.asarray(points, dtype=np.float64)
         _check_points(pts)
         a = ANCHOR_INDEX
@@ -170,19 +165,8 @@ class KeypointRetargeter:
 
     # -- persistence -------------------------------------------------------
 
-    @classmethod
-    def from_arrays(cls, arrays: dict) -> "KeypointRetargeter":
-        """A fitted retargeter from NET_SPEC weight arrays; the inverse of
-        to_arrays. The arrays are frozen in place (made read-only), not
-        copied; the dict is copied, so later changes to it do not reach the
-        retargeter."""
-        est = cls()
-        est._params = _frozen(dict(arrays))
-        return est
-
     def to_arrays(self) -> dict:
         """The frozen weights, by NET_SPEC parameter name: a new dict of the
-        retargeter's read-only arrays."""
-        if not self.fitted:
-            raise NotFittedError("nothing to save before fit()")
+        retargeter's read-only arrays; KeypointRetargeter(arrays) is its
+        inverse."""
         return dict(self._params)

@@ -85,12 +85,15 @@ _IDENTITY.flags.writeable = False
 
 @dataclass(frozen=True)
 class Action6DoF:
-    """End-effector-frame increment plus a binary grasp command."""
+    """End-effector-frame increment plus a binary grasp command. grasp is 0
+    or 1 (ValueError otherwise), stored as int."""
 
     delta: RigidTransform
     grasp: int
 
     def __post_init__(self):
+        if self.grasp not in (0, 1):
+            raise ValueError(f"grasp must be 0 or 1, got {self.grasp!r}")
         object.__setattr__(self, "grasp", int(self.grasp))
 
 
@@ -257,18 +260,14 @@ _TASKS = {
 TASK_NAMES = tuple(_TASKS)
 
 
-def make_task(name: str, **overrides) -> TaskSpec:
+def make_task(name: str) -> TaskSpec:
     if name not in _TASKS:
         raise ValueError(f"unknown task {name!r}; choose from {TASK_NAMES}")
-    cfg = dict(
-        name=name,
-        object_box_low=(-0.05, -0.05, OBJECT_HALF_EXTENTS[2]),
-        object_box_high=(0.05, 0.05, OBJECT_HALF_EXTENTS[2]),
-        success_radius=0.03,
-        **_TASKS[name],
-    )
-    cfg.update(overrides)
-    return TaskSpec(**cfg)
+    return TaskSpec(name=name,
+                    object_box_low=(-0.05, -0.05, OBJECT_HALF_EXTENTS[2]),
+                    object_box_high=(0.05, 0.05, OBJECT_HALF_EXTENTS[2]),
+                    success_radius=0.03,
+                    **_TASKS[name])
 
 
 @lru_cache(maxsize=None)

@@ -107,7 +107,11 @@ def test_train_config_rejects_each_bad_knob():
                        ("embed_dim", np.nan), ("embed_dim", (64,)), ("encoder_hidden", (16.9,)),
                        ("encoder_hidden", (16, 0)), ("denoiser_hidden", (256, 255.5)),
                        ("denoiser_hidden", (-1,)), ("disc_hidden", (True,)),
-                       ("disc_hidden", (np.float64(32),))):
+                       ("disc_hidden", (np.float64(32),)),
+                       # bools are ints to isinstance, but horizon=True is no
+                       # 1-step policy and epochs=False no 0-epoch run
+                       ("horizon", True), ("batch_size", True), ("epochs", False),
+                       ("epochs", True), ("seed", True), ("seed", False)):
         with pytest.raises(ValueError, match=field):
             policy.TrainConfig(**{field: bad})
     # the edges of each accepted range construct
@@ -233,9 +237,9 @@ def test_train_step_gets_the_rows_per_sample_stacking_builds(demos, monkeypatch)
         seen.append(batch)
         return train_step(model, batch, rng, opt)
 
-    def record_fit(self, points):
+    def record_fit(points, seed=0):
         fitted.append(np.array(points))
-        return fit(self, points)
+        return fit(points, seed)
 
     monkeypatch.setattr(policy, "train_step", record_step)
     monkeypatch.setattr(KeypointRetargeter, "fit", record_fit)
@@ -299,7 +303,7 @@ def test_lit_training_matches_the_full_width_loop(demos, trained):
     human, robot = demos
     model, log = trained
     rows = data.TrainingRows.join([data.chunk(d, CFG.horizon) for d in human + robot])
-    retargeter = KeypointRetargeter(seed=CFG.seed).fit(rows.keypoints[:rows.n_human])
+    retargeter = KeypointRetargeter.fit(rows.keypoints[:rows.n_human], CFG.seed)
     ref = policy.build_model(CFG, rows.images.shape[1], schedule=SCHEDULE, retargeter=retargeter)
     ref_log = reference_train(ref, rows)
     assert [e.keys() for e in log] == [e.keys() for e in ref_log]

@@ -7,7 +7,6 @@ from trackpolicy import data, retarget, sim
 from trackpolicy.errors import (
     InsufficientDataError,
     NonFiniteError,
-    NotFittedError,
     ShapeMismatchError,
 )
 from trackpolicy.geometry import RigidTransform, project_points
@@ -64,7 +63,7 @@ def noisy_copy(clean, seed, bound=0.15):
 @pytest.fixture(scope="module")
 def trained():
     frames = layout_corpus("human", 800, seed=0)
-    return KeypointRetargeter().fit(frames), frames
+    return KeypointRetargeter.fit(frames), frames
 
 
 # ---------------------------------------------------------------------------
@@ -99,7 +98,7 @@ def test_clean_layouts_pass_through_nearly_unchanged(trained):
 
 
 def test_untrained_net_is_no_better_than_identity():
-    est = KeypointRetargeter.from_arrays(init_params(retarget.NET_SPEC, 0))
+    est = KeypointRetargeter(init_params(retarget.NET_SPEC, 0))
     clean = layout_corpus("human", 100, seed=7)
     noisy = noisy_copy(clean, seed=7)
     rmse0 = float(np.sqrt(np.mean((est.transform_batch(noisy) - clean) ** 2)))
@@ -161,30 +160,27 @@ def test_translation_equivariance(trained):
 
 def test_parameters_are_frozen_after_fit(trained):
     est, _ = trained
-    arr = next(iter(est._params.values()))
-    with pytest.raises(ValueError):
-        arr[...] = 0.0
+    arrays = est.to_arrays()
+    assert arrays.keys() == retarget.NET_SPEC.param_shapes().keys()
+    for arr in arrays.values():
+        with pytest.raises(ValueError):
+            arr[...] = 0.0
 
 
 # ---------------------------------------------------------------------------
 # validation
 
 
-def test_transform_before_fit_raises():
-    with pytest.raises(NotFittedError):
-        KeypointRetargeter().transform_batch(np.zeros((1, 5, 2)))
-
-
 def test_fit_rejects_bad_corpora():
     good = layout_corpus("human", 60, seed=0)
     with pytest.raises(InsufficientDataError):
-        KeypointRetargeter().fit(good[:99])
+        KeypointRetargeter.fit(good[:99])
     with pytest.raises(ShapeMismatchError):
-        KeypointRetargeter().fit(np.zeros((120, 21, 2)))
+        KeypointRetargeter.fit(np.zeros((120, 21, 2)))
     bad = good.copy()
     bad[7, 2, 1] = np.nan
     with pytest.raises(NonFiniteError):
-        KeypointRetargeter().fit(bad)
+        KeypointRetargeter.fit(bad)
 
 
 def test_transform_rejects_wrong_k(trained):
@@ -199,9 +195,23 @@ def test_transform_rejects_wrong_k(trained):
 # persistence
 
 
-def test_to_arrays_before_fit_raises():
-    with pytest.raises(NotFittedError):
-        KeypointRetargeter().to_arrays()
+def test_constructor_rejects_missing_and_misshapen_arrays():
+    good = init_params(retarget.NET_SPEC, 0)
+    missing = {name: arr for name, arr in good.items() if name != "retargeter/b1"}
+    with pytest.raises(ShapeMismatchError, match="missing parameter retargeter/b1"):
+        KeypointRetargeter(missing)
+    misshapen = {**good, "retargeter/w2": np.zeros((64, 9))}
+    with pytest.raises(ShapeMismatchError, match=r"retargeter/w2: expected shape \(64, 10\)"):
+        KeypointRetargeter(misshapen)
+
+
+def test_constructor_freezes_the_given_arrays_in_place():
+    given = init_params(retarget.NET_SPEC, 1)
+    est = KeypointRetargeter(given)
+    arrays = est.to_arrays()
+    assert arrays.keys() == given.keys()
+    for name, arr in given.items():
+        assert arrays[name] is arr and not arr.flags.writeable
 
 
 def test_array_dicts_do_not_alias_the_retargeter(trained):
@@ -215,7 +225,7 @@ def test_array_dicts_do_not_alias_the_retargeter(trained):
     assert np.array_equal(est.transform_batch(pts), out)
 
     given = dict(before)
-    loaded = KeypointRetargeter.from_arrays(given)
+    loaded = KeypointRetargeter(given)
     given["retargeter/w0"] = np.zeros_like(before["retargeter/w0"])
     del given["retargeter/b2"]
     assert loaded.to_arrays().keys() == before.keys()
@@ -236,7 +246,7 @@ def test_each_step_takes_batch_rows_of_the_corpus(monkeypatch):
 
     monkeypatch.setattr(retarget, "_denoising_loss", recorded)
     frames = layout_corpus("human", 150, seed=2)   # 300 frames
-    KeypointRetargeter().fit(frames)
+    KeypointRetargeter.fit(frames)
     a = retarget.ANCHOR_INDEX
     targets = (frames - frames[:, a:a + 1]).reshape(len(frames), -1)
     targets[:, 2 * a:2 * a + 2] = 0.0
@@ -252,9 +262,12 @@ def test_each_step_takes_batch_rows_of_the_corpus(monkeypatch):
 
 def test_fit_repeats_for_a_seed():
     frames = layout_corpus("human", 100, seed=4)
-    first = KeypointRetargeter(seed=3).fit(frames).to_arrays()
-    again = KeypointRetargeter(seed=3).fit(frames.copy()).to_arrays()
-    other = KeypointRetargeter(seed=4).fit(frames).to_arrays()
+    given = frames.copy()
+    first = KeypointRetargeter.fit(frames, seed=3).to_arrays()
+    again = KeypointRetargeter.fit(frames.copy(), seed=3).to_arrays()
+    other = KeypointRetargeter.fit(frames, seed=4).to_arrays()
+    # the corpus is read, never written or frozen
+    assert frames.flags.writeable and frames.tobytes() == given.tobytes()
     assert all(np.array_equal(again[k], v) for k, v in first.items())
     assert not np.array_equal(other["retargeter/w0"], first["retargeter/w0"])
 
@@ -275,14 +288,14 @@ def full_batch_fit(frames, seed):
         noisy = frames + noise
         rel_in = (noisy - noisy[:, a:a + 1]).reshape(n, -1)
         params = opt.step(params, retarget._denoising_loss(params, rel_in, target, mask)[1])
-    return KeypointRetargeter.from_arrays(params)
+    return KeypointRetargeter(params)
 
 
 def test_drawn_rows_move_outputs_less_than_a_seed_change():
     # drawing rows is a cost cut, not a change of model: against the
     # full-batch fit, it moves the retargeted layouts less than a new seed
     frames = layout_corpus("human", 200, seed=6)   # 400 frames
-    drawn = KeypointRetargeter(seed=0).fit(frames)
+    drawn = KeypointRetargeter.fit(frames, seed=0)
     full = [full_batch_fit(frames, s) for s in (0, 1)]
     for kind, seed in (("human", 7), ("robot", 11)):
         pts = layout_corpus(kind, 100, seed=seed)

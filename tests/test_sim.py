@@ -9,6 +9,8 @@ The expert and `step` compute their 3-vector math on plain floats and
 The built-in embodiments and cameras are shared, read-only objects.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -144,6 +146,18 @@ def test_step_no_attach_when_far():
     nxt = sim.step(state, hold_action(grasp=1))
     assert not nxt.box_attached
     assert nxt.gripper_closed  # gripper state still follows the command
+
+
+def test_action_grasp_must_be_0_or_1():
+    # a grasp is a binary command: int() would read 0.7 as open, and step
+    # closes the gripper for any other non-zero value, 2 included
+    for bad in (0.7, 2, -1, np.int64(2), np.nan):
+        with pytest.raises(ValueError, match="grasp must be 0 or 1"):
+            sim.Action6DoF(RigidTransform(), bad)
+    for good, want in ((0, 0), (1, 1), (True, 1), (False, 0), (np.True_, 1),
+                       (np.False_, 0), (np.int64(1), 1), (int(np.bool_(True)), 1)):
+        grasp = sim.Action6DoF(RigidTransform(), good).grasp
+        assert type(grasp) is int and grasp == want
 
 
 def test_closed_gripper_attaches_on_the_step_that_reaches_the_box():
@@ -590,7 +604,7 @@ def test_human_demo_jitter_is_bounded_and_absent_for_robot():
 
 
 def test_script_failure_raises():
-    task = sim.make_task("push_right", horizon=3)
+    task = replace(sim.make_task("push_right"), horizon=3)
     with pytest.raises(sim.ScriptFailureError):
         sim.scripted_demo(task, sim.robot_embodiment(), 0)
 
