@@ -281,8 +281,8 @@ def save_dataset(demos, path) -> None:
 
 def load_dataset(path) -> list:
     """Inverse of save_dataset, through the checked constructors. The wrong kind,
-    a missing meta key or array, arrays whose dims disagree, a grasp outside {0, 1},
-    a non-integer view id or a corrupt container raise SchemaMismatchError."""
+    a missing or malformed meta value or array (dims that disagree, a grasp outside
+    {0, 1}, a value a constructor rejects) or a corrupt container raise SchemaMismatchError."""
     kind, meta, arrays = load_checkpoint(path)
     if kind != DATASET_KIND:
         raise SchemaMismatchError(f"{path}: expected a {DATASET_KIND!r} file, got {kind!r}")
@@ -294,6 +294,8 @@ def load_dataset(path) -> list:
     for i, rec in enumerate(meta["demos"]):
         what = f"{path}: demo {i}"
         check_keys(rec, ("embodiment", "task", "seed", "intrinsics"), what)
+        if not isinstance(rec["task"], str) or type(rec["seed"]) is not int:
+            raise SchemaMismatchError(f"{what}: task must be a string and seed an integer")
         a = {name: arrays[f"{i}/{name}"] for name in _LAYOUT}
         dims = {}   # each dim letter bound by its first array
         for name, letters in _LAYOUT.items():
@@ -313,13 +315,16 @@ def load_dataset(path) -> list:
             raise SchemaMismatchError(f"{what}: needs one intrinsics record per view")
         for intr in intrinsics:
             check_keys(intr, _INTRINSICS, f"{what} intrinsics")
-        cameras = tuple(
-            (CameraIntrinsics(**{name: intr[name] for name in _INTRINSICS}), RigidTransform(r, t))
-            for intr, r, t in zip(intrinsics, a["camera_rotations"], a["camera_translations"]))
-        frames = tuple(tuple(FrameView(a["images"][t, v], KeypointSet2D(
-            a["keypoints"][t, v], rec["embodiment"], int(view_ids[t, v])), int(a["grasps"][t, v]))
-            for v in range(dims["V"])) for t in range(dims["T"]))
-        ee_poses = tuple(map(RigidTransform, a["ee_rotations"], a["ee_translations"]))
-        demos.append(Demonstration(rec["embodiment"], frames, rec["task"], rec["seed"], cameras,
-                                   ee_poses))
+        try:
+            cameras = tuple((CameraIntrinsics(**{name: intr[name] for name in _INTRINSICS}),
+                             RigidTransform(r, t)) for intr, r, t in
+                            zip(intrinsics, a["camera_rotations"], a["camera_translations"]))
+            frames = tuple(tuple(FrameView(a["images"][t, v], KeypointSet2D(
+                a["keypoints"][t, v], rec["embodiment"], int(view_ids[t, v])),
+                int(a["grasps"][t, v])) for v in range(dims["V"])) for t in range(dims["T"]))
+            ee_poses = tuple(map(RigidTransform, a["ee_rotations"], a["ee_translations"]))
+            demos.append(Demonstration(rec["embodiment"], frames, rec["task"], rec["seed"],
+                                       cameras, ee_poses))
+        except (TypeError, ValueError) as err:
+            raise SchemaMismatchError(f"{what}: {err}") from err
     return demos

@@ -38,8 +38,8 @@ class DiffusionSchedule:
     alpha_bars: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        # an integer count: it sizes the tables and keys the samplers' caches
-        if not isinstance(self.num_steps, (int, np.integer)):
+        # an integer count, no bool: it sizes the tables and keys the samplers' caches
+        if isinstance(self.num_steps, bool) or not isinstance(self.num_steps, (int, np.integer)):
             raise ValueError(f"num_steps must be an integer, got {self.num_steps!r}")
         if self.num_steps < 1:
             raise ValueError(f"num_steps must be >= 1, got {self.num_steps}")

@@ -72,8 +72,9 @@ class CameraIntrinsics:
     height: int
 
     def __post_init__(self):
-        if self.fx <= 0 or self.fy <= 0:
-            raise ValueError("focal lengths must be positive")
+        # written so that NaN fails it
+        if not (0 < self.fx < np.inf and 0 < self.fy < np.inf):
+            raise ValueError(f"focal lengths must be finite and positive, got {self.fx}, {self.fy}")
         if not (0 <= self.cx < self.width and 0 <= self.cy < self.height):
             raise ValueError("principal point must lie inside the image")
 

@@ -309,11 +309,9 @@ def train_baseline_6dof(dataset_robot, cfg: policy.TrainConfig,
         raise EmptyDatasetError("baseline needs robot demonstrations")
     cfg = replace(cfg, lambda_kl=0.0, lambda_da=0.0)
     rows = data.TrainingRows.join([baseline_samples(d, cfg.horizon) for d in demos])
-    model = policy.build_model(cfg, rows.images.shape[1], target_dim=7 * cfg.horizon,
-                               schedule=schedule)
-    log = [{key: entry[key] for key in ("epoch", "mse", "total")}
-           for entry in policy.train_epochs(model, rows)]
-    return model, log
+    model, log = policy.train_epochs(policy.build_model(
+        cfg, rows.images.shape[1], target_dim=7 * cfg.horizon, schedule=schedule), rows)
+    return model, [{key: entry[key] for key in ("epoch", "mse", "total")} for entry in log]
 
 
 @dataclass(frozen=True)

@@ -28,11 +28,11 @@ Those checks use the package's one predicate (`errors.has_nonfinite`), which
 skips `ndarray.all`'s reduction wrapper. Everything else stays float64: the
 model's weights, training, checkpoints, the encoder, the retargeter and the
 sampler's own update. A draw differs from its float64 counterpart by float32
-rounding (a few 1e-8 on the test models). What a draw needs from the weights
-alone (the float32 copies and layer 0's timestep term) is built once per
-model and rebuilt when the denoiser's arrays are replaced; x_T and the step
-noise, a function of the seed alone, are drawn once for the two views of a
-replan, which share their seed.
+rounding (a few 1e-8 on the test models). A model's weights never change,
+so what a draw needs from them alone (the float32 copies and layer 0's
+timestep term) is built by its first draw and kept with it; x_T and the
+step noise, a function of the seed alone, are drawn once for the two views
+of a replan, which share their seed.
 
 `train_epochs` is the one training loop, for the track head and the 6DoF
 baseline. It trains only the feature cells its pool lights: a raster cell
@@ -44,7 +44,9 @@ input width with those weights at their initial values.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field, fields, replace
+from collections.abc import Mapping
+from dataclasses import dataclass, fields, replace
+from types import MappingProxyType
 
 import numpy as np
 
@@ -160,24 +162,42 @@ class LossReport:
     total: float
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class PolicyModel:
-    """Parameter bundle: three net specs, one flat name->array dict.
+    """A policy as a value: three net specs and their weights, one flat
+    name->array mapping, checked once when built (ShapeMismatchError).
 
-    _chain is the sampler's weight-only state (`_Chain`), built by the first
-    draw and rebuilt by `sample_flat` whenever the denoiser's arrays, its
-    spec or the schedule it was built from are replaced; a
-    `dataclasses.replace` copy starts without one.
+    The denoiser reads [target | embedding | 2k keypoint coordinates |
+    timestep features], the discriminator the embedding. params is stored as
+    a read-only mapping of arrays made read-only in place, so `train_step`
+    returns a new model and a `dataclasses.replace` copy is a new model.
     """
 
     encoder: MlpSpec
     denoiser: MlpSpec
     discriminator: MlpSpec
-    params: dict
+    params: Mapping
     cfg: TrainConfig
     schedule: DiffusionSchedule
     retargeter: KeypointRetargeter | None = None
-    _chain: _Chain | None = field(default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        params = dict(self.params)
+        for spec in (self.encoder, self.denoiser, self.discriminator):
+            check_params(spec, params)
+        emb = self.encoder.widths[-1]
+        width = self.target_dim + emb + 2 * data.N_TRACK_KEYPOINTS + TIME_EMBED_DIM
+        if width != self.denoiser.widths[0]:
+            raise ShapeMismatchError(
+                f"denoiser input width {width} does not match spec width "
+                f"{self.denoiser.widths[0]}")
+        if self.discriminator.widths[0] != emb:
+            raise ShapeMismatchError(
+                f"discriminator input width {self.discriminator.widths[0]} does not match "
+                f"the encoder's output width {emb}")
+        for arr in params.values():
+            arr.flags.writeable = False
+        object.__setattr__(self, "params", MappingProxyType(params))
 
     @property
     def image_dim(self) -> int:
@@ -187,13 +207,29 @@ class PolicyModel:
     def target_dim(self) -> int:
         return self.denoiser.widths[-1]
 
+    @functools.cached_property
+    def _chain(self) -> tuple:
+        """The sampler's weight-only state, (params, time_term), read-only.
 
-def build_model(cfg: TrainConfig, image_dim: int, target_dim: int | None = None,
-                schedule: DiffusionSchedule | None = None,
-                retargeter: KeypointRetargeter | None = None) -> PolicyModel:
-    """Fresh model with seed-derived initialization for each net."""
-    if target_dim is None:
-        target_dim = cfg.target_dim
+        params: float32 copies of layer 0's x_t block (`denoiser/w0` rows :d)
+        and of every denoiser parameter past layer 0. time_term: the float64
+        (num_steps, hidden) product timestep_table(num_steps) @ w0[time rows].
+        """
+        d = self.target_dim
+        w0 = self.params["denoiser/w0"]
+        params = {name: self.params[name].astype(np.float32)
+                  for name in self.denoiser.param_shapes()
+                  if name not in ("denoiser/w0", "denoiser/b0")}
+        params["denoiser/w0"] = w0[:d].astype(np.float32)
+        time_term = timestep_table(self.schedule.num_steps) @ w0[-TIME_EMBED_DIM:]
+        for arr in (*params.values(), time_term):
+            arr.flags.writeable = False
+        return params, time_term
+
+
+def _specs(cfg: TrainConfig, image_dim: int, target_dim: int) -> tuple:
+    """The (encoder, denoiser, discriminator) specs of a model with cfg's
+    widths that reads image_dim feature cells and predicts target_dim values."""
     cond_dim = target_dim + cfg.embed_dim + 2 * data.N_TRACK_KEYPOINTS + TIME_EMBED_DIM
     # bounded embedding head: with an unbounded output the task loss can
     # inflate embedding scale along embodiment-separating directions, where
@@ -205,12 +241,19 @@ def build_model(cfg: TrainConfig, image_dim: int, target_dim: int | None = None,
                        ("relu",) * len(cfg.denoiser_hidden) + ("identity",), name="denoiser")
     disc = MlpSpec((cfg.embed_dim, *cfg.disc_hidden, 1),
                    ("relu",) * len(cfg.disc_hidden) + ("identity",), name="disc")
+    return encoder, denoiser, disc
+
+
+def build_model(cfg: TrainConfig, image_dim: int, target_dim: int | None = None,
+                schedule: DiffusionSchedule | None = None,
+                retargeter: KeypointRetargeter | None = None) -> PolicyModel:
+    """Fresh model with seed-derived initialization for each net."""
+    specs = _specs(cfg, image_dim, cfg.target_dim if target_dim is None else target_dim)
     seeds = np.random.SeedSequence(cfg.seed).generate_state(3)
     params = {}
-    for spec, s in zip((encoder, denoiser, disc), seeds):
+    for spec, s in zip(specs, seeds):
         params.update(init_params(spec, int(s)))
-    return PolicyModel(encoder, denoiser, disc, params,
-                       cfg, schedule or DiffusionSchedule(), retargeter)
+    return PolicyModel(*specs, params, cfg, schedule or DiffusionSchedule(), retargeter)
 
 
 def _retarget_flat(retargeter, kps_batch: np.ndarray) -> np.ndarray:
@@ -225,16 +268,14 @@ def _timestep_weights(schedule: DiffusionSchedule) -> np.ndarray:
     return w / w.sum()
 
 
-def train_step(model: PolicyModel, batch: data.TrainingRows, rng,
-               opt: Adam | None = None) -> LossReport:
-    """One optimizer step on a human-first batch of rows; updates
-    model.params in place.
+def train_step(model: PolicyModel, batch: data.TrainingRows, rng, opt: Adam) -> tuple:
+    """One optimizer step on a human-first batch of rows. Returns (the
+    model with the stepped params, LossReport).
 
-    Loss weights come from model.cfg, noise levels from model.schedule. Pass
-    the same Adam across calls to keep its moments; a fresh one is created
-    per call otherwise (single-step usage, tests). Each loss returns its own
-    gradient and tensor.backward carries it back through each net; a net
-    whose term is off gets zero gradients.
+    Loss weights come from model.cfg, noise levels from model.schedule, and
+    opt keeps its moments across calls. Each loss returns its own gradient
+    and tensor.backward carries it back through each net; a net whose term
+    is off gets zero gradients.
     """
     cfg, schedule = model.cfg, model.schedule
     params = model.params
@@ -292,9 +333,8 @@ def train_step(model: PolicyModel, batch: data.TrainingRows, rng,
         raise NonFiniteError(f"non-finite training loss {total}")
 
     enc_grads, _ = T.backward(model.encoder, params, enc_cache, g_emb)
-    opt = opt if opt is not None else Adam(cfg.learning_rate)
-    model.params = opt.step(params, {**enc_grads, **den_grads, **disc_grads})
-    return LossReport(mse, kl_value, da_value, accuracy, total)
+    params = opt.step(params, {**enc_grads, **den_grads, **disc_grads})
+    return replace(model, params=params), LossReport(mse, kl_value, da_value, accuracy, total)
 
 
 def _mixed_batches(n_human: int, n_robot: int, batch_size: int, rng) -> list:
@@ -323,9 +363,9 @@ def _mixed_batches(n_human: int, n_robot: int, batch_size: int, rng) -> list:
     return [idx[s:s + batch_size] for s in range(0, len(idx), batch_size)]
 
 
-def train_epochs(model: PolicyModel, rows: data.TrainingRows):
-    """The epoch loop: yields one log entry per epoch, once model.params hold
-    that epoch's result.
+def train_epochs(model: PolicyModel, rows: data.TrainingRows, log_fn=None) -> tuple:
+    """The epoch loop. Returns (the model after the last epoch, per-epoch
+    log); log_fn, if given, receives each log entry as its epoch ends.
 
     Runs model.cfg's epochs with one Adam for the whole run, its learning
     rate on a cosine decay to 5%; each batch gathers the rows that
@@ -338,10 +378,10 @@ def train_epochs(model: PolicyModel, rows: data.TrainingRows):
     and gets an exactly zero gradient, so its encoder/w0 row keeps its
     initial value whatever the loop does. The steps therefore run on a view
     of the model whose encoder reads the lit cells alone, fed the pool's lit
-    image columns. model.params take the view's params at each epoch's end,
-    with the full encoder/w0 rebuilt from the initial one, so the model keeps
-    its full input width and a cell no row lit still meets its initial
-    weights. A pool that lights no cell raises EmptyDatasetError.
+    image columns. The model returned takes the view's params, with the full
+    encoder/w0 rebuilt from the initial one, so it keeps its full input
+    width and a cell no row lit still meets its initial weights. A pool that
+    lights no cell raises EmptyDatasetError.
     """
     cfg = model.cfg
     lit = np.flatnonzero(rows.images.any(axis=0))
@@ -354,22 +394,27 @@ def train_epochs(model: PolicyModel, rows: data.TrainingRows):
     rng = np.random.default_rng([cfg.seed, _TRAIN_STREAM])
     opt = Adam(cfg.learning_rate)
     n_robot = len(rows) - rows.n_human
+    log = []
     for epoch in range(cfg.epochs):
         # cosine decay to 5%: late epochs at full lr kick the loss out of
         # the basin every few hundred steps
         frac = epoch / max(1, cfg.epochs - 1)
         opt.learning_rate = cfg.learning_rate * (
             0.05 + 0.95 * 0.5 * (1.0 + np.cos(np.pi * frac)))
-        reports = [train_step(view, rows.take(idx), rng, opt)
-                   for idx in _mixed_batches(rows.n_human, n_robot, cfg.batch_size, rng)]
-        w0 = w0.copy()
-        w0[lit] = view.params["encoder/w0"]
-        model.params = {**view.params, "encoder/w0": w0}
+        reports = []
+        for idx in _mixed_batches(rows.n_human, n_robot, cfg.batch_size, rng):
+            view, report = train_step(view, rows.take(idx), rng, opt)
+            reports.append(report)
         entry = {"epoch": epoch}
         for key in ("mse", "kl", "da", "disc_accuracy", "total"):
             vals = [getattr(r, key) for r in reports if getattr(r, key) is not None]
             entry[key] = float(np.mean(vals)) if vals else None
-        yield entry
+        log.append(entry)
+        if log_fn is not None:
+            log_fn(entry)
+    w0 = w0.copy()
+    w0[lit] = view.params["encoder/w0"]
+    return replace(model, params={**view.params, "encoder/w0": w0}), log
 
 
 def train(dataset_human, dataset_robot, cfg: TrainConfig,
@@ -397,56 +442,7 @@ def train(dataset_human, dataset_robot, cfg: TrainConfig,
     retargeter = KeypointRetargeter.fit(rows.keypoints[:rows.n_human], cfg.seed) \
         if human else None
     model = build_model(cfg, rows.images.shape[1], schedule=schedule, retargeter=retargeter)
-    log = []
-    for entry in train_epochs(model, rows):
-        log.append(entry)
-        if log_fn is not None:
-            log_fn(entry)
-    return model, log
-
-
-@dataclass(frozen=True)
-class _Chain:
-    """The sampler's weight-only state for one model.
-
-    params: float32 copies of layer 0's x_t block (`denoiser/w0` rows :d)
-    and of every denoiser parameter past layer 0, all read-only. time_term:
-    the float64 (num_steps, hidden) product timestep_table(num_steps) @
-    w0[time rows]. sources: the model.params arrays it was built from, in
-    the spec's parameter order, to tell when they have been replaced.
-    """
-
-    denoiser: MlpSpec
-    schedule: DiffusionSchedule
-    sources: tuple
-    params: dict
-    time_term: np.ndarray
-
-
-def _chain(model: PolicyModel) -> _Chain:
-    """model's `_Chain`, rebuilt when a denoiser array, the denoiser spec or
-    the schedule is not the object it was built from."""
-    sources = tuple(model.params[name] for name in model.denoiser.param_shapes())
-    chain = model._chain
-    if (chain is not None and chain.denoiser is model.denoiser
-            and chain.schedule is model.schedule
-            and all(a is b for a, b in zip(chain.sources, sources))):
-        return chain
-    # a write into a source array would leave the copies stale, so the
-    # sources become read-only and such a write raises
-    for arr in sources:
-        arr.flags.writeable = False
-    d = model.target_dim
-    w0 = model.params["denoiser/w0"]
-    params = {name: model.params[name].astype(np.float32)
-              for name in model.denoiser.param_shapes()
-              if name not in ("denoiser/w0", "denoiser/b0")}
-    params["denoiser/w0"] = w0[:d].astype(np.float32)
-    time_term = timestep_table(model.schedule.num_steps) @ w0[-TIME_EMBED_DIM:]
-    for arr in (*params.values(), time_term):
-        arr.flags.writeable = False
-    model._chain = _Chain(model.denoiser, model.schedule, sources, params, time_term)
-    return model._chain
+    return train_epochs(model, rows, log_fn)
 
 
 @functools.lru_cache(maxsize=2)
@@ -465,11 +461,11 @@ def sample_flat(model: PolicyModel, feature_image, keypoints,
     policy splits it into offsets and grasp logits (`sample`); the
     6DoF-delta baseline reads its action rows straight out of it.
 
-    Validated on every draw: the keypoints' shape, the denoiser's parameter
-    shapes, the width of its input row and the finiteness of the fixed
-    conditioning (embedding and retargeted keypoints). The input row is
-    [x_t | conditioning | timestep features] and only x_t varies within a
-    draw, so layer 0's other terms are summed into a (num_steps, hidden)
+    Validated on every draw: the keypoints' shape and the finiteness of the
+    fixed conditioning (embedding and retargeted keypoints); the model's
+    shapes were checked when it was built. The input row is [x_t |
+    conditioning | timestep features] and only x_t varies within a draw, so
+    layer 0's other terms are summed into a (num_steps, hidden)
     table whose row t is step t's layer-0 bias: the model's cached timestep
     term plus this draw's conditioning term plus `denoiser/b0`, in float64.
     Each step runs the denoiser on x_t alone through `apply`, whose
@@ -479,17 +475,14 @@ def sample_flat(model: PolicyModel, feature_image, keypoints,
 
     The denoiser chain runs in float32. The float32 weights (layer 0's x_t
     block and every later layer) and the timestep term depend only on the
-    weights, so they are built once per model (`_Chain`) and rebuilt when
-    training, a load or an assignment replaces a denoiser array, its spec or
-    the schedule; the model's denoiser arrays are read-only from the first
-    draw on, so an in-place write raises instead of leaving the copies
-    stale. Per draw only the bias table is cast, and each step casts x_t on
-    its way in; the sampler assigns the float32 clean prediction into its
-    float64 scratch and scales it there, so the result is float64. A NaN or
-    Inf weight stays non-finite in float32 and is caught as before. x_T and
-    the step noise depend only on (schedule, target width, seed) and are
-    drawn once for the last two such keys, so the second view of a replan
-    reuses the first view's draw.
+    weights, which a model never changes, so its first draw builds them
+    (`PolicyModel._chain`). Per draw only the bias table is cast, and each
+    step casts x_t on its way in; the sampler assigns the float32 clean
+    prediction into its float64 scratch and scales it there, so the result
+    is float64. A NaN or Inf weight stays non-finite in float32 and is
+    caught. x_T and the step noise depend only on (schedule, target width,
+    seed) and are drawn once for the last two such keys, so the second view
+    of a replan reuses the first view's draw.
     """
     schedule = model.schedule
     kps = np.asarray(keypoints, dtype=np.float64)
@@ -499,19 +492,13 @@ def sample_flat(model: PolicyModel, feature_image, keypoints,
     d = model.target_dim
     cond = np.concatenate([forward(model.encoder, model.params, img),
                            _retarget_flat(model.retargeter, kps[None])], axis=1)
-    check_params(model.denoiser, model.params)
-    width = d + cond.shape[1] + TIME_EMBED_DIM
-    if width != model.denoiser.widths[0]:
-        raise ShapeMismatchError(
-            f"denoiser input width {width} does not match spec width "
-            f"{model.denoiser.widths[0]}")
     if has_nonfinite(cond):
         raise NonFiniteError("non-finite conditioning (embedding or keypoints)")
-    chain = _chain(model)
-    pre = chain.time_term + cond @ model.params["denoiser/w0"][d:-TIME_EMBED_DIM]
+    weights, time_term = model._chain
+    pre = time_term + cond @ model.params["denoiser/w0"][d:-TIME_EMBED_DIM]
     pre += model.params["denoiser/b0"]
     pre = pre.astype(np.float32)
-    params = dict(chain.params)
+    params = dict(weights)
 
     def clean_fn(x, t):
         params["denoiser/b0"] = pre[t]
@@ -553,23 +540,29 @@ def save_policy(path, model: PolicyModel) -> None:
 
 
 def load_policy(path) -> PolicyModel:
+    """Inverse of save_policy. The wrong kind, a missing or malformed meta
+    value, a missing, unexpected or misshapen array or a corrupt container
+    raise SchemaMismatchError."""
     kind, meta, arrays = load_checkpoint(path)
     if kind != CHECKPOINT_KIND:
         raise SchemaMismatchError(f"expected a {CHECKPOINT_KIND!r} checkpoint, got {kind!r}")
     check_keys(meta, [f.name for f in fields(TrainConfig)] + [
         "image_dim", "target_dim", "num_steps", "beta_start", "beta_end"], "policy checkpoint meta")
-    cfg = TrainConfig(**{f.name: meta[f.name] for f in fields(TrainConfig)})
-    schedule = DiffusionSchedule(meta["num_steps"], meta["beta_start"], meta["beta_end"])
-    # built first for its parameter names: every missing or unexpected array
-    # is named in one SchemaMismatchError before any array is used
-    model = build_model(cfg, meta["image_dim"], target_dim=meta["target_dim"], schedule=schedule)
-    retarget_names = [f"retargeter:{name}" for name in RETARGET_SPEC.param_shapes()] \
-        if meta.get("has_retargeter") else []
-    check_array_names(arrays, [*model.params, *retarget_names], f"{path}: policy checkpoint")
-    for spec in (model.encoder, model.denoiser, model.discriminator):
-        check_params(spec, arrays)
-    params = {name: arr for name, arr in arrays.items() if name in model.params}
-    retargeter = KeypointRetargeter(
-        {name.split(":", 1)[1]: arrays[name] for name in retarget_names}) \
-        if retarget_names else None
-    return replace(model, params=params, retargeter=retargeter)
+    try:
+        cfg = TrainConfig(**{f.name: meta[f.name] for f in fields(TrainConfig)})
+        schedule = DiffusionSchedule(meta["num_steps"], meta["beta_start"], meta["beta_end"])
+        specs = _specs(cfg, meta["image_dim"], meta["target_dim"])
+    except (TypeError, ValueError) as err:
+        raise SchemaMismatchError(f"{path}: policy checkpoint meta: {err}") from err
+    names = [name for spec in specs for name in spec.param_shapes()]
+    retarget = {f"retargeter:{name}": name for name in RETARGET_SPEC.param_shapes()} \
+        if meta.get("has_retargeter") else {}
+    # every missing or unexpected array is named in one error before any is used
+    check_array_names(arrays, [*names, *retarget], f"{path}: policy checkpoint")
+    try:
+        retargeter = KeypointRetargeter({name: arrays[key] for key, name in retarget.items()}) \
+            if retarget else None
+        return PolicyModel(*specs, {name: arrays[name] for name in names},
+                           cfg, schedule, retargeter)
+    except ShapeMismatchError as err:
+        raise SchemaMismatchError(f"{path}: policy checkpoint: {err}") from err

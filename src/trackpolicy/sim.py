@@ -241,10 +241,12 @@ class TaskSpec:
         for name in ("object_box_low", "object_box_high", "goal_center"):
             object.__setattr__(self, name,
                                np.asarray(getattr(self, name), dtype=np.float64).reshape(3))
-        if self.horizon < 1:
-            raise ValueError("episode horizon must be >= 1")
-        if self.success_radius <= 0:
-            raise ValueError("success radius must be positive")
+        if (isinstance(self.horizon, bool) or not isinstance(self.horizon, (int, np.integer))
+                or self.horizon < 1):
+            raise ValueError(f"episode horizon must be an integer >= 1, got {self.horizon!r}")
+        # written so that NaN fails it
+        if not 0 < self.success_radius < np.inf:
+            raise ValueError(f"success radius must be finite and > 0, got {self.success_radius!r}")
 
 
 OBJECT_HALF_EXTENTS = np.array([0.03, 0.03, 0.03])

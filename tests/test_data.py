@@ -357,6 +357,24 @@ MALFORMED = [
      "grasps must be 0 or 1, view ids integers"),
     ("NaN view id", None, lambda a: {**a, "0/view_ids": a["0/view_ids"] * np.nan},
      "grasps must be 0 or 1, view ids integers"),
+    *[(f"fx of {value!r}", lambda m, value=value: {"demos": [m["demos"][0], {
+        **m["demos"][1], "intrinsics": [{**m["demos"][1]["intrinsics"][0], "fx": value},
+                                        m["demos"][1]["intrinsics"][1]]}]}, None, message)
+      for value, message in (("abc", "demo 1: '<' not supported"),
+                             (None, "demo 1: '<' not supported"),
+                             ([1], "demo 1: '<' not supported"),
+                             (float("nan"), "demo 1: focal lengths must be finite and positive"),
+                             (float("inf"), "demo 1: focal lengths must be finite and positive"),
+                             (0.0, "demo 1: focal lengths must be finite and positive"))],
+    ("unknown embodiment", lambda m: {"demos": [{**m["demos"][0], "embodiment": "alien"},
+                                                m["demos"][1]]}, None,
+     "demo 0: unknown embodiment 'alien'"),
+    ("task not a string", lambda m: {"demos": [m["demos"][0], {**m["demos"][1], "task": 3}]},
+     None, "demo 1: task must be a string and seed an integer"),
+    *[(f"seed of {value!r}", lambda m, value=value: {"demos": [
+        {**m["demos"][0], "seed": value}, m["demos"][1]]}, None,
+       "demo 0: task must be a string and seed an integer")
+      for value in (1.5, "7", True, None)],
 ]
 
 

@@ -62,7 +62,8 @@ def test_schedule_validation():
     with pytest.raises(ValueError):
         DiffusionSchedule(10, 0.1, 1.0)
     # the step count sizes the tables and keys the policy's noise cache
-    for bad in (2.5, 10.0, float("nan")):
+    # and no bool: num_steps=True is no 1-step schedule
+    for bad in (2.5, 10.0, float("nan"), True, False):
         with pytest.raises(ValueError, match="num_steps"):
             DiffusionSchedule(bad)
     assert DiffusionSchedule(np.int64(10)).betas.shape == (10,)

@@ -14,6 +14,8 @@ Independent oracles used here:
     the noisy rigid-fit case.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -176,6 +178,14 @@ def rmsd(transform, src, dst):
 
 # ---------------------------------------------------------------------------
 # projection
+
+
+def test_intrinsics_reject_non_finite_or_non_positive_focal_lengths():
+    for fx, fy in ((0.0, 100.0), (-1.0, 100.0), (100.0, np.nan), (np.nan, 100.0),
+                   (np.inf, 100.0), (100.0, -np.inf)):
+        with pytest.raises(ValueError, match="focal lengths must be finite and positive"):
+            replace(INTR, fx=fx, fy=fy)
+    assert replace(INTR, fx=1e-9).fx == 1e-9
 
 
 def test_project_on_axis():

@@ -6,11 +6,13 @@ bit for bit: a fixed seed must reproduce training logs, samples, chunks,
 rollouts and checkpoints exactly, and the sampler must equal a step-by-step
 reference that rebuilds every per-step constant and runs the denoiser in
 float32 where the sampler does; the float64 references, draws and rollouts
-stay within float32 rounding of it. A draw validates the
-denoiser's parameters and its fixed conditioning before the first step. The
-sampler's float32 weights are built once per model and must follow any
-replacement of its denoiser arrays or schedule, and the two views of a
-replan share one noise draw.
+stay within float32 rounding of it. A model is a checked value: building one
+rejects misshapen or mismatched nets and freezes its weights, and a draw
+validates its fixed conditioning before the first step. The sampler's
+float32 weights are built once per model, a `replace` copy with other
+weights or another schedule builds its own, and the two views of a replan
+share one noise draw. Loading a checkpoint draws no initial weights and
+turns every malformed meta value or array into SchemaMismatchError.
 The co-training step's gradients are checked against finite differences of
 the objective each net descends, and the epoch loop, which trains only the
 feature cells its pool lights, against a full-width reference loop.
@@ -233,7 +235,7 @@ def test_train_step_gets_the_rows_per_sample_stacking_builds(demos, monkeypatch)
     seen, fitted = [], []
     train_step, fit = policy.train_step, KeypointRetargeter.fit
 
-    def record_step(model, batch, rng, opt=None):
+    def record_step(model, batch, rng, opt):
         seen.append(batch)
         return train_step(model, batch, rng, opt)
 
@@ -280,8 +282,8 @@ def test_training_leaves_unlit_encoder_rows_at_their_initial_values(demos, train
 
 
 def reference_train(model, rows):
-    """The epoch loop at full width: every step runs the whole encoder, and
-    model.params update after every step. Returns the per-epoch log."""
+    """The epoch loop at full width: every step runs the whole encoder and
+    returns the next model. Returns (the last model, per-epoch log)."""
     cfg = model.cfg
     rng = np.random.default_rng([cfg.seed, policy._TRAIN_STREAM])
     opt = nn.Adam(cfg.learning_rate)
@@ -290,12 +292,14 @@ def reference_train(model, rows):
         frac = epoch / max(1, cfg.epochs - 1)
         opt.learning_rate = cfg.learning_rate * (
             0.05 + 0.95 * 0.5 * (1.0 + np.cos(np.pi * frac)))
-        reports = [policy.train_step(model, rows.take(idx), rng, opt) for idx in
-                   policy._mixed_batches(rows.n_human, len(rows) - rows.n_human,
-                                         cfg.batch_size, rng)]
+        reports = []
+        for idx in policy._mixed_batches(rows.n_human, len(rows) - rows.n_human,
+                                         cfg.batch_size, rng):
+            model, report = policy.train_step(model, rows.take(idx), rng, opt)
+            reports.append(report)
         log.append({"epoch": epoch, **{key: float(np.mean([getattr(r, key) for r in reports]))
                                        for key in ("mse", "kl", "da", "disc_accuracy", "total")}})
-    return log
+    return model, log
 
 
 def test_lit_training_matches_the_full_width_loop(demos, trained):
@@ -304,8 +308,8 @@ def test_lit_training_matches_the_full_width_loop(demos, trained):
     model, log = trained
     rows = data.TrainingRows.join([data.chunk(d, CFG.horizon) for d in human + robot])
     retargeter = KeypointRetargeter.fit(rows.keypoints[:rows.n_human], CFG.seed)
-    ref = policy.build_model(CFG, rows.images.shape[1], schedule=SCHEDULE, retargeter=retargeter)
-    ref_log = reference_train(ref, rows)
+    ref, ref_log = reference_train(policy.build_model(
+        CFG, rows.images.shape[1], schedule=SCHEDULE, retargeter=retargeter), rows)
     assert [e.keys() for e in log] == [e.keys() for e in ref_log]
     for entry, ref_entry in zip(log, ref_log):
         for key, value in entry.items():
@@ -408,9 +412,9 @@ def test_train_step_gradients_match_finite_differences(demos):
 
     def gradcheck(names, objective):
         def loss_fn(params):
-            model.params = {**base, **params}
+            probed = replace(model, params={**base, **params})
             # a fresh rng per call freezes the timestep and noise draw
-            report = policy.train_step(model, batch, np.random.default_rng(0), opt)
+            _, report = policy.train_step(probed, batch, np.random.default_rng(0), opt)
             return objective(report), {name: opt.grads[name] for name in params}
         return nn.finite_difference_check(loss_fn, {name: base[name] for name in names},
                                           np.random.default_rng(2), n_probes=20)
@@ -435,8 +439,7 @@ def test_train_step_gradients_match_finite_differences(demos):
 
 def test_train_step_raises_when_a_layer_overflows(demos):
     # finite parameters whose products overflow: the check on each layer's
-    # output, or the one on the loss, trips before any optimizer step, so no
-    # parameter moves
+    # output, or the one on the loss, trips before any optimizer step
     human, robot = demos
     batch = first_rows(human, robot, CFG.horizon)
     for overrides, message in (
@@ -448,16 +451,13 @@ def test_train_step_raises_when_a_layer_overflows(demos):
             # a finite ~1e200 prediction whose square overflows
             ({"denoiser/b1": 1e200}, "non-finite training loss")):
         model = policy.build_model(CFG, batch.images.shape[1], schedule=SCHEDULE)
-        for name, value in overrides.items():
-            model.params[name] = np.full_like(model.params[name], value)
-        before = dict(model.params)
+        model = replace(model, params={**model.params, **{
+            name: np.full_like(model.params[name], value) for name, value in overrides.items()}})
         opt = RecordingOptimizer()
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NonFiniteError, match=message):
                 policy.train_step(model, batch, np.random.default_rng(0), opt)
         assert not hasattr(opt, "grads"), message
-        assert model.params.keys() == before.keys()
-        assert all(model.params[name] is arr for name, arr in before.items()), message
 
 
 def test_sample_is_bit_identical_for_a_seed(trained):
@@ -544,6 +544,64 @@ def test_load_policy_names_unexpected_arrays(trained, tmp_path):
     with pytest.raises(SchemaMismatchError, match=r"missing arrays \[\], unexpected arrays "
                        r"\['denoiser/w9', 'retargeter:scale'\]"):
         policy.load_policy(bad)
+
+
+def test_load_policy_draws_no_initial_weights(trained, tmp_path, monkeypatch):
+    model, _ = trained
+    path = tmp_path / "policy.ckpt"
+    policy.save_policy(path, model)
+
+    def fail(*args):
+        raise AssertionError("load_policy drew initial weights")
+
+    monkeypatch.setattr(policy, "init_params", fail)
+    loaded = policy.load_policy(path)
+    assert loaded.params.keys() == model.params.keys()
+    for name, value in model.params.items():
+        assert same_bytes(loaded.params[name], value), name
+
+
+def _reshaped(arrays, name, grow):
+    return {**arrays, name: np.zeros(arrays[name].size + grow)}
+
+
+# (what the rewrite does, meta edit, array edit, message)
+MALFORMED_POLICY = [
+    ("image_dim as a string", lambda m: {**m, "image_dim": "12"}, None,
+     "meta: widths must be integers"),
+    ("fractional image_dim", lambda m: {**m, "image_dim": 12.5}, None,
+     "meta: widths must be integers"),
+    ("num_steps true", lambda m: {**m, "num_steps": True}, None, "meta: num_steps"),
+    ("beta_end as a string", lambda m: {**m, "beta_end": "x"}, None, "meta: '<=' not supported"),
+    ("target_dim as a string", lambda m: {**m, "target_dim": "7"}, None, "meta: can only"),
+    ("horizon as a string", lambda m: {**m, "horizon": "16"}, None, "meta: horizon"),
+    ("encoder_hidden not a list", lambda m: {**m, "encoder_hidden": 16}, None,
+     "meta: 'int' object is not iterable"),
+    ("wrong target_dim", lambda m: {**m, "target_dim": m["target_dim"] - 1}, None,
+     r"policy checkpoint: denoiser/w0: expected shape"),
+    ("wrong image_dim", lambda m: {**m, "image_dim": m["image_dim"] + 1}, None,
+     r"policy checkpoint: encoder/w0: expected shape"),
+    ("long denoiser bias", None, lambda a: _reshaped(a, "denoiser/b0", 1),
+     r"policy checkpoint: denoiser/b0: expected shape \(32,\), got \(33,\)"),
+    ("short retargeter bias", None, lambda a: _reshaped(a, "retargeter:retargeter/b2", -1),
+     r"policy checkpoint: retargeter/b2: expected shape"),
+]
+
+
+@pytest.mark.parametrize("edit_meta, edit_arrays, message",
+                         [case[1:] for case in MALFORMED_POLICY],
+                         ids=[case[0] for case in MALFORMED_POLICY])
+def test_load_policy_rejects_malformed_meta_and_arrays(trained, tmp_path, edit_meta, edit_arrays,
+                                                       message):
+    path = tmp_path / "policy.ckpt"
+    policy.save_policy(path, trained[0])
+    kind, meta, arrays = nn.load_checkpoint(path)
+    nn.save_checkpoint(path, kind, edit_meta(meta) if edit_meta else meta,
+                       edit_arrays(arrays) if edit_arrays else arrays)
+    with pytest.raises(SchemaMismatchError, match=message) as info:
+        policy.load_policy(path)
+    # chained from the error that found it
+    assert isinstance(info.value.__cause__, (TypeError, ValueError, ShapeMismatchError))
 
 
 def reference_sample_flat(model, img, kn, seed, dtype=np.float32):
@@ -672,27 +730,33 @@ def test_sample_flat_follows_replaced_denoiser_weights_and_schedule(trained):
     model = replace(trained[0])
     _, img, kn = observation()
     before = policy.sample_flat(model, img, kn, seed=3)
-    w1 = model.params["denoiser/w1"]
-    model.params = {**model.params, "denoiser/w1": 2 * w1}
-    got = policy.sample_flat(model, img, kn, seed=3)
+    doubled = with_param(model, "denoiser/w1", 2 * model.params["denoiser/w1"])
+    got = policy.sample_flat(doubled, img, kn, seed=3)
     assert not np.array_equal(got, before)
-    assert np.array_equal(got, reference_sample_flat(model, img, kn, 3))
-    model.schedule = DiffusionSchedule(num_steps=4)
-    got = policy.sample_flat(model, img, kn, seed=3)
-    assert np.array_equal(got, reference_sample_flat(model, img, kn, 3))
+    assert np.array_equal(got, reference_sample_flat(doubled, img, kn, 3))
+    shorter = replace(doubled, schedule=DiffusionSchedule(num_steps=4))
+    got = policy.sample_flat(shorter, img, kn, seed=3)
+    assert np.array_equal(got, reference_sample_flat(shorter, img, kn, 3))
+    # the copies leave the first model's draw as it was
+    assert np.array_equal(policy.sample_flat(model, img, kn, seed=3), before)
 
 
-def test_denoiser_weights_are_read_only_after_a_draw(trained):
-    # the cached float32 copies would go stale under an in-place write
-    model = replace(trained[0])
-    model.params = {**model.params, **{name: model.params[name].copy()
-                                       for name in model.denoiser.param_shapes()}}
-    assert all(model.params[name].flags.writeable for name in model.denoiser.param_shapes())
-    _, img, kn = observation()
-    policy.sample_flat(model, img, kn, seed=1)
-    for name in model.denoiser.param_shapes():
+def test_model_weights_are_read_only_from_construction(trained):
+    # the sampler's cached float32 copies would go stale under a write
+    fresh = {name: arr.copy() for name, arr in trained[0].params.items()}
+    assert all(arr.flags.writeable for arr in fresh.values())
+    model = replace(trained[0], params=fresh)
+    assert model.params.keys() == fresh.keys()
+    for name, arr in model.params.items():
         with pytest.raises(ValueError, match="read-only"):
-            model.params[name][0] = 0.0
+            arr[0] = 0.0
+    # a later change to the dict it was built from does not reach the model
+    fresh["denoiser/w1"] = np.zeros(1)
+    assert model.params["denoiser/w1"].shape == trained[0].params["denoiser/w1"].shape
+    with pytest.raises(TypeError):
+        model.params["denoiser/w1"] = np.zeros(1)
+    with pytest.raises(AttributeError):
+        model.params = {}
 
 
 def test_a_replan_draws_its_noise_once(trained, monkeypatch):
@@ -729,18 +793,23 @@ def with_param(model, name, value):
     return replace(model, params=params)
 
 
-def test_sample_flat_rejects_a_misshapen_denoiser_before_stepping(trained, no_sampler_step):
+def test_model_rejects_misshapen_or_mismatched_nets(trained):
     model, _ = trained
-    _, img, kn = observation()
-    bad = with_param(model, "denoiser/b0", np.zeros(model.params["denoiser/b0"].size + 1))
     with pytest.raises(ShapeMismatchError, match="denoiser/b0"):
-        policy.sample_flat(bad, img, kn, seed=1)
+        with_param(model, "denoiser/b0", np.zeros(model.params["denoiser/b0"].size + 1))
+    with pytest.raises(ShapeMismatchError, match="missing parameter disc/w0"):
+        replace(model, params={n: a for n, a in model.params.items() if n != "disc/w0"})
     # an encoder one unit wider than the denoiser's embedding block
     wide = nn.MlpSpec(model.encoder.widths[:-1] + (CFG.embed_dim + 1,),
                       model.encoder.activations, name="encoder")
-    bad = replace(model, encoder=wide, params={**model.params, **nn.init_params(wide, 0)})
     with pytest.raises(ShapeMismatchError, match="denoiser input width"):
-        policy.sample_flat(bad, img, kn, seed=1)
+        replace(model, encoder=wide, params={**model.params, **nn.init_params(wide, 0)})
+    # a discriminator that does not read the embedding
+    disc = nn.MlpSpec((CFG.embed_dim + 1, *model.discriminator.widths[1:]),
+                      model.discriminator.activations, name="disc")
+    with pytest.raises(ShapeMismatchError, match="discriminator input width 9 does not match "
+                       "the encoder's output width 8"):
+        replace(model, discriminator=disc, params={**model.params, **nn.init_params(disc, 0)})
 
 
 def test_sample_flat_rejects_keypoints_of_the_wrong_shape_before_stepping(trained,

@@ -603,6 +603,18 @@ def test_human_demo_jitter_is_bounded_and_absent_for_robot():
     assert np.array_equal(robot.frames[0][0].keypoints.points, rkps.points)
 
 
+def test_task_spec_rejects_a_bad_horizon_or_success_radius():
+    task = sim.make_task("reach")
+    # horizon=True is no 1-step episode; NaN fails the radius test too
+    for bad in (0, 2.5, True, np.nan):
+        with pytest.raises(ValueError, match="episode horizon must be an integer >= 1"):
+            replace(task, horizon=bad)
+    for bad in (0.0, -0.01, np.nan, np.inf):
+        with pytest.raises(ValueError, match="success radius must be finite and > 0"):
+            replace(task, success_radius=bad)
+    assert replace(task, horizon=np.int64(1), success_radius=1e-9).horizon == 1
+
+
 def test_script_failure_raises():
     task = replace(sim.make_task("push_right"), horizon=3)
     with pytest.raises(sim.ScriptFailureError):
