@@ -111,7 +111,9 @@ class Demonstration:
     """A full episode: frames[t][v] over time t and camera view v.
 
     Every frame view has frame 0's keypoint count and image shape, so the
-    frames stack into the (T, V, ...) arrays that `save_dataset` writes.
+    frames stack into the (T, V, ...) arrays that `save_dataset` writes. The
+    task name is a string and the seed an integer, not a bool, as the file's
+    meta records them.
     """
 
     embodiment: str
@@ -126,6 +128,10 @@ class Demonstration:
         object.__setattr__(self, "frames", frames)
         object.__setattr__(self, "cameras", tuple(self.cameras))
         object.__setattr__(self, "ee_poses", tuple(self.ee_poses))
+        # save_dataset writes both to the file's meta, the seed through int()
+        if not isinstance(self.task_name, str) or isinstance(self.seed, bool) \
+                or not isinstance(self.seed, (int, np.integer)):
+            raise ValueError("task must be a string and seed an integer")
         if self.embodiment not in EMBODIMENTS:
             raise ValueError(f"unknown embodiment {self.embodiment!r}")
         n_views = len(self.cameras)
@@ -294,8 +300,6 @@ def load_dataset(path) -> list:
     for i, rec in enumerate(meta["demos"]):
         what = f"{path}: demo {i}"
         check_keys(rec, ("embodiment", "task", "seed", "intrinsics"), what)
-        if not isinstance(rec["task"], str) or type(rec["seed"]) is not int:
-            raise SchemaMismatchError(f"{what}: task must be a string and seed an integer")
         a = {name: arrays[f"{i}/{name}"] for name in _LAYOUT}
         dims = {}   # each dim letter bound by its first array
         for name, letters in _LAYOUT.items():

@@ -18,7 +18,10 @@ the sampler the clean one.
 
 Conditioning keypoints always pass through the frozen retargeter first; a
 model built with retargeter=None conditions on raw keypoints (identity
-retargeting, for robot-only ablations).
+retargeting, for robot-only ablations). Training retargets them once per
+pool (`train_epochs`, one `transform_batch` call on every row) and sampling
+once per draw (`sample_flat`); `train_step` retargets its batch only when
+handed a model that carries a retargeter.
 
 Sampling runs the denoiser chain in float32, which halves the weight bytes
 each step's matrix-vector products read. At one row per draw, though, a
@@ -263,9 +266,15 @@ def _retarget_flat(retargeter, kps_batch: np.ndarray) -> np.ndarray:
     return kps_batch.reshape(kps_batch.shape[0], -1)
 
 
+@functools.lru_cache(maxsize=8)
 def _timestep_weights(schedule: DiffusionSchedule) -> np.ndarray:
+    """Read-only training distribution over timesteps, t ~ (1 - abar_t).
+    Cached per schedule, as `diffusion.posterior_coefficients` is: every
+    training step draws from it."""
     w = 1.0 - schedule.alpha_bars
-    return w / w.sum()
+    w = w / w.sum()
+    w.flags.writeable = False
+    return w
 
 
 def train_step(model: PolicyModel, batch: data.TrainingRows, rng, opt: Adam) -> tuple:
@@ -382,6 +391,13 @@ def train_epochs(model: PolicyModel, rows: data.TrainingRows, log_fn=None) -> tu
     encoder/w0 rebuilt from the initial one, so it keeps its full input
     width and a cell no row lit still meets its initial weights. A pool that
     lights no cell raises EmptyDatasetError.
+
+    The retargeter is frozen for the whole loop, so the pool's conditioning
+    keypoints are retargeted once, by one `transform_batch` call on all its
+    rows, rather than by every step on its batch: a row's retargeted
+    keypoints do not depend on the rows retargeted beside it. The view
+    model carries retargeter=None, so `train_step` takes the pool's
+    keypoints as they are; the model returned keeps its retargeter.
     """
     cfg = model.cfg
     lit = np.flatnonzero(rows.images.any(axis=0))
@@ -389,8 +405,11 @@ def train_epochs(model: PolicyModel, rows: data.TrainingRows, log_fn=None) -> tu
         raise EmptyDatasetError("no training row lights any feature cell")
     w0 = model.params["encoder/w0"]
     encoder = replace(model.encoder, widths=(len(lit), *model.encoder.widths[1:]))
-    view = replace(model, encoder=encoder, params={**model.params, "encoder/w0": w0[lit]})
+    view = replace(model, encoder=encoder, params={**model.params, "encoder/w0": w0[lit]},
+                   retargeter=None)
     rows = replace(rows, images=rows.images[:, lit])
+    if model.retargeter is not None:
+        rows = replace(rows, keypoints=model.retargeter.transform_batch(rows.keypoints))
     rng = np.random.default_rng([cfg.seed, _TRAIN_STREAM])
     opt = Adam(cfg.learning_rate)
     n_robot = len(rows) - rows.n_human

@@ -237,6 +237,18 @@ def test_demo_rejects_frames_of_differing_keypoint_counts_or_image_shapes():
                            "push_right", 0, demo.cameras)
 
 
+def test_demo_rejects_a_non_string_task_or_a_non_integer_seed(tmp_path):
+    # save_dataset writes both to the file's meta, the seed through int()
+    cams = sim.default_cameras()
+    for task, seed in ((3, 0), (None, 0), ("reach", 1.5), ("reach", "7"), ("reach", True),
+                       ("reach", None), ("reach", np.float64(2.0))):
+        with pytest.raises(ValueError, match="task must be a string and seed an integer"):
+            data.Demonstration(data.ROBOT, (), task, seed, cams)
+    demo = data.Demonstration(data.ROBOT, (), "reach", np.int64(7), cams)
+    data.save_dataset([demo], tmp_path / "demos.ckpt")
+    assert data.load_dataset(tmp_path / "demos.ckpt")[0].seed == 7
+
+
 def test_frame_view_rejects_a_grasp_outside_0_and_1():
     # the constructor accepts exactly what load_dataset accepts
     kps = data.KeypointSet2D(np.zeros((5, 2)), data.ROBOT)

@@ -188,6 +188,20 @@ def test_intrinsics_reject_non_finite_or_non_positive_focal_lengths():
     assert replace(INTR, fx=1e-9).fx == 1e-9
 
 
+def test_intrinsics_reject_bools_and_non_integer_image_sizes():
+    for name in ("fx", "fy", "cx", "cy", "width", "height"):
+        with pytest.raises(ValueError, match=f"{name} must be a number, not a bool"):
+            replace(INTR, **{name: True})
+    for name, bad in (("width", 128.5), ("height", 128.0), ("width", "128"),
+                      ("height", np.float64(96.0)), ("width", 0), ("height", -3)):
+        with pytest.raises(ValueError, match=f"{name} must be an integer >= 1"):
+            replace(INTR, **{name: bad})
+    # a non-numeric focal length still fails where it is first compared
+    with pytest.raises(TypeError, match="'<' not supported"):
+        replace(INTR, fx="abc")
+    assert replace(INTR, width=np.int64(130), height=1, cy=0.5).width == 130
+
+
 def test_project_on_axis():
     assert np.allclose(project_points((0, 0, 1), INTR, IDENTITY_POSE)[0], (64, 64))
 

@@ -21,7 +21,7 @@ from trackpolicy.errors import (
     has_nonfinite,
 )
 from trackpolicy.nn import tensor as T
-from trackpolicy.nn.optim import BETA1, BETA2, EPS
+from trackpolicy.nn.optim import BETA1, BETA2, BLOCK, EPS
 
 
 # ---------------------------------------------------------------------------
@@ -414,7 +414,11 @@ def test_adam_in_place_moments_match_reference_formula_bitwise():
 
     rng = np.random.default_rng(21)
     params = {"a/w0": rng.normal(size=(5, 3)), "a/b0": rng.normal(size=3),
-              "b/w0": rng.normal(size=(3, 2, 4))}
+              "b/w0": rng.normal(size=(3, 2, 4)),
+              # more than two of Adam's blocks, the last one ragged
+              "c/w0": rng.normal(size=(3, 11000)),
+              # two blocks, its gradient a transposed, non-contiguous view
+              "d/w0": rng.normal(size=(40, 500))}
     ref = {k: (p.copy(), p.copy()) for k, p in params.items()}
     ref_m = {k: np.zeros_like(p) for k, p in params.items()}
     ref_v = {k: np.zeros_like(p) for k, p in params.items()}
@@ -424,6 +428,7 @@ def test_adam_in_place_moments_match_reference_formula_bitwise():
         opt.learning_rate = 1e-2 / t ** 0.5   # a schedule, as training loops use
         grads = {k: rng.normal(size=p.shape) * 10.0 ** rng.integers(-6, 2)
                  for k, p in params.items()}
+        grads["d/w0"] = np.ascontiguousarray(grads["d/w0"].T).T
         before = {k: p.copy() for k, p in params.items()}
         new = opt.step(params, grads)
         ref = reference_step(ref, grads, ref_m, ref_v, t, opt.learning_rate)
@@ -441,6 +446,43 @@ def test_adam_in_place_moments_match_reference_formula_bitwise():
         for k, (m, v) in moments.items():
             assert opt.m[k] is m and opt.v[k] is v
         params = new
+
+
+def test_adam_step_leaves_its_inputs_and_shares_no_scratch():
+    rng = np.random.default_rng(22)
+    params = {"w": rng.normal(size=(3, BLOCK + 5)), "b": rng.normal(size=7)}
+    opt = nn.Adam(learning_rate=1e-2)
+    scratch = opt._scratch
+    for _ in range(3):
+        grads = {"w": rng.normal(size=params["w"].shape), "b": rng.normal(size=7)}
+        before = {k: (params[k].tobytes(), grads[k].tobytes()) for k in params}
+        new = opt.step(params, grads)
+        for k in params:
+            assert (params[k].tobytes(), grads[k].tobytes()) == before[k]
+            for other in (*scratch, params[k], grads[k], opt.m[k], opt.v[k]):
+                assert not np.shares_memory(new[k], other)
+        assert opt._scratch is scratch
+        params = new
+
+
+def test_adam_packing_changes_no_bits_and_fixes_the_parameter_set():
+    # small parameters share packed moments, a pack closing before it would
+    # pass BLOCK elements; each parameter steps as it would alone
+    rng = np.random.default_rng(23)
+    shapes = {"a": (7,), "big": (BLOCK + 5,), "u": (BLOCK - 3,), "c": (2, 5), "d": (3,)}
+    params = {k: rng.normal(size=s) for k, s in shapes.items()}
+    singles = dict(params)
+    together, alone = nn.Adam(1e-2), {k: nn.Adam(1e-2) for k in shapes}
+    for _ in range(3):
+        grads = {k: rng.normal(size=s) for k, s in shapes.items()}
+        params = together.step(params, grads)
+        singles = {k: alone[k].step({k: singles[k]}, {k: grads[k]})[k] for k in shapes}
+        for k in shapes:
+            assert params[k].tobytes() == singles[k].tobytes(), k
+    with pytest.raises(ValueError, match="Adam steps"):
+        together.step({k: params[k] for k in ("a", "c")}, grads)
+    with pytest.raises(ShapeMismatchError, match="moments"):
+        together.step({**params, "d": np.zeros(4)}, {**grads, "d": np.zeros(4)})
 
 
 # ---------------------------------------------------------------------------

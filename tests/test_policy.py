@@ -15,7 +15,8 @@ share one noise draw. Loading a checkpoint draws no initial weights and
 turns every malformed meta value or array into SchemaMismatchError.
 The co-training step's gradients are checked against finite differences of
 the objective each net descends, and the epoch loop, which trains only the
-feature cells its pool lights, against a full-width reference loop.
+feature cells its pool lights and retargets its pool once, against a
+full-width reference loop that retargets every batch.
 """
 
 from dataclasses import replace
@@ -232,7 +233,7 @@ def same_bytes(a, b):
 def test_train_step_gets_the_rows_per_sample_stacking_builds(demos, monkeypatch):
     human, robot = demos
     cfg = replace(CFG, epochs=1)
-    seen, fitted = [], []
+    seen, fitted, retargeters = [], [], []
     train_step, fit = policy.train_step, KeypointRetargeter.fit
 
     def record_step(model, batch, rng, opt):
@@ -241,7 +242,8 @@ def test_train_step_gets_the_rows_per_sample_stacking_builds(demos, monkeypatch)
 
     def record_fit(points, seed=0):
         fitted.append(np.array(points))
-        return fit(points, seed)
+        retargeters.append(fit(points, seed))
+        return retargeters[-1]
 
     monkeypatch.setattr(policy, "train_step", record_step)
     monkeypatch.setattr(KeypointRetargeter, "fit", record_fit)
@@ -253,14 +255,45 @@ def test_train_step_gets_the_rows_per_sample_stacking_builds(demos, monkeypatch)
     lit = np.flatnonzero(pool.any(axis=0))
     assert 0 < len(lit) < pool.shape[1]
     assert len(seen) == len(ref) > 1
+    # the pool is retargeted once, before the steps: each batch holds its
+    # rows' retargeted keypoints, the bits of retargeting the batch alone
+    retargeter, = retargeters
     for batch, (x0, images, kps, n_human) in zip(seen, ref):
         assert batch.n_human == n_human == len(batch) // 2
         assert same_bytes(batch.targets, x0)
         assert same_bytes(batch.images, images[:, lit])
-        assert same_bytes(batch.keypoints, kps)
+        assert same_bytes(batch.keypoints, retargeter.transform_batch(kps))
     # the retargeter trains on every hand frame, view-major within each demo
     frames = np.stack([s[2] for d in human for s in reference_samples(d, cfg.horizon)])
     assert len(fitted) == 1 and same_bytes(fitted[0], frames)
+
+
+def test_training_retargets_the_pool_once(demos, monkeypatch):
+    human, robot = demos
+    cfg = replace(CFG, epochs=1)
+    calls, fitted = [], []
+    transform_batch, fit = KeypointRetargeter.transform_batch, KeypointRetargeter.fit
+
+    def record_transform(self, points):
+        calls.append(len(points))
+        return transform_batch(self, points)
+
+    def record_fit(points, seed=0):
+        fitted.append(fit(points, seed))
+        return fitted[-1]
+
+    monkeypatch.setattr(KeypointRetargeter, "transform_batch", record_transform)
+    monkeypatch.setattr(KeypointRetargeter, "fit", record_fit)
+    model, _ = policy.train(human, robot, cfg, schedule=SCHEDULE)
+    pool = data.TrainingRows.join([data.chunk(d, cfg.horizon) for d in human + robot])
+    # one call on the whole pool, however many steps the epochs take
+    assert calls == [len(pool)]
+    assert len(fitted) == 1 and model.retargeter is fitted[0]
+    # a robot-only run fits no retargeter and so retargets nothing
+    calls.clear()
+    robot_only, _ = policy.train([], robot, replace(cfg, lambda_kl=0.0, lambda_da=0.0),
+                                 schedule=SCHEDULE)
+    assert calls == [] and robot_only.retargeter is None and len(fitted) == 1
 
 
 def test_training_leaves_unlit_encoder_rows_at_their_initial_values(demos, trained, baseline):
