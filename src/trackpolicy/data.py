@@ -287,8 +287,9 @@ def save_dataset(demos, path) -> None:
 
 def load_dataset(path) -> list:
     """Inverse of save_dataset, through the checked constructors. The wrong kind,
-    a missing or malformed meta value or array (dims that disagree, a grasp outside
-    {0, 1}, a value a constructor rejects) or a corrupt container raise SchemaMismatchError."""
+    a missing or malformed meta value or array (dims that disagree, a value a
+    constructor rejects, such as a grasp of 0.5 or a view id of 1.5) or a
+    corrupt container raise SchemaMismatchError."""
     kind, meta, arrays = load_checkpoint(path)
     if kind != DATASET_KIND:
         raise SchemaMismatchError(f"{path}: expected a {DATASET_KIND!r} file, got {kind!r}")
@@ -310,10 +311,6 @@ def load_dataset(path) -> list:
                                           f"expected dims {letters} with {dims}")
         if dims["E"] not in (0, dims["T"]):
             raise SchemaMismatchError(f"{what}: {dims['E']} EE poses for {dims['T']} frames")
-        view_ids = a["view_ids"]
-        if not (np.isin(a["grasps"], (0.0, 1.0)).all() and not has_nonfinite(view_ids)
-                and (view_ids == np.round(view_ids)).all()):
-            raise SchemaMismatchError(f"{what}: grasps must be 0 or 1, view ids integers")
         intrinsics = rec["intrinsics"]
         if not isinstance(intrinsics, list) or len(intrinsics) != dims["V"]:
             raise SchemaMismatchError(f"{what}: needs one intrinsics record per view")
@@ -324,8 +321,8 @@ def load_dataset(path) -> list:
                              RigidTransform(r, t)) for intr, r, t in
                             zip(intrinsics, a["camera_rotations"], a["camera_translations"]))
             frames = tuple(tuple(FrameView(a["images"][t, v], KeypointSet2D(
-                a["keypoints"][t, v], rec["embodiment"], int(view_ids[t, v])),
-                int(a["grasps"][t, v])) for v in range(dims["V"])) for t in range(dims["T"]))
+                a["keypoints"][t, v], rec["embodiment"], a["view_ids"][t, v]),
+                a["grasps"][t, v]) for v in range(dims["V"])) for t in range(dims["T"]))
             ee_poses = tuple(map(RigidTransform, a["ee_rotations"], a["ee_translations"]))
             demos.append(Demonstration(rec["embodiment"], frames, rec["task"], rec["seed"],
                                        cameras, ee_poses))

@@ -239,11 +239,13 @@ def rollout(runner, task: sim.TaskSpec, seed: int,
     anything with .chunk/.horizon. Observes through sim.default_cameras().
     Stops at task success or the task's step budget; logs each executed
     step's mean triangulation residual. The result's `final_object` is the
-    box's final position.
+    box's final position. exec_horizon is an integer in [1, runner.horizon],
+    not a bool (ValueError otherwise, before the episode starts).
     """
-    if not 1 <= exec_horizon <= runner.horizon:
-        raise ValueError(
-            f"exec horizon must be in [1, {runner.horizon}], got {exec_horizon}")
+    if isinstance(exec_horizon, bool) or not isinstance(exec_horizon, (int, np.integer)) \
+            or not 1 <= exec_horizon <= runner.horizon:
+        raise ValueError(f"exec horizon must be an integer in [1, {runner.horizon}], "
+                         f"got {exec_horizon!r}")
     cams = sim.default_cameras()
     state = sim.reset(task, seed)
     residual_log = []

@@ -20,8 +20,8 @@ Conditioning keypoints always pass through the frozen retargeter first; a
 model built with retargeter=None conditions on raw keypoints (identity
 retargeting, for robot-only ablations). Training retargets them once per
 pool (`train_epochs`, one `transform_batch` call on every row) and sampling
-once per draw (`sample_flat`); `train_step` retargets its batch only when
-handed a model that carries a retargeter.
+once per draw (`sample_flat`); `train_step` takes its batch's keypoints as
+they are.
 
 Sampling runs the denoiser chain in float32, which halves the weight bytes
 each step's matrix-vector products read. At one row per draw, though, a
@@ -38,10 +38,12 @@ step noise, a function of the seed alone, are drawn once for the two views
 of a replan, which share their seed.
 
 `train_epochs` is the one training loop, for the track head and the 6DoF
-baseline. It trains only the feature cells its pool lights: a raster cell
-that is zero in every training row cannot move its encoder weights, so the
-steps run on a narrower view of the encoder, and the model keeps its full
-input width with those weights at their initial values.
+baseline; its steps (`train_step`) step a plain weights dict, so a training
+call builds one model, its result. It trains only the feature cells its
+pool lights: a raster cell that is zero in every training row cannot move
+its encoder weights, so the steps run on those cells' rows of encoder/w0,
+and the model keeps its full input width with the other rows at their
+initial values.
 """
 
 from __future__ import annotations
@@ -172,8 +174,8 @@ class PolicyModel:
 
     The denoiser reads [target | embedding | 2k keypoint coordinates |
     timestep features], the discriminator the embedding. params is stored as
-    a read-only mapping of arrays made read-only in place, so `train_step`
-    returns a new model and a `dataclasses.replace` copy is a new model.
+    a read-only mapping of arrays made read-only in place, so a
+    `dataclasses.replace` copy is a new model.
     """
 
     encoder: MlpSpec
@@ -259,44 +261,40 @@ def build_model(cfg: TrainConfig, image_dim: int, target_dim: int | None = None,
     return PolicyModel(*specs, params, cfg, schedule or DiffusionSchedule(), retargeter)
 
 
-def _retarget_flat(retargeter, kps_batch: np.ndarray) -> np.ndarray:
-    """(n, k, 2) conditioning keypoints -> (n, 2k), retargeted if available."""
-    if retargeter is not None:
-        kps_batch = retargeter.transform_batch(kps_batch)
-    return kps_batch.reshape(kps_batch.shape[0], -1)
-
-
 @functools.lru_cache(maxsize=8)
-def _timestep_weights(schedule: DiffusionSchedule) -> np.ndarray:
-    """Read-only training distribution over timesteps, t ~ (1 - abar_t).
-    Cached per schedule, as `diffusion.posterior_coefficients` is: every
-    training step draws from it."""
+def _timestep_cdf(schedule: DiffusionSchedule) -> np.ndarray:
+    """Read-only CDF of the training distribution over timesteps,
+    t ~ (1 - abar_t), cached per schedule: every training step draws from
+    it. `cdf.searchsorted(rng.random(n), side="right")` is what
+    `Generator.choice(num_steps, n, p=w)` computes after validating w."""
     w = 1.0 - schedule.alpha_bars
-    w = w / w.sum()
-    w.flags.writeable = False
-    return w
+    cdf = (w / w.sum()).cumsum()
+    cdf /= cdf[-1]
+    cdf.flags.writeable = False
+    return cdf
 
 
-def train_step(model: PolicyModel, batch: data.TrainingRows, rng, opt: Adam) -> tuple:
-    """One optimizer step on a human-first batch of rows. Returns (the
-    model with the stepped params, LossReport).
+def train_step(params: dict, batch: data.TrainingRows, rng, opt: Adam,
+               model: PolicyModel) -> tuple:
+    """One optimizer step of the weights dict params on a human-first batch
+    of rows. Returns (the stepped params, LossReport).
 
-    Loss weights come from model.cfg, noise levels from model.schedule, and
-    opt keeps its moments across calls. Each loss returns its own gradient
-    and tensor.backward carries it back through each net; a net whose term
-    is off gets zero gradients.
+    model supplies the nets' layer names and activations, the loss weights
+    (cfg) and noise levels (schedule), never its params or retargeter:
+    batch.keypoints condition the denoiser as they are. opt keeps its
+    moments across calls. Each loss returns its own gradient and
+    tensor.backward carries it back through each net; a net whose term is
+    off gets zero gradients.
     """
     cfg, schedule = model.cfg, model.schedule
-    params = model.params
     x0, n_human, n = batch.targets, batch.n_human, len(batch)
 
-    kps_cond = _retarget_flat(model.retargeter, batch.keypoints)
     # The noise-mse seen through the clean-target head weighs clean-target
     # error by abar/(1-abar): ~1e4 near t=0, where x_t ~ x0 makes the job
     # trivial, vs ~0.6 at the noisiest steps that actually decide sample
     # quality.  Drawing t ~ (1-abar) flattens that to ~abar so the
     # conditional map gets gradient parity with the near-identity regime.
-    t = rng.choice(schedule.num_steps, size=n, p=_timestep_weights(schedule))
+    t = _timestep_cdf(schedule).searchsorted(rng.random(n), side="right")
     eps = rng.standard_normal(x0.shape)
     x_t = add_noise(schedule, x0, t, eps)
     temb = timestep_table(schedule.num_steps)[t]
@@ -304,7 +302,7 @@ def train_step(model: PolicyModel, batch: data.TrainingRows, rng, opt: Adam) -> 
     # rows are human-first, so the alignment losses address each embodiment
     # as a row block of the one embedding batch
     emb, enc_cache = apply(model.encoder, params, batch.images)
-    den_in = np.concatenate([x_t, emb, kps_cond, temb], axis=1)
+    den_in = np.concatenate([x_t, emb, batch.keypoints.reshape(n, -1), temb], axis=1)
     clean_hat, den_cache = apply(model.denoiser, params, den_in)
     ab = schedule.alpha_bars[t][:, None]
     sqrt_ab, sqrt_1mab = np.sqrt(ab), np.sqrt(1.0 - ab)
@@ -343,7 +341,7 @@ def train_step(model: PolicyModel, batch: data.TrainingRows, rng, opt: Adam) -> 
 
     enc_grads, _ = T.backward(model.encoder, params, enc_cache, g_emb)
     params = opt.step(params, {**enc_grads, **den_grads, **disc_grads})
-    return replace(model, params=params), LossReport(mse, kl_value, da_value, accuracy, total)
+    return params, LossReport(mse, kl_value, da_value, accuracy, total)
 
 
 def _mixed_batches(n_human: int, n_robot: int, batch_size: int, rng) -> list:
@@ -385,28 +383,26 @@ def train_epochs(model: PolicyModel, rows: data.TrainingRows, log_fn=None) -> tu
     Only the feature cells that some row of the pool lights are trained. A
     cell that is zero in every row adds nothing to the encoder's input layer
     and gets an exactly zero gradient, so its encoder/w0 row keeps its
-    initial value whatever the loop does. The steps therefore run on a view
-    of the model whose encoder reads the lit cells alone, fed the pool's lit
-    image columns. The model returned takes the view's params, with the full
-    encoder/w0 rebuilt from the initial one, so it keeps its full input
-    width and a cell no row lit still meets its initial weights. A pool that
-    lights no cell raises EmptyDatasetError.
+    initial value whatever the loop does. The steps therefore step a weights
+    dict holding the lit cells' rows of encoder/w0, fed the pool's lit image
+    columns. The model returned, the one the loop builds, takes the stepped
+    params with the full encoder/w0 rebuilt from the initial one, so it
+    keeps its full input width and a cell no row lit still meets its
+    initial weights. A pool that lights no cell raises EmptyDatasetError.
 
     The retargeter is frozen for the whole loop, so the pool's conditioning
     keypoints are retargeted once, by one `transform_batch` call on all its
     rows, rather than by every step on its batch: a row's retargeted
-    keypoints do not depend on the rows retargeted beside it. The view
-    model carries retargeter=None, so `train_step` takes the pool's
-    keypoints as they are; the model returned keeps its retargeter.
+    keypoints do not depend on the rows retargeted beside it.
     """
     cfg = model.cfg
     lit = np.flatnonzero(rows.images.any(axis=0))
     if not len(lit):
         raise EmptyDatasetError("no training row lights any feature cell")
     w0 = model.params["encoder/w0"]
-    encoder = replace(model.encoder, widths=(len(lit), *model.encoder.widths[1:]))
-    view = replace(model, encoder=encoder, params={**model.params, "encoder/w0": w0[lit]},
-                   retargeter=None)
+    # `apply` and `tensor.backward` read only a spec's layer names and
+    # activations, so model.encoder runs these lit rows of w0 as it is
+    params = {**model.params, "encoder/w0": w0[lit]}
     rows = replace(rows, images=rows.images[:, lit])
     if model.retargeter is not None:
         rows = replace(rows, keypoints=model.retargeter.transform_batch(rows.keypoints))
@@ -422,7 +418,7 @@ def train_epochs(model: PolicyModel, rows: data.TrainingRows, log_fn=None) -> tu
             0.05 + 0.95 * 0.5 * (1.0 + np.cos(np.pi * frac)))
         reports = []
         for idx in _mixed_batches(rows.n_human, n_robot, cfg.batch_size, rng):
-            view, report = train_step(view, rows.take(idx), rng, opt)
+            params, report = train_step(params, rows.take(idx), rng, opt, model)
             reports.append(report)
         entry = {"epoch": epoch}
         for key in ("mse", "kl", "da", "disc_accuracy", "total"):
@@ -432,8 +428,8 @@ def train_epochs(model: PolicyModel, rows: data.TrainingRows, log_fn=None) -> tu
         if log_fn is not None:
             log_fn(entry)
     w0 = w0.copy()
-    w0[lit] = view.params["encoder/w0"]
-    return replace(model, params={**view.params, "encoder/w0": w0}), log
+    w0[lit] = params["encoder/w0"]
+    return replace(model, params={**params, "encoder/w0": w0}), log
 
 
 def train(dataset_human, dataset_robot, cfg: TrainConfig,
@@ -480,13 +476,15 @@ def sample_flat(model: PolicyModel, feature_image, keypoints,
     policy splits it into offsets and grasp logits (`sample`); the
     6DoF-delta baseline reads its action rows straight out of it.
 
-    Validated on every draw: the keypoints' shape and the finiteness of the
-    fixed conditioning (embedding and retargeted keypoints); the model's
-    shapes were checked when it was built. The input row is [x_t |
-    conditioning | timestep features] and only x_t varies within a draw, so
-    layer 0's other terms are summed into a (num_steps, hidden)
-    table whose row t is step t's layer-0 bias: the model's cached timestep
-    term plus this draw's conditioning term plus `denoiser/b0`, in float64.
+    Validated on every draw: the seed (an integer >= 0, not a bool:
+    ValueError) and the keypoints' shape before the encoder runs, then the
+    finiteness of the fixed conditioning (embedding and retargeted
+    keypoints); the model's shapes were checked when it was built. The input
+    row is [x_t | conditioning | timestep features] and only x_t varies
+    within a draw, so layer 0's other terms are summed into a (num_steps,
+    hidden) table whose row t is step t's layer-0 bias: the model's cached
+    timestep term plus this draw's conditioning term plus `denoiser/b0`, in
+    float64.
     Each step runs the denoiser on x_t alone through `apply`, whose
     per-layer check catches a non-finite output (a NaN in any block of layer
     0's weights or in its bias reaches the first step's), hands the clean
@@ -503,14 +501,16 @@ def sample_flat(model: PolicyModel, feature_image, keypoints,
     seed) and are drawn once for the last two such keys, so the second view
     of a replan reuses the first view's draw.
     """
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
     schedule = model.schedule
     kps = np.asarray(keypoints, dtype=np.float64)
     if kps.shape != (data.N_TRACK_KEYPOINTS, 2):
         raise ValueError(f"expected ({data.N_TRACK_KEYPOINTS}, 2) keypoints, got {kps.shape}")
     img = np.asarray(feature_image, dtype=np.float64).reshape(1, -1)
     d = model.target_dim
-    cond = np.concatenate([forward(model.encoder, model.params, img),
-                           _retarget_flat(model.retargeter, kps[None])], axis=1)
+    kps = kps[None] if model.retargeter is None else model.retargeter.transform_batch(kps[None])
+    cond = np.concatenate([forward(model.encoder, model.params, img), kps.reshape(1, -1)], axis=1)
     if has_nonfinite(cond):
         raise NonFiniteError("non-finite conditioning (embedding or keypoints)")
     weights, time_term = model._chain

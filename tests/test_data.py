@@ -361,14 +361,15 @@ MALFORMED = [
     ("EE poses for half the frames", None,
      lambda a: {**a, "0/ee_rotations": a["0/ee_rotations"][::2],
                 "0/ee_translations": a["0/ee_translations"][::2]}, r"\d+ EE poses for \d+ frames"),
+    # the constructors see the stored floats, so a view id of 1.5 is not read as 1
     ("half grasp", None, lambda a: {**a, "0/grasps": a["0/grasps"] * 0.5},
-     "grasps must be 0 or 1, view ids integers"),
+     "demo 0: grasp must be 0 or 1"),
     ("grasp of 2", None, lambda a: {**a, "1/grasps": a["1/grasps"] + 2.0},
-     "grasps must be 0 or 1, view ids integers"),
+     "demo 1: grasp must be 0 or 1"),
     ("fractional view id", None, lambda a: {**a, "1/view_ids": a["1/view_ids"] + 0.5},
-     "grasps must be 0 or 1, view ids integers"),
+     "demo 1: view_id must be an integer"),
     ("NaN view id", None, lambda a: {**a, "0/view_ids": a["0/view_ids"] * np.nan},
-     "grasps must be 0 or 1, view ids integers"),
+     "demo 0: view_id must be an integer"),
     *[(f"fx of {value!r}", lambda m, value=value: {"demos": [m["demos"][0], {
         **m["demos"][1], "intrinsics": [{**m["demos"][1]["intrinsics"][0], "fx": value},
                                         m["demos"][1]["intrinsics"][1]]}]}, None, message)

@@ -75,6 +75,20 @@ def test_oracle_succeeds_on_contact_tasks(name):
     assert all(r.success for r in results)
 
 
+def test_rollout_rejects_an_exec_horizon_that_is_no_integer(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("the episode started before exec_horizon was checked")
+
+    monkeypatch.setattr(sim, "reset", fail)
+    runner = inference.OracleRunner()
+    for bad in (2.5, np.float64(2.0), True, False, 0, runner.horizon + 1, "2", None):
+        with pytest.raises(ValueError, match="exec horizon must be an integer"):
+            inference.rollout(runner, sim.make_task("reach"), 0, exec_horizon=bad)
+    monkeypatch.undo()
+    result = inference.rollout(runner, sim.make_task("reach"), 0, exec_horizon=np.int64(2))
+    assert result.success
+
+
 def test_residuals_single_out_the_disagreeing_frame_and_keypoint():
     cams = sim.default_cameras()
     state = sim.reset(sim.make_task("push_right"), 0)

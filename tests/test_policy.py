@@ -8,7 +8,7 @@ reference that rebuilds every per-step constant and runs the denoiser in
 float32 where the sampler does; the float64 references, draws and rollouts
 stay within float32 rounding of it. A model is a checked value: building one
 rejects misshapen or mismatched nets and freezes its weights, and a draw
-validates its fixed conditioning before the first step. The sampler's
+validates its seed and fixed conditioning before the first step. The sampler's
 float32 weights are built once per model, a `replace` copy with other
 weights or another schedule builds its own, and the two views of a replan
 share one noise draw. Loading a checkpoint draws no initial weights and
@@ -16,7 +16,9 @@ turns every malformed meta value or array into SchemaMismatchError.
 The co-training step's gradients are checked against finite differences of
 the objective each net descends, and the epoch loop, which trains only the
 feature cells its pool lights and retargets its pool once, against a
-full-width reference loop that retargets every batch.
+full-width reference loop that retargets every batch. A training call
+builds two models, the initial one and its result, and draws its timesteps
+as `Generator.choice` would, bit for bit.
 """
 
 from dataclasses import replace
@@ -206,6 +208,20 @@ def test_mixed_batches_match_the_per_row_reference(n_human, n_robot, batch_size)
     assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
+@pytest.mark.parametrize("schedule", [SCHEDULE, DiffusionSchedule()])
+def test_timestep_draws_match_weighted_choice(schedule):
+    w = 1.0 - schedule.alpha_bars
+    w = w / w.sum()
+    cdf = policy._timestep_cdf(schedule)
+    assert policy._timestep_cdf(schedule) is cdf and not cdf.flags.writeable
+    for n in (1, 16, 32, 33):
+        rng, ref_rng = np.random.default_rng([n, 4]), np.random.default_rng([n, 4])
+        for _ in range(100):
+            assert same_bytes(cdf.searchsorted(rng.random(n), side="right"),
+                              ref_rng.choice(schedule.num_steps, size=n, p=w))
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
 def reference_batches(human, robot, cfg):
     """Epoch 0's co-training batches built per sample: the per-row index
     batches, each stacked human-first into (x0, images, keypoints,
@@ -236,9 +252,9 @@ def test_train_step_gets_the_rows_per_sample_stacking_builds(demos, monkeypatch)
     seen, fitted, retargeters = [], [], []
     train_step, fit = policy.train_step, KeypointRetargeter.fit
 
-    def record_step(model, batch, rng, opt):
+    def record_step(params, batch, rng, opt, model):
         seen.append(batch)
-        return train_step(model, batch, rng, opt)
+        return train_step(params, batch, rng, opt, model)
 
     def record_fit(points, seed=0):
         fitted.append(np.array(points))
@@ -296,6 +312,25 @@ def test_training_retargets_the_pool_once(demos, monkeypatch):
     assert calls == [] and robot_only.retargeter is None and len(fitted) == 1
 
 
+def test_a_training_call_builds_two_models(demos, monkeypatch):
+    # the initial model and the result: the steps step a weights dict
+    human, robot = demos
+    cfg = replace(CFG, epochs=1)
+    built = []
+    post_init = policy.PolicyModel.__post_init__
+
+    def count(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(policy.PolicyModel, "__post_init__", count)
+    model, _ = policy.train(human, robot, cfg, schedule=SCHEDULE)
+    assert len(built) == 2 and built[-1] is model
+    built.clear()
+    baseline, _ = inference.train_baseline_6dof(robot, cfg, schedule=SCHEDULE)
+    assert len(built) == 2 and built[-1] is baseline
+
+
 def test_training_leaves_unlit_encoder_rows_at_their_initial_values(demos, trained, baseline):
     human, robot = demos
     track_pool = data.TrainingRows.join([data.chunk(d, CFG.horizon) for d in human + robot])
@@ -315,11 +350,13 @@ def test_training_leaves_unlit_encoder_rows_at_their_initial_values(demos, train
 
 
 def reference_train(model, rows):
-    """The epoch loop at full width: every step runs the whole encoder and
-    returns the next model. Returns (the last model, per-epoch log)."""
+    """The epoch loop at full width: every step runs the whole encoder on
+    its batch, whose keypoints it retargets on their own, and steps one
+    params dict. Returns (the model with the last params, per-epoch log)."""
     cfg = model.cfg
     rng = np.random.default_rng([cfg.seed, policy._TRAIN_STREAM])
     opt = nn.Adam(cfg.learning_rate)
+    params = dict(model.params)
     log = []
     for epoch in range(cfg.epochs):
         frac = epoch / max(1, cfg.epochs - 1)
@@ -328,11 +365,13 @@ def reference_train(model, rows):
         reports = []
         for idx in policy._mixed_batches(rows.n_human, len(rows) - rows.n_human,
                                          cfg.batch_size, rng):
-            model, report = policy.train_step(model, rows.take(idx), rng, opt)
+            batch = rows.take(idx)
+            batch = replace(batch, keypoints=model.retargeter.transform_batch(batch.keypoints))
+            params, report = policy.train_step(params, batch, rng, opt, model)
             reports.append(report)
         log.append({"epoch": epoch, **{key: float(np.mean([getattr(r, key) for r in reports]))
                                        for key in ("mse", "kl", "da", "disc_accuracy", "total")}})
-    return model, log
+    return replace(model, params=params), log
 
 
 def test_lit_training_matches_the_full_width_loop(demos, trained):
@@ -445,9 +484,9 @@ def test_train_step_gradients_match_finite_differences(demos):
 
     def gradcheck(names, objective):
         def loss_fn(params):
-            probed = replace(model, params={**base, **params})
             # a fresh rng per call freezes the timestep and noise draw
-            _, report = policy.train_step(probed, batch, np.random.default_rng(0), opt)
+            _, report = policy.train_step({**base, **params}, batch,
+                                          np.random.default_rng(0), opt, model)
             return objective(report), {name: opt.grads[name] for name in params}
         return nn.finite_difference_check(loss_fn, {name: base[name] for name in names},
                                           np.random.default_rng(2), n_probes=20)
@@ -484,12 +523,13 @@ def test_train_step_raises_when_a_layer_overflows(demos):
             # a finite ~1e200 prediction whose square overflows
             ({"denoiser/b1": 1e200}, "non-finite training loss")):
         model = policy.build_model(CFG, batch.images.shape[1], schedule=SCHEDULE)
-        model = replace(model, params={**model.params, **{
-            name: np.full_like(model.params[name], value) for name, value in overrides.items()}})
+        probe = {name: np.full_like(model.params[name], value)
+                 for name, value in overrides.items()}
         opt = RecordingOptimizer()
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NonFiniteError, match=message):
-                policy.train_step(model, batch, np.random.default_rng(0), opt)
+                policy.train_step({**model.params, **probe}, batch, np.random.default_rng(0),
+                                  opt, model)
         assert not hasattr(opt, "grads"), message
 
 
@@ -853,6 +893,24 @@ def test_sample_flat_rejects_keypoints_of_the_wrong_shape_before_stepping(traine
     for bad in (hand, kn.reshape(-1), kn[None]):
         with pytest.raises(ValueError, match=r"expected \(5, 2\) keypoints"):
             policy.sample_flat(model, img, bad, seed=1)
+
+
+def test_sample_flat_rejects_a_seed_it_would_truncate(trained, no_sampler_step, monkeypatch):
+    # a seed of 2.7 must not draw seed 2's noise, nor True seed 1's; numpy's
+    # SeedSequence rejects -1, but only after the encoder has run
+    model, _ = trained
+    _, img, kn = observation()
+
+    def fail(*args, **kwargs):
+        raise AssertionError("the encoder ran before the seed was checked")
+
+    monkeypatch.setattr(policy, "forward", fail)
+    for bad in (2.7, np.float64(2.0), True, np.bool_(True), "1", None, -1, np.int64(-3)):
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            policy.sample_flat(model, img, kn, seed=bad)
+    monkeypatch.undo()
+    assert same_bytes(policy.sample_flat(model, img, kn, seed=np.int64(2)),
+                      policy.sample_flat(model, img, kn, seed=2))
 
 
 def test_sample_flat_names_the_layer_a_nan_weight_reaches(trained):
