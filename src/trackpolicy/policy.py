@@ -38,12 +38,15 @@ step noise, a function of the seed alone, are drawn once for the two views
 of a replan, which share their seed.
 
 `train_epochs` is the one training loop, for the track head and the 6DoF
-baseline; its steps (`train_step`) step a plain weights dict, so a training
-call builds one model, its result. It trains only the feature cells its
-pool lights: a raster cell that is zero in every training row cannot move
-its encoder weights, so the steps run on those cells' rows of encoder/w0,
-and the model keeps its full input width with the other rows at their
-initial values.
+baseline. It lays the weights out once in one flat vector (`FlatParams`),
+and its steps (`train_step`) step that vector in place: the nets read
+per-name views of it, `tensor.backward` writes every gradient into views of
+one flat gradient vector, and one `Adam.step` steps the whole vector. So a
+training call builds one model, its result. It trains only the feature cells
+its pool lights: a raster cell that is zero in every training row cannot
+move its encoder weights, so the steps run on those cells' rows of
+encoder/w0, and the model keeps its full input width with the other rows at
+their initial values.
 """
 
 from __future__ import annotations
@@ -73,6 +76,7 @@ from .errors import (
 )
 from .nn import (
     Adam,
+    FlatParams,
     MlpSpec,
     apply,
     bce_with_logits,
@@ -137,6 +141,12 @@ class TrainConfig:
             if not all(isinstance(w, (int, np.integer)) and not isinstance(w, bool) and w >= 1
                        for w in widths):
                 raise ValueError(f"{name} must hold integers >= 1, got {getattr(self, name)!r}")
+        # the float knobs: a bool passes the range checks below (True == 1)
+        # and would reach a checkpoint's meta as true
+        for name in ("lambda_kl", "lambda_da", "learning_rate"):
+            value = getattr(self, name)
+            if isinstance(value, (bool, np.bool_)):
+                raise ValueError(f"{name} must be a number, not a bool, got {value!r}")
         if not 0.0 <= self.lambda_da <= 1.0:
             raise ValueError(f"lambda_da must be in [0, 1], got {self.lambda_da}")
         # written so that NaN fails them
@@ -274,19 +284,21 @@ def _timestep_cdf(schedule: DiffusionSchedule) -> np.ndarray:
     return cdf
 
 
-def train_step(params: dict, batch: data.TrainingRows, rng, opt: Adam,
-               model: PolicyModel) -> tuple:
-    """One optimizer step of the weights dict params on a human-first batch
-    of rows. Returns (the stepped params, LossReport).
+def train_step(flat: FlatParams, batch: data.TrainingRows, rng, opt: Adam,
+               model: PolicyModel) -> LossReport:
+    """One optimizer step, in place, of the flat weights on a human-first
+    batch of rows. Returns its LossReport.
 
     model supplies the nets' layer names and activations, the loss weights
     (cfg) and noise levels (schedule), never its params or retargeter:
     batch.keypoints condition the denoiser as they are. opt keeps its
     moments across calls. Each loss returns its own gradient and
-    tensor.backward carries it back through each net; a net whose term is
-    off gets zero gradients.
+    tensor.backward carries it back through each net into flat.grads; the
+    discriminator's slice is never written when its term is off, so it
+    stays zero and its weights do not move.
     """
     cfg, schedule = model.cfg, model.schedule
+    params, grads = flat.params, flat.grads
     x0, n_human, n = batch.targets, batch.n_human, len(batch)
 
     # The noise-mse seen through the clean-target head weighs clean-target
@@ -308,8 +320,8 @@ def train_step(params: dict, batch: data.TrainingRows, rng, opt: Adam,
     sqrt_ab, sqrt_1mab = np.sqrt(ab), np.sqrt(1.0 - ab)
     eps_hat = (x_t - clean_hat * sqrt_ab) / sqrt_1mab
     mse, g_eps_hat = mse_loss(eps_hat, eps)
-    den_grads, g_den_in = T.backward(model.denoiser, params, den_cache,
-                                     -(g_eps_hat / sqrt_1mab) * sqrt_ab, input_grad=True)
+    g_den_in = T.backward(model.denoiser, params, den_cache,
+                          -(g_eps_hat / sqrt_1mab) * sqrt_ab, grads, input_grad=True)
     d = model.target_dim
     g_emb = g_den_in[:, d:d + cfg.embed_dim]
 
@@ -328,20 +340,17 @@ def train_step(params: dict, batch: data.TrainingRows, rng, opt: Adam,
         da_value, g_logits = bce_with_logits(logits, labels)
         total = total + cfg.lambda_da * da_value
         accuracy = float(np.mean((logits > 0) == (labels > 0.5)))
-        disc_grads, g_disc_in = T.backward(model.discriminator, params, disc_cache,
-                                           cfg.lambda_da * g_logits, input_grad=True)
+        g_disc_in = T.backward(model.discriminator, params, disc_cache,
+                               cfg.lambda_da * g_logits, grads, input_grad=True)
         # gradient reversal: the discriminator descends the adversarial term
         # and the encoder ascends it
         g_emb = g_emb - g_disc_in
-    else:
-        disc_grads = {name: np.zeros(shape)
-                      for name, shape in model.discriminator.param_shapes().items()}
     if not np.isfinite(total):
         raise NonFiniteError(f"non-finite training loss {total}")
 
-    enc_grads, _ = T.backward(model.encoder, params, enc_cache, g_emb)
-    params = opt.step(params, {**enc_grads, **den_grads, **disc_grads})
-    return params, LossReport(mse, kl_value, da_value, accuracy, total)
+    T.backward(model.encoder, params, enc_cache, g_emb, grads)
+    opt.step(flat.vector, flat.grad)
+    return LossReport(mse, kl_value, da_value, accuracy, total)
 
 
 def _mixed_batches(n_human: int, n_robot: int, batch_size: int, rng) -> list:
@@ -383,12 +392,13 @@ def train_epochs(model: PolicyModel, rows: data.TrainingRows, log_fn=None) -> tu
     Only the feature cells that some row of the pool lights are trained. A
     cell that is zero in every row adds nothing to the encoder's input layer
     and gets an exactly zero gradient, so its encoder/w0 row keeps its
-    initial value whatever the loop does. The steps therefore step a weights
-    dict holding the lit cells' rows of encoder/w0, fed the pool's lit image
-    columns. The model returned, the one the loop builds, takes the stepped
-    params with the full encoder/w0 rebuilt from the initial one, so it
-    keeps its full input width and a cell no row lit still meets its
-    initial weights. A pool that lights no cell raises EmptyDatasetError.
+    initial value whatever the loop does. The steps therefore step flat
+    weights (`FlatParams`) holding the lit cells' rows of encoder/w0, fed
+    the pool's lit image columns. The model returned, the one the loop
+    builds, takes the stepped weights' views with the full encoder/w0
+    rebuilt from the initial one, so it keeps its full input width and a
+    cell no row lit still meets its initial weights. A pool that lights no
+    cell raises EmptyDatasetError.
 
     The retargeter is frozen for the whole loop, so the pool's conditioning
     keypoints are retargeted once, by one `transform_batch` call on all its
@@ -402,7 +412,7 @@ def train_epochs(model: PolicyModel, rows: data.TrainingRows, log_fn=None) -> tu
     w0 = model.params["encoder/w0"]
     # `apply` and `tensor.backward` read only a spec's layer names and
     # activations, so model.encoder runs these lit rows of w0 as it is
-    params = {**model.params, "encoder/w0": w0[lit]}
+    flat = FlatParams({**model.params, "encoder/w0": w0[lit]})
     rows = replace(rows, images=rows.images[:, lit])
     if model.retargeter is not None:
         rows = replace(rows, keypoints=model.retargeter.transform_batch(rows.keypoints))
@@ -416,10 +426,8 @@ def train_epochs(model: PolicyModel, rows: data.TrainingRows, log_fn=None) -> tu
         frac = epoch / max(1, cfg.epochs - 1)
         opt.learning_rate = cfg.learning_rate * (
             0.05 + 0.95 * 0.5 * (1.0 + np.cos(np.pi * frac)))
-        reports = []
-        for idx in _mixed_batches(rows.n_human, n_robot, cfg.batch_size, rng):
-            params, report = train_step(params, rows.take(idx), rng, opt, model)
-            reports.append(report)
+        reports = [train_step(flat, rows.take(idx), rng, opt, model)
+                   for idx in _mixed_batches(rows.n_human, n_robot, cfg.batch_size, rng)]
         entry = {"epoch": epoch}
         for key in ("mse", "kl", "da", "disc_accuracy", "total"):
             vals = [getattr(r, key) for r in reports if getattr(r, key) is not None]
@@ -428,8 +436,8 @@ def train_epochs(model: PolicyModel, rows: data.TrainingRows, log_fn=None) -> tu
         if log_fn is not None:
             log_fn(entry)
     w0 = w0.copy()
-    w0[lit] = params["encoder/w0"]
-    return replace(model, params={**params, "encoder/w0": w0}), log
+    w0[lit] = flat.params["encoder/w0"]
+    return replace(model, params={**flat.params, "encoder/w0": w0}), log
 
 
 def train(dataset_human, dataset_robot, cfg: TrainConfig,

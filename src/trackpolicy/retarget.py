@@ -20,7 +20,10 @@ any (n, 5, 2) stack, is a pure function of them.
 fit() takes STEPS Adam steps, each on BATCH_ROWS rows drawn with
 replacement from the corpus, so a fit costs the same at any corpus size. A
 denoiser over a 10-dim layout can afford that: its targets are a few hand
-shapes seen at many poses, not a set to memorize.
+shapes seen at many poses, not a set to memorize. The weights live in one
+flat vector for the whole fit (`FlatParams`): each step's backward pass
+writes its gradients into views of one flat gradient vector, Adam steps the
+weight vector in place, and the retargeter is built from the final views.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ from .errors import (
 )
 from .nn import (
     Adam,
+    FlatParams,
     MlpSpec,
     apply,
     check_params,
@@ -72,9 +76,10 @@ def _check_points(pts: np.ndarray) -> None:
             f"expected (n, {data.N_TRACK_KEYPOINTS}, 2), got {pts.shape}")
 
 
-def _denoising_loss(params: dict, rel_in: np.ndarray, target: np.ndarray,
-                    mask: np.ndarray):
-    """fit's training loss and its gradient: (mse, grads by parameter name).
+def _denoising_loss(params: dict, grads: dict, rel_in: np.ndarray, target: np.ndarray,
+                    mask: np.ndarray) -> float:
+    """fit's training loss (the mse), its gradient written into grads, an
+    array by parameter name.
 
     rel_in holds the noisy anchor-relative (n, 2k) inputs, target the clean
     ones with the anchor dims zeroed; mask zeroes the anchor's output dims
@@ -82,8 +87,8 @@ def _denoising_loss(params: dict, rel_in: np.ndarray, target: np.ndarray,
     """
     out, cache = apply(NET_SPEC, params, rel_in)
     loss, g = mse_loss(out * mask, target)
-    grads, _ = T.backward(NET_SPEC, params, cache, g * mask)
-    return loss, grads
+    T.backward(NET_SPEC, params, cache, g * mask, grads)
+    return loss
 
 
 class KeypointRetargeter:
@@ -123,7 +128,7 @@ class KeypointRetargeter:
             raise InsufficientDataError(f"need at least {MIN_TRAIN_FRAMES} frames, got {n}")
         k = data.N_TRACK_KEYPOINTS
 
-        params = init_params(NET_SPEC, seed)
+        flat = FlatParams(init_params(NET_SPEC, seed))
         rng = np.random.default_rng([seed, _NOISE_STREAM])
 
         a = ANCHOR_INDEX
@@ -140,10 +145,10 @@ class KeypointRetargeter:
             noise[:, a] = 0.0
             noisy = pts[idx] + noise
             rel_in = (noisy - noisy[:, a:a + 1]).reshape(BATCH_ROWS, 2 * k)
-            _, grads = _denoising_loss(params, rel_in, target[idx], mask)
-            params = opt.step(params, grads)
+            _denoising_loss(flat.params, flat.grads, rel_in, target[idx], mask)
+            opt.step(flat.vector, flat.grad)
 
-        return KeypointRetargeter(params)
+        return KeypointRetargeter(flat.params)
 
     # -- inference ---------------------------------------------------------
 

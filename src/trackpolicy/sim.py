@@ -306,7 +306,10 @@ def default_cameras() -> tuple:
 
 
 def reset(task: TaskSpec, seed: int) -> SimState:
-    """Deterministic initial state: box uniform in the task box, EE home."""
+    """Deterministic initial state: box uniform in the task box, EE home.
+    seed is an integer >= 0, not a bool (ValueError otherwise)."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
     rng = np.random.default_rng(seed)
     pos = rng.uniform(task.object_box_low, task.object_box_high)
     goal = pos + task.goal_center if task.goal_is_offset else task.goal_center

@@ -89,6 +89,13 @@ def test_rollout_rejects_an_exec_horizon_that_is_no_integer(monkeypatch):
     assert result.success
 
 
+def test_rollout_rejects_a_seed_that_is_not_an_integer_at_least_0():
+    runner = inference.OracleRunner()
+    for bad in (True, 2.5, -1):
+        with pytest.raises(ValueError, match=f"seed must be an integer >= 0, got {bad!r}"):
+            inference.rollout(runner, sim.make_task("reach"), bad)
+
+
 def test_residuals_single_out_the_disagreeing_frame_and_keypoint():
     cams = sim.default_cameras()
     state = sim.reset(sim.make_task("push_right"), 0)

@@ -1,5 +1,5 @@
-"""MLP layer loop and reverse pass, losses and their gradients, Adam,
-checkpoint round trips.
+"""MLP layer loop and reverse pass, losses and their gradients, Adam over
+one flat weight vector, checkpoint round trips.
 
 Oracles: per-sample naive matmul loop for the forward pass, central finite
 differences for gradients, direct closed-form evaluation for the diagonal
@@ -12,7 +12,7 @@ import struct
 import numpy as np
 import pytest
 
-from trackpolicy import nn
+from trackpolicy import nn, policy, retarget, sim
 from trackpolicy.errors import (
     BatchTooSmallError,
     NonFiniteError,
@@ -239,6 +239,27 @@ def test_init_deterministic():
 # backward
 
 
+def zeroed_grads(spec):
+    """An array per parameter of spec, for `tensor.backward` to write into."""
+    return {name: np.zeros(shape) for name, shape in spec.param_shapes().items()}
+
+
+def allocating_backward(spec, params, cache, g):
+    """The reverse pass as it returned fresh arrays, (grads by name, input
+    gradient): the reference for the one that writes into given arrays."""
+    grads = {}
+    for i in reversed(range(len(spec.activations))):
+        act, y = spec.activations[i], cache[i + 1]
+        if act == "relu":
+            g = g * (y > 0)
+        elif act == "tanh":
+            g = g * (1.0 - y * y)
+        grads[f"{spec.name}/b{i}"] = g.sum(axis=0)
+        grads[f"{spec.name}/w{i}"] = cache[i].T @ g
+        g = g @ params[f"{spec.name}/w{i}"].T
+    return grads, g
+
+
 def test_backward_linear_layer_input_grad_closed_form():
     rng = np.random.default_rng(2)
     spec = nn.MlpSpec((5, 4), ("identity",))
@@ -246,11 +267,12 @@ def test_backward_linear_layer_input_grad_closed_form():
     x = rng.normal(size=(6, 5))
     _, cache = nn.apply(spec, params, x)
     g = rng.normal(size=(6, 4))
-    grads, gx = T.backward(spec, params, cache, g, input_grad=True)
+    grads = zeroed_grads(spec)
+    gx = T.backward(spec, params, cache, g, grads, input_grad=True)
     assert np.array_equal(gx, g @ params["mlp/w0"].T)
     assert np.array_equal(grads["mlp/b0"], g.sum(axis=0))
     assert np.allclose(grads["mlp/w0"], x.T @ g)
-    assert T.backward(spec, params, cache, g)[1] is None
+    assert T.backward(spec, params, cache, g, grads) is None
 
 
 def test_backward_matches_finite_differences_two_layer():
@@ -263,10 +285,34 @@ def test_backward_matches_finite_differences_two_layer():
         def fn(p):
             # loss = sum of outputs, so the output gradient is all ones
             out, cache = nn.apply(spec, p, x)
-            return out.sum(), T.backward(spec, p, cache, np.ones_like(out))[0]
+            grads = zeroed_grads(spec)
+            T.backward(spec, p, cache, np.ones_like(out), grads)
+            return out.sum(), grads
 
         worst = nn.finite_difference_check(fn, params, rng, n_probes=25)
         assert worst < 1e-5
+
+
+def test_backward_into_flat_views_matches_the_allocating_pass_bitwise():
+    # every net the package trains, at the benchmark's widths and batch:
+    # gradients written into views of one flat vector are the bytes of the
+    # fresh arrays the pass used to return, and so is the input gradient
+    rng = np.random.default_rng(5)
+    nets = (*policy._specs(policy.TrainConfig(), 3 * sim.RASTER_SIZE ** 2,
+                           policy.TrainConfig().target_dim), retarget.NET_SPEC)
+    for spec in nets:
+        flat = nn.FlatParams(nn.init_params(spec, seed=6))
+        x = rng.normal(size=(32, spec.widths[0]))
+        out, cache = nn.apply(spec, flat.params, x)
+        g = rng.normal(size=out.shape)
+        ref, ref_in = allocating_backward(spec, flat.params, cache, g)
+        got_in = T.backward(spec, flat.params, cache, g, flat.grads, input_grad=True)
+        assert got_in.tobytes() == ref_in.tobytes(), spec.name
+        assert flat.grads.keys() == ref.keys()
+        for name, value in ref.items():
+            assert flat.grads[name].tobytes() == value.tobytes(), name
+        assert flat.grad.tobytes() == np.concatenate(
+            [ref[name].reshape(-1) for name in flat.params]).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -359,47 +405,68 @@ def test_mse_loss_value():
 # optimizer
 
 
+def test_flat_params_lay_the_weights_out_in_one_vector():
+    rng = np.random.default_rng(20)
+    params = {"a/w0": rng.normal(size=(5, 3)), "a/b0": rng.normal(size=3),
+              "b/w0": rng.normal(size=(2, 2, 4))}
+    flat = nn.FlatParams(params)
+    assert flat.vector.tobytes() == np.concatenate(
+        [p.reshape(-1) for p in params.values()]).tobytes()
+    assert flat.grad.shape == flat.vector.shape and not flat.grad.any()
+    for views, base in ((flat.params, flat.vector), (flat.grads, flat.grad)):
+        assert list(views) == list(params)
+        for name, p in params.items():
+            assert views[name].shape == p.shape and views[name].base is base
+            assert not np.shares_memory(views[name], p)
+    for name, p in params.items():   # copies, not the given arrays
+        assert flat.params[name].tobytes() == p.tobytes()
+    flat.vector[:] = 0.0   # the views see every write to their vector
+    assert not any(v.any() for v in flat.params.values())
+
+
 def test_adam_zero_gradient_keeps_params():
-    params = {"w": np.array([1.0, -2.0, 3.0])}
-    new = nn.Adam(learning_rate=0.1).step(params, {"w": np.zeros(3)})
-    assert np.array_equal(new["w"], params["w"])
+    params = np.array([1.0, -2.0, 3.0])
+    nn.Adam(learning_rate=0.1).step(params, np.zeros(3))
+    assert np.array_equal(params, [1.0, -2.0, 3.0])
 
 
 def test_adam_first_step_magnitude_is_learning_rate():
     lr = 1e-3
-    params = {"w": np.zeros(4)}
-    new = nn.Adam(learning_rate=lr).step(params, {"w": np.ones(4)})
-    assert np.max(np.abs(np.abs(new["w"]) - lr)) < 1e-9
-    assert np.all(new["w"] < 0)  # moves against the gradient
+    params = np.zeros(4)
+    nn.Adam(learning_rate=lr).step(params, np.ones(4))
+    assert np.max(np.abs(np.abs(params) - lr)) < 1e-9
+    assert np.all(params < 0)  # moves against the gradient
 
 
 def test_adam_shape_mismatch():
     with pytest.raises(ShapeMismatchError):
-        nn.Adam().step({"w": np.zeros(3)}, {"w": np.zeros(4)})
+        nn.Adam().step(np.zeros(3), np.zeros(4))
+    with pytest.raises(ShapeMismatchError, match="one vector"):
+        nn.Adam().step(np.zeros((2, 3)), np.zeros((2, 3)))
 
 
 def test_adam_quadratic_bowl_convergence():
     # regression run: minimize 0.5|p|^2 for 200 steps at lr=0.01. Frozen
     # reference: final loss 1.8e-10; worst post-transient uptick 3.1e-9
     # (convergence-floor ripple), so monotonicity is asserted at 1e-8.
-    params = {"p": np.array([0.5, -0.4, 0.3, 0.2])}
+    params = np.array([0.5, -0.4, 0.3, 0.2])
     opt = nn.Adam(learning_rate=0.01)
     losses = []
     for _ in range(200):
-        grads = {"p": params["p"].copy()}
-        losses.append(0.5 * float(np.sum(params["p"] ** 2)))
-        params = opt.step(params, grads)
-    losses.append(0.5 * float(np.sum(params["p"] ** 2)))
+        losses.append(0.5 * float(np.sum(params ** 2)))
+        opt.step(params, params.copy())
+    losses.append(0.5 * float(np.sum(params ** 2)))
     assert losses[-1] < 1e-6
     tail = np.array(losses[10:])
     assert np.all(np.diff(tail) <= 1e-8)
 
 
 def test_adam_in_place_moments_match_reference_formula_bitwise():
-    # References: the out-of-place update, with fresh arrays every step. The
-    # moments follow the textbook recurrence; the parameters follow Kingma &
-    # Ba's efficient form, which folds both bias corrections into alpha_t and
-    # eps_hat, and the textbook update is tracked beside it.
+    # References: the out-of-place update of each parameter alone, with
+    # fresh arrays every step. The moments follow the textbook recurrence;
+    # the parameters follow Kingma & Ba's efficient form, which folds both
+    # bias corrections into alpha_t and eps_hat, and the textbook update is
+    # tracked beside it. Adam steps the parameters laid out in one vector.
     def reference_step(params, grads, m, v, t, lr):
         efficient, textbook = {}, {}
         for name, (p, p_tb) in params.items():
@@ -415,74 +482,75 @@ def test_adam_in_place_moments_match_reference_formula_bitwise():
     rng = np.random.default_rng(21)
     params = {"a/w0": rng.normal(size=(5, 3)), "a/b0": rng.normal(size=3),
               "b/w0": rng.normal(size=(3, 2, 4)),
-              # more than two of Adam's blocks, the last one ragged
+              # the vector spans more than three of Adam's runs, the last
+              # one ragged, and parameters straddle run boundaries
               "c/w0": rng.normal(size=(3, 11000)),
-              # two blocks, its gradient a transposed, non-contiguous view
               "d/w0": rng.normal(size=(40, 500))}
+    flat = nn.FlatParams(params)
+    vector = flat.vector
     ref = {k: (p.copy(), p.copy()) for k, p in params.items()}
     ref_m = {k: np.zeros_like(p) for k, p in params.items()}
     ref_v = {k: np.zeros_like(p) for k, p in params.items()}
     opt = nn.Adam(learning_rate=1e-2)
-    moments = None
     for t in range(1, 51):
         opt.learning_rate = 1e-2 / t ** 0.5   # a schedule, as training loops use
         grads = {k: rng.normal(size=p.shape) * 10.0 ** rng.integers(-6, 2)
                  for k, p in params.items()}
-        grads["d/w0"] = np.ascontiguousarray(grads["d/w0"].T).T
-        before = {k: p.copy() for k, p in params.items()}
-        new = opt.step(params, grads)
+        for k, g in grads.items():
+            flat.grads[k][...] = g
+        # every other step reads the gradient through a strided view
+        grad = flat.grad if t % 2 else np.repeat(flat.grad, 2)[::2]
+        opt.step(vector, grad)
         ref = reference_step(ref, grads, ref_m, ref_v, t, opt.learning_rate)
+        assert flat.vector is vector
+        m, v = nn.FlatParams(ref_m).vector, nn.FlatParams(ref_v).vector
+        assert opt.m.tobytes() == m.tobytes() and opt.v.tobytes() == v.tobytes()
         for k in params:
-            assert np.array_equal(params[k], before[k])  # inputs untouched
-            assert new[k] is not params[k]
-            assert np.array_equal(new[k], ref[k][0])
+            assert np.array_equal(grads[k], flat.grads[k])  # the gradient is only read
+            assert np.array_equal(flat.params[k], ref[k][0])
             # the two forms are equal in exact arithmetic; each step may round
             # the O(1) parameters one ulp (2.2e-16) apart, 50 steps stay < 1e-14
-            np.testing.assert_allclose(new[k], ref[k][1], rtol=0, atol=1e-14)
-            assert np.array_equal(opt.m[k], ref_m[k])
-            assert np.array_equal(opt.v[k], ref_v[k])
-        if moments is None:
-            moments = {k: (opt.m[k], opt.v[k]) for k in params}
-        for k, (m, v) in moments.items():
-            assert opt.m[k] is m and opt.v[k] is v
-        params = new
+            np.testing.assert_allclose(flat.params[k], ref[k][1], rtol=0, atol=1e-14)
+        if t == 1:
+            moments = opt.m, opt.v
+        assert opt.m is moments[0] and opt.v is moments[1]
 
 
-def test_adam_step_leaves_its_inputs_and_shares_no_scratch():
+def test_adam_step_leaves_its_gradient_and_shares_no_scratch():
     rng = np.random.default_rng(22)
-    params = {"w": rng.normal(size=(3, BLOCK + 5)), "b": rng.normal(size=7)}
+    params = rng.normal(size=3 * BLOCK + 5)
     opt = nn.Adam(learning_rate=1e-2)
     scratch = opt._scratch
     for _ in range(3):
-        grads = {"w": rng.normal(size=params["w"].shape), "b": rng.normal(size=7)}
-        before = {k: (params[k].tobytes(), grads[k].tobytes()) for k in params}
-        new = opt.step(params, grads)
-        for k in params:
-            assert (params[k].tobytes(), grads[k].tobytes()) == before[k]
-            for other in (*scratch, params[k], grads[k], opt.m[k], opt.v[k]):
-                assert not np.shares_memory(new[k], other)
+        grads = rng.normal(size=params.shape)
+        before = params.copy(), grads.tobytes()
+        opt.step(params, grads)
+        assert grads.tobytes() == before[1]
+        assert not np.array_equal(params, before[0])   # stepped in place
+        for a, b in ((params, grads), (params, opt.m), (params, opt.v), (opt.m, opt.v),
+                     (opt.m, grads), (opt.v, grads), *((params, s) for s in scratch)):
+            assert not np.shares_memory(a, b)
         assert opt._scratch is scratch
-        params = new
 
 
-def test_adam_packing_changes_no_bits_and_fixes_the_parameter_set():
-    # small parameters share packed moments, a pack closing before it would
-    # pass BLOCK elements; each parameter steps as it would alone
+def test_adam_flat_step_changes_no_bits_and_fixes_the_vector_length():
+    # one vector holding several parameters, run boundaries falling inside
+    # them: each parameter steps as it would alone in its own optimizer
     rng = np.random.default_rng(23)
     shapes = {"a": (7,), "big": (BLOCK + 5,), "u": (BLOCK - 3,), "c": (2, 5), "d": (3,)}
-    params = {k: rng.normal(size=s) for k, s in shapes.items()}
-    singles = dict(params)
+    flat = nn.FlatParams({k: rng.normal(size=s) for k, s in shapes.items()})
+    singles = {k: p.reshape(-1).copy() for k, p in flat.params.items()}
     together, alone = nn.Adam(1e-2), {k: nn.Adam(1e-2) for k in shapes}
     for _ in range(3):
         grads = {k: rng.normal(size=s) for k, s in shapes.items()}
-        params = together.step(params, grads)
-        singles = {k: alone[k].step({k: singles[k]}, {k: grads[k]})[k] for k in shapes}
+        for k, g in grads.items():
+            flat.grads[k][...] = g
+            alone[k].step(singles[k], g.reshape(-1))
+        together.step(flat.vector, flat.grad)
         for k in shapes:
-            assert params[k].tobytes() == singles[k].tobytes(), k
-    with pytest.raises(ValueError, match="Adam steps"):
-        together.step({k: params[k] for k in ("a", "c")}, grads)
+            assert flat.params[k].tobytes() == singles[k].tobytes(), k
     with pytest.raises(ShapeMismatchError, match="moments"):
-        together.step({**params, "d": np.zeros(4)}, {**grads, "d": np.zeros(4)})
+        together.step(flat.vector[:-1], flat.grad[:-1])
 
 
 # ---------------------------------------------------------------------------

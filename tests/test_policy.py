@@ -18,7 +18,10 @@ the objective each net descends, and the epoch loop, which trains only the
 feature cells its pool lights and retargets its pool once, against a
 full-width reference loop that retargets every batch. A training call
 builds two models, the initial one and its result, and draws its timesteps
-as `Generator.choice` would, bit for bit.
+as `Generator.choice` would, bit for bit. A training step takes its batch
+as its second argument and is one Adam step of the flat weights; with the
+adversarial term off, the discriminator's gradient slice stays zero and
+its weights leave training as they began.
 """
 
 from dataclasses import replace
@@ -27,7 +30,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-from trackpolicy import data, inference, nn, policy, sim
+from trackpolicy import data, inference, nn, policy, retarget, sim
 from trackpolicy.diffusion import (
     TIME_EMBED_DIM,
     DiffusionSchedule,
@@ -126,6 +129,17 @@ def test_train_config_rejects_each_bad_knob():
                         ("embed_dim", 1), ("encoder_hidden", ()), ("denoiser_hidden", (1, 1)),
                         ("disc_hidden", (np.int64(8),))):
         assert getattr(policy.TrainConfig(**{field: good}), field) == good
+
+
+def test_train_config_rejects_a_bool_for_its_float_knobs():
+    # True == 1 passed every range check, and save_policy wrote true
+    for field in ("lambda_kl", "lambda_da", "learning_rate"):
+        for bad in (True, False, np.bool_(True)):
+            with pytest.raises(ValueError, match=f"{field} must be a number, not a bool"):
+                policy.TrainConfig(**{field: bad})
+    # numbers of any type still construct
+    cfg = policy.TrainConfig(lambda_kl=1, lambda_da=np.float64(0.5), learning_rate=np.float32(1e-3))
+    assert (cfg.lambda_kl, cfg.lambda_da) == (1, 0.5)
 
 
 def test_train_log_repeats_for_a_seed(demos, trained):
@@ -351,12 +365,13 @@ def test_training_leaves_unlit_encoder_rows_at_their_initial_values(demos, train
 
 def reference_train(model, rows):
     """The epoch loop at full width: every step runs the whole encoder on
-    its batch, whose keypoints it retargets on their own, and steps one
-    params dict. Returns (the model with the last params, per-epoch log)."""
+    its batch, whose keypoints it retargets on their own, and steps all of
+    the model's weights. Returns (the model with the last weights, per-epoch
+    log)."""
     cfg = model.cfg
     rng = np.random.default_rng([cfg.seed, policy._TRAIN_STREAM])
     opt = nn.Adam(cfg.learning_rate)
-    params = dict(model.params)
+    flat = nn.FlatParams(model.params)
     log = []
     for epoch in range(cfg.epochs):
         frac = epoch / max(1, cfg.epochs - 1)
@@ -367,11 +382,10 @@ def reference_train(model, rows):
                                          cfg.batch_size, rng):
             batch = rows.take(idx)
             batch = replace(batch, keypoints=model.retargeter.transform_batch(batch.keypoints))
-            params, report = policy.train_step(params, batch, rng, opt, model)
-            reports.append(report)
+            reports.append(policy.train_step(flat, batch, rng, opt, model))
         log.append({"epoch": epoch, **{key: float(np.mean([getattr(r, key) for r in reports]))
                                        for key in ("mse", "kl", "da", "disc_accuracy", "total")}})
-    return replace(model, params=params), log
+    return replace(model, params=flat.params), log
 
 
 def test_lit_training_matches_the_full_width_loop(demos, trained):
@@ -463,13 +477,14 @@ def test_co_training_needs_two_rows_per_embodiment_in_a_batch(demos):
     assert all(log[0][key] is not None for key in ("mse", "kl", "da", "total"))
 
 
-class RecordingOptimizer:
-    """Adam stand-in: keeps the gradients train_step hands it and returns
-    the parameters unchanged."""
+class CountingOptimizer:
+    """Adam stand-in: counts the steps train_step takes and leaves the
+    weights as they are."""
+
+    steps = 0
 
     def step(self, params, grads):
-        self.grads = grads
-        return params
+        self.steps += 1
 
 
 def test_train_step_gradients_match_finite_differences(demos):
@@ -480,14 +495,14 @@ def test_train_step_gradients_match_finite_differences(demos):
     batch = first_rows(human, robot, cfg.horizon)
     model = policy.build_model(cfg, batch.images.shape[1], schedule=SCHEDULE)
     base = dict(model.params)
-    opt = RecordingOptimizer()
+    opt = CountingOptimizer()
 
     def gradcheck(names, objective):
         def loss_fn(params):
             # a fresh rng per call freezes the timestep and noise draw
-            _, report = policy.train_step({**base, **params}, batch,
-                                          np.random.default_rng(0), opt, model)
-            return objective(report), {name: opt.grads[name] for name in params}
+            flat = nn.FlatParams({**base, **params})
+            report = policy.train_step(flat, batch, np.random.default_rng(0), opt, model)
+            return objective(report), {name: flat.grads[name] for name in params}
         return nn.finite_difference_check(loss_fn, {name: base[name] for name in names},
                                           np.random.default_rng(2), n_probes=20)
 
@@ -525,12 +540,75 @@ def test_train_step_raises_when_a_layer_overflows(demos):
         model = policy.build_model(CFG, batch.images.shape[1], schedule=SCHEDULE)
         probe = {name: np.full_like(model.params[name], value)
                  for name, value in overrides.items()}
-        opt = RecordingOptimizer()
+        opt = CountingOptimizer()
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NonFiniteError, match=message):
-                policy.train_step({**model.params, **probe}, batch, np.random.default_rng(0),
-                                  opt, model)
-        assert not hasattr(opt, "grads"), message
+                policy.train_step(nn.FlatParams({**model.params, **probe}), batch,
+                                  np.random.default_rng(0), opt, model)
+        assert opt.steps == 0, message
+
+
+def test_a_training_step_is_one_optimizer_step_on_its_batch(demos, monkeypatch):
+    # a benchmark times each train_step call whole, Adam included, and
+    # counts its rows from the call's second argument, so the batch must
+    # come second and the step must step the optimizer inside, once
+    human, robot = demos
+    cfg = replace(CFG, epochs=1)
+    calls, adam_steps = [], []
+    train_step, adam_step = policy.train_step, nn.Adam.step
+
+    def timed(*args, **kwargs):
+        before = len(adam_steps)
+        out = train_step(*args, **kwargs)
+        calls.append((len(args[1]), args[1], len(adam_steps) - before))
+        return out
+
+    def counted(self, params, grads):
+        adam_steps.append(params.size)
+        return adam_step(self, params, grads)
+
+    monkeypatch.setattr(policy, "train_step", timed)
+    monkeypatch.setattr(nn.Adam, "step", counted)
+    policy.train(human, robot, cfg, schedule=SCHEDULE)
+    ref = reference_batches(human, robot, cfg)
+    assert [rows for rows, _, _ in calls] == [len(x0) for x0, *_ in ref]
+    for rows, batch, steps in calls:
+        assert isinstance(batch, data.TrainingRows) and rows == len(batch.targets)
+        assert steps == 1
+
+
+def test_the_discriminator_is_left_alone_at_lambda_da_zero(demos, monkeypatch):
+    # its gradient slice of the flat vector is never written, so it stays
+    # zero on every step and its weights leave training as they began;
+    # with its term on, the same slice carries a gradient
+    human, robot = demos
+    shapes = policy.build_model(CFG, 1).discriminator.param_shapes()
+    disc, n_disc = list(shapes), sum(int(np.prod(shape)) for shape in shapes.values())
+    adam_step = nn.Adam.step
+    for lambda_da in (0.0, CFG.lambda_da):
+        cfg = replace(CFG, epochs=1, lambda_da=lambda_da)
+        slices = []
+
+        def recorded(self, params, grads):
+            slices.append(grads[-n_disc:].copy())
+            return adam_step(self, params, grads)
+
+        monkeypatch.setattr(nn.Adam, "step", recorded)
+        model, _ = policy.train(human, robot, cfg, schedule=SCHEDULE)
+        initial = policy.build_model(cfg, model.image_dim, schedule=SCHEDULE).params
+        # the discriminator's weights are laid out last, after the retargeter
+        # fit's steps, whose slices are dropped here
+        assert list(model.params)[-len(disc):] == disc
+        steps = slices[retarget.STEPS:]
+        assert steps
+        if lambda_da == 0:
+            assert not any(s.any() for s in steps)
+            for name in disc:
+                assert model.params[name].tobytes() == initial[name].tobytes(), name
+        else:
+            assert all(s.any() for s in steps)
+            assert any(model.params[name].tobytes() != initial[name].tobytes()
+                       for name in disc)
 
 
 def test_sample_is_bit_identical_for_a_seed(trained):
@@ -648,6 +726,7 @@ MALFORMED_POLICY = [
     ("beta_end as a string", lambda m: {**m, "beta_end": "x"}, None, "meta: '<=' not supported"),
     ("target_dim as a string", lambda m: {**m, "target_dim": "7"}, None, "meta: can only"),
     ("horizon as a string", lambda m: {**m, "horizon": "16"}, None, "meta: horizon"),
+    ("lambda_kl true", lambda m: {**m, "lambda_kl": True}, None, "meta: lambda_kl"),
     ("encoder_hidden not a list", lambda m: {**m, "encoder_hidden": 16}, None,
      "meta: 'int' object is not iterable"),
     ("wrong target_dim", lambda m: {**m, "target_dim": m["target_dim"] - 1}, None,

@@ -10,7 +10,7 @@ from trackpolicy.errors import (
     ShapeMismatchError,
 )
 from trackpolicy.geometry import RigidTransform, project_points
-from trackpolicy.nn import Adam, finite_difference_check, init_params
+from trackpolicy.nn import Adam, FlatParams, finite_difference_check, init_params
 from trackpolicy.retarget import KeypointRetargeter
 
 
@@ -124,10 +124,14 @@ def test_denoising_loss_gradient_matches_finite_differences():
     mask[2 * a:2 * a + 2] = 0.0
     target = (clean - clean[:, a:a + 1]).reshape(n, -1) * mask
     rng = np.random.default_rng(4)
+
+    def loss_fn(params):
+        grads = {name: np.zeros_like(p) for name, p in params.items()}
+        return retarget._denoising_loss(params, grads, rel_in, target, mask), grads
+
     for seed in (0, 1):
-        worst = finite_difference_check(
-            lambda p: retarget._denoising_loss(p, rel_in, target, mask),
-            init_params(retarget.NET_SPEC, seed), rng, n_probes=30)
+        worst = finite_difference_check(loss_fn, init_params(retarget.NET_SPEC, seed),
+                                        rng, n_probes=30)
         assert worst < 1e-5
 
 
@@ -240,9 +244,9 @@ def test_array_dicts_do_not_alias_the_retargeter(trained):
 def test_each_step_takes_batch_rows_of_the_corpus(monkeypatch):
     steps, loss = [], retarget._denoising_loss
 
-    def recorded(params, rel_in, target, mask):
+    def recorded(params, grads, rel_in, target, mask):
         steps.append((rel_in, target))
-        return loss(params, rel_in, target, mask)
+        return loss(params, grads, rel_in, target, mask)
 
     monkeypatch.setattr(retarget, "_denoising_loss", recorded)
     frames = layout_corpus("human", 150, seed=2)   # 300 frames
@@ -272,11 +276,45 @@ def test_fit_repeats_for_a_seed():
     assert not np.array_equal(other["retargeter/w0"], first["retargeter/w0"])
 
 
+def per_parameter_fit(frames, seed):
+    """fit's loop with every parameter in its own array and its own Adam,
+    and fresh gradient arrays every step: the reference the flat fit must
+    equal byte for byte."""
+    n, a, rows = len(frames), retarget.ANCHOR_INDEX, retarget.BATCH_ROWS
+    params = init_params(retarget.NET_SPEC, seed)
+    opts = {name: Adam(retarget.LEARNING_RATE) for name in params}
+    rng = np.random.default_rng([seed, retarget._NOISE_STREAM])
+    mask = np.ones(frames[0].size)
+    mask[2 * a:2 * a + 2] = 0.0
+    target = (frames - frames[:, a:a + 1]).reshape(n, -1) * mask
+    for _ in range(retarget.STEPS):
+        idx = rng.integers(n, size=rows)
+        noise = rng.uniform(-retarget.NOISE_BOUND, retarget.NOISE_BOUND,
+                            size=(rows, *frames.shape[1:]))
+        noise[:, a] = 0.0
+        noisy = frames[idx] + noise
+        rel_in = (noisy - noisy[:, a:a + 1]).reshape(rows, -1)
+        grads = {name: np.empty_like(p) for name, p in params.items()}
+        retarget._denoising_loss(params, grads, rel_in, target[idx], mask)
+        for name, p in params.items():
+            opts[name].step(p.reshape(-1), grads[name].reshape(-1))
+    return params
+
+
+def test_fit_steps_each_parameter_as_it_would_alone():
+    frames = layout_corpus("human", 60, seed=5)   # 120 frames
+    fitted = KeypointRetargeter.fit(frames, seed=2).to_arrays()
+    ref = per_parameter_fit(frames, seed=2)
+    assert fitted.keys() == ref.keys()
+    for name, value in ref.items():
+        assert fitted[name].tobytes() == value.tobytes(), name
+
+
 def full_batch_fit(frames, seed):
     """The fit with every row in every step, as it ran before rows were
     drawn per step: the reference the drawn rows are judged against."""
     n, a = len(frames), retarget.ANCHOR_INDEX
-    params = init_params(retarget.NET_SPEC, seed)
+    flat = FlatParams(init_params(retarget.NET_SPEC, seed))
     rng = np.random.default_rng([seed, retarget._NOISE_STREAM])
     mask = np.ones(frames[0].size)
     mask[2 * a:2 * a + 2] = 0.0
@@ -287,8 +325,9 @@ def full_batch_fit(frames, seed):
         noise[:, a] = 0.0
         noisy = frames + noise
         rel_in = (noisy - noisy[:, a:a + 1]).reshape(n, -1)
-        params = opt.step(params, retarget._denoising_loss(params, rel_in, target, mask)[1])
-    return KeypointRetargeter(params)
+        retarget._denoising_loss(flat.params, flat.grads, rel_in, target, mask)
+        opt.step(flat.vector, flat.grad)
+    return KeypointRetargeter(flat.params)
 
 
 def test_drawn_rows_move_outputs_less_than_a_seed_change():

@@ -69,6 +69,19 @@ def test_reset_deterministic():
     assert states_equal(sim.reset(task, 123), sim.reset(task, 123))
 
 
+@pytest.mark.parametrize("seed", [True, False, 2.5, np.float64(1.0), -1, "3", None])
+def test_reset_rejects_a_seed_that_is_not_an_integer_at_least_0(seed):
+    # a bool ran as seed 0 or 1; 2.5 and -1 failed inside numpy
+    with pytest.raises(ValueError, match=r"seed must be an integer >= 0, got "):
+        sim.reset(sim.make_task("push_right"), seed)
+
+
+def test_reset_takes_numpy_integer_seeds():
+    task = sim.make_task("push_right")
+    assert states_equal(sim.reset(task, np.int64(7)), sim.reset(task, 7))
+    assert states_equal(sim.reset(task, np.uint32(0)), sim.reset(task, 0))
+
+
 def test_reset_object_inside_box():
     task = sim.make_task("push_left")
     for seed in range(1000):
