@@ -37,7 +37,8 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .errors import EmptyDemoError, MixedShapesError, SchemaMismatchError, has_nonfinite
+from .errors import (EmptyDemoError, MixedShapesError, SchemaMismatchError, check_int,
+                     has_nonfinite)
 from .geometry import CameraIntrinsics, RigidTransform
 from .nn import check_array_names, check_keys, load_checkpoint, save_checkpoint
 
@@ -112,8 +113,8 @@ class Demonstration:
 
     Every frame view has frame 0's keypoint count and image shape, so the
     frames stack into the (T, V, ...) arrays that `save_dataset` writes. The
-    task name is a string and the seed an integer, not a bool, as the file's
-    meta records them.
+    task name is a string and the seed an integer >= 0, not a bool, stored
+    as a plain int, as the file's meta records them.
     """
 
     embodiment: str
@@ -128,10 +129,10 @@ class Demonstration:
         object.__setattr__(self, "frames", frames)
         object.__setattr__(self, "cameras", tuple(self.cameras))
         object.__setattr__(self, "ee_poses", tuple(self.ee_poses))
-        # save_dataset writes both to the file's meta, the seed through int()
-        if not isinstance(self.task_name, str) or isinstance(self.seed, bool) \
-                or not isinstance(self.seed, (int, np.integer)):
-            raise ValueError("task must be a string and seed an integer")
+        # save_dataset writes both to the file's meta
+        if not isinstance(self.task_name, str):
+            raise ValueError(f"task must be a string, got {self.task_name!r}")
+        object.__setattr__(self, "seed", check_int("seed", self.seed, 0))
         if self.embodiment not in EMBODIMENTS:
             raise ValueError(f"unknown embodiment {self.embodiment!r}")
         n_views = len(self.cameras)
@@ -222,8 +223,7 @@ def chunk(demo: Demonstration, horizon: int) -> TrainingRows:
     """
     if demo.length == 0:
         raise EmptyDemoError("cannot chunk an empty demonstration")
-    if horizon < 1:
-        raise ValueError(f"horizon must be >= 1, got {horizon}")
+    horizon = check_int("horizon", horizon, 1)
     n_views, length = demo.n_views, demo.length
     obs = [views[v] for v in range(n_views) for views in demo.frames]
     images = np.array([fv.image for fv in obs]).reshape(len(obs), -1)
@@ -265,7 +265,7 @@ def save_dataset(demos, path) -> None:
     have no rows without EE poses. Equal demos give byte-identical files."""
     meta, arrays = [], {}
     for i, demo in enumerate(demos):
-        meta.append({"embodiment": demo.embodiment, "task": demo.task_name, "seed": int(demo.seed),
+        meta.append({"embodiment": demo.embodiment, "task": demo.task_name, "seed": demo.seed,
                      "intrinsics": [asdict(intr) for intr, _ in demo.cameras]})
         views = [fv for frame in demo.frames for fv in frame]
         # a zero-frame demo still writes every array, with no rows

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NonFiniteError, has_nonfinite
+from .errors import NonFiniteError, check_int, check_real, has_nonfinite
 
 TIME_EMBED_DIM = 32
 
@@ -38,11 +38,10 @@ class DiffusionSchedule:
     alpha_bars: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        # an integer count, no bool: it sizes the tables and keys the samplers' caches
-        if isinstance(self.num_steps, bool) or not isinstance(self.num_steps, (int, np.integer)):
-            raise ValueError(f"num_steps must be an integer, got {self.num_steps!r}")
-        if self.num_steps < 1:
-            raise ValueError(f"num_steps must be >= 1, got {self.num_steps}")
+        # plain values: they size the tables and reach a checkpoint's meta
+        object.__setattr__(self, "num_steps", check_int("num_steps", self.num_steps, 1))
+        for name in ("beta_start", "beta_end"):
+            object.__setattr__(self, name, check_real(name, getattr(self, name)))
         if not 0.0 < self.beta_start <= self.beta_end < 1.0:
             raise ValueError(
                 f"need 0 < beta_start <= beta_end < 1, got [{self.beta_start}, {self.beta_end}]")

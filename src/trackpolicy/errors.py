@@ -1,5 +1,5 @@
-"""Exception classes shared across the package, and the finiteness test
-that guards most NonFiniteError and ValueError raises."""
+"""Exception classes shared across the package, and its three value rules,
+each the package's one check of its kind: finite, integer and number."""
 
 import numpy as np
 
@@ -77,3 +77,23 @@ def has_nonfinite(a: np.ndarray) -> bool:
     the one-row arrays each denoising step checks. An empty array is finite.
     """
     return np.count_nonzero(np.isfinite(a)) != a.size
+
+
+def check_int(name: str, value, low: int, high: int | None = None) -> int:
+    """value as a plain int if it is a Python or numpy integer, not a bool,
+    in [low, high] (no upper bound when high is None); ValueError naming it
+    otherwise. A float, even 2.0, is rejected rather than truncated."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) \
+            or value < low or (high is not None and value > high):
+        bound = f">= {low}" if high is None else f"in [{low}, {high}]"
+        raise ValueError(f"{name} must be an integer {bound}, got {value!r}")
+    return int(value)
+
+
+def check_real(name: str, value) -> float:
+    """value as a plain float if it is a Python or numpy int or float, not a
+    bool; ValueError naming it otherwise. NaN and the infinities pass: each
+    caller tests its own range, written so that NaN fails it."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    return float(value)

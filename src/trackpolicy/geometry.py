@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BehindCameraError, DegenerateRaysError
+from .errors import BehindCameraError, DegenerateRaysError, check_int, check_real
 
 _ORTHO_TOL = 1e-9
 _MIN_CAMERA_Z = 1e-6
@@ -64,7 +64,8 @@ def _check_rotation(r: np.ndarray, name: str) -> np.ndarray:
 class CameraIntrinsics:
     """Pinhole intrinsics in pixel units: finite positive focal lengths, an
     image size of integers >= 1 with the principal point inside it, and no
-    bool in any field (ValueError)."""
+    bool in any field (ValueError); stored as the plain floats and ints a
+    dataset file's JSON meta records."""
 
     fx: float
     fy: float
@@ -74,17 +75,13 @@ class CameraIntrinsics:
     height: int
 
     def __post_init__(self):
-        # bools compare as 0 and 1, so the checks below would take them
-        for name, value in (("fx", self.fx), ("fy", self.fy), ("cx", self.cx),
-                            ("cy", self.cy), ("width", self.width), ("height", self.height)):
-            if isinstance(value, bool):
-                raise ValueError(f"{name} must be a number, not a bool")
-        # written so that NaN fails it
+        for name in ("fx", "fy", "cx", "cy"):
+            object.__setattr__(self, name, check_real(name, getattr(self, name)))
+        for name in ("width", "height"):
+            object.__setattr__(self, name, check_int(name, getattr(self, name), 1))
+        # written so that NaN fails them
         if not (0 < self.fx < np.inf and 0 < self.fy < np.inf):
             raise ValueError(f"focal lengths must be finite and positive, got {self.fx}, {self.fy}")
-        for name, value in (("width", self.width), ("height", self.height)):
-            if not isinstance(value, (int, np.integer)) or value < 1:
-                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
         if not (0 <= self.cx < self.width and 0 <= self.cy < self.height):
             raise ValueError("principal point must lie inside the image")
 

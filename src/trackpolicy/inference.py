@@ -32,7 +32,7 @@ import numpy as np
 
 from . import data, policy, sim
 from .diffusion import DiffusionSchedule
-from .errors import EmptyDatasetError, has_nonfinite
+from .errors import EmptyDatasetError, check_int, has_nonfinite
 from .geometry import (
     RigidTransform,
     _check_rotation,
@@ -223,9 +223,13 @@ class TrackPolicyRunner:
 
 @dataclass(frozen=True)
 class OracleRunner:
-    """Ground-truth-track stand-in with the same replanning interface."""
+    """Ground-truth-track stand-in with the same replanning interface;
+    horizon is an integer >= 1 (ValueError)."""
 
     horizon: int = 16
+
+    def __post_init__(self):
+        object.__setattr__(self, "horizon", check_int("horizon", self.horizon, 1))
 
     def chunk(self, task, state, cams, seed) -> ActionChunk:
         return oracle_chunk(task, state, sim.robot_embodiment(), cams, self.horizon)
@@ -242,10 +246,7 @@ def rollout(runner, task: sim.TaskSpec, seed: int,
     box's final position. exec_horizon is an integer in [1, runner.horizon],
     not a bool (ValueError otherwise, before the episode starts).
     """
-    if isinstance(exec_horizon, bool) or not isinstance(exec_horizon, (int, np.integer)) \
-            or not 1 <= exec_horizon <= runner.horizon:
-        raise ValueError(f"exec horizon must be an integer in [1, {runner.horizon}], "
-                         f"got {exec_horizon!r}")
+    exec_horizon = check_int("exec horizon", exec_horizon, 1, high=runner.horizon)
     cams = sim.default_cameras()
     state = sim.reset(task, seed)
     residual_log = []
@@ -283,6 +284,7 @@ def baseline_samples(demo: data.Demonstration, horizon: int) -> data.TrainingRow
     if demo.embodiment != data.ROBOT or not demo.ee_poses:
         raise EmptyDatasetError(
             "6DoF baseline needs robot demonstrations with end-effector poses")
+    obs = data.chunk(demo, horizon)   # view 0's rows come first
     poses = demo.ee_poses
     last = demo.length - 1
     # steps[s]: the own-frame motion from frame s to frame min(s + 1, last)
@@ -294,7 +296,6 @@ def baseline_samples(demo: data.Demonstration, horizon: int) -> data.TrainingRow
         steps[s, 3:6] = matrix_to_axis_angle(local.rotation)
         steps[s, 6] = 2.0 * demo.frames[b][0].grasp - 1.0
     actions = steps[np.minimum(np.arange(demo.length)[:, None] + np.arange(horizon), last)]
-    obs = data.chunk(demo, horizon)   # view 0's rows come first
     return data.TrainingRows(obs.images[:demo.length], obs.keypoints[:demo.length],
                              actions.reshape(demo.length, -1), 0)
 

@@ -23,7 +23,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from ..errors import NonFiniteError, ShapeMismatchError, has_nonfinite
+from ..errors import NonFiniteError, ShapeMismatchError, check_int, has_nonfinite
 
 ACTIVATIONS = ("relu", "tanh", "identity")
 
@@ -32,9 +32,9 @@ ACTIVATIONS = ("relu", "tanh", "identity")
 class MlpSpec:
     """Layer widths plus one activation per weight layer.
 
-    widths = (d_in, h1, ..., d_out), each a positive integer (a float or a
-    bool is rejected rather than truncated); activations has len(widths) - 1
-    entries.
+    widths = (d_in, h1, ..., d_out), each an integer >= 1 stored as a plain
+    int (`errors.check_int`: a float or a bool is rejected rather than
+    truncated); activations has len(widths) - 1 entries.
     """
 
     widths: tuple
@@ -44,16 +44,11 @@ class MlpSpec:
     _layers: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        widths = tuple(self.widths)
-        for w in widths:
-            if isinstance(w, bool) or not isinstance(w, (int, np.integer)):
-                raise ValueError(f"widths must be integers, got {w!r} in {widths}")
-        object.__setattr__(self, "widths", tuple(int(w) for w in widths))
+        object.__setattr__(self, "widths", tuple(check_int(f"{self.name} width", w, 1)
+                                                 for w in self.widths))
         object.__setattr__(self, "activations", tuple(self.activations))
         if len(self.widths) < 2:
             raise ValueError("need at least input and output widths")
-        if any(w <= 0 for w in self.widths):
-            raise ValueError(f"widths must be positive: {self.widths}")
         if len(self.activations) != len(self.widths) - 1:
             raise ValueError(
                 f"need {len(self.widths) - 1} activations, got {len(self.activations)}")

@@ -53,7 +53,7 @@ from __future__ import annotations
 
 import functools
 from collections.abc import Mapping
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from types import MappingProxyType
 
 import numpy as np
@@ -72,6 +72,8 @@ from .errors import (
     NonFiniteError,
     SchemaMismatchError,
     ShapeMismatchError,
+    check_int,
+    check_real,
     has_nonfinite,
 )
 from .nn import (
@@ -106,6 +108,10 @@ class TrainConfig:
 
     lambda_kl weights the embedding moment-alignment term, lambda_da the
     adversarial term. Both zero = plain diffusion behavior cloning.
+
+    Knobs are stored as plain Python values (`errors.check_int`,
+    `errors.check_real`), whatever numeric type they came as, so a
+    checkpoint's JSON meta holds every knob a config accepts.
     """
 
     horizon: int = 16
@@ -121,35 +127,20 @@ class TrainConfig:
     disc_hidden: tuple = (32,)
 
     def __post_init__(self):
-        object.__setattr__(self, "encoder_hidden", tuple(self.encoder_hidden))
-        object.__setattr__(self, "denoiser_hidden", tuple(self.denoiser_hidden))
-        object.__setattr__(self, "disc_hidden", tuple(self.disc_hidden))
-        # integer counts and no bools, so NaN and 2.5 fail them too.
-        # Co-training batches are half human, half robot, and the moment
+        # co-training batches are half human, half robot, and the moment
         # losses need at least 2 rows on each side; the seed feeds numpy's
         # SeedSequence, which takes integers >= 0 only
-        for name, low in (("horizon", 1), ("batch_size", 4), ("epochs", 0), ("seed", 0)):
-            value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < low:
-                raise ValueError(f"{name} must be >= {low} and an integer, got {value!r}")
-        # layer widths: integers >= 1 and no bools, rejected here under the
-        # knob's name rather than by MlpSpec when the model is built
-        for name, widths in (("embed_dim", (self.embed_dim,)),
-                             ("encoder_hidden", self.encoder_hidden),
-                             ("denoiser_hidden", self.denoiser_hidden),
-                             ("disc_hidden", self.disc_hidden)):
-            if not all(isinstance(w, (int, np.integer)) and not isinstance(w, bool) and w >= 1
-                       for w in widths):
-                raise ValueError(f"{name} must hold integers >= 1, got {getattr(self, name)!r}")
-        # the float knobs: a bool passes the range checks below (True == 1)
-        # and would reach a checkpoint's meta as true
+        for name, low in (("horizon", 1), ("batch_size", 4), ("epochs", 0), ("seed", 0),
+                          ("embed_dim", 1)):
+            object.__setattr__(self, name, check_int(name, getattr(self, name), low))
+        for name in ("encoder_hidden", "denoiser_hidden", "disc_hidden"):
+            object.__setattr__(self, name, tuple(check_int(name, w, 1)
+                                                 for w in getattr(self, name)))
         for name in ("lambda_kl", "lambda_da", "learning_rate"):
-            value = getattr(self, name)
-            if isinstance(value, (bool, np.bool_)):
-                raise ValueError(f"{name} must be a number, not a bool, got {value!r}")
+            object.__setattr__(self, name, check_real(name, getattr(self, name)))
+        # written so that NaN fails them
         if not 0.0 <= self.lambda_da <= 1.0:
             raise ValueError(f"lambda_da must be in [0, 1], got {self.lambda_da}")
-        # written so that NaN fails them
         if not 0.0 <= self.lambda_kl < np.inf:
             raise ValueError(f"lambda_kl must be finite and >= 0, got {self.lambda_kl}")
         if not 0.0 < self.learning_rate < np.inf:
@@ -179,48 +170,38 @@ class LossReport:
 
 @dataclass(frozen=True, eq=False)
 class PolicyModel:
-    """A policy as a value: three net specs and their weights, one flat
-    name->array mapping, checked once when built (ShapeMismatchError).
+    """A policy as a value: cfg, image_dim feature cells in, target_dim
+    values out, and one flat name->array mapping of weights, checked once
+    when built (integer dims >= 1, else ValueError; ShapeMismatchError).
 
-    The denoiser reads [target | embedding | 2k keypoint coordinates |
-    timestep features], the discriminator the embedding. params is stored as
-    a read-only mapping of arrays made read-only in place, so a
-    `dataclasses.replace` copy is a new model.
+    Its nets come from cfg, image_dim and target_dim (`_specs`), so they
+    cannot disagree with cfg. The denoiser reads [target | embedding | 2k
+    keypoint coordinates | timestep features], the discriminator the
+    embedding. params is stored as a read-only mapping of arrays made
+    read-only in place, so a `dataclasses.replace` copy is a new model.
     """
 
-    encoder: MlpSpec
-    denoiser: MlpSpec
-    discriminator: MlpSpec
-    params: Mapping
     cfg: TrainConfig
+    image_dim: int
+    target_dim: int
+    params: Mapping
     schedule: DiffusionSchedule
     retargeter: KeypointRetargeter | None = None
+    encoder: MlpSpec = field(init=False)
+    denoiser: MlpSpec = field(init=False)
+    discriminator: MlpSpec = field(init=False)
 
     def __post_init__(self):
+        for name in ("image_dim", "target_dim"):
+            object.__setattr__(self, name, check_int(name, getattr(self, name), 1))
         params = dict(self.params)
-        for spec in (self.encoder, self.denoiser, self.discriminator):
+        for name, spec in zip(("encoder", "denoiser", "discriminator"),
+                              _specs(self.cfg, self.image_dim, self.target_dim)):
             check_params(spec, params)
-        emb = self.encoder.widths[-1]
-        width = self.target_dim + emb + 2 * data.N_TRACK_KEYPOINTS + TIME_EMBED_DIM
-        if width != self.denoiser.widths[0]:
-            raise ShapeMismatchError(
-                f"denoiser input width {width} does not match spec width "
-                f"{self.denoiser.widths[0]}")
-        if self.discriminator.widths[0] != emb:
-            raise ShapeMismatchError(
-                f"discriminator input width {self.discriminator.widths[0]} does not match "
-                f"the encoder's output width {emb}")
+            object.__setattr__(self, name, spec)
         for arr in params.values():
             arr.flags.writeable = False
         object.__setattr__(self, "params", MappingProxyType(params))
-
-    @property
-    def image_dim(self) -> int:
-        return self.encoder.widths[0]
-
-    @property
-    def target_dim(self) -> int:
-        return self.denoiser.widths[-1]
 
     @functools.cached_property
     def _chain(self) -> tuple:
@@ -263,12 +244,13 @@ def build_model(cfg: TrainConfig, image_dim: int, target_dim: int | None = None,
                 schedule: DiffusionSchedule | None = None,
                 retargeter: KeypointRetargeter | None = None) -> PolicyModel:
     """Fresh model with seed-derived initialization for each net."""
-    specs = _specs(cfg, image_dim, cfg.target_dim if target_dim is None else target_dim)
+    target_dim = cfg.target_dim if target_dim is None else target_dim
     seeds = np.random.SeedSequence(cfg.seed).generate_state(3)
     params = {}
-    for spec, s in zip(specs, seeds):
+    for spec, s in zip(_specs(cfg, image_dim, target_dim), seeds):
         params.update(init_params(spec, int(s)))
-    return PolicyModel(*specs, params, cfg, schedule or DiffusionSchedule(), retargeter)
+    return PolicyModel(cfg, image_dim, target_dim, params, schedule or DiffusionSchedule(),
+                       retargeter)
 
 
 @functools.lru_cache(maxsize=8)
@@ -509,8 +491,7 @@ def sample_flat(model: PolicyModel, feature_image, keypoints,
     seed) and are drawn once for the last two such keys, so the second view
     of a replan reuses the first view's draw.
     """
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
+    seed = check_int("seed", seed, 0)
     schedule = model.schedule
     kps = np.asarray(keypoints, dtype=np.float64)
     if kps.shape != (data.N_TRACK_KEYPOINTS, 2):
@@ -531,7 +512,7 @@ def sample_flat(model: PolicyModel, feature_image, keypoints,
         params["denoiser/b0"] = pre[t]
         return apply(model.denoiser, params, x.astype(np.float32))[0]
 
-    return ancestral_sample(clean_fn, schedule, *_seed_noise(schedule, d, int(seed)))[0]
+    return ancestral_sample(clean_fn, schedule, *_seed_noise(schedule, d, seed))[0]
 
 
 def sample(model: PolicyModel, feature_image, keypoints, seed: int = 0):
@@ -578,10 +559,10 @@ def load_policy(path) -> PolicyModel:
     try:
         cfg = TrainConfig(**{f.name: meta[f.name] for f in fields(TrainConfig)})
         schedule = DiffusionSchedule(meta["num_steps"], meta["beta_start"], meta["beta_end"])
-        specs = _specs(cfg, meta["image_dim"], meta["target_dim"])
+        names = [name for spec in _specs(cfg, meta["image_dim"], meta["target_dim"])
+                 for name in spec.param_shapes()]
     except (TypeError, ValueError) as err:
         raise SchemaMismatchError(f"{path}: policy checkpoint meta: {err}") from err
-    names = [name for spec in specs for name in spec.param_shapes()]
     retarget = {f"retargeter:{name}": name for name in RETARGET_SPEC.param_shapes()} \
         if meta.get("has_retargeter") else {}
     # every missing or unexpected array is named in one error before any is used
@@ -589,7 +570,7 @@ def load_policy(path) -> PolicyModel:
     try:
         retargeter = KeypointRetargeter({name: arrays[key] for key, name in retarget.items()}) \
             if retarget else None
-        return PolicyModel(*specs, {name: arrays[name] for name in names},
-                           cfg, schedule, retargeter)
+        return PolicyModel(cfg, meta["image_dim"], meta["target_dim"],
+                           {name: arrays[name] for name in names}, schedule, retargeter)
     except ShapeMismatchError as err:
         raise SchemaMismatchError(f"{path}: policy checkpoint: {err}") from err

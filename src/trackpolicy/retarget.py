@@ -35,6 +35,7 @@ from .errors import (
     InsufficientDataError,
     NonFiniteError,
     ShapeMismatchError,
+    check_int,
     has_nonfinite,
 )
 from .nn import (
@@ -119,8 +120,9 @@ class KeypointRetargeter:
         points: an (n, 5, 2) array of hand layouts in normalized units, the
         5-point subset, as `data.chunk` stacks them into `keypoints`. The
         seed fixes the init and, through the noise stream, each step's rows
-        and noise (see the module docstring).
+        and noise (see the module docstring): an integer >= 0 (ValueError).
         """
+        seed = check_int("seed", seed, 0)
         pts = np.asarray(points, dtype=np.float64)
         _check_points(pts)
         n = pts.shape[0]

@@ -48,7 +48,7 @@ from .data import (
     FrameView,
     KeypointSet2D,
 )
-from .errors import ScriptFailureError
+from .errors import ScriptFailureError, check_int, check_real
 from .geometry import (
     CameraIntrinsics,
     RigidTransform,
@@ -241,9 +241,9 @@ class TaskSpec:
         for name in ("object_box_low", "object_box_high", "goal_center"):
             object.__setattr__(self, name,
                                np.asarray(getattr(self, name), dtype=np.float64).reshape(3))
-        if (isinstance(self.horizon, bool) or not isinstance(self.horizon, (int, np.integer))
-                or self.horizon < 1):
-            raise ValueError(f"episode horizon must be an integer >= 1, got {self.horizon!r}")
+        object.__setattr__(self, "horizon", check_int("episode horizon", self.horizon, 1))
+        object.__setattr__(self, "success_radius",
+                           check_real("success radius", self.success_radius))
         # written so that NaN fails it
         if not 0 < self.success_radius < np.inf:
             raise ValueError(f"success radius must be finite and > 0, got {self.success_radius!r}")
@@ -308,9 +308,7 @@ def default_cameras() -> tuple:
 def reset(task: TaskSpec, seed: int) -> SimState:
     """Deterministic initial state: box uniform in the task box, EE home.
     seed is an integer >= 0, not a bool (ValueError otherwise)."""
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_int("seed", seed, 0))
     pos = rng.uniform(task.object_box_low, task.object_box_high)
     goal = pos + task.goal_center if task.goal_is_offset else task.goal_center
     return SimState(ee_pose=HOME_POSE, gripper_closed=False,
@@ -636,7 +634,8 @@ def generate_demos(task_name: str, kind: str, count: int, profile: str = "defaul
     task_name "push" is shorthand for the push family and needs a direction
     profile ("right", "left" or "both"); "both" alternates right/left so
     every prefix of the batch stays direction-balanced. Any other task name
-    is a concrete task and takes profile "default".
+    is a concrete task and takes profile "default". count and seed_start are
+    integers >= 0 (ValueError).
     """
     if task_name == "push":
         if profile not in _PUSH_PROFILES:
@@ -648,4 +647,5 @@ def generate_demos(task_name: str, kind: str, count: int, profile: str = "defaul
     else:
         raise ValueError(f"direction profiles only apply to push, not {task_name}")
     emb = embodiment(kind)
+    count, seed_start = check_int("count", count, 0), check_int("seed_start", seed_start, 0)
     return [scripted_demo(tasks[i % len(tasks)], emb, seed_start + i) for i in range(count)]

@@ -189,17 +189,18 @@ def test_intrinsics_reject_non_finite_or_non_positive_focal_lengths():
 
 
 def test_intrinsics_reject_bools_and_non_integer_image_sizes():
-    for name in ("fx", "fy", "cx", "cy", "width", "height"):
-        with pytest.raises(ValueError, match=f"{name} must be a number, not a bool"):
-            replace(INTR, **{name: True})
+    for name in ("fx", "fy", "cx", "cy"):
+        for bad in (True, np.bool_(False), "abc", None):
+            with pytest.raises(ValueError, match=f"{name} must be a real number"):
+                replace(INTR, **{name: bad})
     for name, bad in (("width", 128.5), ("height", 128.0), ("width", "128"),
-                      ("height", np.float64(96.0)), ("width", 0), ("height", -3)):
+                      ("height", np.float64(96.0)), ("width", 0), ("height", -3),
+                      ("width", True), ("height", True)):
         with pytest.raises(ValueError, match=f"{name} must be an integer >= 1"):
             replace(INTR, **{name: bad})
-    # a non-numeric focal length still fails where it is first compared
-    with pytest.raises(TypeError, match="'<' not supported"):
-        replace(INTR, fx="abc")
-    assert replace(INTR, width=np.int64(130), height=1, cy=0.5).width == 130
+    intr = replace(INTR, width=np.int64(130), height=1, cy=0.5, fx=np.float32(320))
+    assert (intr.width, intr.fx) == (130, 320.0)
+    assert type(intr.width) is int and type(intr.fx) is float
 
 
 def test_project_on_axis():

@@ -16,7 +16,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from trackpolicy import inference, sim
+from trackpolicy import data, inference, sim
 from trackpolicy.geometry import (
     RigidTransform,
     axis_angle_to_matrix,
@@ -87,6 +87,28 @@ def test_rollout_rejects_an_exec_horizon_that_is_no_integer(monkeypatch):
     monkeypatch.undo()
     result = inference.rollout(runner, sim.make_task("reach"), 0, exec_horizon=np.int64(2))
     assert result.success
+
+
+@pytest.mark.parametrize("horizon", [True, False, 2.5, 0, np.float64(4.0), "4", None])
+def test_oracle_runner_rejects_a_horizon_that_is_not_an_integer_at_least_1(horizon):
+    # True completed an episode as horizon 1, and 2.5 failed inside range()
+    with pytest.raises(ValueError, match="horizon must be an integer >= 1, got "):
+        inference.OracleRunner(horizon)
+
+
+def test_oracle_runner_stores_a_plain_int_horizon():
+    runner = inference.OracleRunner(np.int64(4))
+    assert type(runner.horizon) is int and runner == inference.OracleRunner(4)
+
+
+def test_baseline_samples_reject_a_horizon_that_is_not_an_integer_at_least_1():
+    # they call data.chunk, which failed inside numpy on 2.5 and True
+    (demo,) = sim.generate_demos("reach", data.ROBOT, 1)
+    for bad in (2.5, True, 0, np.float64(4.0), "4"):
+        with pytest.raises(ValueError, match="horizon must be an integer >= 1, got "):
+            inference.baseline_samples(demo, bad)
+    a, b = inference.baseline_samples(demo, np.int64(4)), inference.baseline_samples(demo, 4)
+    assert np.array_equal(a.targets, b.targets) and np.array_equal(a.images, b.images)
 
 
 def test_rollout_rejects_a_seed_that_is_not_an_integer_at_least_0():

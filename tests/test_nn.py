@@ -74,10 +74,10 @@ def test_mlp_spec_rejects_widths_it_would_truncate():
     # int() used to turn 3.7 into 3 and True into 1
     for widths in ((3.7, 4, 2), (3, True, 2), (3, 4, 2.0), (3, np.float32(4), 2),
                    (3, np.bool_(True), 2), (3, "4", 2)):
-        with pytest.raises(ValueError, match="integers"):
+        with pytest.raises(ValueError, match="mlp width must be an integer >= 1"):
             nn.MlpSpec(widths, ("relu", "identity"))
     for widths in ((3, 0, 2), (3, -1, 2)):
-        with pytest.raises(ValueError, match="positive"):
+        with pytest.raises(ValueError, match="mlp width must be an integer >= 1"):
             nn.MlpSpec(widths, ("relu", "identity"))
     spec = nn.MlpSpec((np.int64(3), 4, np.int32(2)), ("relu", "identity"))
     assert spec.widths == (3, 4, 2) and all(type(w) is int for w in spec.widths)

@@ -6,8 +6,9 @@ bit for bit: a fixed seed must reproduce training logs, samples, chunks,
 rollouts and checkpoints exactly, and the sampler must equal a step-by-step
 reference that rebuilds every per-step constant and runs the denoiser in
 float32 where the sampler does; the float64 references, draws and rollouts
-stay within float32 rounding of it. A model is a checked value: building one
-rejects misshapen or mismatched nets and freezes its weights, and a draw
+stay within float32 rounding of it. A model is a checked value: its nets come
+from its config, building one rejects weights that do not fit them and
+freezes its weights, a fixed-seed model's file bytes are pinned, and a draw
 validates its seed and fixed conditioning before the first step. The sampler's
 float32 weights are built once per model, a `replace` copy with other
 weights or another schedule builds its own, and the two views of a replan
@@ -24,6 +25,7 @@ adversarial term off, the discriminator's gradient slice stays zero and
 its weights leave training as they began.
 """
 
+import hashlib
 from dataclasses import replace
 from functools import partial
 
@@ -45,7 +47,12 @@ from trackpolicy.errors import (
     SchemaMismatchError,
     ShapeMismatchError,
 )
-from trackpolicy.geometry import RigidTransform, axis_angle_to_matrix, project_rotation
+from trackpolicy.geometry import (
+    CameraIntrinsics,
+    RigidTransform,
+    axis_angle_to_matrix,
+    project_rotation,
+)
 from trackpolicy.retarget import KeypointRetargeter
 
 CFG = policy.TrainConfig(epochs=2, batch_size=16, embed_dim=8, encoder_hidden=(16,),
@@ -134,12 +141,14 @@ def test_train_config_rejects_each_bad_knob():
 def test_train_config_rejects_a_bool_for_its_float_knobs():
     # True == 1 passed every range check, and save_policy wrote true
     for field in ("lambda_kl", "lambda_da", "learning_rate"):
-        for bad in (True, False, np.bool_(True)):
-            with pytest.raises(ValueError, match=f"{field} must be a number, not a bool"):
+        for bad in (True, False, np.bool_(True), "0.5", None):
+            with pytest.raises(ValueError, match=f"{field} must be a real number"):
                 policy.TrainConfig(**{field: bad})
-    # numbers of any type still construct
+    # numbers of any type still construct, stored as plain floats
     cfg = policy.TrainConfig(lambda_kl=1, lambda_da=np.float64(0.5), learning_rate=np.float32(1e-3))
     assert (cfg.lambda_kl, cfg.lambda_da) == (1, 0.5)
+    assert cfg.learning_rate == float(np.float32(1e-3))
+    assert all(type(getattr(cfg, f)) is float for f in ("lambda_kl", "lambda_da", "learning_rate"))
 
 
 def test_train_log_repeats_for_a_seed(demos, trained):
@@ -469,7 +478,7 @@ def test_train_rejects_mixed_raster_sizes(demos):
 
 def test_co_training_needs_two_rows_per_embodiment_in_a_batch(demos):
     for size in (2, 3):
-        with pytest.raises(ValueError, match="batch_size must be >= 4"):
+        with pytest.raises(ValueError, match="batch_size must be an integer >= 4"):
             replace(CFG, batch_size=size)
     human, robot = demos
     _, log = policy.train(human, robot, replace(CFG, batch_size=4, epochs=1),
@@ -653,6 +662,57 @@ def test_checkpoint_round_trip_with_retargeter(trained, tmp_path):
             arr[...] = 0.0
 
 
+def test_values_built_from_numpy_scalars_round_trip_through_both_writers(demos, tmp_path):
+    # each constructor stores the plain value its rule returns; json.dumps
+    # used to raise "Object of type int64 is not JSON serializable"
+    cfg = policy.TrainConfig(horizon=np.int64(4), lambda_kl=np.float32(0.5),
+                             lambda_da=np.float32(0.25), batch_size=np.int64(16),
+                             learning_rate=np.float32(1e-3), epochs=np.int64(1),
+                             seed=np.int64(3), embed_dim=np.int64(8),
+                             encoder_hidden=(np.int64(16),), denoiser_hidden=(np.int32(32),),
+                             disc_hidden=(np.int64(8),))
+    schedule = DiffusionSchedule(np.int64(10), np.float32(1e-4), np.float64(0.02))
+    model = policy.build_model(cfg, np.int64(12), schedule=schedule)
+    path = tmp_path / "policy.ckpt"
+    policy.save_policy(path, model)
+    loaded = policy.load_policy(path)
+    assert loaded.cfg == cfg and loaded.schedule == schedule
+    assert (loaded.image_dim, loaded.target_dim) == (12, cfg.target_dim)
+    assert loaded.params.keys() == model.params.keys()
+    for name, value in model.params.items():
+        assert same_bytes(loaded.params[name], value), name
+
+    intr = CameraIntrinsics(fx=np.float32(320), fy=np.float64(320.5), cx=np.int64(64),
+                            cy=np.float32(63.5), width=np.int64(128), height=np.int32(128))
+    demo = replace(demos[1][0], seed=np.int64(5),
+                   cameras=[(intr, pose) for _, pose in demos[1][0].cameras])
+    data.save_dataset([demo], tmp_path / "demos.ckpt")
+    (back,) = data.load_dataset(tmp_path / "demos.ckpt")
+    assert back.seed == 5
+    assert [c for c, _ in back.cameras] == [c for c, _ in demo.cameras] == [intr, intr]
+    for (_, a), (_, b) in zip(back.cameras, demo.cameras):
+        assert same_bytes(a.rotation, b.rotation) and same_bytes(a.translation, b.translation)
+
+
+# sha256 of save_policy's bytes for fixed-seed tiny models, without and with
+# a retargeter: how a model is built may change, the file it writes may not
+POLICY_FILE_SHA256 = (
+    (False, "47d8abc561033a28c7efac04a3111df19038275d5d46ba4b693a2cebb38f46ae"),
+    (True, "6c8027aea3c81f22c534c8de33a20178a136eb1bd278015b2c0b19a18152f9c0"),
+)
+
+
+@pytest.mark.parametrize("with_retargeter, digest", POLICY_FILE_SHA256)
+def test_policy_file_bytes_are_pinned(tmp_path, with_retargeter, digest):
+    retargeter = KeypointRetargeter(nn.init_params(retarget.NET_SPEC, 7)) \
+        if with_retargeter else None
+    model = policy.build_model(replace(CFG, horizon=4), 12, schedule=SCHEDULE,
+                               retargeter=retargeter)
+    path = tmp_path / "policy.ckpt"
+    policy.save_policy(path, model)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
 def test_load_policy_rejects_other_checkpoint_kinds(trained, tmp_path):
     model, _ = trained
     path = tmp_path / "mislabeled.ckpt"
@@ -719,11 +779,12 @@ def _reshaped(arrays, name, grow):
 # (what the rewrite does, meta edit, array edit, message)
 MALFORMED_POLICY = [
     ("image_dim as a string", lambda m: {**m, "image_dim": "12"}, None,
-     "meta: widths must be integers"),
+     "meta: encoder width must be an integer >= 1, got '12'"),
     ("fractional image_dim", lambda m: {**m, "image_dim": 12.5}, None,
-     "meta: widths must be integers"),
+     "meta: encoder width must be an integer >= 1, got 12.5"),
     ("num_steps true", lambda m: {**m, "num_steps": True}, None, "meta: num_steps"),
-    ("beta_end as a string", lambda m: {**m, "beta_end": "x"}, None, "meta: '<=' not supported"),
+    ("beta_end as a string", lambda m: {**m, "beta_end": "x"}, None,
+     "meta: beta_end must be a real number"),
     ("target_dim as a string", lambda m: {**m, "target_dim": "7"}, None, "meta: can only"),
     ("horizon as a string", lambda m: {**m, "horizon": "16"}, None, "meta: horizon"),
     ("lambda_kl true", lambda m: {**m, "lambda_kl": True}, None, "meta: lambda_kl"),
@@ -951,17 +1012,24 @@ def test_model_rejects_misshapen_or_mismatched_nets(trained):
         with_param(model, "denoiser/b0", np.zeros(model.params["denoiser/b0"].size + 1))
     with pytest.raises(ShapeMismatchError, match="missing parameter disc/w0"):
         replace(model, params={n: a for n, a in model.params.items() if n != "disc/w0"})
-    # an encoder one unit wider than the denoiser's embedding block
-    wide = nn.MlpSpec(model.encoder.widths[:-1] + (CFG.embed_dim + 1,),
-                      model.encoder.activations, name="encoder")
-    with pytest.raises(ShapeMismatchError, match="denoiser input width"):
-        replace(model, encoder=wide, params={**model.params, **nn.init_params(wide, 0)})
-    # a discriminator that does not read the embedding
-    disc = nn.MlpSpec((CFG.embed_dim + 1, *model.discriminator.widths[1:]),
-                      model.discriminator.activations, name="disc")
-    with pytest.raises(ShapeMismatchError, match="discriminator input width 9 does not match "
-                       "the encoder's output width 8"):
-        replace(model, discriminator=disc, params={**model.params, **nn.init_params(disc, 0)})
+    # the nets are built from the config and the two widths, so a config or
+    # width that disagrees with the weights names the first parameter that
+    # does not fit
+    for edit, name in (({"cfg": replace(CFG, encoder_hidden=(17,))}, "encoder/w0"),
+                       ({"cfg": replace(CFG, embed_dim=CFG.embed_dim + 1)}, "encoder/w1"),
+                       ({"cfg": replace(CFG, denoiser_hidden=(32, 32))}, "denoiser/w1"),
+                       ({"cfg": replace(CFG, disc_hidden=(9,))}, "disc/w0"),
+                       ({"image_dim": model.image_dim + 1}, "encoder/w0"),
+                       ({"target_dim": model.target_dim - 1}, "denoiser/w0")):
+        with pytest.raises(ShapeMismatchError, match=f"{name}: expected shape"):
+            replace(model, **edit)
+    for bad in (True, 2.5, 0, np.float64(12.0)):
+        with pytest.raises(ValueError, match="image_dim must be an integer >= 1"):
+            replace(model, image_dim=bad)
+        with pytest.raises(ValueError, match="target_dim must be an integer >= 1"):
+            replace(model, target_dim=bad)
+    rebuilt = replace(model, image_dim=np.int64(model.image_dim))
+    assert type(rebuilt.image_dim) is int and rebuilt.encoder == model.encoder
 
 
 def test_sample_flat_rejects_keypoints_of_the_wrong_shape_before_stepping(trained,

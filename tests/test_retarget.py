@@ -187,6 +187,20 @@ def test_fit_rejects_bad_corpora():
         KeypointRetargeter.fit(bad)
 
 
+@pytest.mark.parametrize("seed", [True, False, 2.5, np.float64(1.0), -1, "3", None])
+def test_fit_rejects_a_seed_that_is_not_an_integer_at_least_0(seed):
+    # True trained as seed 1, and -1 failed in numpy without naming the seed
+    with pytest.raises(ValueError, match="seed must be an integer >= 0, got "):
+        KeypointRetargeter.fit(layout_corpus("human", 60, seed=0), seed)
+
+
+def test_fit_takes_numpy_integer_seeds():
+    corpus = layout_corpus("human", 60, seed=0)
+    a = KeypointRetargeter.fit(corpus, np.int64(2)).to_arrays()
+    b = KeypointRetargeter.fit(corpus, 2).to_arrays()
+    assert all(a[name].tobytes() == b[name].tobytes() for name in b)
+
+
 def test_transform_rejects_wrong_k(trained):
     est, _ = trained
     with pytest.raises(ShapeMismatchError):

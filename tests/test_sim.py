@@ -625,7 +625,33 @@ def test_task_spec_rejects_a_bad_horizon_or_success_radius():
     for bad in (0.0, -0.01, np.nan, np.inf):
         with pytest.raises(ValueError, match="success radius must be finite and > 0"):
             replace(task, success_radius=bad)
-    assert replace(task, horizon=np.int64(1), success_radius=1e-9).horizon == 1
+    # success_radius=True ran as a 1 m radius
+    for bad in (True, np.bool_(True), "0.03", None):
+        with pytest.raises(ValueError, match="success radius must be a real number"):
+            replace(task, success_radius=bad)
+    edge = replace(task, horizon=np.int64(1), success_radius=np.float32(0.5))
+    assert (edge.horizon, edge.success_radius) == (1, 0.5)
+    assert type(edge.horizon) is int and type(edge.success_radius) is float
+
+
+@pytest.mark.parametrize("field, bad", [("count", True), ("count", 2.0), ("count", -1),
+                                        ("count", "2"), ("seed_start", True),
+                                        ("seed_start", 1.5), ("seed_start", -1)])
+def test_generate_demos_rejects_a_count_or_seed_start_that_is_not_an_integer_at_least_0(
+        field, bad):
+    # count=True made one demo and seed_start=True started at seed 1
+    args = {"count": 1, "seed_start": 0, field: bad}
+    with pytest.raises(ValueError, match=f"{field} must be an integer >= 0, got "):
+        sim.generate_demos("reach", ROBOT, **args)
+
+
+def test_generate_demos_takes_numpy_integers():
+    (a,) = sim.generate_demos("reach", ROBOT, np.int64(1), seed_start=np.uint8(4))
+    (b,) = sim.generate_demos("reach", ROBOT, 1, seed_start=4)
+    assert type(a.seed) is int and a.seed == b.seed == 4
+    assert all(np.array_equal(fa.image, fb.image)
+               for va, vb in zip(a.frames, b.frames) for fa, fb in zip(va, vb))
+    assert sim.generate_demos("reach", ROBOT, 0) == []
 
 
 def test_script_failure_raises():
