@@ -113,8 +113,9 @@ class Demonstration:
 
     Every frame view has frame 0's keypoint count and image shape, so the
     frames stack into the (T, V, ...) arrays that `save_dataset` writes. The
-    task name is a string and the seed an integer >= 0, not a bool, stored
-    as a plain int, as the file's meta records them.
+    task name is a string and the seed an integer >= 0, not a bool (the seed
+    `sim.reset` built the episode from), stored as a plain int, as the
+    file's meta records them.
     """
 
     embodiment: str

@@ -254,6 +254,7 @@ def test_demo_rejects_a_non_string_task_or_a_non_integer_seed(tmp_path):
     for seed in (1.5, "7", True, None, np.float64(2.0), -1, np.int64(-3)):
         with pytest.raises(ValueError, match="seed must be an integer >= 0"):
             data.Demonstration(data.ROBOT, (), "reach", seed, cams)
+    assert data.Demonstration(data.ROBOT, (), "reach", 0, cams).seed == 0
     demo = data.Demonstration(data.ROBOT, (), "reach", np.int64(7), cams)
     assert type(demo.seed) is int
     data.save_dataset([demo], tmp_path / "demos.ckpt")

@@ -629,6 +629,7 @@ def test_task_spec_rejects_a_bad_horizon_or_success_radius():
     for bad in (True, np.bool_(True), "0.03", None):
         with pytest.raises(ValueError, match="success radius must be a real number"):
             replace(task, success_radius=bad)
+    assert replace(task, horizon=np.int64(1), success_radius=1e-9).horizon == 1
     edge = replace(task, horizon=np.int64(1), success_radius=np.float32(0.5))
     assert (edge.horizon, edge.success_radius) == (1, 0.5)
     assert type(edge.horizon) is int and type(edge.success_radius) is float
