@@ -55,20 +55,14 @@ N_TRACK_KEYPOINTS = 5
 @dataclass(frozen=True)
 class KeypointSet2D:
     """Ordered 2D keypoints for one view. points: (k, 2) pixels; view_id an
-    integer (ValueError otherwise), stored as int."""
+    integer >= 0 (`errors.check_int`), stored as int."""
 
     points: np.ndarray
     embodiment: str
     view_id: int = 0
 
     def __post_init__(self):
-        try:
-            view_id = int(self.view_id)
-        except (TypeError, ValueError, OverflowError):
-            view_id = None
-        if view_id is None or view_id != self.view_id:
-            raise ValueError(f"view_id must be an integer, got {self.view_id!r}")
-        object.__setattr__(self, "view_id", view_id)
+        object.__setattr__(self, "view_id", check_int("view_id", self.view_id, 0))
         p = np.asarray(self.points, dtype=np.float64)
         if p.ndim != 2 or p.shape[1] != 2:
             raise ValueError(f"points must be (k, 2), got {p.shape}")
@@ -288,9 +282,10 @@ def save_dataset(demos, path) -> None:
 
 def load_dataset(path) -> list:
     """Inverse of save_dataset, through the checked constructors. The wrong kind,
-    a missing or malformed meta value or array (dims that disagree, a value a
-    constructor rejects, such as a grasp of 0.5 or a view id of 1.5) or a
-    corrupt container raise SchemaMismatchError."""
+    a missing or malformed meta value or array (dims that disagree, a view id
+    that is not an integral float, a value a constructor rejects, such as a
+    grasp of 0.5 or a view id of -1) or a corrupt container raise
+    SchemaMismatchError."""
     kind, meta, arrays = load_checkpoint(path)
     if kind != DATASET_KIND:
         raise SchemaMismatchError(f"{path}: expected a {DATASET_KIND!r} file, got {kind!r}")
@@ -317,12 +312,19 @@ def load_dataset(path) -> list:
             raise SchemaMismatchError(f"{what}: needs one intrinsics record per view")
         for intr in intrinsics:
             check_keys(intr, _INTRINSICS, f"{what} intrinsics")
+        # integral floats become ints in one cast, tested first: it warns on NaN
+        view_ids = a["view_ids"]
+        integral = (view_ids == np.floor(view_ids)) & (np.abs(view_ids) < 2.0 ** 63)
+        if not integral.all():
+            raise SchemaMismatchError(f"{what}: view_id must be an integer, "
+                                      f"got {float(view_ids[~integral][0])!r}")
+        view_ids = view_ids.astype(np.int64)
         try:
             cameras = tuple((CameraIntrinsics(**{name: intr[name] for name in _INTRINSICS}),
                              RigidTransform(r, t)) for intr, r, t in
                             zip(intrinsics, a["camera_rotations"], a["camera_translations"]))
             frames = tuple(tuple(FrameView(a["images"][t, v], KeypointSet2D(
-                a["keypoints"][t, v], rec["embodiment"], a["view_ids"][t, v]),
+                a["keypoints"][t, v], rec["embodiment"], view_ids[t, v]),
                 a["grasps"][t, v]) for v in range(dims["V"])) for t in range(dims["T"]))
             ee_poses = tuple(map(RigidTransform, a["ee_rotations"], a["ee_translations"]))
             demos.append(Demonstration(rec["embodiment"], frames, rec["task"], rec["seed"],

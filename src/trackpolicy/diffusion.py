@@ -1,5 +1,5 @@
-"""Denoising-diffusion core: variance schedule, timestep features, forward
-noising, and the ancestral sampling loop.
+"""Denoising-diffusion core: variance schedule, timestep features, and the
+ancestral sampling loop.
 
 Model-agnostic on purpose. The sampler takes any clean_fn(x, t) -> predicted
 clean sample, so one loop drives the conditional track policy, the 6DoF
@@ -7,6 +7,9 @@ baseline, and unconditional toy targets in tests. A draw's randomness comes
 apart from its loop: `draw_noise` draws x_T and every step's noise from an
 rng, and `ancestral_sample` steps from them, so draws that share a seed can
 share one noise draw.
+
+A `DiffusionSchedule` owns every table derived from it, each read-only and
+built once per schedule, so no module-level cache holds one.
 """
 
 from __future__ import annotations
@@ -23,11 +26,12 @@ TIME_EMBED_DIM = 32
 
 @dataclass(frozen=True)
 class DiffusionSchedule:
-    """Linear beta schedule with precomputed alpha tables.
+    """Linear beta schedule and every table derived from it.
 
     betas ascend from beta_start to beta_end; alpha_bars (running products of
     1 - beta) decrease strictly inside (0, 1). alpha_bars[t] is the signal
-    fraction surviving t+1 noising steps.
+    fraction surviving t+1 noising steps. Every table is read-only; the
+    derived ones are built at their first read.
     """
 
     num_steps: int = 100
@@ -54,6 +58,45 @@ class DiffusionSchedule:
         object.__setattr__(self, "alphas", alphas)
         object.__setattr__(self, "alpha_bars", alpha_bars)
 
+    @functools.cached_property
+    def timestep_features(self) -> np.ndarray:
+        """(num_steps, TIME_EMBED_DIM) stack of timestep_embedding(t).
+
+        Built one step at a time, so row t is bit-identical to
+        timestep_embedding(t) whichever SIMD path numpy's sin/cos take on a
+        longer array.
+        """
+        table = np.concatenate([timestep_embedding(t) for t in range(self.num_steps)])
+        table.flags.writeable = False
+        return table
+
+    @functools.cached_property
+    def timestep_cdf(self) -> np.ndarray:
+        """CDF of the training distribution over timesteps, t ~ (1 - abar_t).
+
+        `cdf.searchsorted(rng.random(n), side="right")` is what
+        `Generator.choice(num_steps, n, p=w)` computes after validating w.
+        """
+        w = 1.0 - self.alpha_bars
+        cdf = (w / w.sum()).cumsum()
+        cdf /= cdf[-1]
+        cdf.flags.writeable = False
+        return cdf
+
+    @functools.cached_property
+    def posterior_coefficients(self) -> tuple:
+        """(c0, ct): per-step DDPM posterior-mean coefficients as float tuples.
+
+        Step t moves x to ct[t] * x + c0[t] * clean (Ho et al. 2020, eq. 7 in
+        x0 form). With abar_{-1} = 1, ct[0] = 0 and c0[0] = 1 up to rounding,
+        so the last step lands on the clean prediction.
+        """
+        abar_prev = np.concatenate([[1.0], self.alpha_bars[:-1]])
+        one_minus_abar = 1.0 - self.alpha_bars
+        c0 = np.sqrt(abar_prev) * self.betas / one_minus_abar
+        ct = np.sqrt(self.alphas) * (1.0 - abar_prev) / one_minus_abar
+        return tuple(c0.tolist()), tuple(ct.tolist())
+
 
 def timestep_embedding(t) -> np.ndarray:
     """Transformer-style sin/cos features of integer timesteps.
@@ -66,31 +109,6 @@ def timestep_embedding(t) -> np.ndarray:
     freqs = np.exp(-np.log(10000.0) * np.arange(half) / half)
     ang = t[:, None] * freqs[None, :]
     return np.concatenate([np.sin(ang), np.cos(ang)], axis=1)
-
-
-@functools.lru_cache(maxsize=8)
-def timestep_table(num_steps: int) -> np.ndarray:
-    """Read-only (num_steps, TIME_EMBED_DIM) stack of timestep_embedding(t).
-
-    Built one step at a time, so row t is bit-identical to
-    timestep_embedding(t) whichever SIMD path numpy's sin/cos take on a
-    longer array. Cached: every sampler call reads it.
-    """
-    table = np.concatenate([timestep_embedding(t) for t in range(num_steps)])
-    table.flags.writeable = False
-    return table
-
-
-def add_noise(schedule: DiffusionSchedule, x0, t, eps) -> np.ndarray:
-    """Forward process q(x_t | x_0) = sqrt(ab_t) x0 + sqrt(1 - ab_t) eps.
-
-    x0, eps: (n, d); t: (n,) integer steps (or scalars throughout).
-    """
-    x0 = np.asarray(x0, dtype=np.float64)
-    eps = np.asarray(eps, dtype=np.float64)
-    ab = schedule.alpha_bars[np.asarray(t)]
-    ab = ab.reshape(ab.shape + (1,) * (x0.ndim - ab.ndim))
-    return np.sqrt(ab) * x0 + np.sqrt(1.0 - ab) * eps
 
 
 def draw_noise(schedule: DiffusionSchedule, n: int, dim: int, rng) -> tuple:
@@ -114,23 +132,6 @@ def draw_noise(schedule: DiffusionSchedule, n: int, dim: int, rng) -> tuple:
     return x_T, noise
 
 
-@functools.lru_cache(maxsize=8)
-def posterior_coefficients(schedule: DiffusionSchedule) -> tuple:
-    """(c0, ct): per-step DDPM posterior-mean coefficients as float tuples.
-
-    Step t moves x to ct[t] * x + c0[t] * clean (Ho et al. 2020, eq. 7 in x0
-    form). With abar_{-1} = 1, ct[0] = 0 and c0[0] = 1 up to rounding, so
-    the last step lands on the clean prediction. Cached per schedule, as
-    `timestep_table` is per step count: equal schedules hash alike and share
-    one entry, and every sampler call reads it.
-    """
-    abar_prev = np.concatenate([[1.0], schedule.alpha_bars[:-1]])
-    one_minus_abar = 1.0 - schedule.alpha_bars
-    c0 = np.sqrt(abar_prev) * schedule.betas / one_minus_abar
-    ct = np.sqrt(schedule.alphas) * (1.0 - abar_prev) / one_minus_abar
-    return tuple(c0.tolist()), tuple(ct.tolist())
-
-
 def ancestral_sample(clean_fn, schedule: DiffusionSchedule, x_T, noise) -> np.ndarray:
     """Run full reverse diffusion from x_T with `draw_noise`'s noise block.
 
@@ -138,10 +139,10 @@ def ancestral_sample(clean_fn, schedule: DiffusionSchedule, x_T, noise) -> np.nd
     step t and returns the predicted clean sample as an array of the same
     shape, in any float dtype; x, the noise and every update stay float64.
     Each step moves x to the DDPM posterior mean, ct[t] * x + c0[t] * clean
-    (`posterior_coefficients`), plus the step's row of noise, none on the
-    final step. The clean prediction is read back into a float64 scratch
-    array and scaled there, which is bitwise c0[t] * float64(clean) without
-    a converted copy, and x is checked for NaN/Inf after every step.
+    (`schedule.posterior_coefficients`), plus the step's row of noise, none
+    on the final step. The clean prediction is read back into a float64
+    scratch array and scaled there, which is bitwise c0[t] * float64(clean)
+    without a converted copy, and x is checked for NaN/Inf after every step.
     Deterministic given (x_T, noise): neither is written, since x starts as
     a float64 copy of x_T. x is one array updated in place from step to
     step, so clean_fn must read it during its call and not keep it
@@ -152,7 +153,7 @@ def ancestral_sample(clean_fn, schedule: DiffusionSchedule, x_T, noise) -> np.nd
     if np.shape(noise) != (num_steps - 1, *x.shape):
         raise ValueError(f"noise block {np.shape(noise)} does not match "
                          f"{(num_steps - 1, *x.shape)}")
-    c0, ct = posterior_coefficients(schedule)
+    c0, ct = schedule.posterior_coefficients
     # scratch for c0 * clean
     buf = np.empty_like(x)
     for i, t in enumerate(range(num_steps - 1, -1, -1)):

@@ -31,7 +31,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import data, policy, sim
-from .diffusion import DiffusionSchedule
 from .errors import EmptyDatasetError, check_int, has_nonfinite
 from .geometry import (
     RigidTransform,
@@ -300,8 +299,7 @@ def baseline_samples(demo: data.Demonstration, horizon: int) -> data.TrainingRow
                              actions.reshape(demo.length, -1), 0)
 
 
-def train_baseline_6dof(dataset_robot, cfg: policy.TrainConfig,
-                        schedule: DiffusionSchedule | None = None):
+def train_baseline_6dof(dataset_robot, cfg: policy.TrainConfig):
     """Diffusion over direct 6DoF deltas; robot-only by construction.
 
     Returns (model, per-epoch log). Alignment weights are forced to zero --
@@ -313,7 +311,7 @@ def train_baseline_6dof(dataset_robot, cfg: policy.TrainConfig,
     cfg = replace(cfg, lambda_kl=0.0, lambda_da=0.0)
     rows = data.TrainingRows.join([baseline_samples(d, cfg.horizon) for d in demos])
     model, log = policy.train_epochs(policy.build_model(
-        cfg, rows.images.shape[1], target_dim=7 * cfg.horizon, schedule=schedule), rows)
+        cfg, rows.images.shape[1], target_dim=7 * cfg.horizon), rows)
     return model, [{key: entry[key] for key in ("epoch", "mse", "total")} for entry in log]
 
 

@@ -16,6 +16,11 @@ the schedule) by timestep, which it learns orders of magnitude more slowly
 than the smooth clean-target map. The loss consumes the noise prediction,
 the sampler the clean one.
 
+A policy's noise process is part of its config: `TrainConfig` builds its one
+`DiffusionSchedule`, `cfg.schedule`, from three knobs, and that schedule owns
+every table that training and sampling read. The one module-level cache here,
+`_seed_noise`, holds the noise drawn for a seed.
+
 Conditioning keypoints always pass through the frozen retargeter first; a
 model built with retargeter=None conditions on raw keypoints (identity
 retargeting, for robot-only ablations). Training retargets them once per
@@ -59,14 +64,7 @@ from types import MappingProxyType
 import numpy as np
 
 from . import data
-from .diffusion import (
-    TIME_EMBED_DIM,
-    DiffusionSchedule,
-    add_noise,
-    ancestral_sample,
-    draw_noise,
-    timestep_table,
-)
+from .diffusion import TIME_EMBED_DIM, DiffusionSchedule, ancestral_sample, draw_noise
 from .errors import (
     EmptyDatasetError,
     NonFiniteError,
@@ -108,6 +106,9 @@ class TrainConfig:
 
     lambda_kl weights the embedding moment-alignment term, lambda_da the
     adversarial term. Both zero = plain diffusion behavior cloning.
+    num_steps, beta_start and beta_end build the one `DiffusionSchedule`,
+    whose checks are theirs, kept as `schedule`; equality and hashing ignore
+    it, since the three knobs determine it.
 
     Knobs are stored as plain Python values (`errors.check_int`,
     `errors.check_real`), whatever numeric type they came as, so a
@@ -125,6 +126,10 @@ class TrainConfig:
     encoder_hidden: tuple = (128,)
     denoiser_hidden: tuple = (256, 256)
     disc_hidden: tuple = (32,)
+    num_steps: int = 100
+    beta_start: float = 1e-4
+    beta_end: float = 0.02
+    schedule: DiffusionSchedule = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # co-training batches are half human, half robot, and the moment
@@ -145,6 +150,10 @@ class TrainConfig:
             raise ValueError(f"lambda_kl must be finite and >= 0, got {self.lambda_kl}")
         if not 0.0 < self.learning_rate < np.inf:
             raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
+        schedule = DiffusionSchedule(self.num_steps, self.beta_start, self.beta_end)
+        for name in ("num_steps", "beta_start", "beta_end"):
+            object.__setattr__(self, name, getattr(schedule, name))
+        object.__setattr__(self, "schedule", schedule)
 
     @property
     def target_dim(self) -> int:
@@ -177,15 +186,15 @@ class PolicyModel:
     Its nets come from cfg, image_dim and target_dim (`_specs`), so they
     cannot disagree with cfg. The denoiser reads [target | embedding | 2k
     keypoint coordinates | timestep features], the discriminator the
-    embedding. params is stored as a read-only mapping of arrays made
-    read-only in place, so a `dataclasses.replace` copy is a new model.
+    embedding. Its noise process is cfg.schedule. params is stored as a
+    read-only mapping of arrays made read-only in place, so a
+    `dataclasses.replace` copy is a new model.
     """
 
     cfg: TrainConfig
     image_dim: int
     target_dim: int
     params: Mapping
-    schedule: DiffusionSchedule
     retargeter: KeypointRetargeter | None = None
     encoder: MlpSpec = field(init=False)
     denoiser: MlpSpec = field(init=False)
@@ -209,7 +218,8 @@ class PolicyModel:
 
         params: float32 copies of layer 0's x_t block (`denoiser/w0` rows :d)
         and of every denoiser parameter past layer 0. time_term: the float64
-        (num_steps, hidden) product timestep_table(num_steps) @ w0[time rows].
+        (num_steps, hidden) product of cfg.schedule's timestep features and
+        w0's time rows.
         """
         d = self.target_dim
         w0 = self.params["denoiser/w0"]
@@ -217,7 +227,7 @@ class PolicyModel:
                   for name in self.denoiser.param_shapes()
                   if name not in ("denoiser/w0", "denoiser/b0")}
         params["denoiser/w0"] = w0[:d].astype(np.float32)
-        time_term = timestep_table(self.schedule.num_steps) @ w0[-TIME_EMBED_DIM:]
+        time_term = self.cfg.schedule.timestep_features @ w0[-TIME_EMBED_DIM:]
         for arr in (*params.values(), time_term):
             arr.flags.writeable = False
         return params, time_term
@@ -241,7 +251,6 @@ def _specs(cfg: TrainConfig, image_dim: int, target_dim: int) -> tuple:
 
 
 def build_model(cfg: TrainConfig, image_dim: int, target_dim: int | None = None,
-                schedule: DiffusionSchedule | None = None,
                 retargeter: KeypointRetargeter | None = None) -> PolicyModel:
     """Fresh model with seed-derived initialization for each net."""
     target_dim = cfg.target_dim if target_dim is None else target_dim
@@ -249,21 +258,7 @@ def build_model(cfg: TrainConfig, image_dim: int, target_dim: int | None = None,
     params = {}
     for spec, s in zip(_specs(cfg, image_dim, target_dim), seeds):
         params.update(init_params(spec, int(s)))
-    return PolicyModel(cfg, image_dim, target_dim, params, schedule or DiffusionSchedule(),
-                       retargeter)
-
-
-@functools.lru_cache(maxsize=8)
-def _timestep_cdf(schedule: DiffusionSchedule) -> np.ndarray:
-    """Read-only CDF of the training distribution over timesteps,
-    t ~ (1 - abar_t), cached per schedule: every training step draws from
-    it. `cdf.searchsorted(rng.random(n), side="right")` is what
-    `Generator.choice(num_steps, n, p=w)` computes after validating w."""
-    w = 1.0 - schedule.alpha_bars
-    cdf = (w / w.sum()).cumsum()
-    cdf /= cdf[-1]
-    cdf.flags.writeable = False
-    return cdf
+    return PolicyModel(cfg, image_dim, target_dim, params, retargeter)
 
 
 def train_step(flat: FlatParams, batch: data.TrainingRows, rng, opt: Adam,
@@ -272,14 +267,14 @@ def train_step(flat: FlatParams, batch: data.TrainingRows, rng, opt: Adam,
     batch of rows. Returns its LossReport.
 
     model supplies the nets' layer names and activations, the loss weights
-    (cfg) and noise levels (schedule), never its params or retargeter:
+    and noise levels (cfg and cfg.schedule), never its params or retargeter:
     batch.keypoints condition the denoiser as they are. opt keeps its
     moments across calls. Each loss returns its own gradient and
     tensor.backward carries it back through each net into flat.grads; the
     discriminator's slice is never written when its term is off, so it
     stays zero and its weights do not move.
     """
-    cfg, schedule = model.cfg, model.schedule
+    cfg, schedule = model.cfg, model.cfg.schedule
     params, grads = flat.params, flat.grads
     x0, n_human, n = batch.targets, batch.n_human, len(batch)
 
@@ -288,18 +283,19 @@ def train_step(flat: FlatParams, batch: data.TrainingRows, rng, opt: Adam,
     # trivial, vs ~0.6 at the noisiest steps that actually decide sample
     # quality.  Drawing t ~ (1-abar) flattens that to ~abar so the
     # conditional map gets gradient parity with the near-identity regime.
-    t = _timestep_cdf(schedule).searchsorted(rng.random(n), side="right")
+    t = schedule.timestep_cdf.searchsorted(rng.random(n), side="right")
     eps = rng.standard_normal(x0.shape)
-    x_t = add_noise(schedule, x0, t, eps)
-    temb = timestep_table(schedule.num_steps)[t]
+    # forward process q(x_t | x0) = sqrt(abar_t) x0 + sqrt(1 - abar_t) eps
+    ab = schedule.alpha_bars[t][:, None]
+    sqrt_ab, sqrt_1mab = np.sqrt(ab), np.sqrt(1.0 - ab)
+    x_t = sqrt_ab * x0 + sqrt_1mab * eps
 
     # rows are human-first, so the alignment losses address each embodiment
     # as a row block of the one embedding batch
     emb, enc_cache = apply(model.encoder, params, batch.images)
-    den_in = np.concatenate([x_t, emb, batch.keypoints.reshape(n, -1), temb], axis=1)
+    den_in = np.concatenate([x_t, emb, batch.keypoints.reshape(n, -1),
+                             schedule.timestep_features[t]], axis=1)
     clean_hat, den_cache = apply(model.denoiser, params, den_in)
-    ab = schedule.alpha_bars[t][:, None]
-    sqrt_ab, sqrt_1mab = np.sqrt(ab), np.sqrt(1.0 - ab)
     eps_hat = (x_t - clean_hat * sqrt_ab) / sqrt_1mab
     mse, g_eps_hat = mse_loss(eps_hat, eps)
     g_den_in = T.backward(model.denoiser, params, den_cache,
@@ -422,8 +418,7 @@ def train_epochs(model: PolicyModel, rows: data.TrainingRows, log_fn=None) -> tu
     return replace(model, params={**flat.params, "encoder/w0": w0}), log
 
 
-def train(dataset_human, dataset_robot, cfg: TrainConfig,
-          schedule: DiffusionSchedule | None = None, log_fn=None):
+def train(dataset_human, dataset_robot, cfg: TrainConfig, log_fn=None):
     """Co-train on mixed demonstrations. Returns (model after the last epoch,
     per-epoch log).
 
@@ -446,7 +441,7 @@ def train(dataset_human, dataset_robot, cfg: TrainConfig,
     rows = data.TrainingRows.join([data.chunk(d, cfg.horizon) for d in human + robot])
     retargeter = KeypointRetargeter.fit(rows.keypoints[:rows.n_human], cfg.seed) \
         if human else None
-    model = build_model(cfg, rows.images.shape[1], schedule=schedule, retargeter=retargeter)
+    model = build_model(cfg, rows.images.shape[1], retargeter=retargeter)
     return train_epochs(model, rows, log_fn)
 
 
@@ -462,8 +457,8 @@ def sample_flat(model: PolicyModel, feature_image, keypoints,
     """Raw conditional diffusion draw: the flat target vector, un-reshaped.
 
     keypoints: the observation's normalized (5, 2) keypoints. Runs
-    model.schedule's steps; the draw is a function of seed alone. The track
-    policy splits it into offsets and grasp logits (`sample`); the
+    model.cfg.schedule's steps; the draw is a function of seed alone. The
+    track policy splits it into offsets and grasp logits (`sample`); the
     6DoF-delta baseline reads its action rows straight out of it.
 
     Validated on every draw: the seed (an integer >= 0, not a bool:
@@ -492,7 +487,7 @@ def sample_flat(model: PolicyModel, feature_image, keypoints,
     of a replan reuses the first view's draw.
     """
     seed = check_int("seed", seed, 0)
-    schedule = model.schedule
+    schedule = model.cfg.schedule
     kps = np.asarray(keypoints, dtype=np.float64)
     if kps.shape != (data.N_TRACK_KEYPOINTS, 2):
         raise ValueError(f"expected ({data.N_TRACK_KEYPOINTS}, 2) keypoints, got {kps.shape}")
@@ -532,13 +527,13 @@ def sample(model: PolicyModel, feature_image, keypoints, seed: int = 0):
 # ---------------------------------------------------------------------------
 # persistence
 
+# a checkpoint's meta holds the config's settable fields, not its schedule
+_CFG_KEYS = tuple(f.name for f in fields(TrainConfig) if f.init)
+
 
 def save_policy(path, model: PolicyModel) -> None:
-    meta = {f.name: getattr(model.cfg, f.name) for f in fields(TrainConfig)}
+    meta = {name: getattr(model.cfg, name) for name in _CFG_KEYS}
     meta.update(image_dim=model.image_dim, target_dim=model.target_dim,
-                num_steps=model.schedule.num_steps,
-                beta_start=model.schedule.beta_start,
-                beta_end=model.schedule.beta_end,
                 has_retargeter=model.retargeter is not None)
     arrays = dict(model.params)
     if model.retargeter is not None:
@@ -554,11 +549,9 @@ def load_policy(path) -> PolicyModel:
     kind, meta, arrays = load_checkpoint(path)
     if kind != CHECKPOINT_KIND:
         raise SchemaMismatchError(f"expected a {CHECKPOINT_KIND!r} checkpoint, got {kind!r}")
-    check_keys(meta, [f.name for f in fields(TrainConfig)] + [
-        "image_dim", "target_dim", "num_steps", "beta_start", "beta_end"], "policy checkpoint meta")
+    check_keys(meta, [*_CFG_KEYS, "image_dim", "target_dim"], "policy checkpoint meta")
     try:
-        cfg = TrainConfig(**{f.name: meta[f.name] for f in fields(TrainConfig)})
-        schedule = DiffusionSchedule(meta["num_steps"], meta["beta_start"], meta["beta_end"])
+        cfg = TrainConfig(**{name: meta[name] for name in _CFG_KEYS})
         names = [name for spec in _specs(cfg, meta["image_dim"], meta["target_dim"])
                  for name in spec.param_shapes()]
     except (TypeError, ValueError) as err:
@@ -571,6 +564,6 @@ def load_policy(path) -> PolicyModel:
         retargeter = KeypointRetargeter({name: arrays[key] for key, name in retarget.items()}) \
             if retarget else None
         return PolicyModel(cfg, meta["image_dim"], meta["target_dim"],
-                           {name: arrays[name] for name in names}, schedule, retargeter)
+                           {name: arrays[name] for name in names}, retargeter)
     except ShapeMismatchError as err:
         raise SchemaMismatchError(f"{path}: policy checkpoint: {err}") from err

@@ -274,11 +274,13 @@ def test_frame_view_rejects_a_grasp_outside_0_and_1():
 
 
 def test_keypoint_set_rejects_a_non_integer_view_id():
+    # the package's one integer rule: no bool, no float (even 1.0), >= 0
     pts = np.zeros((5, 2))
-    for bad in (0.7, np.nan, np.inf, "1", None):
-        with pytest.raises(ValueError, match="view_id must be an integer"):
+    for bad in (0.7, np.nan, np.inf, "1", None, True, False, -3, np.int64(-1), 1.0,
+                np.float64(1.0)):
+        with pytest.raises(ValueError, match="view_id must be an integer >= 0"):
             data.KeypointSet2D(pts, data.ROBOT, bad)
-    for good in (0, 3, 1.0, np.int64(2), np.float64(1.0)):
+    for good in (0, 3, np.int64(2), np.uint8(1)):
         kps = data.KeypointSet2D(pts, data.ROBOT, good)
         assert kps.view_id == good and type(kps.view_id) is int
 
@@ -373,7 +375,8 @@ MALFORMED = [
     ("EE poses for half the frames", None,
      lambda a: {**a, "0/ee_rotations": a["0/ee_rotations"][::2],
                 "0/ee_translations": a["0/ee_translations"][::2]}, r"\d+ EE poses for \d+ frames"),
-    # the constructors see the stored floats, so a view id of 1.5 is not read as 1
+    # the stored floats are checked before any cast, so a view id of 1.5 is
+    # not read as 1; grasps reach their constructor as floats
     ("half grasp", None, lambda a: {**a, "0/grasps": a["0/grasps"] * 0.5},
      "demo 0: grasp must be 0 or 1"),
     ("grasp of 2", None, lambda a: {**a, "1/grasps": a["1/grasps"] + 2.0},
@@ -382,6 +385,12 @@ MALFORMED = [
      "demo 1: view_id must be an integer"),
     ("NaN view id", None, lambda a: {**a, "0/view_ids": a["0/view_ids"] * np.nan},
      "demo 0: view_id must be an integer"),
+    ("infinite view id", None, lambda a: {**a, "0/view_ids": a["0/view_ids"] - np.inf},
+     "demo 0: view_id must be an integer"),
+    ("huge view id", None, lambda a: {**a, "1/view_ids": a["1/view_ids"] + 1e300},
+     "demo 1: view_id must be an integer"),
+    ("negative view id", None, lambda a: {**a, "1/view_ids": a["1/view_ids"] - 2.0},
+     "demo 1: view_id must be an integer >= 0"),
     *[(f"fx of {value!r}", lambda m, value=value: {"demos": [m["demos"][0], {
         **m["demos"][1], "intrinsics": [{**m["demos"][1]["intrinsics"][0], "fx": value},
                                         m["demos"][1]["intrinsics"][1]]}]}, None, message)

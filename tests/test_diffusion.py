@@ -1,4 +1,5 @@
-"""Schedule tables, timestep features, forward noising, ancestral sampler.
+"""Schedule tables, timestep features, ancestral sampler. The forward
+process is checked where it runs, in test_policy's training-step tests.
 
 The sampler oracle: for a Gaussian target the optimal noise predictor is
 linear, so the sampler's output distribution has closed-form moments that we
@@ -14,12 +15,9 @@ import pytest
 
 from trackpolicy.diffusion import (
     DiffusionSchedule,
-    add_noise,
     ancestral_sample,
     draw_noise,
-    posterior_coefficients,
     timestep_embedding,
-    timestep_table,
 )
 from trackpolicy.errors import NonFiniteError
 
@@ -50,6 +48,16 @@ def test_schedule_tables_frozen():
     s = DiffusionSchedule()
     with pytest.raises(ValueError):
         s.betas[0] = 0.5
+    # every table is read-only, the derived ones built once per schedule
+    for name in ("betas", "alphas", "alpha_bars", "timestep_features", "timestep_cdf"):
+        table = getattr(s, name)
+        assert not table.flags.writeable, name
+        assert getattr(s, name) is table, name
+    # equal schedules compare and hash alike; each owns its tables
+    twin = DiffusionSchedule()
+    assert twin == s and hash(twin) == hash(s)
+    assert twin.timestep_features is not s.timestep_features
+    assert twin.timestep_features.tobytes() == s.timestep_features.tobytes()
 
 
 def test_schedule_validation():
@@ -86,29 +94,17 @@ def test_timestep_embedding_contract():
 
 @pytest.mark.parametrize("n", [1, 7, 32, 257])
 def test_timestep_table_rows_equal_batched_embeddings_bitwise(n):
-    # policy.train_step gathers its batch's timestep features from the table
+    # policy.train_step gathers its batch's timestep features from the
+    # schedule's table, and the sampler reads one row per step
+    for s in (DiffusionSchedule(), DiffusionSchedule(7)):
+        table = s.timestep_features
+        assert table.shape == (s.num_steps, 32)
+        for t in range(s.num_steps):
+            assert table[t].tobytes() == timestep_embedding(t)[0].tobytes(), t
     t = np.random.default_rng(n).integers(0, 100, size=n)
-    got, want = timestep_table(100)[t], timestep_embedding(t)
+    got, want = DiffusionSchedule().timestep_features[t], timestep_embedding(t)
     assert got.shape == want.shape == (n, 32)
     assert got.tobytes() == want.tobytes()
-
-
-# ---------------------------------------------------------------------------
-# forward process
-
-
-def test_add_noise_matches_formula():
-    s = DiffusionSchedule()
-    rng = np.random.default_rng(0)
-    x0 = rng.standard_normal((8, 4))
-    eps = rng.standard_normal((8, 4))
-    t = rng.integers(0, s.num_steps, size=8)
-    got = add_noise(s, x0, t, eps)
-    want = np.sqrt(s.alpha_bars[t])[:, None] * x0 + np.sqrt(1 - s.alpha_bars[t])[:, None] * eps
-    assert np.array_equal(got, want)
-    # step 0 keeps nearly all signal under the default schedule
-    near = add_noise(s, x0, 0, np.zeros_like(x0))
-    assert np.allclose(near, x0 * np.sqrt(1 - 1e-4))
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +259,7 @@ def test_float32_clean_fn_is_read_back_as_float64_bitwise():
 
 def test_posterior_coefficients_are_the_inline_formula_cached_per_schedule():
     for s in (DiffusionSchedule(), SOUND, DiffusionSchedule(7), DiffusionSchedule(1)):
-        c0, ct = posterior_coefficients(s)
+        c0, ct = s.posterior_coefficients
         assert type(c0) is tuple and type(ct) is tuple
         assert len(c0) == len(ct) == s.num_steps
         for t in range(s.num_steps):
@@ -274,14 +270,11 @@ def test_posterior_coefficients_are_the_inline_formula_cached_per_schedule():
             assert np.float64(c0[t]).tobytes() == np.float64(want_c0).tobytes(), t
             assert np.float64(ct[t]).tobytes() == np.float64(want_ct).tobytes(), t
         assert ct[0] == 0.0
-    # equal schedules hash alike, so they share one entry
-    posterior_coefficients.cache_clear()
-    first = posterior_coefficients(DiffusionSchedule(50, 1e-4, 0.02))
-    assert posterior_coefficients(DiffusionSchedule(50, 1e-4, 0.02)) is first
-    info = posterior_coefficients.cache_info()
-    assert (info.currsize, info.hits, info.misses) == (1, 1, 1)
-    assert posterior_coefficients(DiffusionSchedule(50, 1e-4, 0.03)) != first
-    assert posterior_coefficients.cache_info().currsize == 2
+        # built once: every sampler call on this schedule reads the same pair
+        assert s.posterior_coefficients is s.posterior_coefficients
+    first = DiffusionSchedule(50, 1e-4, 0.02).posterior_coefficients
+    assert DiffusionSchedule(50, 1e-4, 0.02).posterior_coefficients == first
+    assert DiffusionSchedule(50, 1e-4, 0.03).posterior_coefficients != first
 
 
 def test_sampler_only_reads_the_eps_fn_output():

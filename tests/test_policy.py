@@ -11,15 +11,17 @@ from its config, building one rejects weights that do not fit them and
 freezes its weights, a fixed-seed model's file bytes are pinned, and a draw
 validates its seed and fixed conditioning before the first step. The sampler's
 float32 weights are built once per model, a `replace` copy with other
-weights or another schedule builds its own, and the two views of a replan
-share one noise draw. Loading a checkpoint draws no initial weights and
+weights or another config's schedule builds its own, and the two views of a
+replan share one noise draw. Loading a checkpoint draws no initial weights and
 turns every malformed meta value or array into SchemaMismatchError.
 The co-training step's gradients are checked against finite differences of
 the objective each net descends, and the epoch loop, which trains only the
 feature cells its pool lights and retargets its pool once, against a
 full-width reference loop that retargets every batch. A training call
 builds two models, the initial one and its result, and draws its timesteps
-as `Generator.choice` would, bit for bit. A training step takes its batch
+as `Generator.choice` would, bit for bit; a step's noise-mse is the forward
+process written out, and a config's three noise knobs build its schedule
+under the schedule's own checks. A training step takes its batch
 as its second argument and is one Adam step of the flat weights; with the
 adversarial term off, the discriminator's gradient slice stays zero and
 its weights leave training as they began.
@@ -33,13 +35,7 @@ import numpy as np
 import pytest
 
 from trackpolicy import data, inference, nn, policy, retarget, sim
-from trackpolicy.diffusion import (
-    TIME_EMBED_DIM,
-    DiffusionSchedule,
-    draw_noise,
-    timestep_embedding,
-    timestep_table,
-)
+from trackpolicy.diffusion import TIME_EMBED_DIM, DiffusionSchedule, draw_noise, timestep_embedding
 from trackpolicy.errors import (
     EmptyDatasetError,
     MixedShapesError,
@@ -56,8 +52,7 @@ from trackpolicy.geometry import (
 from trackpolicy.retarget import KeypointRetargeter
 
 CFG = policy.TrainConfig(epochs=2, batch_size=16, embed_dim=8, encoder_hidden=(16,),
-                         denoiser_hidden=(32,), disc_hidden=(8,), seed=3)
-SCHEDULE = DiffusionSchedule(num_steps=10)
+                         denoiser_hidden=(32,), disc_hidden=(8,), seed=3, num_steps=10)
 
 
 @pytest.fixture(scope="module")
@@ -71,13 +66,13 @@ def demos():
 @pytest.fixture(scope="module")
 def trained(demos):
     human, robot = demos
-    return policy.train(human, robot, CFG, schedule=SCHEDULE)
+    return policy.train(human, robot, CFG)
 
 
 @pytest.fixture(scope="module")
 def baseline(demos):
     _, robot = demos
-    return inference.train_baseline_6dof(robot, CFG, schedule=SCHEDULE)
+    return inference.train_baseline_6dof(robot, CFG)
 
 
 def first_rows(human, robot, horizon, n=4):
@@ -151,10 +146,59 @@ def test_train_config_rejects_a_bool_for_its_float_knobs():
     assert all(type(getattr(cfg, f)) is float for f in ("lambda_kl", "lambda_da", "learning_rate"))
 
 
+def test_train_config_builds_its_schedule_from_its_knobs():
+    # the schedule's own checks are the config's: same error, same message
+    for kwargs in ({"num_steps": True}, {"num_steps": False}, {"num_steps": 10.0},
+                   {"num_steps": 2.5}, {"num_steps": 0}, {"beta_start": 0.0},
+                   {"beta_start": 0.05}, {"beta_end": 1.0}, {"beta_end": np.nan},
+                   {"beta_start": True}, {"beta_end": "0.02"}):
+        with pytest.raises(ValueError) as from_config:
+            policy.TrainConfig(**kwargs)
+        with pytest.raises(ValueError) as from_schedule:
+            DiffusionSchedule(**kwargs)
+        assert str(from_config.value) == str(from_schedule.value), kwargs
+    cfg = policy.TrainConfig()
+    assert cfg.schedule == DiffusionSchedule()
+    assert "schedule" not in repr(cfg)
+    shorter = replace(cfg, num_steps=4).schedule
+    assert shorter == DiffusionSchedule(4)
+    for name in ("betas", "alphas", "alpha_bars", "timestep_cdf"):
+        assert getattr(shorter, name).shape == (4,), name
+    assert shorter.timestep_features.shape == (4, TIME_EMBED_DIM)
+    assert all(len(c) == 4 for c in shorter.posterior_coefficients)
+    # equal configs compare and hash alike, though each builds its own schedule
+    twin = policy.TrainConfig()
+    assert twin == cfg and hash(twin) == hash(cfg) and twin.schedule is not cfg.schedule
+    assert replace(cfg, beta_end=0.03) != cfg
+
+
+def test_train_step_mse_matches_the_forward_formula(demos):
+    # the forward process written out: the same timestep and noise draws,
+    # x_t = sqrt(abar) x0 + sqrt(1 - abar) eps, the denoiser's clean
+    # prediction, and the noise it implies
+    human, robot = demos
+    batch = first_rows(human, robot, CFG.horizon)
+    model = policy.build_model(CFG, batch.images.shape[1])
+    report = policy.train_step(nn.FlatParams(dict(model.params)), batch,
+                               np.random.default_rng(7), CountingOptimizer(), model)
+    schedule, n = CFG.schedule, len(batch)
+    w = 1.0 - schedule.alpha_bars
+    rng = np.random.default_rng(7)
+    t = rng.choice(schedule.num_steps, size=n, p=w / w.sum())
+    eps = rng.standard_normal(batch.targets.shape)
+    ab = schedule.alpha_bars[t][:, None]
+    x_t = np.sqrt(ab) * batch.targets + np.sqrt(1.0 - ab) * eps
+    emb = nn.forward(model.encoder, model.params, batch.images)
+    clean = nn.forward(model.denoiser, model.params, np.concatenate(
+        [x_t, emb, batch.keypoints.reshape(n, -1), timestep_embedding(t)], axis=1))
+    eps_hat = (x_t - np.sqrt(ab) * clean) / np.sqrt(1.0 - ab)
+    assert abs(report.mse - np.mean((eps_hat - eps) ** 2)) <= 1e-12
+
+
 def test_train_log_repeats_for_a_seed(demos, trained):
     human, robot = demos
     model, log = trained
-    model2, log2 = policy.train(human, robot, CFG, schedule=SCHEDULE)
+    model2, log2 = policy.train(human, robot, CFG)
     assert log == log2
     assert len(log) == CFG.epochs
     assert all(e["kl"] is not None and e["da"] is not None for e in log)
@@ -231,12 +275,12 @@ def test_mixed_batches_match_the_per_row_reference(n_human, n_robot, batch_size)
     assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
-@pytest.mark.parametrize("schedule", [SCHEDULE, DiffusionSchedule()])
+@pytest.mark.parametrize("schedule", [CFG.schedule, DiffusionSchedule()])
 def test_timestep_draws_match_weighted_choice(schedule):
     w = 1.0 - schedule.alpha_bars
     w = w / w.sum()
-    cdf = policy._timestep_cdf(schedule)
-    assert policy._timestep_cdf(schedule) is cdf and not cdf.flags.writeable
+    cdf = schedule.timestep_cdf
+    assert not cdf.flags.writeable
     for n in (1, 16, 32, 33):
         rng, ref_rng = np.random.default_rng([n, 4]), np.random.default_rng([n, 4])
         for _ in range(100):
@@ -286,7 +330,7 @@ def test_train_step_gets_the_rows_per_sample_stacking_builds(demos, monkeypatch)
 
     monkeypatch.setattr(policy, "train_step", record_step)
     monkeypatch.setattr(KeypointRetargeter, "fit", record_fit)
-    policy.train(human, robot, cfg, schedule=SCHEDULE)
+    policy.train(human, robot, cfg)
     ref = reference_batches(human, robot, cfg)
     # the steps see only the feature cells that some row of the pool lights
     pool = np.stack([np.asarray(s[1]).reshape(-1) for d in human + robot
@@ -323,15 +367,14 @@ def test_training_retargets_the_pool_once(demos, monkeypatch):
 
     monkeypatch.setattr(KeypointRetargeter, "transform_batch", record_transform)
     monkeypatch.setattr(KeypointRetargeter, "fit", record_fit)
-    model, _ = policy.train(human, robot, cfg, schedule=SCHEDULE)
+    model, _ = policy.train(human, robot, cfg)
     pool = data.TrainingRows.join([data.chunk(d, cfg.horizon) for d in human + robot])
     # one call on the whole pool, however many steps the epochs take
     assert calls == [len(pool)]
     assert len(fitted) == 1 and model.retargeter is fitted[0]
     # a robot-only run fits no retargeter and so retargets nothing
     calls.clear()
-    robot_only, _ = policy.train([], robot, replace(cfg, lambda_kl=0.0, lambda_da=0.0),
-                                 schedule=SCHEDULE)
+    robot_only, _ = policy.train([], robot, replace(cfg, lambda_kl=0.0, lambda_da=0.0))
     assert calls == [] and robot_only.retargeter is None and len(fitted) == 1
 
 
@@ -347,10 +390,10 @@ def test_a_training_call_builds_two_models(demos, monkeypatch):
         post_init(self)
 
     monkeypatch.setattr(policy.PolicyModel, "__post_init__", count)
-    model, _ = policy.train(human, robot, cfg, schedule=SCHEDULE)
+    model, _ = policy.train(human, robot, cfg)
     assert len(built) == 2 and built[-1] is model
     built.clear()
-    baseline, _ = inference.train_baseline_6dof(robot, cfg, schedule=SCHEDULE)
+    baseline, _ = inference.train_baseline_6dof(robot, cfg)
     assert len(built) == 2 and built[-1] is baseline
 
 
@@ -363,8 +406,7 @@ def test_training_leaves_unlit_encoder_rows_at_their_initial_values(demos, train
                                          (baseline, baseline_pool, 7 * CFG.horizon)):
         lit = pool.images.any(axis=0)   # the cells some row lights
         assert 0 < lit.sum() < len(lit)
-        initial = policy.build_model(CFG, len(lit), target_dim=target_dim,
-                                     schedule=SCHEDULE).params["encoder/w0"]
+        initial = policy.build_model(CFG, len(lit), target_dim=target_dim).params["encoder/w0"]
         w0 = model.params["encoder/w0"]
         assert w0.shape == initial.shape == (3 * sim.RASTER_SIZE ** 2, CFG.encoder_hidden[0])
         assert model.image_dim == len(lit)
@@ -404,7 +446,7 @@ def test_lit_training_matches_the_full_width_loop(demos, trained):
     rows = data.TrainingRows.join([data.chunk(d, CFG.horizon) for d in human + robot])
     retargeter = KeypointRetargeter.fit(rows.keypoints[:rows.n_human], CFG.seed)
     ref, ref_log = reference_train(policy.build_model(
-        CFG, rows.images.shape[1], schedule=SCHEDULE, retargeter=retargeter), rows)
+        CFG, rows.images.shape[1], retargeter=retargeter), rows)
     assert [e.keys() for e in log] == [e.keys() for e in ref_log]
     for entry, ref_entry in zip(log, ref_log):
         for key, value in entry.items():
@@ -442,11 +484,11 @@ def test_training_rejects_a_pool_that_lights_no_cell(demos):
     robot_only = replace(CFG, lambda_kl=0.0, lambda_da=0.0)
     dark_robot = [dark(d) for d in robot]
     with pytest.raises(EmptyDatasetError, match="lights any feature cell"):
-        policy.train([], dark_robot, robot_only, schedule=SCHEDULE)
+        policy.train([], dark_robot, robot_only)
     with pytest.raises(EmptyDatasetError, match="lights any feature cell"):
-        inference.train_baseline_6dof(dark_robot, CFG, schedule=SCHEDULE)
+        inference.train_baseline_6dof(dark_robot, CFG)
     # one lit row is enough
-    _, log = policy.train([], [dark(robot[0]), robot[1]], robot_only, schedule=SCHEDULE)
+    _, log = policy.train([], [dark(robot[0]), robot[1]], robot_only)
     assert len(log) == CFG.epochs
 
 
@@ -481,8 +523,7 @@ def test_co_training_needs_two_rows_per_embodiment_in_a_batch(demos):
         with pytest.raises(ValueError, match="batch_size must be an integer >= 4"):
             replace(CFG, batch_size=size)
     human, robot = demos
-    _, log = policy.train(human, robot, replace(CFG, batch_size=4, epochs=1),
-                          schedule=SCHEDULE)
+    _, log = policy.train(human, robot, replace(CFG, batch_size=4, epochs=1))
     assert all(log[0][key] is not None for key in ("mse", "kl", "da", "total"))
 
 
@@ -502,7 +543,7 @@ def test_train_step_gradients_match_finite_differences(demos):
     cfg = replace(CFG, seed=5)
     human, robot = demos
     batch = first_rows(human, robot, cfg.horizon)
-    model = policy.build_model(cfg, batch.images.shape[1], schedule=SCHEDULE)
+    model = policy.build_model(cfg, batch.images.shape[1])
     base = dict(model.params)
     opt = CountingOptimizer()
 
@@ -546,7 +587,7 @@ def test_train_step_raises_when_a_layer_overflows(demos):
              "disc: non-finite values produced by layer 0"),
             # a finite ~1e200 prediction whose square overflows
             ({"denoiser/b1": 1e200}, "non-finite training loss")):
-        model = policy.build_model(CFG, batch.images.shape[1], schedule=SCHEDULE)
+        model = policy.build_model(CFG, batch.images.shape[1])
         probe = {name: np.full_like(model.params[name], value)
                  for name, value in overrides.items()}
         opt = CountingOptimizer()
@@ -578,7 +619,7 @@ def test_a_training_step_is_one_optimizer_step_on_its_batch(demos, monkeypatch):
 
     monkeypatch.setattr(policy, "train_step", timed)
     monkeypatch.setattr(nn.Adam, "step", counted)
-    policy.train(human, robot, cfg, schedule=SCHEDULE)
+    policy.train(human, robot, cfg)
     ref = reference_batches(human, robot, cfg)
     assert [rows for rows, _, _ in calls] == [len(x0) for x0, *_ in ref]
     for rows, batch, steps in calls:
@@ -603,8 +644,8 @@ def test_the_discriminator_is_left_alone_at_lambda_da_zero(demos, monkeypatch):
             return adam_step(self, params, grads)
 
         monkeypatch.setattr(nn.Adam, "step", recorded)
-        model, _ = policy.train(human, robot, cfg, schedule=SCHEDULE)
-        initial = policy.build_model(cfg, model.image_dim, schedule=SCHEDULE).params
+        model, _ = policy.train(human, robot, cfg)
+        initial = policy.build_model(cfg, model.image_dim).params
         # the discriminator's weights are laid out last, after the retargeter
         # fit's steps, whose slices are dropped here
         assert list(model.params)[-len(disc):] == disc
@@ -645,9 +686,7 @@ def test_checkpoint_round_trip_with_retargeter(trained, tmp_path):
     _, img, kn = observation(view=1)
     for a, b in zip(policy.sample(model, img, kn, seed=4), policy.sample(loaded, img, kn, seed=4)):
         assert np.array_equal(a, b)
-    assert loaded.cfg == model.cfg
-    assert (loaded.schedule.num_steps, loaded.schedule.beta_start, loaded.schedule.beta_end) \
-        == (model.schedule.num_steps, model.schedule.beta_start, model.schedule.beta_end)
+    assert loaded.cfg == model.cfg and loaded.cfg.schedule == model.cfg.schedule
     pts = np.stack([kn, kn + 0.01])
     assert np.array_equal(loaded.retargeter.transform_batch(pts),
                           model.retargeter.transform_batch(pts))
@@ -670,13 +709,15 @@ def test_values_built_from_numpy_scalars_round_trip_through_both_writers(demos, 
                              learning_rate=np.float32(1e-3), epochs=np.int64(1),
                              seed=np.int64(3), embed_dim=np.int64(8),
                              encoder_hidden=(np.int64(16),), denoiser_hidden=(np.int32(32),),
-                             disc_hidden=(np.int64(8),))
-    schedule = DiffusionSchedule(np.int64(10), np.float32(1e-4), np.float64(0.02))
-    model = policy.build_model(cfg, np.int64(12), schedule=schedule)
+                             disc_hidden=(np.int64(8),), num_steps=np.int64(10),
+                             beta_start=np.float32(1e-4), beta_end=np.float64(0.02))
+    assert (type(cfg.num_steps), type(cfg.beta_start), type(cfg.beta_end)) == (int, float, float)
+    model = policy.build_model(cfg, np.int64(12))
     path = tmp_path / "policy.ckpt"
     policy.save_policy(path, model)
     loaded = policy.load_policy(path)
-    assert loaded.cfg == cfg and loaded.schedule == schedule
+    assert loaded.cfg == cfg
+    assert loaded.cfg.schedule == DiffusionSchedule(10, float(np.float32(1e-4)), 0.02)
     assert (loaded.image_dim, loaded.target_dim) == (12, cfg.target_dim)
     assert loaded.params.keys() == model.params.keys()
     for name, value in model.params.items():
@@ -706,7 +747,7 @@ POLICY_FILE_SHA256 = (
 def test_policy_file_bytes_are_pinned(tmp_path, with_retargeter, digest):
     retargeter = KeypointRetargeter(nn.init_params(retarget.NET_SPEC, 7)) \
         if with_retargeter else None
-    model = policy.build_model(replace(CFG, horizon=4), 12, schedule=SCHEDULE,
+    model = policy.build_model(replace(CFG, horizon=4), 12,
                                retargeter=retargeter)
     path = tmp_path / "policy.ckpt"
     policy.save_policy(path, model)
@@ -724,7 +765,7 @@ def test_load_policy_rejects_other_checkpoint_kinds(trained, tmp_path):
 def test_load_policy_names_missing_meta_keys(tmp_path):
     path = tmp_path / "incomplete.ckpt"
     nn.save_checkpoint(path, policy.CHECKPOINT_KIND, {"horizon": 16}, {})
-    with pytest.raises(SchemaMismatchError, match="'lambda_kl'.*'image_dim'.*'beta_end'"):
+    with pytest.raises(SchemaMismatchError, match="'lambda_kl'.*'beta_end'.*'image_dim'"):
         policy.load_policy(path)
 
 
@@ -823,16 +864,19 @@ def reference_sample_flat(model, img, kn, seed, dtype=np.float32):
     inside the loop. The denoiser runs in dtype, cast at the points where
     sample_flat casts: the layer-0 bias summed in float64 and then cast,
     x_t cast on its way in, every weight and bias cast, and the clean
-    prediction read back as float64. With float64 every cast is a no-op."""
-    schedule, params, d = model.schedule, model.params, model.target_dim
+    prediction read back as float64. With float64 every cast is a no-op.
+    The timestep features are stacked here from `timestep_embedding`, not
+    read from the schedule's table."""
+    schedule, params, d = model.cfg.schedule, model.params, model.target_dim
     rng = np.random.default_rng([seed, policy._SAMPLE_STREAM])
     emb = nn.forward(model.encoder, model.params, np.asarray(img).reshape(1, -1))
     kps = model.retargeter.transform_batch(kn[None]).reshape(1, -1)
     cond = np.concatenate([emb, kps], axis=1)
     x = rng.standard_normal((1, d))
+    features = np.concatenate([timestep_embedding(t) for t in range(schedule.num_steps)])
     for t in range(schedule.num_steps - 1, -1, -1):
         w0 = params["denoiser/w0"]
-        time_term = (timestep_table(schedule.num_steps) @ w0[d + cond.shape[1]:])[t]
+        time_term = (features @ w0[d + cond.shape[1]:])[t]
         bias = time_term + (cond @ w0[d:d + cond.shape[1]])[0] + params["denoiser/b0"]
         clean = x.astype(dtype) @ w0[:d].astype(dtype) + bias.astype(dtype)
         # every hidden layer is relu, the output layer identity
@@ -854,7 +898,7 @@ def reference_eps_sample_flat(model, img, kn, seed):
     """The sampler in its noise-prediction form: the whole concatenated
     input row through the denoiser every step, its clean output turned into
     a noise prediction, and the ancestral update on that."""
-    schedule = model.schedule
+    schedule = model.cfg.schedule
     rng = np.random.default_rng([seed, policy._SAMPLE_STREAM])
     emb = nn.forward(model.encoder, model.params, np.asarray(img).reshape(1, -1))
     kps = model.retargeter.transform_batch(kn[None]).reshape(1, -1)
@@ -900,7 +944,7 @@ def test_sample_flat_runs_the_denoiser_in_float32(trained, baseline, monkeypatch
         calls.clear()
         got = policy.sample_flat(model, img, kn, seed=1)
         assert got.dtype == np.float64 and got.shape == (model.target_dim,)
-        assert calls == [(f32, {f32})] * SCHEDULE.num_steps
+        assert calls == [(f32, {f32})] * CFG.num_steps
         # the model's own weights stay float64
         assert {arr.dtype for arr in model.params.values()} == {np.dtype(np.float64)}
 
@@ -931,7 +975,7 @@ def test_draws_share_the_float32_weights_of_a_model(trained, monkeypatch):
     _, img, kn = observation()
     policy.sample_flat(model, img, kn, seed=1)
     policy.sample_flat(model, img, kn, seed=2)
-    assert len(weights) == 2 * SCHEDULE.num_steps
+    assert len(weights) == 2 * CFG.num_steps
     first = weights[0]
     assert first.keys() == set(model.denoiser.param_shapes()) - {"denoiser/b0"}
     for step in weights[1:]:
@@ -947,7 +991,7 @@ def test_sample_flat_follows_replaced_denoiser_weights_and_schedule(trained):
     got = policy.sample_flat(doubled, img, kn, seed=3)
     assert not np.array_equal(got, before)
     assert np.array_equal(got, reference_sample_flat(doubled, img, kn, 3))
-    shorter = replace(doubled, schedule=DiffusionSchedule(num_steps=4))
+    shorter = replace(doubled, cfg=replace(doubled.cfg, num_steps=4))
     got = policy.sample_flat(shorter, img, kn, seed=3)
     assert np.array_equal(got, reference_sample_flat(shorter, img, kn, 3))
     # the copies leave the first model's draw as it was
@@ -986,7 +1030,7 @@ def test_a_replan_draws_its_noise_once(trained, monkeypatch):
     monkeypatch.setattr(policy, "draw_noise", counting_draw_noise)
     policy._seed_noise.cache_clear()
     got = runner.chunk(task, state, cams, seed=41)
-    assert calls == [(model.schedule, 1, model.target_dim)]
+    assert calls == [(model.cfg.schedule, 1, model.target_dim)]
     # each view drawing its own noise, as a sampler without the cache would
     monkeypatch.setattr(policy, "sample_flat", reference_sample_flat)
     assert_same_chunk(got, runner.chunk(task, state, cams, seed=41))
@@ -1141,7 +1185,7 @@ def test_learned_rollout_is_bit_identical_for_a_seed(trained):
 def test_baseline_log_and_chunk_repeat_for_a_seed(demos, baseline):
     _, robot = demos
     model, log = baseline
-    model2, log2 = inference.train_baseline_6dof(robot, CFG, schedule=SCHEDULE)
+    model2, log2 = inference.train_baseline_6dof(robot, CFG)
     assert log == log2
     assert [set(e) for e in log] == [{"epoch", "mse", "total"}] * CFG.epochs
     state, _, _ = observation()
