@@ -1,6 +1,10 @@
 """Demonstration containers, pixel normalization, horizon chunking, and
 dataset files (one `nn.checkpoint` file per dataset).
 
+Demonstrations: a `Demonstration` is stacked (T, V, ...) arrays, the ones
+`sim.scripted_demo` renders, `save_dataset` writes, `load_dataset` reads
+back and `chunk` slices; its per-(t, v) `frames` are derived on demand.
+
 Normalization: `normalize_keypoints` maps a camera's pixel keypoints to
 (p - c) / c, with c half its image size, so in-image points land in
 [-1, 1]; `denormalize_keypoints` is its inverse, p * c + c. Both take plain
@@ -8,8 +12,8 @@ Normalization: `normalize_keypoints` maps a camera's pixel keypoints to
 
 Training rows: `chunk` turns a demo into one `TrainingRows` value, one row
 per (view, t), view-major (all of view 0 in time order, then view 1). Each
-view's keypoints are stacked over time, cut to the 5-point hand subset for
-21-point hands, and normalized in one call. A track target holds H steps of
+view's keypoints over time are cut to the 5-point hand subset for 21-point
+hands and normalized in one call. A track target holds H steps of
 2k+1 values: the 2k normalized offsets from the row's keypoints to the
 keypoints at t+h+1 (the last frame past the end), then the grasp as +/-1;
 176 values for k=5, H=16. The 6DoF baseline's rows
@@ -33,6 +37,7 @@ order, so the gripper-equivalent subset is indices (0, 2, 4, 6, 8).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -52,6 +57,17 @@ HAND_SUBSET_INDICES = (0, 2, 4, 6, 8)
 N_TRACK_KEYPOINTS = 5
 
 
+def _check_keypoint_count(embodiment, k: int) -> None:
+    """The one keypoint-count rule (ValueError): robots have 5 points, hands
+    21 (full) or 5 (subset)."""
+    if embodiment not in EMBODIMENTS:
+        raise ValueError(f"unknown embodiment {embodiment!r}")
+    if embodiment == ROBOT and k != 5:
+        raise ValueError(f"robot keypoint sets have 5 points, got {k}")
+    if embodiment == HUMAN and k not in (5, 21):
+        raise ValueError(f"human keypoint sets have 21 (full) or 5 (subset) points, got {k}")
+
+
 @dataclass(frozen=True)
 class KeypointSet2D:
     """Ordered 2D keypoints for one view. points: (k, 2) pixels; view_id an
@@ -68,24 +84,14 @@ class KeypointSet2D:
             raise ValueError(f"points must be (k, 2), got {p.shape}")
         if has_nonfinite(p):
             raise ValueError("keypoints must be finite")
-        if self.embodiment not in EMBODIMENTS:
-            raise ValueError(f"unknown embodiment {self.embodiment!r}")
-        k = p.shape[0]
-        if self.embodiment == ROBOT and k != 5:
-            raise ValueError(f"robot keypoint sets have 5 points, got {k}")
-        if self.embodiment == HUMAN and k not in (5, 21):
-            raise ValueError(f"human keypoint sets have 21 (full) or 5 (subset) points, got {k}")
+        _check_keypoint_count(self.embodiment, p.shape[0])
         object.__setattr__(self, "points", p.copy())
-
-    @property
-    def k(self) -> int:
-        return self.points.shape[0]
 
 
 @dataclass(frozen=True)
 class FrameView:
-    """One camera's record at one timestep. grasp is 0 or 1 (ValueError
-    otherwise), stored as int."""
+    """One camera's record at one timestep. grasp is an integer 0 or 1, not
+    a bool (`errors.check_int`), stored as int."""
 
     image: np.ndarray  # (3, R, R) feature raster
     keypoints: KeypointSet2D
@@ -95,64 +101,75 @@ class FrameView:
         img = np.asarray(self.image, dtype=np.float64)
         if img.ndim != 3:
             raise ValueError(f"feature image must be (C, R, R), got {img.shape}")
-        if self.grasp not in (0, 1):
-            raise ValueError(f"grasp must be 0 or 1, got {self.grasp!r}")
         object.__setattr__(self, "image", img)
-        object.__setattr__(self, "grasp", int(self.grasp))
+        object.__setattr__(self, "grasp", check_int("grasp", self.grasp, 0, 1))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Demonstration:
-    """A full episode: frames[t][v] over time t and camera view v.
-
-    Every frame view has frame 0's keypoint count and image shape, so the
-    frames stack into the (T, V, ...) arrays that `save_dataset` writes. The
-    task name is a string and the seed an integer >= 0, not a bool (the seed
-    `sim.reset` built the episode from), stored as a plain int, as the
-    file's meta records them.
+    """A full episode as arrays over time t and camera view v: images
+    (T, V, C, R, R) and pixel keypoints (T, V, k, 2), float64, and grasps
+    (T, V) of 0 or 1, stored as ints, with V = len(cameras). Checked once
+    (shapes agree, keypoints finite, k fits the embodiment, 0 or T EE poses)
+    and made read-only in place, not copied. The task name is a string and
+    the seed an integer >= 0, not a bool (the seed `sim.reset` built the
+    episode from), stored as a plain int, as the file's meta records them.
     """
 
     embodiment: str
-    frames: tuple  # tuple over t of tuple over views of FrameView
+    images: np.ndarray
+    keypoints: np.ndarray
+    grasps: np.ndarray
     task_name: str
     seed: int
     cameras: tuple  # one (CameraIntrinsics, RigidTransform world->camera) per view
     ee_poses: tuple = ()  # optional, one RigidTransform per frame
 
     def __post_init__(self):
-        frames = tuple(tuple(fv for fv in views) for views in self.frames)
-        object.__setattr__(self, "frames", frames)
         object.__setattr__(self, "cameras", tuple(self.cameras))
         object.__setattr__(self, "ee_poses", tuple(self.ee_poses))
         # save_dataset writes both to the file's meta
         if not isinstance(self.task_name, str):
             raise ValueError(f"task must be a string, got {self.task_name!r}")
         object.__setattr__(self, "seed", check_int("seed", self.seed, 0))
-        if self.embodiment not in EMBODIMENTS:
-            raise ValueError(f"unknown embodiment {self.embodiment!r}")
-        n_views = len(self.cameras)
-        for t, views in enumerate(frames):
-            if len(views) != n_views:
-                raise ValueError(f"frame {t} has {len(views)} views, expected {n_views}")
-            for v, fv in enumerate(views):
-                if fv.keypoints.embodiment != self.embodiment:
-                    raise ValueError("frame embodiment tag disagrees with demonstration")
-                first = frames[0][0]
-                if fv.keypoints.k != first.keypoints.k or fv.image.shape != first.image.shape:
-                    raise ValueError(
-                        f"frame {t} view {v} has {fv.keypoints.k} keypoints and a "
-                        f"{fv.image.shape} image; frame 0 has {first.keypoints.k} "
-                        f"and {first.image.shape}")
-        if self.ee_poses and len(self.ee_poses) != len(frames):
+        images = np.asarray(self.images, dtype=np.float64)
+        keypoints = np.asarray(self.keypoints, dtype=np.float64)
+        grasps = np.asarray(self.grasps)
+        tv = images.shape[:1] + (self.n_views,)
+        if (images.ndim, images.shape[:2], keypoints.shape[:2] + keypoints.shape[3:],
+                grasps.shape) != (5, tv, tv + (2,), tv) or keypoints.ndim != 4:
+            raise ValueError(
+                f"images, keypoints and grasps must be (T, V, C, R, R), (T, V, k, 2) and "
+                f"(T, V) for V = {self.n_views} cameras; got {images.shape}, "
+                f"{keypoints.shape} and {grasps.shape}")
+        if has_nonfinite(keypoints):
+            raise ValueError("keypoints must be finite")
+        _check_keypoint_count(self.embodiment, keypoints.shape[2])
+        valid = np.isin(grasps, (0, 1))
+        if not valid.all():
+            raise ValueError(f"grasp must be 0 or 1, got {grasps[~valid][0].item()!r}")
+        if self.ee_poses and len(self.ee_poses) != tv[0]:
             raise ValueError("ee_poses length must match frame count")
+        grasps = grasps.astype(np.int64)
+        for name, arr in (("images", images), ("keypoints", keypoints), ("grasps", grasps)):
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
 
     @property
     def length(self) -> int:
-        return len(self.frames)
+        return self.images.shape[0]
 
     @property
     def n_views(self) -> int:
         return len(self.cameras)
+
+    @functools.cached_property
+    def frames(self) -> tuple:
+        """frames[t][v]: view v at time t as a `FrameView`, built on first
+        use for callers that compare demos frame by frame."""
+        return tuple(tuple(FrameView(self.images[t, v], KeypointSet2D(
+            self.keypoints[t, v], self.embodiment, v), self.grasps[t, v])
+            for v in range(self.n_views)) for t in range(self.length))
 
 
 @dataclass(frozen=True)
@@ -220,22 +237,22 @@ def chunk(demo: Demonstration, horizon: int) -> TrainingRows:
         raise EmptyDemoError("cannot chunk an empty demonstration")
     horizon = check_int("horizon", horizon, 1)
     n_views, length = demo.n_views, demo.length
-    obs = [views[v] for v in range(n_views) for views in demo.frames]
-    images = np.array([fv.image for fv in obs]).reshape(len(obs), -1)
-    grasps = np.array([fv.grasp for fv in obs], dtype=np.float64).reshape(n_views, length)
-    track = np.empty((n_views, length, N_TRACK_KEYPOINTS, 2))
-    for v in range(n_views):
-        pts = np.array([views[v].keypoints.points for views in demo.frames])
-        if pts.shape[1] != N_TRACK_KEYPOINTS:   # a 21-point hand
-            pts = pts[:, list(HAND_SUBSET_INDICES)]
-        track[v] = normalize_keypoints(pts, demo.cameras[v][0])
-    keypoints = track.reshape(len(obs), N_TRACK_KEYPOINTS, 2)
+    n = n_views * length
+    images = demo.images.swapaxes(0, 1).reshape(n, -1)
+    grasps = demo.grasps.T.astype(np.float64)
+    pts = demo.keypoints
+    if pts.shape[2] != N_TRACK_KEYPOINTS:   # a 21-point hand
+        # take returns C order; pts[:, :, idx] would not, slowing what follows
+        pts = pts.take(HAND_SUBSET_INDICES, axis=2)
+    track = np.stack([normalize_keypoints(pts[:, v], intr)
+                      for v, (intr, _) in enumerate(demo.cameras)])   # (V, T, 5, 2)
+    keypoints = track.reshape(n, N_TRACK_KEYPOINTS, 2)
     idx = np.minimum(np.arange(length)[:, None] + 1 + np.arange(horizon), length - 1)
     offsets = track[:, idx] - track[:, :, None]   # (V, T, H, 5, 2)
     targets = np.concatenate([offsets.reshape(n_views, length, horizon, -1),
                               (2.0 * grasps[:, idx] - 1.0)[..., None]], axis=-1)
-    return TrainingRows(images, keypoints, targets.reshape(len(obs), -1),
-                        len(obs) if demo.embodiment == HUMAN else 0)
+    return TrainingRows(images, keypoints, targets.reshape(n, -1),
+                        n if demo.embodiment == HUMAN else 0)
 
 
 # ---------------------------------------------------------------------------
@@ -262,14 +279,10 @@ def save_dataset(demos, path) -> None:
     for i, demo in enumerate(demos):
         meta.append({"embodiment": demo.embodiment, "task": demo.task_name, "seed": demo.seed,
                      "intrinsics": [asdict(intr) for intr, _ in demo.cameras]})
-        views = [fv for frame in demo.frames for fv in frame]
-        # a zero-frame demo still writes every array, with no rows
-        (C, H, W), k = (views[0].image.shape, views[0].keypoints.k) if views else ((3, 0, 0), 0)
-        dims = dict(T=demo.length, V=demo.n_views, C=C, H=H, W=W, k=k, E=len(demo.ee_poses))
-        values = {"images": [fv.image for fv in views],
-                  "keypoints": [fv.keypoints.points for fv in views],
-                  "grasps": [fv.grasp for fv in views],
-                  "view_ids": [fv.keypoints.view_id for fv in views],
+        dims = dict(zip("TVCHW", demo.images.shape), k=demo.keypoints.shape[2],
+                    E=len(demo.ee_poses))
+        values = {"images": demo.images, "keypoints": demo.keypoints, "grasps": demo.grasps,
+                  "view_ids": np.broadcast_to(np.arange(demo.n_views), demo.grasps.shape),
                   "camera_rotations": [pose.rotation for _, pose in demo.cameras],
                   "camera_translations": [pose.translation for _, pose in demo.cameras],
                   "ee_rotations": [p.rotation for p in demo.ee_poses],
@@ -281,10 +294,11 @@ def save_dataset(demos, path) -> None:
 
 
 def load_dataset(path) -> list:
-    """Inverse of save_dataset, through the checked constructors. The wrong kind,
-    a missing or malformed meta value or array (dims that disagree, a view id
-    that is not an integral float, a value a constructor rejects, such as a
-    grasp of 0.5 or a view id of -1) or a corrupt container raise
+    """Inverse of save_dataset: each demo's arrays go to the checked
+    `Demonstration` constructor as they are. The wrong kind, a missing or
+    malformed meta value or array (dims that disagree, a view id that is not
+    its view's index, a value a constructor rejects, such as a grasp of 0.5
+    or a hand with 7 keypoints) or a corrupt container raise
     SchemaMismatchError."""
     kind, meta, arrays = load_checkpoint(path)
     if kind != DATASET_KIND:
@@ -312,23 +326,15 @@ def load_dataset(path) -> list:
             raise SchemaMismatchError(f"{what}: needs one intrinsics record per view")
         for intr in intrinsics:
             check_keys(intr, _INTRINSICS, f"{what} intrinsics")
-        # integral floats become ints in one cast, tested first: it warns on NaN
-        view_ids = a["view_ids"]
-        integral = (view_ids == np.floor(view_ids)) & (np.abs(view_ids) < 2.0 ** 63)
-        if not integral.all():
-            raise SchemaMismatchError(f"{what}: view_id must be an integer, "
-                                      f"got {float(view_ids[~integral][0])!r}")
-        view_ids = view_ids.astype(np.int64)
+        if not (a["view_ids"] == np.arange(dims["V"])).all():
+            raise SchemaMismatchError(f"{what}: view_ids must hold each view's index")
         try:
             cameras = tuple((CameraIntrinsics(**{name: intr[name] for name in _INTRINSICS}),
                              RigidTransform(r, t)) for intr, r, t in
                             zip(intrinsics, a["camera_rotations"], a["camera_translations"]))
-            frames = tuple(tuple(FrameView(a["images"][t, v], KeypointSet2D(
-                a["keypoints"][t, v], rec["embodiment"], view_ids[t, v]),
-                a["grasps"][t, v]) for v in range(dims["V"])) for t in range(dims["T"]))
             ee_poses = tuple(map(RigidTransform, a["ee_rotations"], a["ee_translations"]))
-            demos.append(Demonstration(rec["embodiment"], frames, rec["task"], rec["seed"],
-                                       cameras, ee_poses))
+            demos.append(Demonstration(rec["embodiment"], a["images"], a["keypoints"],
+                                       a["grasps"], rec["task"], rec["seed"], cameras, ee_poses))
         except (TypeError, ValueError) as err:
             raise SchemaMismatchError(f"{what}: {err}") from err
     return demos

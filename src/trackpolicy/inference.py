@@ -293,7 +293,7 @@ def baseline_samples(demo: data.Demonstration, horizon: int) -> data.TrainingRow
         local = poses[s].inverse().compose(poses[b])
         steps[s, :3] = local.translation
         steps[s, 3:6] = matrix_to_axis_angle(local.rotation)
-        steps[s, 6] = 2.0 * demo.frames[b][0].grasp - 1.0
+        steps[s, 6] = 2.0 * demo.grasps[b, 0] - 1.0
     actions = steps[np.minimum(np.arange(demo.length)[:, None] + np.arange(horizon), last)]
     return data.TrainingRows(obs.images[:demo.length], obs.keypoints[:demo.length],
                              actions.reshape(demo.length, -1), 0)

@@ -11,7 +11,7 @@ moves rigidly with the end-effector until the gripper opens.
 Observations come from one renderer, `render`, which rasterizes a list of
 states through one camera in a single pass; `observe` is its one-state case,
 and `scripted_demo` rolls the expert out first and then renders the whole
-trajectory once per camera.
+trajectory once per camera, into a `Demonstration`'s (T, V, ...) arrays.
 
 Hot-path convention. The scripted expert and `step` run once per simulated
 step (16 per oracle replan, every state of every demo), on 3-vectors, where a
@@ -41,13 +41,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .data import (
-    HUMAN,
-    ROBOT,
-    Demonstration,
-    FrameView,
-    KeypointSet2D,
-)
+from .data import HUMAN, ROBOT, Demonstration, KeypointSet2D
 from .errors import ScriptFailureError, check_int, check_real
 from .geometry import (
     CameraIntrinsics,
@@ -577,14 +571,14 @@ def resume_phase(task: TaskSpec, state: SimState) -> int:
 
 def scripted_demo(task: TaskSpec, emb: EmbodimentModel, seed: int,
                   jitter_px: float = 1.0) -> Demonstration:
-    """Roll the scripted expert on `task` and record one observation frame
-    per default camera at every state.
+    """Roll the scripted expert on `task` and record one observation per
+    default camera at every state.
 
     The expert runs to success first; then each camera renders the whole
-    trajectory in one `render` pass. Human demonstrations add
-    truncated-Gaussian pixel jitter (sigma = jitter_px, cut at 3 sigma) to
-    the recorded keypoints, drawn in (t, view) order, emulating hand tracker
-    noise; the underlying trajectory is identical to the robot's.
+    trajectory in one `render` pass, stacked on the view axis. Human
+    demonstrations add truncated-Gaussian pixel jitter (sigma = jitter_px,
+    cut at 3 sigma) to the keypoints, one draw in (t, view, point) order,
+    emulating hand tracker noise; the trajectory is the robot's.
     """
     cameras = default_cameras()
     state = reset(task, seed)
@@ -602,24 +596,17 @@ def scripted_demo(task: TaskSpec, emb: EmbodimentModel, seed: int,
             f"within {task.horizon} steps")
 
     renders = [render(states, cam, emb) for cam in cameras]
-    jitter_rng = np.random.default_rng([int(seed), 9173]) if emb.kind == HUMAN else None
-    frames = []
-    for t, st in enumerate(states):
-        grasp = grasp_label(st, emb)
-        views = []
-        for v, (images, keypoints) in enumerate(renders):
-            points = keypoints[t]
-            if jitter_rng is not None:
-                points = points + np.clip(
-                    jitter_rng.normal(0.0, jitter_px, size=points.shape),
-                    -3 * jitter_px, 3 * jitter_px)
-            views.append(FrameView(images[t], KeypointSet2D(points, emb.kind, v), grasp))
-        frames.append(tuple(views))
+    keypoints = np.stack([points for _, points in renders], axis=1)   # (T, V, k, 2)
+    if emb.kind == HUMAN:
+        jitter_rng = np.random.default_rng([int(seed), 9173])
+        keypoints = keypoints + np.clip(jitter_rng.normal(0.0, jitter_px, size=keypoints.shape),
+                                        -3 * jitter_px, 3 * jitter_px)
+    grasps = np.array([grasp_label(st, emb) for st in states])[:, None].repeat(len(cameras), 1)
     # proprioception is a robot-only luxury; human recordings are camera-only,
     # which is what keeps the 6DoF baseline off them
     ee_poses = tuple(st.ee_pose for st in states) if emb.kind == ROBOT else ()
-    return Demonstration(embodiment=emb.kind, frames=tuple(frames), task_name=task.name,
-                         seed=seed, cameras=cameras, ee_poses=ee_poses)
+    return Demonstration(emb.kind, np.stack([images for images, _ in renders], axis=1),
+                         keypoints, grasps, task.name, seed, cameras, ee_poses)
 
 
 # direction profile of the push family -> the concrete tasks it cycles through

@@ -1,5 +1,9 @@
 """Containers, hand subsetting (through `data.chunk`), chunking,
-normalization, and dataset IO."""
+normalization, and dataset IO. A demonstration is stacked arrays, checked
+once and read-only, with its per-frame views derived from them; the bytes of
+a fixed dataset file are pinned."""
+
+import hashlib
 
 import numpy as np
 import pytest
@@ -9,32 +13,36 @@ from trackpolicy.errors import EmptyDemoError, MissingArtifactError, SchemaMisma
 from trackpolicy.geometry import CameraIntrinsics
 
 
+R = sim.RASTER_SIZE
+
+
+def blank(length=0, n_views=2, k=5):
+    """(images, keypoints, grasps) of a demo with blank images, keypoints at
+    the origin and an open grasp throughout."""
+    return (np.zeros((length, n_views, 3, R, R)), np.zeros((length, n_views, k, 2)),
+            np.zeros((length, n_views), dtype=int))
+
+
 def synthetic_demo(length=20, n_views=2, moving=True, embodiment=data.ROBOT):
     """Hand-built demo with linear keypoint motion and no simulator."""
-    cameras = sim.default_cameras()[:n_views]
-    emb_k = 5 if embodiment == data.ROBOT else 21
-    frames = []
-    for t in range(length):
-        views = []
-        for v in range(n_views):
-            base = np.full((emb_k, 2), 40.0) + 2.0 * v
-            pts = base + (np.array([1.5, -0.8]) * t if moving else 0.0)
-            img = np.zeros((3, sim.RASTER_SIZE, sim.RASTER_SIZE))
-            img[0, t % 16, v] = 1.0
-            pts = pts + np.arange(emb_k)[:, None]  # keep points distinct
-            views.append(data.FrameView(img, data.KeypointSet2D(pts, embodiment, v),
-                                        grasp=int(t >= length // 2)))
-        frames.append(tuple(views))
-    return data.Demonstration(embodiment=embodiment, frames=tuple(frames),
-                              task_name="push_right", seed=3, cameras=cameras)
+    k = 5 if embodiment == data.ROBOT else 21
+    t = np.arange(length)[:, None, None, None]
+    v = np.arange(n_views)[None, :, None, None]
+    points = np.full((1, 1, k, 2), 40.0) + 2.0 * v
+    points = points + (np.array([1.5, -0.8]) if moving else np.zeros(2)) * t
+    points = points + np.arange(k)[:, None]  # keep points distinct
+    images = np.zeros((length, n_views, 3, R, R))
+    ts, vs = np.meshgrid(np.arange(length), np.arange(n_views), indexing="ij")
+    images[ts, vs, 0, ts % 16, vs] = 1.0
+    grasps = (ts >= length // 2).astype(int)
+    return data.Demonstration(embodiment, images, points, grasps, "push_right", 3,
+                              sim.default_cameras()[:n_views])
 
 
 def human_demo(points):
     """A human demo whose frame t, view v shows pixel keypoints points[t, v]."""
-    img = np.zeros((3, sim.RASTER_SIZE, sim.RASTER_SIZE))
-    frames = tuple(tuple(data.FrameView(img, data.KeypointSet2D(p, data.HUMAN, v), 0)
-                         for v, p in enumerate(views)) for views in points)
-    return data.Demonstration(data.HUMAN, frames, "push_right", 0,
+    images, _, grasps = blank(*points.shape[:2])
+    return data.Demonstration(data.HUMAN, images, points, grasps, "push_right", 0,
                               sim.default_cameras()[:points.shape[1]])
 
 
@@ -138,12 +146,11 @@ def test_chunk_offsets_reconstruct_future():
     h = 16
     rows = data.chunk(demo, horizon=h)
     offsets, _ = steps(rows, h)
-    track = np.array([data.normalize_keypoints(demo.frames[t][0].keypoints.points,
-                                               demo.cameras[0][0])
+    track = np.array([data.normalize_keypoints(demo.keypoints[t, 0], demo.cameras[0][0])
                       for t in range(demo.length)])
     for t in (0, 3, demo.length - 1):
         # view-0 rows come first, ordered by t
-        assert np.array_equal(rows.images[t], demo.frames[t][0].image.reshape(-1))
+        assert np.array_equal(rows.images[t], demo.images[t, 0].reshape(-1))
         for hh in range(h):
             idx = min(t + 1 + hh, demo.length - 1)
             assert np.max(np.abs(rows.keypoints[t] + offsets[t, hh] - track[idx])) < 1e-12
@@ -167,10 +174,8 @@ def test_chunk_rejects_a_horizon_that_is_not_an_integer_at_least_1(horizon):
 
 
 def test_chunk_empty_demo_raises():
-    demo = synthetic_demo(length=1)
-    object.__setattr__(demo, "frames", ())
     with pytest.raises(EmptyDemoError):
-        data.chunk(demo, horizon=4)
+        data.chunk(synthetic_demo(length=0), horizon=4)
 
 
 # ---------------------------------------------------------------------------
@@ -194,13 +199,10 @@ def demos_equal(a, b) -> bool:
         if (ia != ib or not np.array_equal(pa.rotation, pb.rotation)
                 or not np.array_equal(pa.translation, pb.translation)):
             return False
-    for fa, fb in zip(a.frames, b.frames):
-        for va, vb in zip(fa, fb):
-            if not (np.array_equal(va.image, vb.image)
-                    and np.array_equal(va.keypoints.points, vb.keypoints.points)
-                    and va.grasp == vb.grasp
-                    and va.keypoints.view_id == vb.keypoints.view_id):
-                return False
+    for name in ("images", "keypoints", "grasps"):
+        x, y = getattr(a, name), getattr(b, name)
+        if x.dtype != y.dtype or not np.array_equal(x, y):
+            return False
     if len(a.ee_poses) != len(b.ee_poses):
         return False
     for pa, pb in zip(a.ee_poses, b.ee_poses):
@@ -212,7 +214,7 @@ def demos_equal(a, b) -> bool:
 
 def test_save_load_round_trip(tmp_path):
     # a zero-frame demo round-trips too, its arrays holding no rows
-    empty = data.Demonstration(data.ROBOT, (), "reach", 5, sim.default_cameras())
+    empty = data.Demonstration(data.ROBOT, *blank(), "reach", 5, sim.default_cameras())
     demos = _mixed_demos() + [empty]
     path = tmp_path / "demos.ckpt"
     data.save_dataset(demos, path)
@@ -225,23 +227,73 @@ def test_save_load_round_trip(tmp_path):
     again = tmp_path / "again.ckpt"
     data.save_dataset(loaded, again)
     assert again.read_bytes() == path.read_bytes()
+    # the zero-frame demo is stored with its real raster size and k
+    arrays = nn.load_checkpoint(path)[2]
+    assert arrays["3/images"].shape == (0, 2, 3, R, R)
+    assert arrays["3/keypoints"].shape == (0, 2, 5, 2)
 
 
-def test_demo_rejects_frames_of_differing_keypoint_counts_or_image_shapes():
-    # a hand demo whose frame 0 holds the 5-point subset and whose later
-    # frames hold all 21 points would stack into a ragged array in chunk
-    pts = np.random.default_rng(4).uniform(0, 128, size=(3, 2, 21, 2))
-    demo = human_demo(pts)
-    subset = [data.FrameView(fv.image, data.KeypointSet2D(
-        fv.keypoints.points[list(data.HAND_SUBSET_INDICES)], data.HUMAN, v), 0)
-        for v, fv in enumerate(demo.frames[0])]
-    with pytest.raises(ValueError, match="frame 1 view 0 has 21 keypoints"):
-        data.Demonstration(data.HUMAN, (tuple(subset),) + demo.frames[1:],
-                           "push_right", 0, demo.cameras)
-    wide = data.FrameView(np.zeros((3, 8, 8)), demo.frames[2][1].keypoints, 0)
-    with pytest.raises(ValueError, match="frame 2 view 1 .* image"):
-        data.Demonstration(data.HUMAN, demo.frames[:2] + ((demo.frames[2][0], wide),),
-                           "push_right", 0, demo.cameras)
+# dataset file bytes for _mixed_demos(): a robot demo with EE poses, a
+# 21-point hand and a hand on reach. How a demo is built and stored may
+# change; the file it writes may not
+DATASET_FILE_SHA256 = "4cfabfa5c96cd88f662eb59e39ba901d631bfbc51ec5b3def2ce621d82343963"
+
+
+def test_dataset_file_bytes_are_pinned(tmp_path):
+    path = tmp_path / "demos.ckpt"
+    data.save_dataset(_mixed_demos(), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == DATASET_FILE_SHA256
+
+
+def test_demo_arrays_are_read_only_and_frames_agree_with_them():
+    demo = sim.scripted_demo(sim.make_task("push_right"), sim.human_embodiment(), 1)
+    for arr, dtype in ((demo.images, np.float64), (demo.keypoints, np.float64),
+                       (demo.grasps, np.int64)):
+        assert arr.dtype == dtype and not arr.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0
+    assert len(demo.frames) == demo.length and demo.frames is demo.frames
+    for t, views in enumerate(demo.frames):
+        assert len(views) == demo.n_views
+        for v, fv in enumerate(views):
+            assert np.array_equal(fv.image, demo.images[t, v])
+            assert np.array_equal(fv.keypoints.points, demo.keypoints[t, v])
+            assert (fv.keypoints.embodiment, fv.keypoints.view_id) == (data.HUMAN, v)
+            assert fv.grasp == demo.grasps[t, v] and type(fv.grasp) is int
+    # float64 arrays are frozen in place, not copied; grasps become ints
+    images, keypoints, grasps = blank(3)
+    built = data.Demonstration(data.ROBOT, images, keypoints, grasps * 1.0, "reach", 0,
+                               sim.default_cameras())
+    assert built.images is images and built.keypoints is keypoints
+    assert not images.flags.writeable and built.grasps.dtype == np.int64
+
+
+def test_demo_rejects_arrays_of_disagreeing_shapes_or_keypoint_counts():
+    # chunk and save_dataset slice and write the arrays as they are, so a
+    # ragged or mislabelled demo is refused when it is built
+    images, keypoints, grasps = blank(3)
+    cams = sim.default_cameras()
+    shapes = r"\(T, V\) for V = 2 cameras; got"
+    for embodiment, arrays, cameras, message in (
+            (data.ROBOT, (images[:2], keypoints, grasps), cams, shapes),
+            (data.ROBOT, (images, keypoints[:, :1], grasps), cams, shapes),
+            (data.ROBOT, (images, keypoints, grasps[:, 0]), cams, shapes),
+            (data.ROBOT, (images[:, :, 0], keypoints, grasps), cams, shapes),
+            (data.ROBOT, (images, np.zeros((3, 2, 5, 3)), grasps), cams, shapes),
+            (data.ROBOT, (images, keypoints[..., 0], grasps), cams, shapes),
+            (data.ROBOT, blank(3), cams[:1], r"\(T, V\) for V = 1 cameras; got"),
+            (data.ROBOT, blank(3, k=21), cams, "robot keypoint sets have 5 points, got 21"),
+            (data.HUMAN, blank(3, k=7), cams,
+             r"human keypoint sets have 21 \(full\) or 5 \(subset\) points, got 7"),
+            (data.HUMAN, blank(3, k=0), cams, "human keypoint sets .* got 0"),
+            ("alien", blank(3), cams, "unknown embodiment 'alien'"),
+            (data.ROBOT, (images, keypoints + np.nan, grasps), cams, "keypoints must be finite"),
+            (data.ROBOT, (images, keypoints, grasps + 0.5), cams, "grasp must be 0 or 1, got 0.5"),
+            (data.ROBOT, (images, keypoints, grasps - 1), cams, "grasp must be 0 or 1, got -1")):
+        with pytest.raises(ValueError, match=message):
+            data.Demonstration(embodiment, *arrays, "reach", 0, cameras)
+    with pytest.raises(ValueError, match="ee_poses length must match frame count"):
+        data.Demonstration(data.ROBOT, *blank(3), "reach", 0, cams, (sim.HOME_POSE,) * 2)
 
 
 def test_demo_rejects_a_non_string_task_or_a_non_integer_seed(tmp_path):
@@ -250,25 +302,25 @@ def test_demo_rejects_a_non_string_task_or_a_non_integer_seed(tmp_path):
     cams = sim.default_cameras()
     for task in (3, None):
         with pytest.raises(ValueError, match="task must be a string"):
-            data.Demonstration(data.ROBOT, (), task, 0, cams)
+            data.Demonstration(data.ROBOT, *blank(), task, 0, cams)
     for seed in (1.5, "7", True, None, np.float64(2.0), -1, np.int64(-3)):
         with pytest.raises(ValueError, match="seed must be an integer >= 0"):
-            data.Demonstration(data.ROBOT, (), "reach", seed, cams)
-    assert data.Demonstration(data.ROBOT, (), "reach", 0, cams).seed == 0
-    demo = data.Demonstration(data.ROBOT, (), "reach", np.int64(7), cams)
+            data.Demonstration(data.ROBOT, *blank(), "reach", seed, cams)
+    assert data.Demonstration(data.ROBOT, *blank(), "reach", 0, cams).seed == 0
+    demo = data.Demonstration(data.ROBOT, *blank(), "reach", np.int64(7), cams)
     assert type(demo.seed) is int
     data.save_dataset([demo], tmp_path / "demos.ckpt")
     assert data.load_dataset(tmp_path / "demos.ckpt")[0].seed == 7
 
 
 def test_frame_view_rejects_a_grasp_outside_0_and_1():
-    # the constructor accepts exactly what load_dataset accepts
+    # the package's one integer rule: no bool, no float (even 1.0), 0 or 1
     kps = data.KeypointSet2D(np.zeros((5, 2)), data.ROBOT)
     img = np.zeros((3, 4, 4))
-    for bad in (0.7, 2, -1, np.nan, "1"):
-        with pytest.raises(ValueError, match="grasp must be 0 or 1"):
+    for bad in (0.7, 2, -1, np.nan, "1", 1.0, True, np.float64(1.0)):
+        with pytest.raises(ValueError, match=r"grasp must be an integer in \[0, 1\], got "):
             data.FrameView(img, kps, bad)
-    for good in (0, 1, 1.0, True, np.int64(0), np.float64(1.0)):
+    for good in (0, 1, np.int64(0), np.uint8(1)):
         fv = data.FrameView(img, kps, good)
         assert fv.grasp == good and type(fv.grasp) is int
 
@@ -375,22 +427,33 @@ MALFORMED = [
     ("EE poses for half the frames", None,
      lambda a: {**a, "0/ee_rotations": a["0/ee_rotations"][::2],
                 "0/ee_translations": a["0/ee_translations"][::2]}, r"\d+ EE poses for \d+ frames"),
-    # the stored floats are checked before any cast, so a view id of 1.5 is
-    # not read as 1; grasps reach their constructor as floats
+    # the stored arrays reach the demo constructor as they are, grasps as
+    # floats; the view ids, stored only to be checked, must number the views
     ("half grasp", None, lambda a: {**a, "0/grasps": a["0/grasps"] * 0.5},
      "demo 0: grasp must be 0 or 1"),
     ("grasp of 2", None, lambda a: {**a, "1/grasps": a["1/grasps"] + 2.0},
      "demo 1: grasp must be 0 or 1"),
+    ("hand with 7 keypoints", None, lambda a: {**a, "1/keypoints": a["1/keypoints"][:, :, :7]},
+     r"demo 1: human keypoint sets have 21 \(full\) or 5 \(subset\) points, got 7"),
     ("fractional view id", None, lambda a: {**a, "1/view_ids": a["1/view_ids"] + 0.5},
-     "demo 1: view_id must be an integer"),
+     "demo 1: view_ids must hold each view's index"),
     ("NaN view id", None, lambda a: {**a, "0/view_ids": a["0/view_ids"] * np.nan},
-     "demo 0: view_id must be an integer"),
+     "demo 0: view_ids must hold each view's index"),
     ("infinite view id", None, lambda a: {**a, "0/view_ids": a["0/view_ids"] - np.inf},
-     "demo 0: view_id must be an integer"),
+     "demo 0: view_ids must hold each view's index"),
     ("huge view id", None, lambda a: {**a, "1/view_ids": a["1/view_ids"] + 1e300},
-     "demo 1: view_id must be an integer"),
+     "demo 1: view_ids must hold each view's index"),
     ("negative view id", None, lambda a: {**a, "1/view_ids": a["1/view_ids"] - 2.0},
-     "demo 1: view_id must be an integer >= 0"),
+     "demo 1: view_ids must hold each view's index"),
+    # a zero-frame demo as files once stored it: (3, 0, 0) rasters, k = 0
+    ("old zero-frame layout", None, lambda a: {**a, **{
+        f"0/{name}": np.zeros(shape) for name, shape in (
+            ("images", (0, 2, 3, 0, 0)), ("keypoints", (0, 2, 0, 2)), ("grasps", (0, 2)),
+            ("view_ids", (0, 2)), ("ee_rotations", (0, 3, 3)), ("ee_translations", (0, 3)))}},
+     "demo 0: robot keypoint sets have 5 points, got 0"),
+    # a file with its view ids swapped loaded before the rule
+    ("swapped view ids", None, lambda a: {**a, "0/view_ids": a["0/view_ids"][:, ::-1]},
+     "demo 0: view_ids must hold each view's index"),
     *[(f"fx of {value!r}", lambda m, value=value: {"demos": [m["demos"][0], {
         **m["demos"][1], "intrinsics": [{**m["demos"][1]["intrinsics"][0], "fx": value},
                                         m["demos"][1]["intrinsics"][1]]}]}, None, message)

@@ -209,20 +209,19 @@ def test_train_log_repeats_for_a_seed(demos, trained):
 
 def reference_samples(demo, horizon):
     """(embodiment, image, keypoints, flat target) per (view, t), each row
-    built on its own from the demo's frames."""
+    built on its own from the demo's (t, v) entries."""
     out = []
     for v in range(demo.n_views):
         intr = demo.cameras[v][0]
         track = np.asarray([data.normalize_keypoints(
-            views[v].keypoints.points[list(data.HAND_SUBSET_INDICES)]
-            if views[v].keypoints.k == 21 else views[v].keypoints.points, intr)
-            for views in demo.frames])
-        grasps = np.asarray([views[v].grasp for views in demo.frames], dtype=np.float64)
+            points[list(data.HAND_SUBSET_INDICES)] if len(points) == 21 else points, intr)
+            for points in demo.keypoints[:, v]])
+        grasps = np.asarray([float(g) for g in demo.grasps[:, v]])
         for t in range(demo.length):
             idx = np.minimum(t + 1 + np.arange(horizon), demo.length - 1)
             flat = np.concatenate([(track[idx] - track[t]).reshape(horizon, -1),
                                    (2.0 * grasps[idx] - 1.0)[:, None]], axis=1).reshape(-1)
-            out.append((demo.embodiment, demo.frames[t][v].image, track[t], flat))
+            out.append((demo.embodiment, demo.images[t, v], track[t], flat))
     return out
 
 
@@ -475,8 +474,7 @@ def test_lit_trained_model_round_trips_at_full_width(trained, tmp_path):
 
 def dark(demo):
     """The demo with every feature image zeroed."""
-    return replace(demo, frames=tuple(tuple(replace(fv, image=np.zeros_like(fv.image))
-                                            for fv in views) for views in demo.frames))
+    return replace(demo, images=np.zeros_like(demo.images))
 
 
 def test_training_rejects_a_pool_that_lights_no_cell(demos):
@@ -503,9 +501,7 @@ def test_train_rejects_missing_embodiments(demos):
 
 def with_raster(demo, size):
     """The demo with every feature image cropped to size x size."""
-    frames = tuple(tuple(data.FrameView(fv.image[:, :size, :size], fv.keypoints, fv.grasp)
-                         for fv in views) for views in demo.frames)
-    return replace(demo, frames=frames)
+    return replace(demo, images=demo.images[..., :size, :size])
 
 
 def test_train_rejects_mixed_raster_sizes(demos):

@@ -472,12 +472,12 @@ def test_scripted_demo_matches_the_per_state_reference_bytewise(monkeypatch):
     closed = 0
     for (name, kind, seed), (frames, ee_poses) in refs.items():
         demo = sim.scripted_demo(sim.make_task(name), sim.embodiment(kind), seed)
-        assert demo.length == len(frames)
-        for t, (views, ref_views) in enumerate(zip(demo.frames, frames)):
-            for v, (fv, (img, points, grasp)) in enumerate(zip(views, ref_views)):
-                assert fv.image.tobytes() == img.tobytes(), (name, kind, seed, t, v)
-                assert fv.keypoints.points.tobytes() == points.tobytes()
-                assert fv.keypoints.view_id == v and fv.grasp == grasp
+        assert demo.length == len(frames) and demo.n_views == len(frames[0])
+        for t, ref_views in enumerate(frames):
+            for v, (img, points, grasp) in enumerate(ref_views):
+                assert demo.images[t, v].tobytes() == img.tobytes(), (name, kind, seed, t, v)
+                assert demo.keypoints[t, v].tobytes() == points.tobytes()
+                assert demo.grasps[t, v] == grasp
                 closed += grasp
         assert len(demo.ee_poses) == len(ee_poses)
         for p, q in zip(demo.ee_poses, ee_poses):
@@ -545,11 +545,8 @@ def test_scripted_demo_deterministic():
     a = sim.scripted_demo(task, sim.human_embodiment(), 4)
     b = sim.scripted_demo(task, sim.human_embodiment(), 4)
     assert a.length == b.length
-    for fa, fb in zip(a.frames, b.frames):
-        for va, vb in zip(fa, fb):
-            assert np.array_equal(va.keypoints.points, vb.keypoints.points)
-            assert np.array_equal(va.image, vb.image)
-            assert va.grasp == vb.grasp
+    for name in ("images", "keypoints", "grasps"):
+        assert np.array_equal(getattr(a, name), getattr(b, name))
 
 
 def test_scripted_demo_embodiments_share_trajectory():
@@ -562,15 +559,15 @@ def test_scripted_demo_embodiments_share_trajectory():
     for seed in (0, 7):
         robot = sim.scripted_demo(task, sim.robot_embodiment(), seed)
         human = sim.scripted_demo(task, sim.human_embodiment(), seed, jitter_px=0.0)
-        assert robot.frames[0][0].keypoints.k == 5
-        assert human.frames[0][0].keypoints.k == 21
+        assert robot.keypoints.shape[2] == 5
+        assert human.keypoints.shape[2] == 21
         assert human.ee_poses == ()
         assert len(robot.ee_poses) == robot.length
         n = min(robot.length, human.length)
         for t in range(n):
             wrist3 = robot.ee_poses[t].apply(hand.keypoint_offsets[0])
             expected = project_points(wrist3, intr, cam_pose)[0]
-            got = human.frames[t][0].keypoints.points[0]
+            got = human.keypoints[t, 0, 0]
             assert np.linalg.norm(got - expected) < 1e-9
 
 
@@ -608,12 +605,12 @@ def test_human_demo_jitter_is_bounded_and_absent_for_robot():
     human = sim.scripted_demo(task, sim.human_embodiment(), 9, jitter_px=1.0)
     state = sim.reset(task, 9)
     img, kps = sim.observe(state, human.cameras[0], sim.human_embodiment(), view_id=0)
-    noise = human.frames[0][0].keypoints.points - kps.points
+    noise = human.keypoints[0, 0] - kps.points
     assert np.max(np.abs(noise)) <= 3.0 + 1e-9
     assert np.max(np.abs(noise)) > 0
     robot = sim.scripted_demo(task, sim.robot_embodiment(), 9)
     _, rkps = sim.observe(state, robot.cameras[0], sim.robot_embodiment(), view_id=0)
-    assert np.array_equal(robot.frames[0][0].keypoints.points, rkps.points)
+    assert np.array_equal(robot.keypoints[0, 0], rkps.points)
 
 
 def test_task_spec_rejects_a_bad_horizon_or_success_radius():
@@ -650,8 +647,7 @@ def test_generate_demos_takes_numpy_integers():
     (a,) = sim.generate_demos("reach", ROBOT, np.int64(1), seed_start=np.uint8(4))
     (b,) = sim.generate_demos("reach", ROBOT, 1, seed_start=4)
     assert type(a.seed) is int and a.seed == b.seed == 4
-    assert all(np.array_equal(fa.image, fb.image)
-               for va, vb in zip(a.frames, b.frames) for fa, fb in zip(va, vb))
+    assert np.array_equal(a.images, b.images)
     assert sim.generate_demos("reach", ROBOT, 0) == []
 
 
