@@ -3,7 +3,10 @@ dataset files (one `nn.checkpoint` file per dataset).
 
 Demonstrations: a `Demonstration` is stacked (T, V, ...) arrays, the ones
 `sim.scripted_demo` renders, `save_dataset` writes, `load_dataset` reads
-back and `chunk` slices; its per-(t, v) `frames` are derived on demand.
+back and `chunk` slices. A camera view is its index v on the V axis, the
+same index as in the demo's cameras. Its per-(t, v) `frames` are plain
+records (`FrameView`, `KeypointSet2D`) of views into those arrays, derived
+on demand and not checked again.
 
 Normalization: `normalize_keypoints` maps a camera's pixel keypoints to
 (p - c) / c, with c half its image size, so in-image points land in
@@ -39,6 +42,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import asdict, dataclass, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -57,63 +61,32 @@ HAND_SUBSET_INDICES = (0, 2, 4, 6, 8)
 N_TRACK_KEYPOINTS = 5
 
 
-def _check_keypoint_count(embodiment, k: int) -> None:
-    """The one keypoint-count rule (ValueError): robots have 5 points, hands
-    21 (full) or 5 (subset)."""
-    if embodiment not in EMBODIMENTS:
-        raise ValueError(f"unknown embodiment {embodiment!r}")
-    if embodiment == ROBOT and k != 5:
-        raise ValueError(f"robot keypoint sets have 5 points, got {k}")
-    if embodiment == HUMAN and k not in (5, 21):
-        raise ValueError(f"human keypoint sets have 21 (full) or 5 (subset) points, got {k}")
-
-
-@dataclass(frozen=True)
-class KeypointSet2D:
-    """Ordered 2D keypoints for one view. points: (k, 2) pixels; view_id an
-    integer >= 0 (`errors.check_int`), stored as int."""
+class KeypointSet2D(NamedTuple):
+    """One view's (k, 2) pixel keypoints and that view's index."""
 
     points: np.ndarray
-    embodiment: str
-    view_id: int = 0
-
-    def __post_init__(self):
-        object.__setattr__(self, "view_id", check_int("view_id", self.view_id, 0))
-        p = np.asarray(self.points, dtype=np.float64)
-        if p.ndim != 2 or p.shape[1] != 2:
-            raise ValueError(f"points must be (k, 2), got {p.shape}")
-        if has_nonfinite(p):
-            raise ValueError("keypoints must be finite")
-        _check_keypoint_count(self.embodiment, p.shape[0])
-        object.__setattr__(self, "points", p.copy())
+    view_id: int
 
 
-@dataclass(frozen=True)
-class FrameView:
-    """One camera's record at one timestep. grasp is an integer 0 or 1, not
-    a bool (`errors.check_int`), stored as int."""
+class FrameView(NamedTuple):
+    """One camera's (C, R, R) feature image, keypoints and 0/1 grasp at one
+    timestep; built only by `Demonstration.frames`, from checked arrays."""
 
-    image: np.ndarray  # (3, R, R) feature raster
+    image: np.ndarray
     keypoints: KeypointSet2D
-    grasp: int
-
-    def __post_init__(self):
-        img = np.asarray(self.image, dtype=np.float64)
-        if img.ndim != 3:
-            raise ValueError(f"feature image must be (C, R, R), got {img.shape}")
-        object.__setattr__(self, "image", img)
-        object.__setattr__(self, "grasp", check_int("grasp", self.grasp, 0, 1))
+    grasp: np.int64
 
 
 @dataclass(frozen=True, eq=False)
 class Demonstration:
     """A full episode as arrays over time t and camera view v: images
     (T, V, C, R, R) and pixel keypoints (T, V, k, 2), float64, and grasps
-    (T, V) of 0 or 1, stored as ints, with V = len(cameras). Checked once
-    (shapes agree, keypoints finite, k fits the embodiment, 0 or T EE poses)
-    and made read-only in place, not copied. The task name is a string and
-    the seed an integer >= 0, not a bool (the seed `sim.reset` built the
-    episode from), stored as a plain int, as the file's meta records them.
+    (T, V) of 0 or 1, stored as ints, with V = len(cameras); a view is its
+    index v. Checked once (shapes agree, images and keypoints finite, k fits
+    the embodiment, 0 or T EE poses) and made read-only in place, not
+    copied. The task name is a string and the seed an integer >= 0, not a
+    bool (the seed `sim.reset` built the episode from), stored as a plain
+    int, as the file's meta records them.
     """
 
     embodiment: str
@@ -142,9 +115,17 @@ class Demonstration:
                 f"images, keypoints and grasps must be (T, V, C, R, R), (T, V, k, 2) and "
                 f"(T, V) for V = {self.n_views} cameras; got {images.shape}, "
                 f"{keypoints.shape} and {grasps.shape}")
+        if has_nonfinite(images):
+            raise ValueError("images must be finite")
         if has_nonfinite(keypoints):
             raise ValueError("keypoints must be finite")
-        _check_keypoint_count(self.embodiment, keypoints.shape[2])
+        k = keypoints.shape[2]
+        if self.embodiment not in EMBODIMENTS:
+            raise ValueError(f"unknown embodiment {self.embodiment!r}")
+        if self.embodiment == ROBOT and k != 5:
+            raise ValueError(f"robot keypoint sets have 5 points, got {k}")
+        if self.embodiment == HUMAN and k not in (5, 21):
+            raise ValueError(f"human keypoint sets have 21 (full) or 5 (subset) points, got {k}")
         valid = np.isin(grasps, (0, 1))
         if not valid.all():
             raise ValueError(f"grasp must be 0 or 1, got {grasps[~valid][0].item()!r}")
@@ -165,10 +146,11 @@ class Demonstration:
 
     @functools.cached_property
     def frames(self) -> tuple:
-        """frames[t][v]: view v at time t as a `FrameView`, built on first
-        use for callers that compare demos frame by frame."""
+        """frames[t][v]: view v at time t as a `FrameView` of views into the
+        demo's arrays, with view id v, built on first use for callers that
+        compare demos frame by frame."""
         return tuple(tuple(FrameView(self.images[t, v], KeypointSet2D(
-            self.keypoints[t, v], self.embodiment, v), self.grasps[t, v])
+            self.keypoints[t, v], v), self.grasps[t, v])
             for v in range(self.n_views)) for t in range(self.length))
 
 
@@ -260,9 +242,10 @@ def chunk(demo: Demonstration, horizon: int) -> TrainingRows:
 
 DATASET_KIND = "trackpolicy-demos"
 
-# demo i's arrays, stored as "i/<name>", and their dims: T frames, V views,
-# C x H x W feature rasters, k keypoints, E EE poses (0 or T)
-_LAYOUT = {"images": "TVCHW", "keypoints": "TVk2", "grasps": "TV", "view_ids": "TV",
+# demo i's arrays, stored as "i/<name>", and their dims: T frames, V views
+# (view v is index v on the V axis), C x H x W feature rasters, k keypoints,
+# E EE poses (0 or T)
+_LAYOUT = {"images": "TVCHW", "keypoints": "TVk2", "grasps": "TV",
            "camera_rotations": "V33", "camera_translations": "V3",
            "ee_rotations": "E33", "ee_translations": "E3"}
 _INTRINSICS = tuple(f.name for f in fields(CameraIntrinsics))
@@ -271,10 +254,11 @@ _INTRINSICS = tuple(f.name for f in fields(CameraIntrinsics))
 def save_dataset(demos, path) -> None:
     """One `nn.checkpoint` file: meta["demos"] holds each demo's embodiment,
     task, seed and per-view intrinsics; demo i's arrays are i/images
-    (T, V, 3, R, R), i/keypoints (T, V, k, 2), i/grasps and i/view_ids (T, V),
-    the world->camera i/camera_rotations (V, 3, 3) and i/camera_translations
-    (V, 3), and i/ee_rotations (T, 3, 3) and i/ee_translations (T, 3), which
-    have no rows without EE poses. Equal demos give byte-identical files."""
+    (T, V, 3, R, R), i/keypoints (T, V, k, 2) and i/grasps (T, V), the
+    world->camera i/camera_rotations (V, 3, 3) and i/camera_translations
+    (V, 3), each indexed by view as the demo's cameras are, and
+    i/ee_rotations (T, 3, 3) and i/ee_translations (T, 3), which have no
+    rows without EE poses. Equal demos give byte-identical files."""
     meta, arrays = [], {}
     for i, demo in enumerate(demos):
         meta.append({"embodiment": demo.embodiment, "task": demo.task_name, "seed": demo.seed,
@@ -282,7 +266,6 @@ def save_dataset(demos, path) -> None:
         dims = dict(zip("TVCHW", demo.images.shape), k=demo.keypoints.shape[2],
                     E=len(demo.ee_poses))
         values = {"images": demo.images, "keypoints": demo.keypoints, "grasps": demo.grasps,
-                  "view_ids": np.broadcast_to(np.arange(demo.n_views), demo.grasps.shape),
                   "camera_rotations": [pose.rotation for _, pose in demo.cameras],
                   "camera_translations": [pose.translation for _, pose in demo.cameras],
                   "ee_rotations": [p.rotation for p in demo.ee_poses],
@@ -296,10 +279,10 @@ def save_dataset(demos, path) -> None:
 def load_dataset(path) -> list:
     """Inverse of save_dataset: each demo's arrays go to the checked
     `Demonstration` constructor as they are. The wrong kind, a missing or
-    malformed meta value or array (dims that disagree, a view id that is not
-    its view's index, a value a constructor rejects, such as a grasp of 0.5
-    or a hand with 7 keypoints) or a corrupt container raise
-    SchemaMismatchError."""
+    malformed meta value or array (dims that disagree, a value a
+    constructor rejects, such as a grasp of 0.5, a NaN image or a hand with
+    7 keypoints), an array the layout does not name (such as the i/view_ids
+    of older files) or a corrupt container raise SchemaMismatchError."""
     kind, meta, arrays = load_checkpoint(path)
     if kind != DATASET_KIND:
         raise SchemaMismatchError(f"{path}: expected a {DATASET_KIND!r} file, got {kind!r}")
@@ -326,8 +309,6 @@ def load_dataset(path) -> list:
             raise SchemaMismatchError(f"{what}: needs one intrinsics record per view")
         for intr in intrinsics:
             check_keys(intr, _INTRINSICS, f"{what} intrinsics")
-        if not (a["view_ids"] == np.arange(dims["V"])).all():
-            raise SchemaMismatchError(f"{what}: view_ids must hold each view's index")
         try:
             cameras = tuple((CameraIntrinsics(**{name: intr[name] for name in _INTRINSICS}),
                              RigidTransform(r, t)) for intr, r, t in

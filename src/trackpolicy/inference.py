@@ -1,19 +1,21 @@
 """Test-time action recovery and closed-loop evaluation.
 
-The 2D-to-action path: normalize each view's pixel keypoints
-(`data.normalize_keypoints`), sample that view's track offsets and grasp
-logits as plain arrays (`policy.sample`, shared seed), add the offsets to the
-current keypoints and denormalize to pixels (`data.denormalize_keypoints`),
-triangulate every keypoint of every step across the two views, fit per-step
-rigid transforms to the 3D keypoint sequence, and execute the first m
-deltas before re-predicting. `chunk_from_tracks` makes one stacked call
-each to `triangulate`, `reprojection_residual_px` and `tracks_to_actions`
-per chunk; each row of those stacks is bit-identical to computing that
-point or frame alone. An `ActionChunk` keeps the fit's stacked
-rotations (H, 3, 3) and translations (H, 3) as read-only arrays, checks
-every rotation row once, and hands out one `RigidTransform` per executed
-step through `delta(h)`. Also houses the 6DoF-delta baseline (same
-encoder+diffusion machinery, direct action targets, no triangulation).
+The 2D-to-action path: observe each view v as plain arrays (`sim.observe`
+through cams[v]; the index v is a view's only identity), normalize its
+pixel keypoints (`data.normalize_keypoints`), sample that view's track
+offsets and grasp logits as plain arrays (`policy.sample`, shared seed), add
+the offsets to the current keypoints and denormalize to pixels
+(`data.denormalize_keypoints`), triangulate every keypoint of every step
+across the two views, fit per-step rigid transforms to the 3D keypoint
+sequence, and execute the first m deltas before re-predicting.
+`chunk_from_tracks` makes one stacked call each to `triangulate`,
+`reprojection_residual_px` and `tracks_to_actions` per chunk; each row of
+those stacks is bit-identical to computing that point or frame alone. An
+`ActionChunk` keeps the fit's stacked rotations (H, 3, 3) and translations
+(H, 3) as read-only arrays, checks every rotation row once, and hands out
+one `RigidTransform` per executed step through `delta(h)`. Also houses the
+6DoF-delta baseline (same encoder+diffusion machinery, direct action
+targets, no triangulation).
 
 Both runners sample through `policy.sample_flat`, whose denoiser steps run
 in float32 on copies of the weights made once per model. Those steps are the
@@ -158,16 +160,16 @@ def predict_chunk(model: policy.PolicyModel, obs0, obs1, cams,
                   seed: int = 0) -> ActionChunk:
     """Sample a track in each view and recover 6DoF deltas plus grasps.
 
-    obs0/obs1: (feature image, KeypointSet2D in pixels) per view, as
-    `sim.observe` returns them. The same seed drives both views' samplers
-    -- a mild consistency aid -- so both start from the same x_T and add the
-    same step noise, drawn once. Leftover cross-view disagreement is not
-    gated: it stays in the chunk's residuals_px.
+    obs0/obs1: (feature image (3, R, R), pixel keypoints (k, 2)) of views 0
+    and 1, as `sim.observe` returns them. The same seed drives both views'
+    samplers -- a mild consistency aid -- so both start from the same x_T
+    and add the same step noise, drawn once. Leftover cross-view
+    disagreement is not gated: it stays in the chunk's residuals_px.
     """
     per_view = []
     for v, (img, kps) in enumerate((obs0, obs1)):
         intr = cams[v][0]
-        kn = data.normalize_keypoints(kps.points, intr)
+        kn = data.normalize_keypoints(kps, intr)
         offsets, grasp_logits = policy.sample(model, img, kn, seed=seed)
         absolute = np.concatenate([kn[None], kn[None] + offsets], axis=0)
         per_view.append((data.denormalize_keypoints(absolute, intr), grasp_logits > 0))
@@ -216,7 +218,7 @@ class TrackPolicyRunner:
 
     def chunk(self, task, state, cams, seed) -> ActionChunk:
         emb = sim.robot_embodiment()
-        obs = [sim.observe(state, cams[v], emb, view_id=v) for v in range(2)]
+        obs = [sim.observe(state, cams[v], emb) for v in range(2)]
         return predict_chunk(self.model, obs[0], obs[1], cams, seed=seed)
 
 
@@ -326,8 +328,8 @@ class BaselineRunner:
         return self.model.cfg.horizon
 
     def chunk(self, task, state, cams, seed) -> ActionChunk:
-        img, kps = sim.observe(state, cams[0], sim.robot_embodiment(), view_id=0)
-        kn = data.normalize_keypoints(kps.points, cams[0][0])
+        img, kps = sim.observe(state, cams[0], sim.robot_embodiment())
+        kn = data.normalize_keypoints(kps, cams[0][0])
         rows = policy.sample_flat(self.model, img, kn, seed=seed).reshape(self.horizon, 7)
         ee = state.ee_pose
         rotations = np.empty((self.horizon, 3, 3))

@@ -41,7 +41,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .data import HUMAN, ROBOT, Demonstration, KeypointSet2D
+from .data import HUMAN, ROBOT, Demonstration
 from .errors import ScriptFailureError, check_int, check_real
 from .geometry import (
     CameraIntrinsics,
@@ -439,11 +439,12 @@ def render(states, cam, emb: EmbodimentModel):
             uv[:, 1:1 + emb.k])
 
 
-def observe(state: SimState, cam, emb: EmbodimentModel, view_id: int = 0):
-    """(feature image, 2D keypoints) for one camera: `render` of the single
-    state, bit-identical to its row in any longer stack."""
+def observe(state: SimState, cam, emb: EmbodimentModel):
+    """(image (3, R, R), pixel keypoints (k, 2)) for one camera: row 0 of
+    `render([state], cam, emb)`, bit-identical to the state's row in any
+    longer stack."""
     images, keypoints = render([state], cam, emb)
-    return images[0], KeypointSet2D(keypoints[0], emb.kind, view_id)
+    return images[0], keypoints[0]
 
 
 def success(task: TaskSpec, state: SimState) -> bool:

@@ -145,7 +145,7 @@ def observed_oracle_chunk(task, state, emb, cams, horizon):
         action, phase = sim.scripted_policy(task, states[-1], phase)
         states.append(sim.step(states[-1], action))
     grasps = np.array([st.gripper_closed for st in states[1:]], dtype=bool)
-    tracks = [(np.stack([sim.observe(st, cams[v], emb, view_id=v)[1].points
+    tracks = [(np.stack([sim.observe(st, cams[v], emb)[1]
                          for st in states]), grasps) for v in range(2)]
     return inference.chunk_from_tracks(tracks[0], tracks[1], cams)
 

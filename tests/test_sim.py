@@ -16,7 +16,7 @@ import pytest
 from scipy import stats
 
 from trackpolicy import sim
-from trackpolicy.data import HUMAN, ROBOT, KeypointSet2D
+from trackpolicy.data import HUMAN, ROBOT
 from trackpolicy.errors import BehindCameraError
 from trackpolicy.geometry import (
     RigidTransform,
@@ -362,9 +362,11 @@ def test_observe_object_at_cell_center_single_cell():
 
 
 def test_observe_keypoints_match_per_point_projection():
-    # observe's keypoints are the projected keypoints3d bit for bit, per point
-    # and as one stack over several states (how the oracle gets its tracks);
-    # the second state has a closed gripper, so offsets_for(True) applies
+    # observe returns row 0 of render's two arrays, and takes no view id (a
+    # view is its camera's index); its keypoints are the projected
+    # keypoints3d bit for bit, per point and as one stack over several
+    # states (how the oracle gets its tracks); the second state has a closed
+    # gripper, so offsets_for(True) applies
     open_state = sim.reset(sim.make_task("push_right"), 11)
     turn = RigidTransform(axis_angle_to_matrix([0.1, 0.0, 0.05]),
                           np.array([0.01, 0.02, -0.03]))
@@ -375,14 +377,23 @@ def test_observe_keypoints_match_per_point_projection():
         assert not np.array_equal(sim.keypoints3d(closed, emb),
                                   closed.ee_pose.apply(emb.keypoint_offsets))
         pts3 = [sim.keypoints3d(st, emb) for st in states]
-        for v, cam in enumerate(sim.default_cameras()):
-            observed = np.stack([sim.observe(st, cam, emb, view_id=v)[1].points
-                                 for st in states])
+        for cam in sim.default_cameras():
+            observed = []
+            for st in states:
+                img, kps = sim.observe(st, cam, emb)
+                images, keypoints = sim.render([st], cam, emb)
+                assert type(img) is type(kps) is np.ndarray
+                assert img.tobytes() == images[0].tobytes()
+                assert kps.tobytes() == keypoints[0].tobytes()
+                observed.append(kps)
+            observed = np.stack(observed)
             for st_pts, st_kps in zip(pts3, observed):
                 for j in range(emb.k):
                     assert np.array_equal(st_kps[j], project_points(st_pts[j], *cam)[0])
             stacked = project_points(np.concatenate(pts3), *cam)
             assert np.array_equal(stacked.reshape(observed.shape), observed)
+            with pytest.raises(TypeError):   # the old fourth argument, a view id
+                sim.observe(states[0], cam, emb, 1)
 
 
 def test_observe_behind_camera_propagates():
@@ -415,9 +426,9 @@ def reference_splat(channel, uv, weights, cell):
         np.add.at(channel, (ys[ok], xs[ok]), (w * weights)[ok])
 
 
-def reference_observe(state, cam, emb, view_id=0):
-    """Per-state observation: the box, then the keypoints, then the goal
-    splatted by its own `reference_splat` call."""
+def reference_observe(state, cam, emb):
+    """(image, pixel keypoints, grasp) of one state: the box, then the
+    keypoints, then the goal splatted by its own `reference_splat` call."""
     intr, pose = cam
     cell = intr.width / sim.RASTER_SIZE
     img = np.zeros((3, sim.RASTER_SIZE, sim.RASTER_SIZE))
@@ -428,7 +439,7 @@ def reference_observe(state, cam, emb, view_id=0):
     uv = uv_all[1:1 + emb.k]
     reference_splat(img[sim.CH_EE], uv, 1.0 / emb.k, cell)
     reference_splat(img[sim.CH_GOAL], uv_all[-1], 1.0, cell)
-    return img, KeypointSet2D(uv, emb.kind, view_id), sim.grasp_label(state, emb)
+    return img, uv, sim.grasp_label(state, emb)
 
 
 def reference_demo(task, emb, seed, jitter_px=1.0):
@@ -441,9 +452,8 @@ def reference_demo(task, emb, seed, jitter_px=1.0):
 
     def record(st):
         views = []
-        for v, cam in enumerate(cameras):
-            img, kps, grasp = reference_observe(st, cam, emb, view_id=v)
-            points = kps.points
+        for cam in cameras:
+            img, points, grasp = reference_observe(st, cam, emb)
             if rng is not None:
                 points = points + np.clip(rng.normal(0.0, jitter_px, size=points.shape),
                                           -3 * jitter_px, 3 * jitter_px)
@@ -514,7 +524,7 @@ def test_render_rows_match_the_reference_at_the_raster_edges():
     for st, img, kps in zip(states, images, keypoints):
         ref_img, ref_kps, _ = reference_observe(st, cam, emb)
         assert img.tobytes() == ref_img.tobytes()
-        assert kps.tobytes() == ref_kps.points.tobytes()
+        assert kps.tobytes() == ref_kps.tobytes()
         single, _ = sim.observe(st, cam, emb)
         assert single.tobytes() == ref_img.tobytes()
         # clipped mass really was dropped
@@ -604,13 +614,13 @@ def test_human_demo_jitter_is_bounded_and_absent_for_robot():
     task = sim.make_task("push_right")
     human = sim.scripted_demo(task, sim.human_embodiment(), 9, jitter_px=1.0)
     state = sim.reset(task, 9)
-    img, kps = sim.observe(state, human.cameras[0], sim.human_embodiment(), view_id=0)
-    noise = human.keypoints[0, 0] - kps.points
+    img, kps = sim.observe(state, human.cameras[0], sim.human_embodiment())
+    noise = human.keypoints[0, 0] - kps
     assert np.max(np.abs(noise)) <= 3.0 + 1e-9
     assert np.max(np.abs(noise)) > 0
     robot = sim.scripted_demo(task, sim.robot_embodiment(), 9)
-    _, rkps = sim.observe(state, robot.cameras[0], sim.robot_embodiment(), view_id=0)
-    assert np.array_equal(robot.keypoints[0, 0], rkps.points)
+    _, rkps = sim.observe(state, robot.cameras[0], sim.robot_embodiment())
+    assert np.array_equal(robot.keypoints[0, 0], rkps)
 
 
 def test_task_spec_rejects_a_bad_horizon_or_success_radius():
